@@ -10,7 +10,7 @@ from conftest import summary_row
 
 from repro.compression.schemes import BaselineScheme
 from repro.core.study import study_for
-from repro.fetch.config import FetchConfig, PenaltyTable
+from repro.fetch.config import FetchConfig, initiation_cycles
 from repro.fetch.engine import simulate_fetch
 from repro.utils.tables import format_table
 
@@ -36,7 +36,6 @@ ROWS = [
 
 
 def _penalty_matrix():
-    table = PenaltyTable()
     out = []
     for scheme, correct, hit, buf in ROWS:
         cells = [
@@ -46,7 +45,7 @@ def _penalty_matrix():
             ("hit" if buf else "miss") if scheme == "compressed" else "-",
         ]
         cells.extend(
-            table.initiation_cycles(
+            initiation_cycles(
                 scheme, pred_correct=correct, cache_hit=hit,
                 buffer_hit=buf, n=n,
             )

@@ -17,9 +17,10 @@ may or may not reach the cache, so its cache transfer is the join of
 "accessed" and "untouched" — sound without tracking the buffer's
 op-count capacity.
 
-:func:`cycle_bounds` combines the classification with the kernel's own
-per-block cost columns (:func:`~repro.fetch.kernel.penalty_pair`,
-:func:`~repro.fetch.kernel.block_span_pairs` — queried, not
+:func:`cycle_bounds` combines the classification with the fetch
+machine's own per-block cost columns
+(:func:`~repro.fetch.config.penalty_rows`,
+:func:`~repro.fetch.sweep.block_span_pairs` — queried, not
 re-derived, so the bounds can never drift from Table 1) into per-fetch
 feasible-outcome sets, yielding ``lower <= simulated <= upper`` for any
 trace with the given per-block visit counts.  The ``static`` check
@@ -216,7 +217,7 @@ class FetchClassification:
 def _l0_possible(compressed, config: FetchConfig) -> List[bool]:
     """Can each block's fetch be served by the L0 buffer?
 
-    Mirrors the kernel: the buffer exists for compressed/hybrid, serves
+    Mirrors the simulator: the buffer exists for compressed/hybrid, serves
     Huffman-tagged blocks, and never holds a block wider than its
     capacity (an oversized block is probed but can never be resident).
     """
@@ -248,7 +249,7 @@ def classify_fetch(compressed, config: FetchConfig) -> FetchClassification:
     before the block's own access), matching the simulator's
     probe-then-install order.
     """
-    from repro.fetch.kernel import block_span_pairs
+    from repro.fetch.sweep import block_span_pairs
 
     image = compressed.image
     cfg = interprocedural_cfg(image)
@@ -361,7 +362,8 @@ def cycle_bounds(
     larger of guaranteed always-miss fetches and compulsory first
     touches (one per distinct fetched block).
     """
-    from repro.fetch.kernel import block_span_pairs, penalty_pair
+    from repro.fetch.config import penalty_rows
+    from repro.fetch.sweep import block_span_pairs
 
     image = compressed.image
     nblocks = len(image)
@@ -385,27 +387,7 @@ def cycle_bounds(
     atb_cls = classification.atb
 
     span_pairs = block_span_pairs(compressed, config.cache)
-    penalties = config.penalties
-    pen_rows = {
-        pen_scheme: (
-            penalty_pair(penalties, pen_scheme, True, True),
-            penalty_pair(penalties, pen_scheme, False, True),
-            penalty_pair(penalties, pen_scheme, True, False),
-            penalty_pair(penalties, pen_scheme, False, False),
-        )
-        for pen_scheme in (
-            ("tailored", "compressed") if is_hybrid else (base_scheme,)
-        )
-    }
-    has_buffer = base_scheme in ("compressed", "hybrid")
-    buf_hit_cycles = (
-        penalties.initiation_cycles(
-            "compressed", pred_correct=True, cache_hit=True,
-            buffer_hit=True, n=1,
-        )
-        if has_buffer
-        else 0
-    )
+    rows = penalty_rows()
     l0_possible = _l0_possible(compressed, config)
 
     lower = upper = 0
@@ -418,12 +400,12 @@ def cycle_bounds(
         block = image.block(bid)
         tail = block.mop_count - 1
         extra = len(span_pairs[bid]) - 1
-        hit_t, hit_f, miss_t, miss_f = pen_rows[
+        hit_t, hit_f, miss_t, miss_f = rows.by_family[
             block_tags[bid] if is_hybrid else base_scheme
         ]
         outcomes = []
         if l0_possible[bid]:
-            outcomes.append(buf_hit_cycles + tail)
+            outcomes.append(rows.buffer_hit_cycles + tail)
         hit_possible = bid not in cache_cls.always_miss
         miss_possible = bid not in cache_cls.always_hit
         if not hit_possible and not miss_possible:  # defensive: ⊥ block

@@ -3,15 +3,16 @@
 Micro benchmarks isolate the kernelized primitives (bit packing,
 canonical Huffman decode, and threaded-code emulation of a synthetic
 op-soup loop); macro benchmarks run real study workloads — replaying the
-trace through the flattened fetch kernel, generating the trace with the
-threaded-code emulator, and an end-to-end Figure 13 row.  Workloads are
-seeded, so two runs on one machine measure the same work.
+trace through ``simulate_fetch`` (a one-point columnar sweep),
+generating the trace with the threaded-code emulator, sweeping config
+grids, and an end-to-end Figure 13 row.  Workloads are seeded, so two
+runs on one machine measure the same work.
 
-Both implementations are named explicitly (``BitWriter`` vs
-``ReferenceBitWriter``, ``simulate_fetch_kernel`` vs
-``simulate_fetch_reference``, ``run_image_kernel`` vs ``run_image``), so
-the measurements are independent of the ambient ``REPRO_KERNEL``
-setting.
+Each benchmark names both implementations explicitly: ``BitWriter`` vs
+``ReferenceBitWriter``, ``simulate_fetch`` vs
+``simulate_fetch_reference``, ``run_image_kernel`` vs ``run_image``, and
+for the sweep families one ``simulate_fetch_sweep_multi`` call vs one
+``simulate_fetch`` per config.
 """
 
 from __future__ import annotations
@@ -78,11 +79,9 @@ def _huffman_setup(quick: bool) -> Dict[str, Any]:
     writer = BitWriter()
     for symbol in stream:
         code.encode_symbol(symbol, writer)
-    decoder = HuffmanDecoder(code)
-    decoder._use_kernel = True  # measure the canonical table regardless
     return {
         "code": code,
-        "decoder": decoder,
+        "decoder": HuffmanDecoder(code),
         "stream": stream,
         "data": writer.to_bytes(),
         "bits": writer.bit_length,
@@ -179,13 +178,13 @@ def _sweep_setup(quick: bool) -> Dict[str, Any]:
     }
 
 def _sweep_sequential(workload) -> List[Any]:
-    """The pre-sweep cost model: one full kernel replay per config."""
-    from repro.fetch.kernel import simulate_fetch_kernel
+    """The pre-sweep cost model: one full replay per config."""
+    from repro.fetch.engine import simulate_fetch
 
     trace = workload["trace"]
     images = workload["images"]
     return [
-        simulate_fetch_kernel(images[config.scheme], trace, config)
+        simulate_fetch(images[config.scheme], trace, config)
         for config in workload["grid"]
     ]
 
@@ -429,26 +428,24 @@ def _fig13_describe(workload) -> Dict[str, Any]:
 
 
 def _fetch_benchmark(scheme: str) -> Benchmark:
-    from repro.fetch.engine import simulate_fetch_reference
-    from repro.fetch.kernel import simulate_fetch_kernel
+    from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 
     return Benchmark(
         name=f"fetch_replay_{scheme.replace(':', '_')}",
         kind="macro",
         description=(
             f"replay the {_MACRO_BENCH} trace through the {scheme} "
-            "fetch organization"
+            "fetch organization (one-point sweep vs reference engine)"
         ),
         setup=lambda quick, s=scheme: _fetch_setup(s, quick),
         reference=lambda w: _fetch_run(w, simulate_fetch_reference),
-        kernel=lambda w: _fetch_run(w, simulate_fetch_kernel),
+        kernel=lambda w: _fetch_run(w, simulate_fetch),
         describe=_fetch_describe,
     )
 
 
 def _build_benchmarks() -> tuple:
-    from repro.fetch.engine import simulate_fetch_reference
-    from repro.fetch.kernel import simulate_fetch_kernel
+    from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 
     return (
         Benchmark(
@@ -497,7 +494,7 @@ def _build_benchmarks() -> tuple:
             kind="macro",
             description=(
                 "simulate a 64-point cache/ATB/L0/predictor grid "
-                "(columnar sweep engine vs one kernel replay per config)"
+                "(one columnar sweep vs one simulate_fetch per config)"
             ),
             setup=_sweep_setup,
             reference=_sweep_sequential,
@@ -510,7 +507,7 @@ def _build_benchmarks() -> tuple:
             kind="macro",
             description=(
                 "simulate a mixed compressed/hybrid hotness grid "
-                "(columnar sweep engine vs one kernel replay per config)"
+                "(one columnar sweep vs one simulate_fetch per config)"
             ),
             setup=_adaptive_setup,
             reference=_sweep_sequential,
@@ -523,11 +520,11 @@ def _build_benchmarks() -> tuple:
             kind="macro",
             description=(
                 "Figure 13 row end-to-end: ideal + all three fetch "
-                "organizations"
+                "organizations (simulate_fetch vs reference engine)"
             ),
             setup=_fig13_setup,
             reference=lambda w: _fig13_run(w, simulate_fetch_reference),
-            kernel=lambda w: _fig13_run(w, simulate_fetch_kernel),
+            kernel=lambda w: _fig13_run(w, simulate_fetch),
             describe=_fig13_describe,
         ),
     )

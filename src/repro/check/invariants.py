@@ -282,12 +282,11 @@ def _fetch_conservation(ctx: CheckContext, rec: Recorder) -> None:
 @invariant(
     "kernel-vs-reference",
     scope="fetch",
-    description="flattened fetch kernel matches the reference on "
-                "randomized traces",
+    description="simulate_fetch (the one-point sweep) matches the "
+                "reference engine on randomized traces",
 )
 def _kernel_vs_reference(ctx: CheckContext, rec: Recorder) -> None:
-    from repro.fetch.engine import simulate_fetch_reference
-    from repro.fetch.kernel import kernel_supported, simulate_fetch_kernel
+    from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 
     length = 1500 if ctx.quick else 6000
     for benchmark in ctx.benchmarks:
@@ -304,28 +303,17 @@ def _kernel_vs_reference(ctx: CheckContext, rec: Recorder) -> None:
             compressed = study.compressed(image_key)
             config = FetchConfig.for_scheme(fetch_scheme, scaled=True)
             subject = f"{benchmark}/{fetch_scheme}"
-            if not rec.expect(
-                kernel_supported(config),
-                subject,
-                "standard config not supported by the kernel",
-            ):
-                continue
             rng = ctx.rng(f"kernel-vs-reference:{subject}")
             blocks = len(compressed.image)
             trace = [rng.randrange(blocks) for _ in range(length)]
-            kernel = simulate_fetch_kernel(compressed, trace, config)
-            reference = simulate_fetch_reference(
-                compressed, trace, config
+            diff = _metrics_diff(
+                simulate_fetch(compressed, trace, config),
+                simulate_fetch_reference(compressed, trace, config),
             )
-            diff = [
-                name
-                for name, value in asdict(reference).items()
-                if asdict(kernel)[name] != value
-            ]
             rec.expect(
                 not diff,
                 subject,
-                "kernel diverges from reference on fields: "
+                "simulate_fetch diverges from the reference on fields: "
                 + ", ".join(diff),
             )
 
@@ -400,8 +388,9 @@ def _metrics_diff(actual, expected) -> list:
 @invariant(
     "sweep-vs-kernel",
     scope="sweep",
-    description="columnar sweep engine matches per-config kernel and "
-                "reference replays on randomized grids",
+    description="a multi-config sweep matches per-config simulate_fetch "
+                "(cross-config memo keys) and sampled reference replays "
+                "on randomized grids",
 )
 def _sweep_vs_kernel(ctx: CheckContext, rec: Recorder) -> None:
     from repro.core.sweep import expand_grid
@@ -458,7 +447,7 @@ def _sweep_vs_kernel(ctx: CheckContext, rec: Recorder) -> None:
                 "sweep diverges from simulate_fetch on fields: "
                 + ", ".join(diff),
             )
-        # The slow un-kernelized reference, on a sampled subset.
+        # The slow object-per-structure reference, on a sampled subset.
         for index in rng.sample(
             range(len(grid)), min(reference_samples, len(grid))
         ):
@@ -484,11 +473,11 @@ def _sweep_vs_kernel(ctx: CheckContext, rec: Recorder) -> None:
 @invariant(
     "sweep-degenerate-grid",
     scope="sweep",
-    description="a 1-config grid is exactly one simulate_fetch result "
+    description="a 1-config grid is exactly one reference replay "
                 "and an empty grid is empty",
 )
 def _sweep_degenerate_grid(ctx: CheckContext, rec: Recorder) -> None:
-    from repro.fetch.engine import simulate_fetch
+    from repro.fetch.engine import simulate_fetch_reference
     from repro.fetch.sweep import (
         simulate_fetch_sweep,
         simulate_fetch_sweep_multi,
@@ -514,12 +503,13 @@ def _sweep_degenerate_grid(ctx: CheckContext, rec: Recorder) -> None:
                 len(single), 1, subject, "1-config grid result count"
             )
             diff = _metrics_diff(
-                single[0], simulate_fetch(images[scheme], trace, config)
+                single[0],
+                simulate_fetch_reference(images[scheme], trace, config),
             )
             rec.expect(
                 not diff,
                 subject,
-                "1-config sweep diverges from simulate_fetch on "
+                "1-config sweep diverges from the reference on "
                 "fields: " + ", ".join(diff),
             )
         rec.expect_equal(

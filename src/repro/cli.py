@@ -52,7 +52,6 @@ from repro.core.study import study_for
 from repro.errors import ConfigurationError
 from repro.programs.suite import BENCHMARK_NAMES, SUITE
 from repro.runtime.config import environment_problems
-from repro.utils.kernelmode import kernel_env_problem
 from repro.utils.tables import format_table
 
 
@@ -105,9 +104,6 @@ def _validate_invocation(args) -> None:
                 f"--hotness must lie in (0, 1], got {value:g}"
             )
     problems = environment_problems()
-    kernel_problem = kernel_env_problem()
-    if kernel_problem:
-        problems = problems + [kernel_problem]
     from repro.analysis import analysis_env_problem
 
     gate_problem = analysis_env_problem()

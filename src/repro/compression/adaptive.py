@@ -12,8 +12,8 @@ image:
   built from the cold blocks alone, so what the hot set gives up in
   size the sharper cold model buys back.  The resulting
   :class:`HybridImage` carries per-block scheme tags that the ATT
-  stores (one bit per entry) and the fetch engine / kernel / sweep
-  columns honor for decompression-penalty and L0-buffer accounting.
+  stores (one bit per entry) and the reference fetch engine and the
+  sweep columns honor for decompression-penalty and L0-buffer accounting.
 * :class:`ContextHuffmanScheme` — a fifth scheme family: full-op
   symbols whose codebook is conditioned on the class of the previous
   symbol (Hirvola's previous-symbol context modeling).  The class is

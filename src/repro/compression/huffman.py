@@ -14,7 +14,6 @@ from typing import Iterable, Mapping
 
 from repro.errors import CompressionError
 from repro.utils.bitstream import BitReader, BitWriter
-from repro.utils.kernelmode import kernel_enabled
 
 
 def code_lengths_from_frequencies(
@@ -170,40 +169,32 @@ class HuffmanCode:
         return sum(self.codes[s][1] for s in symbols)
 
     def make_decoder(self) -> "HuffmanDecoder":
-        """A decoder for this code, memoized per kernel/reference mode.
+        """A decoder for this code, memoized on the code.
 
         Decoders are requested once per block decode, so caching them on
         the (immutable) code keeps the canonical-table build cost out of
-        the per-block path.  The cache is keyed by the active
-        ``REPRO_KERNEL`` mode so differential tests can flip modes
-        mid-process.
+        the per-block path.
         """
-        cache = self.__dict__.get("_decoders")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_decoders", cache)
-        key = kernel_enabled()
-        decoder = cache.get(key)
+        decoder = self.__dict__.get("_decoder")
         if decoder is None:
-            decoder = cache[key] = HuffmanDecoder(self)
+            decoder = HuffmanDecoder(self)
+            object.__setattr__(self, "_decoder", decoder)
         return decoder
 
 
 class HuffmanDecoder:
     """Table decoder for a canonical code (software stand-in for the PLA).
 
-    Two paths coexist.  The *kernel* path mirrors the canonical-Huffman
-    hardware trick: one ``read`` of ``max_code_length`` bits, then a walk
-    over a first-code/offset-per-length table — integer compares only, no
-    per-length dict probes, no repeated reads.  The *reference* path is
-    the original per-length dictionary walk; ``REPRO_KERNEL=ref`` at
-    construction time selects it, and
-    :meth:`decode_symbol_reference` keeps it reachable for differential
-    tests regardless of mode.
+    :meth:`decode_symbol` mirrors the canonical-Huffman hardware trick:
+    one ``read`` of ``max_code_length`` bits, then a walk over a
+    first-code/offset-per-length table — integer compares only, no
+    per-length dict probes, no repeated reads.
+    :meth:`decode_symbol_reference` is the original per-length
+    dictionary walk, retained as the oracle the differential tests and
+    ``repro bench huffman_decode`` compare against.
     """
 
-    __slots__ = ("_steps", "_max_length", "_by_length", "_lengths",
-                 "_use_kernel")
+    __slots__ = ("_steps", "_max_length", "_by_length", "_lengths")
 
     def __init__(self, code: HuffmanCode) -> None:
         self._by_length: dict[int, dict[int, int]] = {}
@@ -228,12 +219,9 @@ class HuffmanDecoder:
                     symbols,
                 )
             )
-        self._use_kernel = kernel_enabled()
 
     def decode_symbol(self, reader: BitReader) -> int:
         """Consume one code word from ``reader`` and return its symbol."""
-        if not self._use_kernel:
-            return self.decode_symbol_reference(reader)
         pos = reader.position
         avail = reader.remaining
         max_length = self._max_length

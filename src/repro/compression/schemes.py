@@ -103,8 +103,8 @@ class CompressedImage:
 
         When present, entry ``i`` names the penalty family
         (``"tailored"`` or ``"compressed"``) block ``i`` decodes and is
-        accounted under; the fetch engine, kernel, and sweep columns all
-        honor it.
+        accounted under; the reference fetch engine and the sweep
+        columns both honor it.
         """
         return None
 

@@ -102,8 +102,6 @@ class ProgramStudy:
 
     @property
     def run(self) -> RunResult:
-        # emulate() dispatches on REPRO_KERNEL; both paths are
-        # bit-identical, so the cache key deliberately ignores the mode.
         if self._run is None:
             self._run = self._stage(
                 "trace",

@@ -10,9 +10,9 @@ side channel by construction).
 
 Two executions of the same machine exist: the interpretive reference
 (:func:`run_image`) and the threaded-code kernel
-(:func:`~repro.emulator.kernel.run_image_kernel`); :func:`emulate`
-dispatches between them on the ``REPRO_KERNEL`` switch and is what the
-study pipeline calls.
+(:func:`~repro.emulator.kernel.run_image_kernel`).  :func:`emulate` runs
+the kernel and is what the study pipeline calls; the reference stays as
+the oracle the differential tests compare against.
 """
 
 from repro.emulator.machine import (

@@ -261,23 +261,18 @@ def emulate(
     max_mops: int = DEFAULT_MAX_MOPS,
     machine: Optional[Machine] = None,
 ) -> RunResult:
-    """Execute ``image``, dispatching on the ``REPRO_KERNEL`` switch.
+    """Execute ``image`` on the threaded-code engine.
 
-    The default path is the threaded-code engine in
-    :mod:`repro.emulator.kernel`; ``REPRO_KERNEL=ref`` forces this
-    module's interpretive :func:`run_image`.  Both produce bit-identical
-    :class:`RunResult` fields (see :meth:`RunResult.fingerprint`), so
-    cached study artifacts never depend on the mode.
+    :func:`~repro.emulator.kernel.run_image_kernel` produces the same
+    :class:`RunResult` fields (see :meth:`RunResult.fingerprint`) as
+    this module's interpretive :func:`run_image`, the retained reference
+    the differential tests compare it against.
     """
-    from repro.utils.kernelmode import kernel_enabled
+    from repro.emulator.kernel import run_image_kernel
 
-    if kernel_enabled():
-        from repro.emulator.kernel import run_image_kernel
-
-        return run_image_kernel(
-            image, globals_data, max_mops=max_mops, machine=machine
-        )
-    return run_image(image, globals_data, max_mops=max_mops, machine=machine)
+    return run_image_kernel(
+        image, globals_data, max_mops=max_mops, machine=machine
+    )
 
 
 def _execute_mop(

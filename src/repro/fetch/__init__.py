@@ -16,6 +16,12 @@ compiler-generated ATT) and its per-block branch predictor — a 2-bit
 saturating counter plus last-target prediction (Section 3.4).  Blocks are
 atomic units of fetch under the restricted placement model; the cycle
 accounting implements Table 1 exactly.
+
+The machine is written twice: :func:`simulate_fetch_reference`, the
+readable object-per-structure model, and the columnar sweep engine in
+:mod:`repro.fetch.sweep`, which replays one trace for a whole grid of
+configurations.  :func:`simulate_fetch` is a one-point sweep; both are
+differentially tested against the reference.
 """
 
 from repro.fetch.atb import ATB, att_bytes, att_overhead_percent
@@ -26,22 +32,22 @@ from repro.fetch.config import (
     COMPRESSED_CACHE,
     CacheGeometry,
     FetchConfig,
-    PenaltyTable,
+    PenaltyRows,
     TAILORED_CACHE,
+    initiation_cycles,
+    penalty_rows,
 )
 from repro.fetch.engine import (
     FetchMetrics,
     simulate_fetch,
     simulate_fetch_reference,
 )
-from repro.fetch.kernel import kernel_supported, simulate_fetch_kernel
 from repro.fetch.l0buffer import L0Buffer
 from repro.fetch.sweep import (
     config_from_json,
     config_to_json,
     simulate_fetch_sweep,
     simulate_fetch_sweep_multi,
-    sweep_supported,
 )
 
 __all__ = [
@@ -54,17 +60,16 @@ __all__ = [
     "FetchConfig",
     "FetchMetrics",
     "L0Buffer",
-    "PenaltyTable",
+    "PenaltyRows",
     "TAILORED_CACHE",
     "att_bytes",
     "att_overhead_percent",
     "config_from_json",
     "config_to_json",
-    "kernel_supported",
+    "initiation_cycles",
+    "penalty_rows",
     "simulate_fetch",
-    "simulate_fetch_kernel",
     "simulate_fetch_reference",
     "simulate_fetch_sweep",
     "simulate_fetch_sweep_multi",
-    "sweep_supported",
 ]

@@ -22,11 +22,10 @@ from repro.compression.schemes import CompressedImage
 from repro.errors import ConfigurationError
 from repro.fetch.atb import ATB, att_bytes
 from repro.fetch.banked_cache import BankedCache
-from repro.fetch.branch_predict import BlockMeta
-from repro.fetch.config import FetchConfig
+from repro.fetch.branch_predict import BlockMeta, GshareUnit
+from repro.fetch.config import FetchConfig, initiation_cycles
 from repro.fetch.l0buffer import L0Buffer
 from repro.power.busmodel import BusModel
-from repro.utils.kernelmode import kernel_enabled
 
 
 @dataclass
@@ -112,21 +111,16 @@ def simulate_fetch(
     ``compressed`` supplies the address-space geometry (block offsets and
     sizes in the scheme's ROM encoding) and the payload bytes for the bus
     model.  The scheme is taken from the config (``base`` / ``tailored``
-    / ``compressed``).
+    / ``compressed`` / ``hybrid``).
 
-    Dispatches to the flattened kernel in :mod:`repro.fetch.kernel`
-    unless ``REPRO_KERNEL=ref`` selects the reference path or the config
-    uses something the kernel does not model (e.g. a subclassed penalty
-    table).  Both paths are bit-identical — enforced by
-    ``tests/test_kernel_differential.py``.
+    This is a one-point :func:`~repro.fetch.sweep.simulate_fetch_sweep`;
+    its result is bit-identical to :func:`simulate_fetch_reference`,
+    which ``tests/test_kernel_differential.py`` enforces.
     """
-    config = _resolve_config(compressed, config)
-    if kernel_enabled():
-        from repro.fetch.kernel import kernel_supported, simulate_fetch_kernel
+    from repro.fetch.sweep import simulate_fetch_sweep
 
-        if kernel_supported(config):
-            return simulate_fetch_kernel(compressed, trace, config)
-    return simulate_fetch_reference(compressed, trace, config)
+    config = _resolve_config(compressed, config)
+    return simulate_fetch_sweep(compressed, trace, [config])[0]
 
 
 def simulate_fetch_reference(
@@ -136,9 +130,9 @@ def simulate_fetch_reference(
 ) -> FetchMetrics:
     """The retained straight-line model (one object per structure).
 
-    This is the behavioral definition of the fetch machine; the kernel
-    is an optimization of *this* function and is differentially tested
-    against it.
+    This is the behavioral definition of the fetch machine; the
+    columnar sweep behind :func:`simulate_fetch` is an optimization of
+    *this* function and is differentially tested against it.
     """
     config = _resolve_config(compressed, config)
     scheme = config.scheme
@@ -177,19 +171,11 @@ def simulate_fetch_reference(
         else None
     )
     bus = BusModel(config.bus_bytes)
-    penalties = config.penalties
-    if config.predictor == "gshare":
-        from repro.fetch.branch_predict import GshareUnit
-
-        gshare: Optional[GshareUnit] = GshareUnit(
-            config.gshare_history_bits
-        )
-    elif config.predictor == "block":
-        gshare = None
-    else:
-        raise ConfigurationError(
-            f"unknown predictor {config.predictor!r}"
-        )
+    gshare = (
+        GshareUnit(config.gshare_history_bits)
+        if config.predictor == "gshare"
+        else None
+    )
 
     metrics = FetchMetrics(scheme=scheme)
     metrics.code_bytes = compressed.total_code_bytes
@@ -238,7 +224,7 @@ def simulate_fetch_reference(
         n = total_lines if not cache_hit else (
             total_lines if block_scheme == "compressed" else 1
         )
-        metrics.cycles += penalties.initiation_cycles(
+        metrics.cycles += initiation_cycles(
             block_scheme,
             pred_correct=pred_correct,
             cache_hit=cache_hit,

@@ -10,10 +10,10 @@ LRU).  Blocks larger than the capacity cannot reside and always miss:
 every revisit charges a fresh miss and goes to the L1, exactly as the
 hardware would re-decompress a block that cannot fit.  That rejection is
 *accounted*, not silent — ``install`` reports whether the block was
-placed and ``oversized_rejects`` counts the refusals — and the flattened
-kernel (``repro.fetch.kernel``) charges identical hit/miss counts and
+placed and ``oversized_rejects`` counts the refusals — and the columnar
+sweep (``repro.fetch.sweep``) charges identical hit/miss counts and
 Table 1 costs for the oversized path (pinned by
-``tests/test_kernel_differential.py``).
+``tests/test_l0_oversized.py``).
 """
 
 from __future__ import annotations

@@ -1,16 +1,16 @@
-"""Columnar multi-configuration sweep engine for the fetch machine.
+"""The fetch machine: a columnar, multi-configuration trace replay.
 
-``simulate_fetch_kernel`` replays one trace for one
-:class:`~repro.fetch.config.FetchConfig`; design-space exploration
-(``examples/design_space.py``, the cache/L0 ablations, the serve
-daemon's heaviest queries) replays the *same* trace for hundreds of
-configurations.  This module restates the kernel as a factored machine
-so a whole grid shares one trace pass per independent component:
+:func:`~repro.fetch.engine.simulate_fetch_reference` is the readable,
+object-per-structure model of Table 1.  This module states the same
+machine once more, factored so that a whole grid of
+:class:`~repro.fetch.config.FetchConfig` points shares one trace pass
+per independent component; :func:`~repro.fetch.engine.simulate_fetch`
+is a one-point call of :func:`simulate_fetch_sweep`.
 
 * **Shared columns** — block kinds/targets/fallthroughs and MultiOp/op
-  counts come from :func:`repro.fetch.kernel.block_meta_columns`, and
-  the delivered-ops/MultiOps/blocks totals of a trace are computed once
-  for every configuration.
+  counts come from :func:`block_meta_columns`, and the
+  delivered-ops/MultiOps/blocks totals of a trace are computed once for
+  every configuration.
 * **Predictor components** — the ATB and its resident predictor state
   never observe the cache, so their entire evolution depends only on
   ``(atb_entries, atb_ways, predictor, gshare_history_bits)``.  One
@@ -26,9 +26,10 @@ so a whole grid shares one trace pass per independent component:
   Table 1 row).
 * **Combine** — Table 1 rows for one (scheme, outcome) differ between
   correct and incorrect prediction by a *constant* (their per-extra-line
-  slopes are equal — checked, not assumed), so each configuration's
-  exact cycle count is recovered from its two components with two
-  bitmap intersections (an L0 buffer hit costs 1 cycle either way, so
+  slopes are equal, which :func:`~repro.fetch.config.penalty_rows`
+  checks when it resolves the table), so each configuration's exact
+  cycle count is recovered from its two components with two bitmap
+  intersections (an L0 buffer hit costs 1 cycle either way, so
   correctly-predicted cache *hits* are the remainder)::
 
       pm = |pred_ok & cache_miss|
@@ -51,17 +52,14 @@ scheme.  Hybrid keys carry their profile source (``hybrid@T`` vs
 static-profiled points in one grid sweep different images under the
 same machinery.  Hybrid points charge each block at its ATT scheme tag
 ("tailored" hot rows, "compressed" cold rows) and probe the L0 only for
-cold blocks; the constant-discount combine stays exact because the
-correct/incorrect discounts ``dh``/``dm`` are equal across the two tag
-families in the stock Table 1 (checked per call, not assumed).
+cold blocks; the single ``dh``/``dm`` discount stays exact because
+Table 1 uses the same discounts in every family.
 
-Every per-config result is **bit-identical** to a sequential
-:func:`~repro.fetch.engine.simulate_fetch` call — enforced by the
-``sweep`` check scope, ``tests/test_fetch_sweep.py``, and the
-``repro bench sweep_grid`` differential family.  A configuration the
-factored engine cannot model (a subclassed penalty table, an unknown
-predictor, unequal penalty slopes) falls back to ``simulate_fetch``
-for that configuration only; it never poisons the rest of the batch.
+Every per-config result is **bit-identical** to
+:func:`~repro.fetch.engine.simulate_fetch_reference` — enforced by the
+``fetch`` and ``sweep`` check scopes, ``tests/test_kernel_differential.py``,
+``tests/test_fetch_sweep.py`` and the ``repro bench`` differential
+families.
 """
 
 from __future__ import annotations
@@ -72,55 +70,98 @@ from repro.compression.registry import fetch_scheme_base
 from repro.compression.schemes import CompressedImage
 from repro.errors import ConfigurationError
 from repro.fetch.atb import att_bytes
-from repro.fetch.config import CacheGeometry, FetchConfig, PenaltyTable
-from repro.fetch.kernel import (
-    _COND,
-    _CALL,
-    _FALLTHROUGH,
-    _HALT,
-    _JUMP,
-    _RET,
-    _STRONG_TAKEN,
-    _WEAK_TAKEN,
-    block_bus_beats,
-    block_meta_columns,
-    block_span_pairs,
-    kernel_supported,
-    penalty_pair,
-)
+from repro.fetch.branch_predict import BlockMeta
+from repro.fetch.config import CacheGeometry, FetchConfig, penalty_rows
+from repro.fetch.engine import FetchMetrics
 
 __all__ = [
+    "block_bus_beats",
+    "block_meta_columns",
+    "block_span_pairs",
     "config_from_json",
     "config_to_json",
     "simulate_fetch_sweep",
     "simulate_fetch_sweep_multi",
-    "sweep_supported",
 ]
 
+#: BlockMeta terminator kinds, mirrored locally (see branch_predict).
+_FALLTHROUGH, _COND, _JUMP, _CALL, _RET, _HALT = range(6)
 
-def sweep_supported(config: FetchConfig) -> bool:
-    """Can the factored sweep engine model this configuration exactly?
+#: 2-bit counter thresholds (branch_predict.WEAK_TAKEN / STRONG_TAKEN).
+_WEAK_TAKEN = 2
+_STRONG_TAKEN = 3
 
-    Same envelope as the single-config kernel; the additional
-    equal-slope requirement on Table 1 is re-checked per call (it holds
-    for the stock :class:`PenaltyTable`, which ``kernel_supported``
-    already pins to the exact class).
+
+# ------------------------------------------------------- block columns
+def block_meta_columns(image) -> tuple:
+    """``(kinds, targets, falls, mop_counts, op_counts)`` flat columns.
+
+    One pass over :class:`BlockMeta` per block; ``-1`` encodes "no
+    target"/"no fallthrough".
     """
-    return kernel_supported(config)
+    nblocks = len(image)
+    kinds = [0] * nblocks
+    targets = [-1] * nblocks
+    falls = [-1] * nblocks
+    mop_counts = [0] * nblocks
+    op_counts = [0] * nblocks
+    for block in image:
+        meta = BlockMeta.from_block(block)
+        bid = meta.block_id
+        kinds[bid] = meta.kind
+        targets[bid] = -1 if meta.target is None else meta.target
+        falls[bid] = -1 if meta.fallthrough is None else meta.fallthrough
+        mop_counts[bid] = meta.mop_count
+        op_counts[bid] = meta.op_count
+    return kinds, targets, falls, mop_counts, op_counts
+
+
+def block_span_pairs(compressed: CompressedImage, geometry) -> list:
+    """Per-block ``((set_index, line), ...)`` tuples for one geometry.
+
+    Mirrors ``BankedCache``'s odd/even banking: line parity selects the
+    bank, the halved line number selects the set within it.
+    """
+    line_bytes = geometry.line_bytes
+    half_sets = geometry.num_sets >> 1
+    span_pairs = []
+    for bid in range(len(compressed.image)):
+        start = compressed.block_offset(bid)
+        size = max(1, compressed.block_size(bid))
+        first = start // line_bytes
+        last = (start + size - 1) // line_bytes
+        span_pairs.append(tuple(
+            ((((line >> 1) % half_sets) << 1) | (line & 1), line)
+            for line in range(first, last + 1)
+        ))
+    return span_pairs
+
+
+def block_bus_beats(
+    compressed: CompressedImage, bus_width: int
+) -> tuple[list, list]:
+    """``(beats_by_block, payload_lens)`` for one bus width.
+
+    Beats are big-endian words padded exactly like ``BusModel``.
+    """
+    beats_by_block: list[list[int]] = []
+    payload_lens: list[int] = []
+    for bid in range(len(compressed.image)):
+        payload = bytes(compressed.block_payloads[bid])
+        payload_lens.append(len(payload))
+        beats = []
+        for i in range(0, len(payload), bus_width):
+            chunk = payload[i : i + bus_width]
+            if len(chunk) < bus_width:
+                chunk = chunk + b"\x00" * (bus_width - len(chunk))
+            beats.append(int.from_bytes(chunk, "big"))
+        beats_by_block.append(beats)
+    return beats_by_block, payload_lens
 
 
 # ------------------------------------------------------------ wire form
 def config_to_json(config: FetchConfig) -> dict:
-    """A JSON-serializable dict capturing one :class:`FetchConfig`.
-
-    Only configurations with the stock :class:`PenaltyTable` have a
-    wire form — a subclassed table's behavior cannot ride in a dict.
-    """
-    if type(config.penalties) is not PenaltyTable:
-        raise ConfigurationError(
-            "only the stock PenaltyTable is JSON-representable, got "
-            f"{type(config.penalties).__qualname__}"
-        )
+    """A JSON-serializable dict capturing one :class:`FetchConfig`."""
     return {
         "scheme": config.scheme,
         "cache": {
@@ -188,29 +229,22 @@ def _predictor_component(
 
     Returns ``(pred_ok_mask, pred_correct, atb_hits, atb_misses)``
     where ``pred_ok_mask`` holds one bit per trace position (the i-th
-    position's bit is set iff fetch predicted that block).  The loop
-    body is the kernel's, with every cache/L0/cost statement removed —
-    the two machines are independent, so the state evolution is
-    identical.
+    position's bit is set iff fetch predicted that block).  The ATB is
+    set-associative with LRU replacement, and each entry hosts its
+    block's predictor state as a two-slot ``[counter, last_target]``
+    list.  Training is deferred by one iteration: the successor a block
+    trains on *is* the next trace entry, so training block i at the top
+    of iteration i+1 needs no lookahead indexing.  State-wise this is
+    identical to the reference (prediction for a block always happens
+    before that block's own training, in both orderings).
     """
-    if atb_entries % atb_ways:
-        raise ConfigurationError(
-            f"ATB entries {atb_entries} not divisible by ways "
-            f"{atb_ways}"
-        )
     num_atb_sets = atb_entries // atb_ways
-    if num_atb_sets & (num_atb_sets - 1):
-        raise ConfigurationError(
-            f"ATB set count {num_atb_sets} is not a power of two"
-        )
     atb_mask = num_atb_sets - 1
     atb_sets: List[Dict[int, list]] = [{} for _ in range(num_atb_sets)]
     atb_bucket_of = [atb_sets[bid & atb_mask] for bid in range(nblocks)]
 
     use_gshare = predictor == "gshare"
     if use_gshare:
-        if not 1 <= history_bits <= 24:
-            raise ValueError(f"bad history width {history_bits}")
         g_mask = (1 << history_bits) - 1
         g_history = 0
         g_counters = [_WEAK_TAKEN] * (1 << history_bits)
@@ -221,8 +255,10 @@ def _predictor_component(
     # position bitmap the combine step intersects at C speed.
     pred_bits = bytearray(len(trace))
 
+    # Cold start counts as a correct prediction (reference semantics),
+    # expressed by seeding ``predicted`` with the first trace entry.
     predicted = trace[0] if len(trace) else -1
-    prev_kind = -1
+    prev_kind = -1  # sentinel: nothing to train yet
     prev_block = -1
     prev_entry = [0, -1]
 
@@ -324,7 +360,6 @@ class _CacheComponent:
 
 
 def _cache_component(
-    compressed: CompressedImage,
     trace: Sequence[int],
     span_pairs: Sequence[tuple],
     geometry: CacheGeometry,
@@ -342,9 +377,9 @@ def _cache_component(
 
     Charges every position at its pred-*incorrect* Table 1 cost (the
     combine step subtracts the constant correct-prediction discount per
-    intersected position).  The loop body is the kernel's cache half,
-    verbatim.  ``l0_elig`` restricts L0 probes to tagged-cold blocks for
-    hybrid images (``None`` = every block probes, the Compressed rule).
+    intersected position).  ``l0_elig`` restricts L0 probes to
+    tagged-cold blocks for hybrid images (``None`` = every block probes,
+    the Compressed rule).
     """
     cache_ways = geometry.ways
     cache_sets: List[Dict[int, bool]] = [
@@ -362,10 +397,6 @@ def _cache_component(
 
     l0: Dict[int, int] = {}
     l0_used = 0
-    if has_buffer and l0_cap <= 0:
-        raise ConfigurationError(
-            f"L0 capacity must be positive, got {l0_cap}"
-        )
 
     out = _CacheComponent()
     cycles_f = 0
@@ -409,6 +440,9 @@ def _cache_component(
                         del bucket[next(iter(bucket))]
                     bucket[line] = True
             else:
+                # Two phases, like BankedCache.access_block: probe every
+                # line before touching any, so an install cannot evict a
+                # sibling line that should have counted as resident.
                 spans = span_buckets[block_id]
                 missing = 0
                 for bucket, line in spans:
@@ -461,7 +495,7 @@ def _sweep_engine(
     image_for,
     trace: Sequence[int],
     configs: Sequence[FetchConfig],
-) -> List["FetchMetrics"]:
+) -> List[FetchMetrics]:
     """Shared body of the two public sweep entry points.
 
     ``image_for(scheme)`` resolves the :class:`CompressedImage` a config
@@ -472,9 +506,8 @@ def _sweep_engine(
     delivered-op totals) is shared across images of the same program —
     a mixed-scheme grid pays for each distinct predictor once.
     """
-    from repro.fetch.engine import FetchMetrics, simulate_fetch
-
-    results: List[Optional[FetchMetrics]] = [None] * len(configs)
+    rows = penalty_rows()
+    results: List[FetchMetrics] = []
     blocks_fetched = len(trace)
 
     # ----------------------------------------------------- memo tables
@@ -491,7 +524,7 @@ def _sweep_engine(
     att_memo: Dict[tuple, int] = {}         # (id(image), geo key)
     joint_memo: Dict[tuple, tuple] = {}
 
-    for index, config in enumerate(configs):
+    for config in configs:
         scheme = config.scheme
         base_scheme = fetch_scheme_base(scheme)
         if base_scheme not in ("base", "tailored", "compressed", "hybrid"):
@@ -507,9 +540,6 @@ def _sweep_engine(
                 )
         else:
             block_tags = None
-        if not sweep_supported(config):
-            results[index] = simulate_fetch(compressed, trace, config)
-            continue
 
         image = compressed.image
         meta = meta_memo.get(id(image))
@@ -536,48 +566,7 @@ def _sweep_engine(
             delivered_mops, delivered_ops, nblocks, program_token,
         ) = meta
 
-        # Table 1, resolved per config (the table instance is the stock
-        # class, but deriving from *this* config's table keeps the
-        # engine honest).  Unequal correct/incorrect slopes would break
-        # the constant-discount combine — fall back, don't approximate.
-        # Hybrid points charge two penalty families (one per block tag),
-        # so the single dh/dm discount must additionally agree *across*
-        # the families; the stock Table 1 satisfies both (dh=1, dm=7).
-        penalties = config.penalties
-        pen_families = (
-            ("tailored", "compressed") if is_hybrid else (base_scheme,)
-        )
-        pen_rows = {
-            family: (
-                penalty_pair(penalties, family, True, True),
-                penalty_pair(penalties, family, False, True),
-                penalty_pair(penalties, family, True, False),
-                penalty_pair(penalties, family, False, False),
-            )
-            for family in pen_families
-        }
-        slopes_equal = all(
-            rows[0][1] == rows[1][1] and rows[2][1] == rows[3][1]
-            for rows in pen_rows.values()
-        )
-        dh_set = {rows[1][0] - rows[0][0] for rows in pen_rows.values()}
-        dm_set = {rows[3][0] - rows[2][0] for rows in pen_rows.values()}
-        if not slopes_equal or len(dh_set) != 1 or len(dm_set) != 1:
-            results[index] = simulate_fetch(compressed, trace, config)
-            continue
-        dh = dh_set.pop()
-        dm = dm_set.pop()
-
         has_buffer = base_scheme in ("compressed", "hybrid")
-        buf_hit_cycles = (
-            penalties.initiation_cycles(
-                "compressed", pred_correct=True, cache_hit=True,
-                buffer_hit=True, n=1,
-            )
-            if has_buffer
-            else 0
-        )
-
         geometry = config.cache
         geo_key = _geometry_key(geometry)
 
@@ -601,17 +590,12 @@ def _sweep_engine(
         pred_mask, pred_right, atb_hits, atb_misses = pred
 
         bus_width = config.bus_bytes
-        pen_sig = tuple(
-            (family, pen_rows[family][1], pen_rows[family][3])
-            for family in pen_families
-        )
         cache_key = (
             id(compressed),
             geo_key,
             base_scheme,
             config.l0_capacity_ops if has_buffer else None,
             bus_width,
-            pen_sig, buf_hit_cycles,
         )
         comp = cache_comps.get(cache_key)
         if comp is None:
@@ -636,7 +620,7 @@ def _sweep_engine(
             miss_cost_f = [0] * nblocks
             buf_cost = [0] * nblocks
             for bid in range(nblocks):
-                _, hit_pen_f, _, miss_pen_f = pen_rows[
+                _, hit_pen_f, _, miss_pen_f = rows.by_family[
                     block_tags[bid] if is_hybrid else base_scheme
                 ]
                 extra = len(span_pairs[bid]) - 1
@@ -647,7 +631,7 @@ def _sweep_engine(
                 miss_cost_f[bid] = (
                     miss_pen_f[0] + miss_pen_f[1] * extra + tail
                 )
-                buf_cost[bid] = buf_hit_cycles + tail
+                buf_cost[bid] = rows.buffer_hit_cycles + tail
 
             l0_elig = (
                 [tag == "compressed" for tag in block_tags]
@@ -655,7 +639,7 @@ def _sweep_engine(
                 else None
             )
             comp = _cache_component(
-                compressed, trace, span_pairs, geometry,
+                trace, span_pairs, geometry,
                 has_buffer, l0_elig, config.l0_capacity_ops,
                 op_counts, beats_by_block, payload_lens,
                 hit_cost_f, miss_cost_f, buf_cost,
@@ -686,8 +670,8 @@ def _sweep_engine(
         metrics.att_bytes = att
         metrics.cycles = (
             comp.cycles_f
-            - dh * pred_ok_hits
-            - dm * pred_ok_misses
+            - rows.dh * pred_ok_hits
+            - rows.dm * pred_ok_misses
             + config.atb_miss_penalty * atb_misses
         )
         metrics.delivered_ops = delivered_ops
@@ -706,23 +690,21 @@ def _sweep_engine(
         metrics.bus_beats = comp.bus_beats
         metrics.bus_bit_flips = comp.bus_flips
         metrics.extra["line_bytes"] = geometry.line_bytes
-        results[index] = metrics
+        results.append(metrics)
 
-    return results  # type: ignore[return-value]
+    return results
 
 
 def simulate_fetch_sweep(
     compressed: CompressedImage,
     trace: Sequence[int],
     configs: Sequence[FetchConfig],
-) -> List["FetchMetrics"]:
+) -> List[FetchMetrics]:
     """Replay ``trace`` once for many configurations at once.
 
     Returns one :class:`~repro.fetch.engine.FetchMetrics` per entry of
     ``configs``, in order, each bit-identical to
-    ``simulate_fetch(compressed, trace, config)``.  Configurations the
-    factored engine cannot model exactly fall back to
-    :func:`~repro.fetch.engine.simulate_fetch` individually.
+    ``simulate_fetch_reference(compressed, trace, config)``.
     """
     return _sweep_engine(lambda scheme: compressed, trace, configs)
 
@@ -731,7 +713,7 @@ def simulate_fetch_sweep_multi(
     images: Dict[str, CompressedImage],
     trace: Sequence[int],
     configs: Sequence[FetchConfig],
-) -> List["FetchMetrics"]:
+) -> List[FetchMetrics]:
     """Sweep a mixed-scheme grid, one image per scheme.
 
     ``images`` maps each scheme appearing in ``configs`` to the

@@ -63,9 +63,9 @@ def _canonical(value):
     """A JSON-serializable, deterministic token for a key part.
 
     Frozen config dataclasses (``FetchConfig``, ``CacheGeometry``) are
-    flattened field by field; objects whose state is class-level
-    constants (``PenaltyTable``) contribute their qualified class name —
-    their behavior is already committed to by the source fingerprint.
+    flattened field by field; any other object contributes its
+    qualified class name — its behavior is already committed to by the
+    source fingerprint.
     """
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
@@ -87,9 +87,8 @@ def fetch_config_token(config) -> Optional[str]:
     """Deterministic string for a :class:`~repro.fetch.config.FetchConfig`.
 
     ``None`` stays ``None`` (meaning "the scheme's default config", which
-    the source fingerprint already pins down).  ``repr`` is *not* usable
-    here: ``PenaltyTable`` is a plain class whose default repr embeds a
-    memory address.
+    the source fingerprint already pins down).  The token is canonical
+    JSON, so equal configs always produce equal strings.
     """
     if config is None:
         return None

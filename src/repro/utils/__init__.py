@@ -6,7 +6,6 @@ from repro.utils.bitstream import (
     ReferenceBitWriter,
     new_writer,
 )
-from repro.utils.kernelmode import kernel_enabled
 from repro.utils.stats import (
     geometric_mean,
     mean,
@@ -22,7 +21,6 @@ __all__ = [
     "BitWriter",
     "ReferenceBitWriter",
     "format_table",
-    "kernel_enabled",
     "new_writer",
     "geometric_mean",
     "mean",

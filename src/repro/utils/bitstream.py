@@ -15,13 +15,10 @@ stream of n bits costs O(n) total.  The original big-int accumulator — O(n²)
 in stream bits because every ``to_int`` re-shifts the whole prefix — is
 retained as :class:`ReferenceBitWriter`; the differential tests prove the two
 produce byte-identical streams, and ``repro bench bitstream_roundtrip``
-measures the gap.  :func:`new_writer` picks the implementation from
-``REPRO_KERNEL``.
+measures the gap.
 """
 
 from __future__ import annotations
-
-from repro.utils.kernelmode import kernel_enabled
 
 
 class BitWriter:
@@ -186,14 +183,8 @@ class ReferenceBitWriter:
 
 
 def new_writer() -> BitWriter:
-    """A bit writer on the active path (``REPRO_KERNEL=ref`` → reference).
-
-    The return type is duck-typed: both writers expose the same API, and
-    :class:`BitReader` consumes either.
-    """
-    if kernel_enabled():
-        return BitWriter()
-    return ReferenceBitWriter()  # type: ignore[return-value]
+    """A fresh :class:`BitWriter` (the encoders' single construction point)."""
+    return BitWriter()
 
 
 class BitReader:

@@ -295,8 +295,7 @@ def test_kernel_matches_reference_on_hybrid(hybrid_study):
     import random
 
     from repro.fetch.config import FetchConfig
-    from repro.fetch.engine import simulate_fetch_reference
-    from repro.fetch.kernel import simulate_fetch_kernel
+    from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 
     rng = random.Random(8)
     for scheme in ("hybrid", "hybrid@0.6"):
@@ -304,10 +303,10 @@ def test_kernel_matches_reference_on_hybrid(hybrid_study):
         blocks = len(compressed.image)
         trace = [rng.randrange(blocks) for _ in range(1500)]
         config = FetchConfig.for_scheme(scheme, scaled=True)
-        kernel = simulate_fetch_kernel(compressed, trace, config)
+        fast = simulate_fetch(compressed, trace, config)
         reference = simulate_fetch_reference(compressed, trace, config)
-        assert asdict(kernel) == asdict(reference)
-        assert kernel.scheme == scheme
+        assert asdict(fast) == asdict(reference)
+        assert fast.scheme == scheme
 
 
 def test_sweep_matches_engine_on_hybrid_grid(hybrid_study):
@@ -389,8 +388,10 @@ class TestBusFlipRegression:
         """The engine's flip accounting over one hot and one cold miss
         equals a standalone BusModel replay of the same payloads."""
         from repro.fetch.config import FetchConfig
-        from repro.fetch.engine import simulate_fetch_reference
-        from repro.fetch.kernel import simulate_fetch_kernel
+        from repro.fetch.engine import (
+            simulate_fetch,
+            simulate_fetch_reference,
+        )
 
         compressed = hybrid_study.compressed("hybrid")
         tags = compressed.block_scheme_tags()
@@ -422,8 +423,8 @@ class TestBusFlipRegression:
         )
         assert metrics.bus_beats == bus.beats
         assert metrics.bus_bit_flips == expected_flips
-        kernel = simulate_fetch_kernel(compressed, trace, config)
-        assert kernel.bus_bit_flips == expected_flips
+        fast = simulate_fetch(compressed, trace, config)
+        assert fast.bus_bit_flips == expected_flips
 
 
 # --------------------------------------------------------------- study

@@ -174,20 +174,6 @@ class TestInvocationValidation:
         assert main(["suite", "--jobs", "-3"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_malformed_repro_kernel_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "refrence")
-        assert main(["list"]) == 2
-        err = capsys.readouterr().err
-        assert "REPRO_KERNEL" in err and "refrence" in err
-
-    def test_valid_repro_kernel_values_accepted(
-        self, capsys, monkeypatch
-    ):
-        for value in ("ref", "reference", "kernel", "0", "1"):
-            monkeypatch.setenv("REPRO_KERNEL", value)
-            assert main(["list"]) == 0
-            capsys.readouterr()
-
     def test_malformed_repro_jobs_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "banana")
         assert main(["list"]) == 2
@@ -217,20 +203,6 @@ class TestInvocationValidation:
         assert config.jobs == 1
         assert any(
             "REPRO_JOBS" in str(w.message) for w in caught
-        )
-
-    def test_kernel_enabled_warns_on_unknown_value(self, monkeypatch):
-        import warnings
-
-        from repro.utils import kernelmode
-
-        monkeypatch.setenv("REPRO_KERNEL", "turbo-mode")
-        monkeypatch.setattr(kernelmode, "_warned_values", set())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert kernelmode.kernel_enabled() is True  # defaults on
-        assert any(
-            "REPRO_KERNEL" in str(w.message) for w in caught
         )
 
 
@@ -482,6 +454,25 @@ class TestSweepCommand:
             ["sweep", "compress", "--cache", "600:2:32"]
         ) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--atb", "100:3"],  # entries not divisible by ways
+            ["--atb", "96:4"],  # 24 sets: not a power of two
+            ["--atb-miss-penalty", "-3"],
+            ["--predictor", "gshare", "--gshare-bits", "30"],
+            ["--predictor", "gshare", "--gshare-bits", "0"],
+            ["--bus", "0"],
+            ["--l0", "0"],
+        ],
+    )
+    def test_sweep_invalid_fetch_config_exits_two(self, capsys, flags):
+        assert main(
+            ["sweep", "compress", "--scale", "2",
+             "--scheme", "compressed", *flags]
+        ) == 2
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_sweep_unknown_benchmark_exits_two(self, capsys):
         assert main(["sweep", "warp-drive", "--scale", "2"]) == 2

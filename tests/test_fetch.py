@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fetch import config as fetch_config
 from repro.fetch.atb import ATB, att_bytes, att_entry_bits
 from repro.fetch.banked_cache import BankedCache
 from repro.fetch.branch_predict import (
@@ -21,8 +22,9 @@ from repro.fetch.config import (
     CacheGeometry,
     COMPRESSED_CACHE,
     FetchConfig,
-    PenaltyTable,
     TAILORED_CACHE,
+    initiation_cycles,
+    penalty_rows,
 )
 from repro.fetch.l0buffer import L0Buffer
 from repro.power.busmodel import BusModel
@@ -58,10 +60,6 @@ class TestGeometry:
 class TestPenaltyTable:
     """Table 1, all 24 cells, verbatim."""
 
-    @pytest.fixture
-    def table(self):
-        return PenaltyTable()
-
     @pytest.mark.parametrize(
         "scheme,correct,hit,expected",
         [
@@ -71,9 +69,9 @@ class TestPenaltyTable:
             ("tailored", False, True, 2),
         ],
     )
-    def test_hit_rows_ignore_n(self, table, scheme, correct, hit, expected):
+    def test_hit_rows_ignore_n(self, scheme, correct, hit, expected):
         for n in (1, 4):
-            assert table.initiation_cycles(
+            assert initiation_cycles(
                 scheme, pred_correct=correct, cache_hit=hit,
                 buffer_hit=False, n=n,
             ) == expected
@@ -87,17 +85,17 @@ class TestPenaltyTable:
             ("tailored", False, 9),
         ],
     )
-    def test_miss_rows_scale_with_n(self, table, scheme, correct, base):
+    def test_miss_rows_scale_with_n(self, scheme, correct, base):
         for n in (1, 3, 7):
-            assert table.initiation_cycles(
+            assert initiation_cycles(
                 scheme, pred_correct=correct, cache_hit=False,
                 buffer_hit=False, n=n,
             ) == base + (n - 1)
 
-    def test_compressed_buffer_hit_always_one_cycle(self, table):
+    def test_compressed_buffer_hit_always_one_cycle(self):
         for correct in (True, False):
             for hit in (True, False):
-                assert table.initiation_cycles(
+                assert initiation_cycles(
                     "compressed", pred_correct=correct, cache_hit=hit,
                     buffer_hit=True, n=5,
                 ) == 1
@@ -107,26 +105,49 @@ class TestPenaltyTable:
         [(True, True, 1), (True, False, 3), (False, True, 2),
          (False, False, 10)],
     )
-    def test_compressed_buffer_miss_rows(self, table, correct, hit, base):
+    def test_compressed_buffer_miss_rows(self, correct, hit, base):
         for n in (1, 2, 5):
-            assert table.initiation_cycles(
+            assert initiation_cycles(
                 "compressed", pred_correct=correct, cache_hit=hit,
                 buffer_hit=False, n=n,
             ) == base + (n - 1)
 
-    def test_unknown_scheme_rejected(self, table):
+    def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
-            table.initiation_cycles(
+            initiation_cycles(
                 "weird", pred_correct=True, cache_hit=True,
                 buffer_hit=False, n=1,
             )
 
-    def test_invalid_n_rejected(self, table):
+    def test_invalid_n_rejected(self):
         with pytest.raises(ConfigurationError):
-            table.initiation_cycles(
+            initiation_cycles(
                 "base", pred_correct=True, cache_hit=True,
                 buffer_hit=False, n=0,
             )
+
+    def test_combine_precondition(self):
+        """The sweep charges every fetch at its mispredicted row and
+        subtracts one constant discount, which is exact only while each
+        outcome pair shares its per-extra-line slope and every family
+        has the same hit/miss discounts."""
+        rows = penalty_rows()
+        assert set(rows.by_family) == {"base", "tailored", "compressed"}
+        for hit_t, hit_f, miss_t, miss_f in rows.by_family.values():
+            assert hit_t[1] == hit_f[1]
+            assert miss_t[1] == miss_f[1]
+            assert hit_f[0] - hit_t[0] == rows.dh == 1
+            assert miss_f[0] - miss_t[0] == rows.dm == 7
+        assert rows.buffer_hit_cycles == 1
+
+    def test_combine_precondition_violation_fails_loudly(
+        self, monkeypatch
+    ):
+        skewed = dict(fetch_config.NO_BUFFER_ROWS)
+        skewed[("tailored", False, False)] = (12, True)
+        monkeypatch.setattr(fetch_config, "NO_BUFFER_ROWS", skewed)
+        with pytest.raises(ConfigurationError, match="misprediction"):
+            penalty_rows.__wrapped__()
 
 
 class TestBankedCache:

@@ -2,12 +2,12 @@
 
 The contract under test: every element of
 ``simulate_fetch_sweep(compressed, trace, configs)`` is bit-identical
-to a sequential ``simulate_fetch(compressed, trace, config)`` call —
-including configurations the factored engine cannot model (a subclassed
-penalty table), which must fall back per-config without poisoning the
-rest of the batch.  Hypothesis drives randomized grids over geometry,
-scheme, predictor, ATB shape, L0 capacity and bus width; the unit tests
-cover the degenerate shapes and the store-backed ``run_sweep`` wrapper.
+to a sequential ``simulate_fetch(compressed, trace, config)`` call
+(which checks the engine's cross-config memo keys) and to the
+reference engine ``simulate_fetch_reference``.  Hypothesis drives
+randomized grids over geometry, scheme, predictor, ATB shape, L0
+capacity and bus width; the unit tests cover the degenerate shapes and
+the store-backed ``run_sweep`` wrapper.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 
 from repro.core.sweep import expand_grid, run_sweep
 from repro.errors import ConfigurationError
-from repro.fetch.config import CacheGeometry, FetchConfig, PenaltyTable
-from repro.fetch.engine import simulate_fetch
+from repro.fetch.config import CacheGeometry, FetchConfig
+from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 from repro.fetch.sweep import (
     config_from_json,
     config_to_json,
     simulate_fetch_sweep,
     simulate_fetch_sweep_multi,
-    sweep_supported,
 )
 
 #: fetch scheme -> compression-scheme key of the image it runs on.
@@ -37,11 +36,6 @@ GEOMETRIES = [
     (512, 2, 16), (640, 2, 40), (1280, 2, 40),
     (1024, 2, 32), (2048, 4, 32), (4096, 4, 64),
 ]
-
-
-class TracingPenaltyTable(PenaltyTable):
-    """A subclass with stock behavior — unsupported *by type*, so the
-    engine must route configs carrying it through simulate_fetch."""
 
 
 def _geometry(point):
@@ -116,8 +110,8 @@ def test_sweep_matches_sequential_on_random_grids(
 def test_unsupported_configs_fall_back_without_poisoning(
     data, sweep_images, nblocks
 ):
-    """Mix supported points with subclassed-penalty points: the batch
-    must answer both exactly, the latter via per-config fallback."""
+    """No point of a mixed batch is poisoned by its neighbours' memo
+    entries: each one equals its own reference-engine replay."""
     trace = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=nblocks - 1),
@@ -128,31 +122,9 @@ def test_unsupported_configs_fall_back_without_poisoning(
     grid = data.draw(
         st.lists(fetch_configs(), min_size=2, max_size=5)
     )
-    odd_table = TracingPenaltyTable()
-    unsupported_at = data.draw(
-        st.integers(min_value=0, max_value=len(grid) - 1)
-    )
-    grid = [
-        config
-        if index != unsupported_at
-        else FetchConfig(
-            scheme=config.scheme,
-            cache=config.cache,
-            atb_entries=config.atb_entries,
-            atb_ways=config.atb_ways,
-            atb_miss_penalty=config.atb_miss_penalty,
-            l0_capacity_ops=config.l0_capacity_ops,
-            bus_bytes=config.bus_bytes,
-            predictor=config.predictor,
-            gshare_history_bits=config.gshare_history_bits,
-            penalties=odd_table,
-        )
-        for index, config in enumerate(grid)
-    ]
-    assert not sweep_supported(grid[unsupported_at])
     batch = simulate_fetch_sweep_multi(sweep_images, trace, grid)
     for config, metrics in zip(grid, batch):
-        assert metrics == simulate_fetch(
+        assert metrics == simulate_fetch_reference(
             sweep_images[config.scheme], trace, config
         )
 
@@ -174,7 +146,7 @@ def test_single_config_grid_is_one_simulate_fetch(sweep_images):
     config = FetchConfig.for_scheme("base", scaled=True)
     batch = simulate_fetch_sweep(sweep_images["base"], trace, [config])
     assert batch == [
-        simulate_fetch(sweep_images["base"], trace, config)
+        simulate_fetch_reference(sweep_images["base"], trace, config)
     ]
 
 
@@ -184,7 +156,7 @@ def test_empty_trace_and_empty_grid(sweep_images):
         sweep_images["compressed"], [], [config]
     )
     assert batch == [
-        simulate_fetch(sweep_images["compressed"], [], config)
+        simulate_fetch_reference(sweep_images["compressed"], [], config)
     ]
     assert simulate_fetch_sweep_multi(sweep_images, [0, 1], []) == []
 
@@ -205,16 +177,6 @@ def test_unknown_scheme_raises(sweep_images):
     )
     with pytest.raises(ConfigurationError, match="ideal"):
         simulate_fetch_sweep(sweep_images["base"], [0], [bad])
-
-
-def test_config_json_rejects_subclassed_table():
-    config = FetchConfig.for_scheme("base", scaled=True)
-    odd = FetchConfig(
-        scheme="base", cache=config.cache,
-        penalties=TracingPenaltyTable(),
-    )
-    with pytest.raises(ConfigurationError, match="PenaltyTable"):
-        config_to_json(odd)
 
 
 def test_config_from_json_rejects_malformed():

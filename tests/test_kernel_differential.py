@@ -1,8 +1,9 @@
-"""Differential tests: kernel paths are bit-identical to the references.
+"""Differential tests: fast paths are bit-identical to the references.
 
-This is the correctness contract behind ``REPRO_KERNEL``: the flattened
-fetch kernel, the bytearray bit writer and the canonical Huffman decoder
-are *optimizations* of the retained reference implementations, and every
+``simulate_fetch`` (a one-point columnar sweep), the bytearray bit
+writer and the canonical Huffman decoder are *optimizations* of the
+retained reference implementations (``simulate_fetch_reference``,
+``ReferenceBitWriter``, ``decode_symbol_reference``), and every
 observable output — ``FetchMetrics`` fields, encoded bytes, decoded
 symbols — must match exactly.  ``repro bench`` re-checks the same
 identities before timing anything; CI runs this module as its
@@ -11,17 +12,11 @@ divergence gate.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.compression.huffman import HuffmanCode
-from repro.compression.schemes import FullOpHuffmanScheme
-from repro.fetch.config import FetchConfig, PenaltyTable
+from repro.fetch import engine
+from repro.fetch.config import FetchConfig, initiation_cycles
 from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
-from repro.fetch.kernel import kernel_supported, simulate_fetch_kernel
-from repro.utils.bitstream import BitWriter, ReferenceBitWriter, new_writer
-from repro.utils.kernelmode import kernel_enabled
 
 #: fetch scheme -> compression-scheme key of the image it runs on.
 SCHEME_IMAGE = {"base": "base", "tailored": "tailored",
@@ -34,10 +29,8 @@ def test_fetch_kernel_matches_reference(compress_study, scheme, scaled):
     compressed = compress_study.compressed(SCHEME_IMAGE[scheme])
     trace = compress_study.run.block_trace
     config = FetchConfig.for_scheme(scheme, scaled=scaled)
-    assert kernel_supported(config)
     reference = simulate_fetch_reference(compressed, trace, config)
-    kernel = simulate_fetch_kernel(compressed, trace, config)
-    assert kernel == reference
+    assert simulate_fetch(compressed, trace, config) == reference
 
 
 def test_fetch_kernel_matches_reference_gshare(compress_study):
@@ -46,15 +39,14 @@ def test_fetch_kernel_matches_reference_gshare(compress_study):
     config = FetchConfig.for_scheme(
         "compressed", scaled=True, predictor="gshare"
     )
-    assert kernel_supported(config)
-    assert simulate_fetch_kernel(compressed, trace, config) == (
+    assert simulate_fetch(compressed, trace, config) == (
         simulate_fetch_reference(compressed, trace, config)
     )
 
 
 def test_fetch_kernel_matches_reference_with_l0_hits(compress_study):
     """The default 32-op L0 never hits at this scale; widen it so the
-    kernel's buffer-hit path is differentially covered too."""
+    sweep's buffer-hit path is differentially covered too."""
     compressed = compress_study.compressed("full")
     trace = compress_study.run.block_trace
     config = FetchConfig.for_scheme(
@@ -62,54 +54,25 @@ def test_fetch_kernel_matches_reference_with_l0_hits(compress_study):
     )
     reference = simulate_fetch_reference(compressed, trace, config)
     assert reference.buffer_hits > 0
-    assert simulate_fetch_kernel(compressed, trace, config) == reference
+    assert simulate_fetch(compressed, trace, config) == reference
 
 
 def test_fetch_kernel_empty_trace(compress_study):
     compressed = compress_study.compressed("base")
     config = FetchConfig.for_scheme("base", scaled=True)
-    assert simulate_fetch_kernel(compressed, [], config) == (
+    assert simulate_fetch(compressed, [], config) == (
         simulate_fetch_reference(compressed, [], config)
     )
 
 
-def test_env_flag_selects_reference_paths(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert kernel_enabled()
-    assert type(new_writer()) is BitWriter
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    assert not kernel_enabled()
-    assert type(new_writer()) is ReferenceBitWriter
+def test_buffer_hit_always_charges_one_line(compress_study, monkeypatch):
+    """An L0 hit must charge exactly one line — never a ``total_lines``
+    carried over from an earlier iteration's L1 probe."""
+    calls = []
 
-
-def test_dispatcher_falls_back_on_unsupported_config(compress_study):
-    class SubclassedTable(PenaltyTable):
-        """The kernel pre-resolves Table 1; a subclass could override
-        ``initiation_cycles`` per call, so it must force the reference."""
-
-    config = dataclasses.replace(
-        FetchConfig.for_scheme("base", scaled=True),
-        penalties=SubclassedTable(),
-    )
-    assert not kernel_supported(config)
-    compressed = compress_study.compressed("base")
-    trace = compress_study.run.block_trace
-    assert simulate_fetch(compressed, trace, config) == (
-        simulate_fetch_reference(compressed, trace, config)
-    )
-
-
-class RecordingPenaltyTable(PenaltyTable):
-    """Table 1 plus a log of ``(buffer_hit, n)`` per initiation charge."""
-
-    def __init__(self) -> None:
-        self.calls = []
-
-    def initiation_cycles(
-        self, scheme, *, pred_correct, cache_hit, buffer_hit, n
-    ):
-        self.calls.append((buffer_hit, n))
-        return super().initiation_cycles(
+    def recording(scheme, *, pred_correct, cache_hit, buffer_hit, n):
+        calls.append((buffer_hit, n))
+        return initiation_cycles(
             scheme,
             pred_correct=pred_correct,
             cache_hit=cache_hit,
@@ -117,55 +80,18 @@ class RecordingPenaltyTable(PenaltyTable):
             n=n,
         )
 
-
-def test_buffer_hit_always_charges_one_line(compress_study):
-    """An L0 hit must charge exactly one line — never a ``total_lines``
-    carried over from an earlier iteration's L1 probe."""
-    table = RecordingPenaltyTable()
+    monkeypatch.setattr(engine, "initiation_cycles", recording)
     # A 128-op L0 actually gets hits on this trace (the paper's 32-op
     # buffer is smaller than this study's hot loop bodies).
-    config = dataclasses.replace(
-        FetchConfig.for_scheme(
-            "compressed", scaled=True, l0_capacity_ops=128
-        ),
-        penalties=table,
+    config = FetchConfig.for_scheme(
+        "compressed", scaled=True, l0_capacity_ops=128
     )
     compressed = compress_study.compressed("full")
     simulate_fetch_reference(
         compressed, compress_study.run.block_trace, config
     )
-    buffer_hit_lines = {n for hit, n in table.calls if hit}
+    buffer_hit_lines = {n for hit, n in calls if hit}
     assert buffer_hit_lines == {1}
     # The guard is only meaningful if the same run also saw multi-line
     # charges that a stale binding could have leaked from.
-    assert any(n > 1 for hit, n in table.calls if not hit)
-
-
-def test_scheme_encoding_identical_across_writer_paths(
-    tiny_program, monkeypatch
-):
-    """End to end: a full compression pass emits byte-identical images
-    whether the fast or the reference writer does the packing."""
-    prog, _, _ = tiny_program
-
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    fast = FullOpHuffmanScheme().compress(prog.image)
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    reference = FullOpHuffmanScheme().compress(prog.image)
-
-    assert fast.block_payloads == reference.block_payloads
-    assert fast.block_bit_lengths == reference.block_bit_lengths
-    assert fast.total_code_bytes == reference.total_code_bytes
-
-
-def test_make_decoder_memoized_per_kernel_mode(monkeypatch):
-    code = HuffmanCode.from_frequencies({0: 5, 1: 3, 2: 1})
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    kernel_decoder = code.make_decoder()
-    assert kernel_decoder is code.make_decoder()
-    assert kernel_decoder._use_kernel
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    reference_decoder = code.make_decoder()
-    assert reference_decoder is not kernel_decoder
-    assert not reference_decoder._use_kernel
-    assert reference_decoder is code.make_decoder()
+    assert any(n > 1 for hit, n in calls if not hit)
