@@ -1,7 +1,7 @@
 """Static I-cache/ATB classification and sound fetch-cycle bounds.
 
 Ferdinand-style abstract interpretation over the interprocedural image
-CFG: two abstract LRU domains per cache set —
+CFG: two abstract LRU domains per structure —
 
 * **must** (ages are upper bounds): a line present in the must state is
   present in *every* concrete cache reaching this point, so a block
@@ -17,6 +17,18 @@ may or may not reach the cache, so its cache transfer is the join of
 "accessed" and "untouched" — sound without tracking the buffer's
 op-count capacity.
 
+An abstract state is a tuple ``le`` of ``ways`` ints, cumulative over
+age: bit ``line`` of ``le[k]`` is set iff the line's age bound is at
+most ``k``, so ``le[-1]`` holds the lines present and the cold state is
+``(0,) * ways``.  Must-join (intersection, max age) is element-wise
+``&``, may-join (union, min age) element-wise ``|``, and equality is
+tuple equality.  An access ``(line_bit, set_mask)`` finds the line's
+age ``a`` (``ways`` if absent) and ages every line of its set below a
+threshold — ``a`` in the must domain, ``min(a + 1, ways)`` in the may
+domain — by shifting ``le[k - 1]`` into ``le[k]`` within ``set_mask``
+(eviction falls out at ``k = ways - 1``), then sets the line's bit at
+every age.  The solver visits blocks in reverse postorder.
+
 :func:`cycle_bounds` combines the classification with the fetch
 machine's own per-block cost columns
 (:func:`~repro.fetch.config.penalty_rows`,
@@ -29,109 +41,89 @@ scope enforces exactly that bracket against the simulator.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from heapq import heappop, heappush
+from operator import and_, or_
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.analysis.dataflow import predecessors, reachable
+from repro.analysis.dataflow import predecessors, reverse_postorder
 from repro.analysis.imagecfg import interprocedural_cfg
 from repro.compression.registry import fetch_scheme_base
 from repro.errors import ConfigurationError
 from repro.fetch.config import FetchConfig
 
-#: One abstract cache: ``{set_index: {line: age}}`` (empty sets omitted
-#: so structurally equal states compare equal).
-State = Dict[int, Dict[int, int]]
+#: One abstract cache: bit ``line`` of ``state[k]`` is set iff the
+#: line's age bound is at most ``k``.
+State = Tuple[int, ...]
+#: One line access: ``(line_bit, set_mask)``, where ``set_mask`` covers
+#: every accessed line that maps to the same set.
 Access = Tuple[int, int]
 
 
 # ------------------------------------------------------------------ domain
-def _touch_must(state: State, accesses: Sequence[Access], ways: int) -> State:
-    """Must-domain LRU update for a sequence of line accesses.
+def _update(state: State, accesses: Sequence[Access], must: bool) -> State:
+    """LRU update of a must (``must=True``) or may state.
 
-    Ages are upper bounds: lines strictly younger than the accessed
-    line's (upper-bound) age got reordered below it, so only they age.
+    Must ages are upper bounds: only lines strictly younger than the
+    accessed line's bound may have been behind it, so only they age.
+    May ages are lower bounds: lines at most as old as the accessed
+    line may age, and when the line is absent the access is a
+    guaranteed miss and every line ages.
     """
-    out = {s: dict(d) for s, d in state.items()}
-    for set_index, line in accesses:
-        bucket = out.get(set_index, {})
-        age = bucket.get(line, ways)
-        new_bucket = {}
-        for other, a in bucket.items():
-            if other == line:
-                continue
-            na = a + 1 if a < age else a
-            if na < ways:
-                new_bucket[other] = na
-        new_bucket[line] = 0
-        out[set_index] = new_bucket
-    return out
+    le = list(state)
+    ways = len(le)
+    for bit, set_mask in accesses:
+        age = 0
+        while age < ways and not le[age] & bit:
+            age += 1
+        threshold = age if must else min(age + 1, ways)
+        # Below the threshold the set's lines move one age up (le[k]
+        # takes le[k - 1]'s bits within set_mask, le[-1] being empty)
+        # and the accessed line joins at age 0; at and above it every
+        # age bound is unchanged and already includes the line.
+        for k in range(threshold - 1, 0, -1):
+            le[k] ^= (le[k] ^ le[k - 1]) & set_mask
+            le[k] |= bit
+        if threshold:
+            le[0] = (le[0] & ~set_mask) | bit
+    return tuple(le)
 
 
-def _touch_may(state: State, accesses: Sequence[Access], ways: int) -> State:
-    """May-domain LRU update (ages are lower bounds).
-
-    A line at (lower-bound) age at most the accessed line's age may sit
-    below it concretely and therefore may age; when the accessed line
-    is not in the may state at all the access is a guaranteed concrete
-    miss and *every* resident line ages.
-    """
-    out = {s: dict(d) for s, d in state.items()}
-    for set_index, line in accesses:
-        bucket = out.get(set_index, {})
-        age = bucket.get(line)
-        new_bucket = {}
-        for other, a in bucket.items():
-            if other == line:
-                continue
-            na = a + 1 if age is None or a <= age else a
-            if na < ways:
-                new_bucket[other] = na
-        new_bucket[line] = 0
-        out[set_index] = new_bucket
-    return out
+def _join(a: State, b: State, must: bool) -> State:
+    """Must: intersection with maximal ages; may: union with minimal."""
+    return tuple(map(and_ if must else or_, a, b))
 
 
-def _join_must(a: State, b: State) -> State:
-    """Intersection with maximal ages (the weaker guarantee survives)."""
-    out: State = {}
-    for set_index, da in a.items():
-        db = b.get(set_index)
-        if not db:
-            continue
-        merged = {
-            line: max(age, db[line])
-            for line, age in da.items()
-            if line in db
-        }
-        if merged:
-            out[set_index] = merged
-    return out
+def _transfer(
+    state: State, accesses: Sequence[Access], skippable: bool, must: bool
+) -> State:
+    updated = _update(state, accesses, must)
+    if skippable:  # the access may or may not reach the structure
+        return _join(updated, state, must)
+    return updated
 
 
-def _join_may(a: State, b: State) -> State:
-    """Union with minimal ages (any possibility survives)."""
-    out = {s: dict(d) for s, d in a.items()}
-    for set_index, db in b.items():
-        bucket = out.setdefault(set_index, {})
-        for line, age in db.items():
-            cur = bucket.get(line)
-            bucket[line] = age if cur is None else min(cur, age)
-    return out
-
-
-def _holds(state: State, accesses: Sequence[Access]) -> bool:
-    return all(
-        line in state.get(set_index, ()) for set_index, line in accesses
-    )
+def _line_accesses(
+    pairs_by_block: Sequence[Sequence[Tuple[int, int]]],
+) -> List[Tuple[Access, ...]]:
+    """Per-block ``(line_bit, set_mask)`` accesses from ``(set, line)``."""
+    set_masks: Dict[int, int] = {}
+    for pairs in pairs_by_block:
+        for set_index, line in pairs:
+            set_masks[set_index] = set_masks.get(set_index, 0) | 1 << line
+    return [
+        tuple((1 << line, set_masks[set_index]) for set_index, line in pairs)
+        for pairs in pairs_by_block
+    ]
 
 
 # ------------------------------------------------------------------ solver
 def _solve(
     cfg: Dict[int, Sequence[int]],
     entry: int,
-    transfer_must: Callable[[int, State], State],
-    transfer_may: Callable[[int, State], State],
+    accesses: Sequence[Tuple[Access, ...]],
+    skippable: Sequence[bool],
+    ways: int,
 ) -> Tuple[Dict[int, State], Dict[int, State]]:
     """Fixpoint in-states (must, may) per reachable block.
 
@@ -141,54 +133,45 @@ def _solve(
     and precise (first touches classify as compulsory misses).  The
     worklist is optimistic: a node joins only predecessors already
     computed; monotone transfers over the finite age lattice guarantee
-    convergence.
+    convergence.  It always pops the queued block earliest in reverse
+    postorder, which changes how many transfers run, never the
+    fixpoint.  A block is re-queued whenever a predecessor's out-state
+    changes, so the in-state of its last visit is final.
     """
-    live = reachable(cfg, entry)
+    order = reverse_postorder(cfg, entry)
+    rank = {node: index for index, node in enumerate(order)}
     preds = predecessors(cfg)
-
-    def in_states(node: int, out_must, out_may) -> Tuple[State, State]:
-        musts: List[State] = []
-        mays: List[State] = []
-        if node == entry:
-            musts.append({})
-            mays.append({})
-        for pred in preds.get(node, ()):
-            if pred in out_must:
-                musts.append(out_must[pred])
-                mays.append(out_may[pred])
-        must = musts[0]
-        for state in musts[1:]:
-            must = _join_must(must, state)
-        may = mays[0]
-        for state in mays[1:]:
-            may = _join_may(may, state)
-        return must, may
-
+    cold: State = (0,) * ways
     out_must: Dict[int, State] = {}
     out_may: Dict[int, State] = {}
-    work = deque([entry])
-    queued = {entry}
-    while work:
-        node = work.popleft()
-        queued.discard(node)
-        must, may = in_states(node, out_must, out_may)
-        new_must = transfer_must(node, must)
-        new_may = transfer_may(node, may)
-        if (
-            node not in out_must
-            or out_must[node] != new_must
-            or out_may[node] != new_may
-        ):
-            out_must[node] = new_must
-            out_may[node] = new_may
-            for succ in cfg.get(node, ()):
-                if succ in live and succ not in queued:
-                    work.append(succ)
-                    queued.add(succ)
     in_must: Dict[int, State] = {}
     in_may: Dict[int, State] = {}
-    for node in live:
-        in_must[node], in_may[node] = in_states(node, out_must, out_may)
+    work = [0]
+    queued = {0}
+    while work:
+        index = heappop(work)
+        queued.discard(index)
+        node = order[index]
+        must = may = cold if node == entry else None
+        for pred in preds[node]:
+            if pred in out_must:
+                if must is None:
+                    must, may = out_must[pred], out_may[pred]
+                else:
+                    must = _join(must, out_must[pred], True)
+                    may = _join(may, out_may[pred], False)
+        in_must[node] = must
+        in_may[node] = may
+        new_must = _transfer(must, accesses[node], skippable[node], True)
+        new_may = _transfer(may, accesses[node], skippable[node], False)
+        if out_must.get(node) != new_must or out_may.get(node) != new_may:
+            out_must[node] = new_must
+            out_may[node] = new_may
+            for succ in cfg[node]:
+                succ_index = rank[succ]
+                if succ_index not in queued:
+                    queued.add(succ_index)
+                    heappush(work, succ_index)
     return in_must, in_may
 
 
@@ -242,6 +225,58 @@ def _l0_possible(compressed, config: FetchConfig) -> List[bool]:
     ]
 
 
+def _classify_structure(
+    cfg: Dict[int, Sequence[int]],
+    entry: int,
+    pairs_by_block: Sequence[Sequence[Tuple[int, int]]],
+    skippable: Sequence[bool],
+    ways: int,
+) -> Classification:
+    """Classify each reachable block's ``(set, line)`` accesses."""
+    accesses = _line_accesses(pairs_by_block)
+    must_in, may_in = _solve(cfg, entry, accesses, skippable, ways)
+    always_hit = set()
+    always_miss = set()
+    for bid, must in must_in.items():
+        lines = 0
+        for bit, _ in accesses[bid]:
+            lines |= bit
+        if must[-1] & lines == lines:
+            always_hit.add(bid)
+        if may_in[bid][-1] & lines != lines:
+            always_miss.add(bid)
+    return Classification(
+        always_hit=frozenset(always_hit),
+        always_miss=frozenset(always_miss),
+        analyzed=frozenset(must_in),
+    )
+
+
+def _classify(
+    compressed,
+    config: FetchConfig,
+    span_pairs: Sequence[Sequence[Tuple[int, int]]],
+    l0_possible: Sequence[bool],
+) -> FetchClassification:
+    image = compressed.image
+    cfg = interprocedural_cfg(image)
+    entry = image.entry_block
+    nblocks = len(image)
+    atb_mask = config.atb_entries // config.atb_ways - 1
+    return FetchClassification(
+        cache=_classify_structure(
+            cfg, entry, span_pairs, l0_possible, config.cache.ways
+        ),
+        atb=_classify_structure(
+            cfg,
+            entry,
+            [((bid & atb_mask, bid),) for bid in range(nblocks)],
+            [False] * nblocks,
+            config.atb_ways,
+        ),
+    )
+
+
 def classify_fetch(compressed, config: FetchConfig) -> FetchClassification:
     """Must/may classification of the I-cache and the ATB.
 
@@ -251,68 +286,12 @@ def classify_fetch(compressed, config: FetchConfig) -> FetchClassification:
     """
     from repro.fetch.sweep import block_span_pairs
 
-    image = compressed.image
-    cfg = interprocedural_cfg(image)
-    span_pairs = block_span_pairs(compressed, config.cache)
-    cache_ways = config.cache.ways
-    l0_possible = _l0_possible(compressed, config)
-
-    def cache_must(bid: int, state: State) -> State:
-        updated = _touch_must(state, span_pairs[bid], cache_ways)
-        if l0_possible[bid]:
-            return _join_must(updated, state)
-        return updated
-
-    def cache_may(bid: int, state: State) -> State:
-        updated = _touch_may(state, span_pairs[bid], cache_ways)
-        if l0_possible[bid]:
-            return _join_may(updated, state)
-        return updated
-
-    entry = image.entry_block
-    must_in, may_in = _solve(cfg, entry, cache_must, cache_may)
-    live = frozenset(must_in)
-    cache_cls = Classification(
-        always_hit=frozenset(
-            b for b in live if _holds(must_in[b], span_pairs[b])
-        ),
-        always_miss=frozenset(
-            b for b in live if not _holds(may_in[b], span_pairs[b])
-        ),
-        analyzed=live,
+    return _classify(
+        compressed,
+        config,
+        block_span_pairs(compressed, config.cache),
+        _l0_possible(compressed, config),
     )
-
-    atb_ways = config.atb_ways
-    if config.atb_entries % atb_ways:
-        raise ConfigurationError(
-            f"ATB entries {config.atb_entries} not divisible by ways "
-            f"{atb_ways}"
-        )
-    num_atb_sets = config.atb_entries // atb_ways
-    if num_atb_sets & (num_atb_sets - 1):
-        raise ConfigurationError(
-            f"ATB set count {num_atb_sets} is not a power of two"
-        )
-    atb_mask = num_atb_sets - 1
-    atb_access = [((bid & atb_mask, bid),) for bid in range(len(image))]
-
-    def atb_must(bid: int, state: State) -> State:
-        return _touch_must(state, atb_access[bid], atb_ways)
-
-    def atb_may(bid: int, state: State) -> State:
-        return _touch_may(state, atb_access[bid], atb_ways)
-
-    atb_must_in, atb_may_in = _solve(cfg, entry, atb_must, atb_may)
-    atb_cls = Classification(
-        always_hit=frozenset(
-            b for b in live if _holds(atb_must_in[b], atb_access[b])
-        ),
-        always_miss=frozenset(
-            b for b in live if not _holds(atb_may_in[b], atb_access[b])
-        ),
-        analyzed=live,
-    )
-    return FetchClassification(cache=cache_cls, atb=atb_cls)
 
 
 # ----------------------------------------------------------------- bounds
@@ -382,13 +361,12 @@ def cycle_bounds(
             "hybrid fetch needs an image with per-block scheme tags"
         )
 
-    classification = classify_fetch(compressed, config)
+    span_pairs = block_span_pairs(compressed, config.cache)
+    l0_possible = _l0_possible(compressed, config)
+    classification = _classify(compressed, config, span_pairs, l0_possible)
     cache_cls = classification.cache
     atb_cls = classification.atb
-
-    span_pairs = block_span_pairs(compressed, config.cache)
     rows = penalty_rows()
-    l0_possible = _l0_possible(compressed, config)
 
     lower = upper = 0
     fetches = 0

@@ -67,6 +67,36 @@ def reachable(cfg: Digraph, entry: Node) -> FrozenSet[Node]:
     return frozenset(seen)
 
 
+def reverse_postorder(cfg: Digraph, entry: Node) -> List[Node]:
+    """Nodes reachable from ``entry`` in DFS reverse postorder.
+
+    The entry comes first, and every edge except a DFS retreating edge
+    points forward in the order, so a forward problem solved in this
+    order sees most predecessors before their successors.  Successors
+    are explored in list order, which makes the order deterministic;
+    successors outside the graph are ignored.
+    """
+    if entry not in cfg:
+        raise AnalysisError(f"entry {entry!r} is not a node of the graph")
+    order: List[Node] = []
+    seen = {entry}
+    stack: List[Tuple[Node, int]] = [(entry, 0)]
+    while stack:
+        node, index = stack[-1]
+        succs = cfg.get(node, ())
+        if index < len(succs):
+            stack[-1] = (node, index + 1)
+            succ = succs[index]
+            if succ in cfg and succ not in seen:
+                seen.add(succ)
+                stack.append((succ, 0))
+        else:
+            order.append(node)
+            stack.pop()
+    order.reverse()
+    return order
+
+
 @dataclass
 class DataflowResult:
     """Fixed-point facts in *program order* regardless of direction.
@@ -256,5 +286,6 @@ __all__ = [
     "predecessors",
     "reachable",
     "reaching_definitions",
+    "reverse_postorder",
     "solve",
 ]

@@ -21,7 +21,7 @@ randomized traces; these rules are the cheap per-image gate.
 
 from __future__ import annotations
 
-from repro.analysis.dataflow import dominators
+from repro.analysis.dataflow import dominators, reachable
 from repro.analysis.freq import HEAT_QUANTUM, static_heat_profile
 from repro.analysis.imagecfg import interprocedural_cfg, return_continuations
 from repro.analysis.loops import irreducible_edges, loops
@@ -124,20 +124,23 @@ def _static_frequency(ctx: RuleContext) -> None:
 def _cache_bounds(ctx: RuleContext) -> None:
     if ctx.geometry is None or not len(ctx.image):
         return  # the baseline fetches untranslated: nothing to bound
-    from repro.analysis.cachebound import classify_fetch, cycle_bounds
+    from repro.analysis.cachebound import cycle_bounds
     from repro.compression.registry import fetch_scheme_base
     from repro.fetch.config import FetchConfig
 
+    image = ctx.image
     scheme = ctx.scheme or "compressed"
     if fetch_scheme_base(scheme) not in (
         "base", "tailored", "compressed", "hybrid"
     ):
         scheme = "compressed"
     config = FetchConfig(scheme=scheme, cache=ctx.geometry)
-    classification = classify_fetch(ctx.compressed, config)
+    live = reachable(interprocedural_cfg(image), image.entry_block)
+    counts = [1 if b in live else 0 for b in range(len(image))]
+    report = cycle_bounds(ctx.compressed, counts, config)
     for label, cls in (
-        ("cache", classification.cache),
-        ("atb", classification.atb),
+        ("cache", report.classification.cache),
+        ("atb", report.classification.atb),
     ):
         ctx.checked()
         both = cls.always_hit & cls.always_miss
@@ -152,11 +155,6 @@ def _cache_bounds(ctx: RuleContext) -> None:
                 f"{label}: classified blocks {sorted(stray)} were "
                 "never analyzed (unreachable)"
             )
-    counts = [
-        1 if b in classification.cache.analyzed else 0
-        for b in range(len(ctx.image))
-    ]
-    report = cycle_bounds(ctx.compressed, counts, config)
     ctx.checked()
     if report.lower > report.upper:
         ctx.error(

@@ -9,7 +9,8 @@ cannot hide behind the analyses' own assumptions:
   removing ``d`` disconnects ``n`` from the entry);
 * liveness vs a naive round-robin fixed point (the pre-refactor
   algorithm of :mod:`repro.compiler.liveness`, kept inline here);
-* definite assignment vs an avoid-the-generators reachability oracle.
+* definite assignment vs an avoid-the-generators reachability oracle;
+* reverse postorder vs a recursive depth-first search.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.analysis.dataflow import (
     predecessors,
     reachable,
     reaching_definitions,
+    reverse_postorder,
     solve,
 )
 from repro.errors import AnalysisError
@@ -121,7 +123,48 @@ def _assigned_oracle(cfg, entry, gen, seed, fact):
     return missing
 
 
+def _retreating_edges_oracle(cfg, entry):
+    """Edges into a node still on the stack of a recursive DFS that
+    explores successors in list order."""
+    on_stack, seen, retreating = set(), {entry}, set()
+
+    def visit(node):
+        on_stack.add(node)
+        for succ in cfg[node]:
+            if succ in on_stack:
+                retreating.add((node, succ))
+            elif succ not in seen:
+                seen.add(succ)
+                visit(succ)
+        on_stack.discard(node)
+
+    visit(entry)
+    return retreating
+
+
 # ------------------------------------------------------------- properties
+@settings(max_examples=80, deadline=None)
+@given(digraphs())
+def test_reverse_postorder_orders_the_reachable_nodes(cfg):
+    order = reverse_postorder(cfg, 0)
+    assert order[0] == 0
+    assert len(order) == len(set(order))
+    assert set(order) == reachable(cfg, 0)
+    rank = {node: index for index, node in enumerate(order)}
+    retreating = _retreating_edges_oracle(cfg, 0)
+    for node in order:
+        for succ in cfg[node]:
+            if (node, succ) not in retreating:
+                assert rank[node] < rank[succ], (cfg, order, node, succ)
+
+
+@settings(max_examples=40, deadline=None)
+@given(digraphs())
+def test_reverse_postorder_ignores_node_insertion_order(cfg):
+    shuffled = {node: list(cfg[node]) for node in reversed(list(cfg))}
+    assert reverse_postorder(shuffled, 0) == reverse_postorder(cfg, 0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(digraphs())
 def test_dominators_match_path_enumeration_oracle(cfg):
@@ -227,6 +270,22 @@ def test_predecessors_reject_dangling_edges():
 def test_reachable_requires_a_known_entry():
     with pytest.raises(AnalysisError):
         reachable({0: []}, 9)
+
+
+def test_reverse_postorder_follows_successor_order():
+    diamond = {0: [1, 2], 1: [3], 2: [3], 3: []}
+    assert reverse_postorder(diamond, 0) == [0, 2, 1, 3]
+    swapped = {0: [2, 1], 1: [3], 2: [3], 3: []}
+    assert reverse_postorder(swapped, 0) == [0, 1, 2, 3]
+    # Node 4 is unreachable; the back edge 3 -> 1 is the only edge
+    # pointing backward.
+    loop = {0: [1], 1: [2], 2: [3], 3: [1, 5], 4: [2], 5: []}
+    assert reverse_postorder(loop, 0) == [0, 1, 2, 3, 5]
+
+
+def test_reverse_postorder_requires_a_known_entry():
+    with pytest.raises(AnalysisError):
+        reverse_postorder({0: []}, 9)
 
 
 def test_must_analysis_requires_a_universe():

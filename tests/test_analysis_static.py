@@ -8,10 +8,11 @@ Three layers of evidence, mirroring the module structure:
 * **freq** — branch probabilities form distributions, the fixpoint
   respects the flow equations, and static heat ranks real compiled
   loop bodies above their preheaders;
-* **cachebound** — the must/may domain is sound against a concrete
-  LRU oracle on random access strings, and the cycle bounds bracket
-  the real simulator on real studies (spot here; exhaustively in the
-  ``static`` check scope).
+* **cachebound** — the bitmask must/may domain is sound against a
+  concrete LRU oracle on random access strings and equals the dict
+  domain it replaced, and the cycle bounds bracket the real simulator
+  on real studies (spot here; exhaustively in the ``static`` check
+  scope) and stay pinned on the compress fixture.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 from tests.conftest import build_call_module, build_counting_module
 from repro.analysis.cachebound import (
-    _join_may,
-    _join_must,
-    _touch_may,
-    _touch_must,
+    _join,
+    _line_accesses,
+    _transfer,
+    _update,
     classify_fetch,
     cycle_bounds,
 )
@@ -246,73 +247,238 @@ class TestFrequencies:
 
 
 # ---------------------------------------------------------- must/may LRU
+# The dict-of-dicts domain the bitmask domain replaced, kept verbatim as
+# the exactness oracle: ``{set_index: {line: age}}``, empty sets omitted.
+def _touch_must(state, accesses, ways):
+    """Must-domain LRU update for a sequence of line accesses.
+
+    Ages are upper bounds: lines strictly younger than the accessed
+    line's (upper-bound) age got reordered below it, so only they age.
+    """
+    out = {s: dict(d) for s, d in state.items()}
+    for set_index, line in accesses:
+        bucket = out.get(set_index, {})
+        age = bucket.get(line, ways)
+        new_bucket = {}
+        for other, a in bucket.items():
+            if other == line:
+                continue
+            na = a + 1 if a < age else a
+            if na < ways:
+                new_bucket[other] = na
+        new_bucket[line] = 0
+        out[set_index] = new_bucket
+    return out
+
+
+def _touch_may(state, accesses, ways):
+    """May-domain LRU update (ages are lower bounds).
+
+    A line at (lower-bound) age at most the accessed line's age may sit
+    below it concretely and therefore may age; when the accessed line
+    is not in the may state at all the access is a guaranteed concrete
+    miss and *every* resident line ages.
+    """
+    out = {s: dict(d) for s, d in state.items()}
+    for set_index, line in accesses:
+        bucket = out.get(set_index, {})
+        age = bucket.get(line)
+        new_bucket = {}
+        for other, a in bucket.items():
+            if other == line:
+                continue
+            na = a + 1 if age is None or a <= age else a
+            if na < ways:
+                new_bucket[other] = na
+        new_bucket[line] = 0
+        out[set_index] = new_bucket
+    return out
+
+
+def _join_must(a, b):
+    """Intersection with maximal ages (the weaker guarantee survives)."""
+    out = {}
+    for set_index, da in a.items():
+        db = b.get(set_index)
+        if not db:
+            continue
+        merged = {
+            line: max(age, db[line])
+            for line, age in da.items()
+            if line in db
+        }
+        if merged:
+            out[set_index] = merged
+    return out
+
+
+def _join_may(a, b):
+    """Union with minimal ages (any possibility survives)."""
+    out = {s: dict(d) for s, d in a.items()}
+    for set_index, db in b.items():
+        bucket = out.setdefault(set_index, {})
+        for line, age in db.items():
+            cur = bucket.get(line)
+            bucket[line] = age if cur is None else min(cur, age)
+    return out
+
+
+#: Lines 0..5 in two interleaved sets (even lines in set 0, odd in 1).
+LINES = 6
+_PAIRS = [((line & 1, line),) for line in range(LINES)]
+_ACCESS = _line_accesses(_PAIRS)
+
+
+def decode(le):
+    """``{line: age}`` of a cumulative-bitmask state."""
+    ages = {}
+    for line in range(LINES):
+        for age, mask in enumerate(le):
+            if mask >> line & 1:
+                ages[line] = age
+                break
+    return ages
+
+
+def _flatten(state):
+    return {
+        line: age for bucket in state.values() for line, age in bucket.items()
+    }
+
+
 def _concrete_lru(accesses, ways):
-    """Oracle: one concrete LRU set, cold start, ``{line: age}``."""
+    """Oracle: a concrete LRU cache of two sets, cold start,
+    ``{line: age}``."""
     state = {}
     for line in accesses:
         old = state.get(line)
         for other, age in list(state.items()):
-            if old is None or age < old:
+            if other & 1 == line & 1 and (old is None or age < old):
                 state[other] = age + 1
         state = {l: a for l, a in state.items() if a < ways}
         state[line] = 0
     return state
 
 
-class TestMustMayDomain:
-    WAYS = 2
+def _abstract(accesses, ways, start=None):
+    must, may = start or ((0,) * ways, (0,) * ways)
+    for line in accesses:
+        must = _update(must, _ACCESS[line], True)
+        may = _update(may, _ACCESS[line], False)
+    return must, may
 
-    def _abstract(self, accesses, start_must=None, start_may=None):
-        must = dict(start_must or {})
-        may = dict(start_may or {})
-        for line in accesses:
-            must = _touch_must(must, ((0, line),), self.WAYS)
-            may = _touch_may(may, ((0, line),), self.WAYS)
-        return must.get(0, {}), may.get(0, {})
 
-    @settings(max_examples=120, deadline=None)
-    @given(
-        st.lists(
-            st.integers(min_value=0, max_value=4), max_size=12
-        )
+def _oracle(accesses, ways, start=None):
+    must, may = start or ({}, {})
+    for line in accesses:
+        must = _touch_must(must, _PAIRS[line], ways)
+        may = _touch_may(may, _PAIRS[line], ways)
+    return must, may
+
+
+def _assert_brackets(must, may, concrete):
+    """must ⊆ concrete ⊆ may, with ages bracketing the concrete age."""
+    for line, age in decode(must).items():
+        assert line in concrete
+        assert concrete[line] <= age
+    may_ages = decode(may)
+    for line, age in concrete.items():
+        assert line in may_ages
+        assert may_ages[line] <= age
+
+
+def accesses_st(max_size):
+    return st.lists(
+        st.integers(min_value=0, max_value=LINES - 1), max_size=max_size
     )
-    def test_domain_sound_against_concrete_lru(self, accesses):
-        concrete = _concrete_lru(accesses, self.WAYS)
-        must, may = self._abstract(accesses)
+
+ways_st = st.sampled_from((1, 2, 4))
+
+
+class TestMustMayDomain:
+    @settings(max_examples=120, deadline=None)
+    @given(ways_st, accesses_st(12))
+    def test_domain_sound_against_concrete_lru(self, ways, accesses):
         # From a cold start the abstraction is exact-or-weaker:
         # must-hits really resident, everything resident in may.
-        for line, age in must.items():
-            assert line in concrete
-            assert concrete[line] <= age
-        for line, age in concrete.items():
-            assert line in may
-            assert may[line] <= age
+        must, may = _abstract(accesses, ways)
+        _assert_brackets(must, may, _concrete_lru(accesses, ways))
 
     @settings(max_examples=80, deadline=None)
     @given(
-        st.lists(st.integers(min_value=0, max_value=4), max_size=8),
-        st.lists(st.integers(min_value=0, max_value=4), max_size=8),
-        st.lists(st.integers(min_value=0, max_value=4), max_size=6),
+        ways_st,
+        accesses_st(8),
+        accesses_st(8),
+        accesses_st(6),
     )
-    def test_join_is_sound_for_both_paths(self, left, right, tail):
+    def test_join_is_sound_for_both_paths(self, ways, left, right, tail):
         """After joining two paths, must ⊆ each path's concrete cache
         and each path's concrete cache ⊆ may — even after more
         accesses run on the joined state."""
-        lm, lmay = self._abstract(left)
-        rm, rmay = self._abstract(right)
-        must = _join_must({0: lm} if lm else {}, {0: rm} if rm else {})
-        may = _join_may(
-            {0: lmay} if lmay else {}, {0: rmay} if rmay else {}
-        )
-        must, may = self._abstract(tail, must, may)
+        lm, lmay = _abstract(left, ways)
+        rm, rmay = _abstract(right, ways)
+        joined = (_join(lm, rm, True), _join(lmay, rmay, False))
+        must, may = _abstract(tail, ways, joined)
         for path in (left, right):
-            concrete = _concrete_lru(path + tail, self.WAYS)
-            for line, age in must.items():
-                assert line in concrete
-                assert concrete[line] <= age
-            for line, age in concrete.items():
-                assert line in may
-                assert may[line] <= age
+            _assert_brackets(must, may, _concrete_lru(path + tail, ways))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ways_st,
+        accesses_st(10),
+        st.integers(min_value=0, max_value=LINES - 1),
+    )
+    def test_access_leaves_the_other_set_alone(self, ways, prefix, line):
+        before = _abstract(prefix, ways)
+        after = _abstract([line], ways, before)
+        for old, new in zip(before, after):
+            assert {
+                l: a for l, a in decode(old).items() if l & 1 != line & 1
+            } == {
+                l: a for l, a in decode(new).items() if l & 1 != line & 1
+            }
+
+    @settings(max_examples=120, deadline=None)
+    @given(ways_st, accesses_st(16))
+    def test_update_equals_dict_domain(self, ways, accesses):
+        must, may = _abstract(accesses, ways)
+        oracle_must, oracle_may = _oracle(accesses, ways)
+        assert decode(must) == _flatten(oracle_must)
+        assert decode(may) == _flatten(oracle_may)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        ways_st,
+        accesses_st(8),
+        accesses_st(8),
+        accesses_st(6),
+        st.booleans(),
+    )
+    def test_join_equals_dict_domain(
+        self, ways, left, right, tail, skippable
+    ):
+        """Joins of two paths, then a tail, match the dict domain
+        exactly — the tail optionally through the L0 "may or may not
+        access" transfer."""
+        lm, lmay = _abstract(left, ways)
+        rm, rmay = _abstract(right, ways)
+        must, may = _join(lm, rm, True), _join(lmay, rmay, False)
+        olm, olmay = _oracle(left, ways)
+        orm, ormay = _oracle(right, ways)
+        omust, omay = _join_must(olm, orm), _join_may(olmay, ormay)
+        assert decode(must) == _flatten(omust)
+        assert decode(may) == _flatten(omay)
+        for line in tail:
+            must = _transfer(must, _ACCESS[line], skippable, True)
+            may = _transfer(may, _ACCESS[line], skippable, False)
+            new_must = _touch_must(omust, _PAIRS[line], ways)
+            new_may = _touch_may(omay, _PAIRS[line], ways)
+            if skippable:
+                new_must = _join_must(new_must, omust)
+                new_may = _join_may(new_may, omay)
+            omust, omay = new_must, new_may
+        assert decode(must) == _flatten(omust)
+        assert decode(may) == _flatten(omay)
 
 
 # ---------------------------------------------------------- cycle bounds
@@ -382,6 +548,54 @@ class TestCycleBounds:
         )
         report = cycle_bounds(compressed, counts, config)
         assert report.lower <= simulated.cycles <= report.upper
+
+    #: ``cycle_bounds(...).to_json()`` on the compress fixture under the
+    #: trace heat profile: (lower, upper, fetches, cache AH/AM/NC,
+    #: ATB AH/AM/NC) per scheme at the standard config and the tiny
+    #: 512 B/2-way/16 B geometry.
+    PINNED = {
+        ("base", "standard"): (20058, 42734, 2227, 9, 2, 50, 0, 3, 58),
+        ("base", "tiny"): (22546, 49993, 2227, 1, 30, 30, 0, 3, 58),
+        ("tailored", "standard"): (20060, 42913, 2227, 13, 2, 46, 0, 3, 58),
+        ("tailored", "tiny"): (20973, 48726, 2227, 4, 12, 45, 0, 3, 58),
+        ("compressed", "standard"): (20248, 45464, 2227, 1, 1, 59, 0, 3, 58),
+        ("compressed", "tiny"): (20632, 46414, 2227, 1, 1, 59, 0, 3, 58),
+        ("hybrid", "standard"): (20056, 42816, 2227, 7, 1, 53, 0, 3, 58),
+        ("hybrid", "tiny"): (20056, 45913, 2227, 6, 1, 54, 0, 3, 58),
+        ("hybrid:static", "standard"): (
+            20056, 42122, 2227, 9, 1, 51, 0, 3, 58
+        ),
+        ("hybrid:static", "tiny"): (20056, 45025, 2227, 5, 1, 55, 0, 3, 58),
+    }
+
+    def test_bounds_are_pinned(self, study):
+        from repro.compression.adaptive import heat_profile
+
+        counts = heat_profile(
+            study.run.block_trace, len(study.compiled.image)
+        )
+        tiny = CacheGeometry(
+            name="tiny", capacity_bytes=512, ways=2, line_bytes=16
+        )
+        keys = (
+            "lower_cycles", "upper_cycles", "fetches",
+            "cache_always_hit", "cache_always_miss", "cache_unclassified",
+            "atb_always_hit", "atb_always_miss", "atb_unclassified",
+        )
+        for scheme in self.SCHEMES:
+            compressed = study.compressed(self._image_key(scheme))
+            configs = {
+                "standard": FetchConfig.for_scheme(scheme),
+                "tiny": FetchConfig(
+                    scheme=scheme, cache=tiny, atb_entries=64, atb_ways=2
+                ),
+            }
+            for label, config in configs.items():
+                payload = cycle_bounds(compressed, counts, config).to_json()
+                expected = dict(
+                    zip(keys, self.PINNED[(scheme, label)]), scheme=scheme
+                )
+                assert payload == expected, (scheme, label)
 
     def test_counts_length_is_validated(self, study):
         compressed = study.compressed("full")

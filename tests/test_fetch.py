@@ -239,6 +239,20 @@ class TestATB:
         with pytest.raises(ConfigurationError):
             ATB(entries=24, ways=4)  # 6 sets, not a power of two
 
+    def test_fetch_config_rejects_invalid_atb_shape(self):
+        """Every ATB consumer, the static analysis included, relies on
+        the config rejecting these shapes at construction."""
+        with pytest.raises(ConfigurationError, match="power of two"):
+            FetchConfig(
+                scheme="compressed", cache=COMPRESSED_CACHE,
+                atb_entries=48, atb_ways=1,
+            )
+        with pytest.raises(ConfigurationError, match="not divisible"):
+            FetchConfig(
+                scheme="compressed", cache=COMPRESSED_CACHE,
+                atb_entries=64, atb_ways=3,
+            )
+
     def test_att_sizing(self, compress_study):
         compressed = compress_study.compressed("full")
         geo = FetchConfig.for_scheme("compressed").cache
