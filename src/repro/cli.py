@@ -68,6 +68,11 @@ def _validate_invocation(args) -> None:
     an interactive invocation should fail loudly instead of silently
     running with the wrong parallelism or the wrong simulation path.
     """
+    scale = getattr(args, "scale", None)
+    if scale is not None and scale < 1:
+        raise ConfigurationError(
+            f"--scale must be a positive integer, got {scale}"
+        )
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         raise ConfigurationError(

@@ -30,7 +30,7 @@ entry).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.compression.huffman import HuffmanCode
 from repro.compression.registry import HYBRID_DEFAULT_HOTNESS, hybrid_key
@@ -39,10 +39,12 @@ from repro.compression.schemes import (
     CompressionScheme,
     DEFAULT_MAX_CODE_LENGTH,
     StreamTable,
+    block_words,
 )
 from repro.errors import CompressionError, ConfigurationError
 from repro.isa.formats import OP_BITS
 from repro.isa.image import ProgramImage
+from repro.utils.bitstream import BitWriter
 
 #: Per-block tag values: the fetch-penalty family the block is accounted
 #: under.  Hot blocks are tailored-encoded (fixed width, no dictionary);
@@ -102,6 +104,33 @@ _CONTEXT_MASK = 0x7F
 def context_of(word: int) -> int:
     """Symbol class a 40-bit op word contributes as left-context."""
     return (word >> _CONTEXT_SHIFT) & _CONTEXT_MASK
+
+
+def _context_codes(
+    all_words: Iterable[Sequence[int]],
+    build_code: Callable[[Counter], HuffmanCode],
+) -> dict[int, HuffmanCode]:
+    """One code per left-context, built from the blocks' op words.
+
+    Context state resets at every block entry, as it does in decode.
+    """
+    histograms: dict[int, Counter] = {}
+    for words in all_words:
+        ctx = BLOCK_START_CONTEXT
+        for word in words:
+            histograms.setdefault(ctx, Counter())[word] += 1
+            ctx = context_of(word)
+    return {ctx: build_code(h) for ctx, h in histograms.items()}
+
+
+def _encode_in_context(
+    codes: dict[int, HuffmanCode], words: Sequence[int], writer: BitWriter
+) -> None:
+    """Write one block's words, each under its left-context's code."""
+    ctx = BLOCK_START_CONTEXT
+    for word in words:
+        codes[ctx].encode_symbol(word, writer)
+        ctx = context_of(word)
 
 
 class HybridImage(CompressedImage):
@@ -175,7 +204,7 @@ class HybridScheme(CompressionScheme):
     # ------------------------------------------------------------ encode
     def compress(self, image: ProgramImage) -> HybridImage:
         from repro.tailored.analysis import analyze_image
-        from repro.tailored.encoding import TailoredScheme
+        from repro.tailored.encoding import op_encoder
         from repro.utils.bitstream import new_writer
 
         if self._profile is None:
@@ -195,35 +224,27 @@ class HybridScheme(CompressionScheme):
         ]
         # Cold dictionaries are per-context and built from cold blocks
         # only: the hot set is out of the alphabet, so the sharper cold
-        # model buys back what the hot blocks give up in size.
-        histograms: dict[int, Counter] = {}
-        for block in image:
-            if tags[block.block_id] != COLD_TAG:
-                continue
-            ctx = BLOCK_START_CONTEXT
-            for op in block.ops:
-                word = op.encode()
-                histograms.setdefault(ctx, Counter())[word] += 1
-                ctx = context_of(word)
-        codes = {
-            ctx: self._build_code(histogram)
-            for ctx, histogram in histograms.items()
+        # model buys back what the hot blocks give up in size.  Hot
+        # blocks are tailored-encoded from their fields, so only cold
+        # blocks need op words.
+        cold_words = {
+            block.block_id: [op.encode() for op in block.ops]
+            for block in image
+            if tags[block.block_id] == COLD_TAG
         }
+        codes = _context_codes(cold_words.values(), self._build_code)
         spec = analyze_image(image)
-        tailored = TailoredScheme()
+        encode_hot = op_encoder(spec)
         payloads = []
         bit_lengths = []
         for block in image:
             writer = new_writer()
-            if tags[block.block_id] == HOT_TAG:
+            words = cold_words.get(block.block_id)
+            if words is None:
                 for op in block.ops:
-                    tailored._encode_op(spec, op, writer)
+                    encode_hot(op, writer)
             else:
-                ctx = BLOCK_START_CONTEXT
-                for op in block.ops:
-                    word = op.encode()
-                    codes[ctx].encode_symbol(word, writer)
-                    ctx = context_of(word)
+                _encode_in_context(codes, words, writer)
             bit_lengths.append(writer.bit_length)
             writer.align_to_byte()
             payloads.append(writer.to_bytes())
@@ -293,26 +314,13 @@ class ContextHuffmanScheme(CompressionScheme):
     def compress(self, image: ProgramImage) -> ContextImage:
         from repro.utils.bitstream import new_writer
 
-        histograms: dict[int, Counter] = {}
-        for block in image:
-            ctx = BLOCK_START_CONTEXT
-            for op in block.ops:
-                word = op.encode()
-                histograms.setdefault(ctx, Counter())[word] += 1
-                ctx = context_of(word)
-        codes: dict[int, HuffmanCode] = {
-            ctx: self._build_code(histogram)
-            for ctx, histogram in histograms.items()
-        }
+        all_words = block_words(image)
+        codes = _context_codes(all_words, self._build_code)
         payloads = []
         bit_lengths = []
-        for block in image:
+        for words in all_words:
             writer = new_writer()
-            ctx = BLOCK_START_CONTEXT
-            for op in block.ops:
-                word = op.encode()
-                codes[ctx].encode_symbol(word, writer)
-                ctx = context_of(word)
+            _encode_in_context(codes, words, writer)
             bit_lengths.append(writer.bit_length)
             writer.align_to_byte()
             payloads.append(writer.to_bytes())

@@ -36,6 +36,16 @@ class StreamConfig:
                     f"stream config {self.name!r}: bad boundary {b}"
                 )
             previous = b
+        edges = (0, *self.boundaries, OP_BITS)
+        widths = tuple(b - a for a, b in zip(edges, edges[1:]))
+        # ``(shift, mask)`` per stream, front first: the cuts ``split``
+        # applies to every op word, computed once per configuration.
+        cuts = tuple(
+            (OP_BITS - end, (1 << width) - 1)
+            for end, width in zip(edges[1:], widths)
+        )
+        object.__setattr__(self, "_widths", widths)
+        object.__setattr__(self, "_cuts", cuts)
 
     @property
     def num_streams(self) -> int:
@@ -44,17 +54,11 @@ class StreamConfig:
     @property
     def widths(self) -> tuple[int, ...]:
         """Bit width of each stream."""
-        edges = (0, *self.boundaries, OP_BITS)
-        return tuple(b - a for a, b in zip(edges, edges[1:]))
+        return self._widths
 
     def split(self, word: int) -> tuple[int, ...]:
         """Cut a 40-bit op word into per-stream symbols (front first)."""
-        symbols = []
-        remaining = OP_BITS
-        for width in self.widths:
-            remaining -= width
-            symbols.append((word >> remaining) & ((1 << width) - 1))
-        return tuple(symbols)
+        return tuple([(word >> shift) & mask for shift, mask in self._cuts])
 
     def join(self, symbols: tuple[int, ...]) -> int:
         """Inverse of :meth:`split`."""
@@ -63,7 +67,7 @@ class StreamConfig:
                 f"expected {self.num_streams} symbols, got {len(symbols)}"
             )
         word = 0
-        for symbol, width in zip(symbols, self.widths):
+        for symbol, width in zip(symbols, self._widths):
             word = (word << width) | symbol
         return word
 

@@ -12,6 +12,7 @@ turns into code words.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping
 
 from repro.errors import CompressionError
@@ -20,19 +21,12 @@ from repro.errors import CompressionError
 def _merge_sorted(
     a: list[tuple[int, list[int]]], b: list[tuple[int, list[int]]]
 ) -> list[tuple[int, list[int]]]:
-    """Merge two weight-sorted item lists (stable: ``a`` wins ties)."""
-    out: list[tuple[int, list[int]]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][0] <= b[j][0]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+    """Merge two weight-sorted item lists (stable: ``a`` wins ties).
+
+    Timsort finds the two sorted runs and merges them in C; its
+    stability keeps every ``a`` item ahead of an equal-weight ``b`` item.
+    """
+    return sorted(a + b, key=itemgetter(0))
 
 
 def _package(

@@ -24,11 +24,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from repro.compression.schemes import CompressedImage, CompressionScheme
+from repro.compression.schemes import (
+    CompressedImage,
+    CompressionScheme,
+    block_words,
+)
 from repro.errors import CompressionError
 from repro.isa.formats import OP_BITS
 from repro.isa.image import ProgramImage
-from repro.utils.bitstream import BitReader, BitWriter, new_writer
+from repro.utils.bitstream import BitReader, new_writer
 
 #: Sequence lengths considered for dictionary entries.
 MIN_SEQ = 2
@@ -72,10 +76,10 @@ class DictionaryScheme(CompressionScheme):
         self.max_entries = max_entries
 
     # ----------------------------------------------------------- build
-    def _candidate_counts(self, image: ProgramImage) -> Counter:
+    @staticmethod
+    def _candidate_counts(all_words: list[list[int]]) -> Counter:
         counts: Counter = Counter()
-        for block in image:
-            words = [op.encode() for op in block.ops]
+        for words in all_words:
             for length in range(MIN_SEQ, MAX_SEQ + 1):
                 for i in range(len(words) - length + 1):
                     counts[tuple(words[i : i + length])] += 1
@@ -98,16 +102,16 @@ class DictionaryScheme(CompressionScheme):
         return picked
 
     def compress(self, image: ProgramImage) -> DictionaryImage:
+        all_words = block_words(image)
         index_bits = max(1, (self.max_entries - 1).bit_length())
         dictionary = self._select_dictionary(
-            self._candidate_counts(image), index_bits
+            self._candidate_counts(all_words), index_bits
         )
         by_sequence = {seq: i for i, seq in enumerate(dictionary)}
         index_bits = max(1, (max(1, len(dictionary)) - 1).bit_length())
         payloads = []
         bit_lengths = []
-        for block in image:
-            words = [op.encode() for op in block.ops]
+        for words in all_words:
             writer = new_writer()
             i = 0
             while i < len(words):

@@ -10,6 +10,11 @@ block is addressable by normal memories (Section 3.3).
 Every scheme can also *decompress* what it compressed; tests verify the
 round trip bit-exactly, standing in for the hardware decoder's
 correctness.
+
+Each ``compress`` call encodes every op once (:func:`block_words`) and
+reuses those words for both its histogram and its payload pass.  The
+words live only for that call: ops are mutable, so nothing caches them
+on an op, a block or an image.
 """
 
 from __future__ import annotations
@@ -27,6 +32,11 @@ from repro.isa.image import OP_BYTES, ProgramImage
 #: Hardware-imposed ceiling on Huffman code length (Section 2.2: codes
 #: "incompatible with IFetch hardware" are avoided by bounding).
 DEFAULT_MAX_CODE_LENGTH = 16
+
+
+def block_words(image: ProgramImage) -> list[list[int]]:
+    """Every block's baseline 40-bit op words, encoded once, in order."""
+    return [[op.encode() for op in block.ops] for block in image]
 
 
 @dataclass(frozen=True)
@@ -170,10 +180,6 @@ class CompressionScheme:
             frequencies, max_length=self.max_code_length
         )
 
-    @staticmethod
-    def _finish_block(writer_bits: list[tuple[int, int]]) -> bytes:
-        raise NotImplementedError
-
 
 class BaselineScheme(CompressionScheme):
     """The identity encoding: baseline 40-bit TEPIC (the paper's "Base")."""
@@ -218,17 +224,18 @@ class ByteHuffmanScheme(CompressionScheme):
         super().__init__(max_code_length)
 
     def compress(self, image: ProgramImage) -> CompressedImage:
+        raw_blocks = [block.encode_baseline() for block in image]
         histogram: Counter = Counter()
-        for block in image:
-            histogram.update(block.encode_baseline())
+        for raw in raw_blocks:
+            histogram.update(raw)
         code = self._build_code(histogram)
         from repro.utils.bitstream import new_writer
 
         payloads = []
         bit_lengths = []
-        for block in image:
+        for raw in raw_blocks:
             writer = new_writer()
-            for byte in block.encode_baseline():
+            for byte in raw:
                 code.encode_symbol(byte, writer)
             bit_lengths.append(writer.bit_length)
             writer.align_to_byte()
@@ -271,22 +278,25 @@ class StreamHuffmanScheme(CompressionScheme):
         self.name = config.name
 
     def compress(self, image: ProgramImage) -> CompressedImage:
+        split = self.config.split
+        block_rows = [
+            [split(word) for word in words] for words in block_words(image)
+        ]
         histograms = [Counter() for _ in range(self.config.num_streams)]
-        for op in image.all_operations():
-            for i, symbol in enumerate(self.config.split(op.encode())):
-                histograms[i][symbol] += 1
+        for rows in block_rows:
+            for row in rows:
+                for histogram, symbol in zip(histograms, row):
+                    histogram[symbol] += 1
         codes = [self._build_code(h) for h in histograms]
         from repro.utils.bitstream import new_writer
 
         payloads = []
         bit_lengths = []
-        for block in image:
+        for rows in block_rows:
             writer = new_writer()
-            for op in block.ops:
-                for i, symbol in enumerate(
-                    self.config.split(op.encode())
-                ):
-                    codes[i].encode_symbol(symbol, writer)
+            for row in rows:
+                for code, symbol in zip(codes, row):
+                    code.encode_symbol(symbol, writer)
             bit_lengths.append(writer.bit_length)
             writer.align_to_byte()
             payloads.append(writer.to_bytes())
@@ -328,18 +338,19 @@ class FullOpHuffmanScheme(CompressionScheme):
         super().__init__(max_code_length)
 
     def compress(self, image: ProgramImage) -> CompressedImage:
-        histogram: Counter = Counter(
-            op.encode() for op in image.all_operations()
-        )
+        all_words = block_words(image)
+        histogram: Counter = Counter()
+        for words in all_words:
+            histogram.update(words)
         code = self._build_code(histogram)
         from repro.utils.bitstream import new_writer
 
         payloads = []
         bit_lengths = []
-        for block in image:
+        for words in all_words:
             writer = new_writer()
-            for op in block.ops:
-                code.encode_symbol(op.encode(), writer)
+            for word in words:
+                code.encode_symbol(word, writer)
             bit_lengths.append(writer.bit_length)
             writer.align_to_byte()
             payloads.append(writer.to_bytes())

@@ -249,6 +249,10 @@ def study_for(name: str, scale: Optional[int] = None) -> ProgramStudy:
     if study is None:
         if name not in SUITE:
             raise ConfigurationError(f"unknown benchmark {name!r}")
+        if scale is not None and scale < 1:
+            raise ConfigurationError(
+                f"scale must be a positive integer, got {scale}"
+            )
         study = ProgramStudy(name, scale)
         _studies[key] = study
         while len(_studies) > STUDY_CACHE_CAPACITY:

@@ -1,10 +1,12 @@
 """Instruction-format machinery: named bit fields packed into fixed words.
 
 A :class:`Format` is an ordered sequence of :class:`Field` objects whose
-widths sum to the operation size (40 bits for baseline TEPIC).  Encoding
-walks the fields front to back writing MSB-first, matching how Table 2 draws
-the formats (bit 0 is the leftmost ``T`` bit, bit 39 the last predicate
-bit).
+widths sum to the operation size (40 bits for baseline TEPIC).  Fields are
+laid out MSB-first, matching how Table 2 draws the formats (bit 0 is the
+leftmost ``T`` bit, bit 39 the last predicate bit).  Each format computes
+its ``(name, shift, max_value)`` layout once, so encoding ORs every field
+value into the word at its shift instead of streaming fields through a
+bit writer.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.errors import DecodingError, EncodingError
-from repro.utils.bitstream import BitWriter, new_writer
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,17 @@ class Format:
         self.fields = fields
         self.total_bits = total_bits
         self._by_name = {f.name: f for f in fields}
+        self._names = frozenset(names)
         offsets: dict[str, int] = {}
+        layout = []
         pos = 0
         for f in fields:
             offsets[f.name] = pos
             pos += f.width
+            layout.append((f.name, total_bits - pos, f.max_value))
         self._offsets = offsets
+        #: ``(name, shift, max_value)`` per field, MSB first.
+        self._layout = tuple(layout)
 
     def __repr__(self) -> str:
         return f"Format({self.name!r}, {self.total_bits} bits)"
@@ -91,21 +97,22 @@ class Format:
         zero.  Unknown keys are an error so that callers cannot silently
         drop information.
         """
-        unknown = set(values) - set(self._by_name)
-        if unknown:
+        if not self._names.issuperset(values):
+            unknown = set(values) - self._names
             raise EncodingError(
                 f"format {self.name!r}: unknown fields {sorted(unknown)}"
             )
-        writer = new_writer()
-        for f in self.fields:
-            value = values.get(f.name, 0)
-            if not 0 <= value <= f.max_value:
+        word = 0
+        get = values.get
+        for name, shift, max_value in self._layout:
+            value = get(name, 0)
+            if not 0 <= value <= max_value:
                 raise EncodingError(
                     f"format {self.name!r}: value {value} does not fit "
-                    f"field {f.name!r} ({f.width} bits)"
+                    f"field {name!r} ({max_value.bit_length()} bits)"
                 )
-            writer.write(value, f.width)
-        return writer.to_int()
+            word |= value << shift
+        return word
 
     def decode(self, word: int) -> dict[str, int]:
         """Unpack a word into a ``{field_name: value}`` mapping."""

@@ -11,7 +11,7 @@ The compression and tailored-encoding subsystems consume operations through
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import DecodingError, EncodingError
 from repro.isa.fields import Format
@@ -68,6 +68,50 @@ def src_arity(opcode: Opcode) -> int:
 NO_DEST = frozenset(
     {Opcode.ST, Opcode.BR, Opcode.CALL, Opcode.RET, Opcode.HALT}
 )
+
+
+#: How :meth:`Operation.field_values` fills each operand field, in the
+#: order the view lists them.  ``sd`` is always zero: single precision
+#: throughout this study.
+_OPERAND_GETTERS: dict[str, Callable[["Operation"], int]] = {
+    "src1": lambda op: op.src1.index if op.src1 else 0,
+    "src2": lambda op: op.src2.index if op.src2 else 0,
+    "dest": lambda op: op.dest.index if op.dest else 0,
+    "bhwx": lambda op: op.bhwx,
+    "imm": lambda op: (op.imm or 0) & 0xFFFFF,
+    "lat": lambda op: op.lat,
+    "counter": lambda op: op.counter,
+    "target": lambda op: op.target_block or 0,
+    "sd": lambda op: 0,
+}
+
+#: Fields :meth:`Operation.field_values` sets before the operand table.
+_PREFIX_FIELDS = frozenset({"t", "s", "opt", "opcode", "pred"})
+
+
+def _operand_fields(fmt: Format) -> tuple:
+    """``(name, getter)`` per non-prefix, non-reserved field of ``fmt``.
+
+    The operands come first in :data:`_OPERAND_GETTERS` order; the
+    remaining architectural fields this study leaves at zero
+    (cache-specifier hints, link bits, FP sub-fields) follow in format
+    order with a ``None`` getter.
+    """
+    operands = [(n, g) for n, g in _OPERAND_GETTERS.items() if n in fmt]
+    zeros = [
+        (f.name, None)
+        for f in fmt
+        if not f.reserved
+        and f.name not in _PREFIX_FIELDS
+        and f.name not in _OPERAND_GETTERS
+    ]
+    return tuple(operands + zeros)
+
+
+#: Per-format operand field table, built once from :data:`FORMATS`.
+_OPERAND_FIELDS: dict[FormatName, tuple] = {
+    name: _operand_fields(fmt) for name, fmt in FORMATS.items()
+}
 
 
 def _expected_src_bank(opcode: Opcode) -> RegisterBank:
@@ -218,30 +262,8 @@ class Operation:
             "opcode": opcode.code,
             "pred": self.predicate.index,
         }
-        fmt = self.format
-        if "src1" in fmt:
-            values["src1"] = self.src1.index if self.src1 else 0
-        if "src2" in fmt:
-            values["src2"] = self.src2.index if self.src2 else 0
-        if "dest" in fmt:
-            values["dest"] = self.dest.index if self.dest else 0
-        if "bhwx" in fmt:
-            values["bhwx"] = self.bhwx
-        if "imm" in fmt:
-            values["imm"] = (self.imm or 0) & 0xFFFFF
-        if "lat" in fmt:
-            values["lat"] = self.lat
-        if "counter" in fmt:
-            values["counter"] = self.counter
-        if "target" in fmt:
-            values["target"] = self.target_block or 0
-        if "sd" in fmt:
-            values["sd"] = 0  # single precision throughout this study
-        # Remaining architectural fields this study leaves at zero
-        # (cache-specifier hints, link bits, FP sub-fields).
-        for f in fmt:
-            if not f.reserved and f.name not in values:
-                values[f.name] = 0
+        for name, get in _OPERAND_FIELDS[opcode.format_name]:
+            values[name] = get(self) if get else 0
         return values
 
     def encode(self) -> int:

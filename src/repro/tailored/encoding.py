@@ -7,11 +7,14 @@ it performs *no entropy coding*: each op is its fixed tailored width
 — only the PLA programmed from the spec (see
 :mod:`repro.tailored.verilog`), which is the paper's argument for the
 scheme's low hardware cost.
+
+Encoding resolves each format's tailored body layout once per spec
+(:func:`op_encoder`) rather than re-deriving every field's width per op.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.compression.schemes import CompressedImage, CompressionScheme
 from repro.errors import CompressionError
@@ -20,6 +23,40 @@ from repro.isa.image import ProgramImage
 from repro.isa.operation import Operation
 from repro.tailored.analysis import TailoredSpec, analyze_image
 from repro.utils.bitstream import BitReader, BitWriter, new_writer
+
+
+def op_encoder(spec: TailoredSpec) -> Callable[[Operation, BitWriter], None]:
+    """An encoder writing one op in ``spec``'s tailored ISA.
+
+    Each format's body layout — ``(name, width, signed)`` per field of
+    non-zero tailored width — is resolved once here, not once per op.
+    """
+    layouts = {}
+    for name, tf in spec.formats.items():
+        layout = []
+        for fu in tf.fields:
+            width = fu.tailored_width
+            if width:
+                layout.append((fu.name, width, fu.signed))
+        layouts[name] = tuple(layout)
+    selector = spec.opcode_selector
+    selector_width = spec.selector_width
+    speculative_used = spec.speculative_used
+
+    def encode_op(op: Operation, writer: BitWriter) -> None:
+        writer.write(int(op.tail), 1)
+        if speculative_used:
+            writer.write(int(op.speculative), 1)
+        writer.write(selector[op.opcode], selector_width)
+        values = op.field_values()
+        for name, width, signed in layouts[op.opcode.format_name]:
+            if signed:
+                raw = (op.imm or 0) & ((1 << width) - 1)
+            else:
+                raw = values[name]
+            writer.write(raw, width)
+
+    return encode_op
 
 
 class TailoredImage(CompressedImage):
@@ -41,37 +78,19 @@ class TailoredScheme(CompressionScheme):
     # ------------------------------------------------------------ encode
     def compress(self, image: ProgramImage) -> TailoredImage:
         spec = analyze_image(image)
+        encode_op = op_encoder(spec)
         payloads = []
         bit_lengths = []
         for block in image:
             writer = new_writer()
             for op in block.ops:
-                self._encode_op(spec, op, writer)
+                encode_op(op, writer)
             bit_lengths.append(writer.bit_length)
             writer.align_to_byte()
             payloads.append(writer.to_bytes())
         return TailoredImage(
             spec, self, image, payloads, bit_lengths, streams=()
         )
-
-    def _encode_op(
-        self, spec: TailoredSpec, op: Operation, writer: BitWriter
-    ) -> None:
-        writer.write(int(op.tail), 1)
-        if spec.speculative_used:
-            writer.write(int(op.speculative), 1)
-        writer.write(spec.opcode_selector[op.opcode], spec.selector_width)
-        tf = spec.formats[op.opcode.format_name]
-        values = op.field_values()
-        for fu in tf.fields:
-            width = fu.tailored_width
-            if width == 0:
-                continue
-            if fu.signed:
-                raw = (op.imm or 0) & ((1 << width) - 1)
-            else:
-                raw = values[fu.name]
-            writer.write(raw, width)
 
     # ------------------------------------------------------------ decode
     def decode_block(

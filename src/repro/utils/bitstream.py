@@ -3,8 +3,10 @@
 The TEPIC image formats in this project are not byte aligned: operations are
 40 bits in the baseline ISA, arbitrary widths in the tailored ISA, and
 variable-length Huffman codes in the compressed encodings.  ``BitWriter`` and
-``BitReader`` provide the single place where bit packing happens so that the
-rest of the code never manipulates raw shifts.
+``BitReader`` pack and unpack every variable-width stream (tailored ops,
+Huffman codes, dictionary tokens).  Fixed-format 40-bit words do not go
+through a writer: :meth:`repro.isa.fields.Format.encode` ORs each field into
+the word at the shift its format's precomputed layout gives it.
 
 Bits are written most-significant-first within the stream, matching the way
 instruction formats are drawn in the paper's Table 2 (bit 0 is the leftmost

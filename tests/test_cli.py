@@ -174,6 +174,24 @@ class TestInvocationValidation:
         assert main(["suite", "--jobs", "-3"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["study", "compress"],
+            ["run", "fig7", "--benchmarks", "compress"],
+            ["sweep", "compress", "--scheme", "base"],
+            ["check", "--quick"],
+        ],
+        ids=["study", "run", "sweep", "check"],
+    )
+    def test_non_positive_scale_rejected(self, capsys, argv, scale):
+        assert main(argv + ["--scale", scale]) == 2
+        assert (
+            f"configuration error: --scale must be a positive integer, "
+            f"got {scale}" in capsys.readouterr().err
+        )
+
     def test_malformed_repro_jobs_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "banana")
         assert main(["list"]) == 2

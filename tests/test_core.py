@@ -49,6 +49,13 @@ class TestProgramStudy:
         with pytest.raises(ConfigurationError):
             study_for("nope")
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_study_for_rejects_non_positive_scale(self, scale):
+        with pytest.raises(
+            ConfigurationError, match=f"positive integer, got {scale}"
+        ):
+            study_for("compress", scale)
+
     def test_fetch_uses_full_scheme_for_compressed(self, compress_study):
         metrics = compress_study.fetch_metrics("compressed")
         assert metrics.code_bytes == \
