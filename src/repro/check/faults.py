@@ -2,9 +2,10 @@
 
 The store's contract is that *any* corruption — truncation, flipped
 bits, files filed under the wrong digest, writers crashing mid-write,
-evictors racing readers — degrades to a recomputing cache miss, never an
-exception and never a wrong artifact.  Each invariant here manufactures
-one class of damage in a throwaway store and asserts exactly that.
+a batch run SIGKILLed mid-study, evictors racing readers — degrades to
+a recomputing cache miss, never an exception and never a wrong
+artifact.  Each invariant here manufactures one class of damage in a
+throwaway store and asserts exactly that.
 
 Every fault pattern is driven by the run's seed, so a failing run
 reproduces byte-for-byte with ``repro check --seed N``.
@@ -22,6 +23,7 @@ import sys
 import tempfile
 import time
 
+import repro
 from repro.check.registry import CheckContext, Recorder, invariant
 from repro.runtime.store import MISS, ArtifactStore
 
@@ -218,6 +220,88 @@ def _store_midwrite_crash(ctx: CheckContext, rec: Recorder) -> None:
             _payload_for(_DIGEST),
             _DIGEST[:8],
             "round-trip after recovering from a torn write",
+        )
+
+
+def _store_audit(store_root: pathlib.Path) -> list:
+    """Read back every entry a store holds.
+
+    Returns ``[(digest, "ok" | "miss")]``; a raising ``get`` propagates
+    (that is the failure the caller asserts against).
+    """
+    store = _fresh_store(str(store_root))
+    results = []
+    for path in store_root.glob("objects/*/*.pkl"):
+        digest = path.stem
+        payload = store.get(digest)
+        results.append((digest, "miss" if payload is MISS else "ok"))
+    return results
+
+
+@invariant(
+    "store-sigkill-study",
+    scope="store",
+    description="SIGKILL mid-study: every store entry reads back valid "
+                "or as a clean miss, never an exception",
+    quick=False,
+)
+def _store_sigkill_study(ctx: CheckContext, rec: Recorder) -> None:
+    # A real batch ``repro study`` child is killed somewhere inside its
+    # compile/trace/compress chain: after its first entry lands, at a
+    # seeded delay, so a failure reproduces with ``--seed``.
+    rng = ctx.rng("store-sigkill-study")
+    with tempfile.TemporaryDirectory(prefix="repro-check-") as root:
+        store_root = pathlib.Path(root) / "cache"
+        src_dir = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src_dir), env.get("PYTHONPATH")))
+        )
+        env["REPRO_CACHE_DIR"] = str(store_root)
+        env.pop("REPRO_CACHE", None)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "study", "compress",
+             "--scale", "2", "--scheme", "byte"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while (
+                child.poll() is None
+                and not any(store_root.glob("objects/*/*.pkl"))
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            time.sleep(rng.random() * 0.05)
+            child.kill()
+        finally:
+            child.wait()
+        try:
+            audit = _store_audit(store_root)
+        except Exception as exc:
+            rec.expect(
+                False,
+                "store",
+                f"auditing the killed run's store raised "
+                f"{type(exc).__name__}: {exc}",
+            )
+            return
+        for digest, status in audit:
+            rec.expect(
+                status in ("ok", "miss"),
+                digest[:8],
+                f"unexpected audit status {status!r}",
+            )
+        # The survivors must let a fresh run finish the job.
+        store = _fresh_store(str(store_root))
+        store.put(_DIGEST, _payload_for(_DIGEST))
+        rec.expect_equal(
+            store.get(_DIGEST),
+            _payload_for(_DIGEST),
+            _DIGEST[:8],
+            "store round-trip after SIGKILL",
         )
 
 

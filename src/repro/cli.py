@@ -25,11 +25,6 @@ Examples::
         --predictor block --predictor gshare --json
     python -m repro sweep li --scheme compressed --l0 8 --l0 16 --l0 32 \
         --jobs 4                               # columnar multi-config sweep
-    python -m repro serve --jobs 4             # long-lived daemon
-    python -m repro client ping
-    python -m repro study compress --via-server --json
-    python -m repro check --via-server --scope structure
-    python -m repro client shutdown
 
 ``run`` and ``suite`` go through the :mod:`repro.runtime` artifact
 cache: a warm invocation recomputes nothing, and ``--jobs N`` fans the
@@ -78,36 +73,6 @@ def _validate_invocation(args) -> None:
         raise ConfigurationError(
             f"--jobs must be a positive process count, got {jobs}"
         )
-    max_inflight = getattr(args, "max_inflight", None)
-    if max_inflight is not None and max_inflight < 1:
-        raise ConfigurationError(
-            f"--max-inflight must be a positive request count, "
-            f"got {max_inflight}"
-        )
-    max_frame = getattr(args, "max_frame_bytes", None)
-    if max_frame is not None and max_frame < 4096:
-        raise ConfigurationError(
-            f"--max-frame-bytes must be at least 4096, got {max_frame}"
-        )
-    timeout = getattr(args, "timeout", None)
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(
-            f"--timeout must be a positive number of seconds, "
-            f"got {timeout}"
-        )
-    retries = getattr(args, "retries", None)
-    if retries is not None and retries < 0:
-        raise ConfigurationError(
-            f"--retries must be non-negative, got {retries}"
-        )
-    hotness = getattr(args, "hotness_thresholds", None)
-    for value in hotness or ():
-        # (0, 1]: a zero threshold selects an empty hot set, which the
-        # hybrid scheme would only reject deep inside a sweep worker.
-        if not 0.0 < value <= 1.0:
-            raise ConfigurationError(
-                f"--hotness must lie in (0, 1], got {value:g}"
-            )
     problems = environment_problems()
     from repro.analysis import analysis_env_problem
 
@@ -157,46 +122,6 @@ def _graceful_sigterm():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _socket_path(args):
-    if getattr(args, "socket", None):
-        return args.socket
-    from repro.serve.server import default_socket_path
-
-    return default_socket_path()
-
-
-def _open_client(args):
-    from repro.serve.client import ServeClient
-
-    return ServeClient(
-        _socket_path(args),
-        timeout=getattr(args, "timeout", None) or 300.0,
-    )
-
-
-def _add_client_flags(parser, *, via: bool = False) -> None:
-    """Daemon-connection flags shared by every client-capable command."""
-    if via:
-        parser.add_argument(
-            "--via-server", action="store_true",
-            help="send this request to a running repro daemon instead "
-                 "of computing in-process (results are byte-identical)",
-        )
-    parser.add_argument(
-        "--socket", default=None,
-        help="daemon socket path (default: REPRO_SOCKET or "
-             "<cache dir>/serve.sock)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="seconds to wait for the daemon's reply (default: 300)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0,
-        help="times to retry after a busy reply (default: 0)",
-    )
-
-
 def _cmd_list(_args) -> int:
     rows = [
         [e.exp_id, e.title, e.bench] for e in EXPERIMENTS.values()
@@ -216,19 +141,27 @@ def _cmd_run(args) -> int:
     _apply_runtime_flags(args)
     benchmarks = tuple(args.benchmarks or BENCHMARK_NAMES)
     jobs = _jobs(args)
-    if jobs > 1 and runtime.runtime_config().enabled:
-        from repro.runtime.scheduler import prewarm
+    try:
+        if jobs > 1 and runtime.runtime_config().enabled:
+            from repro.runtime.scheduler import prewarm
 
-        prewarm(
-            benchmarks,
-            scale=args.scale,
-            schemes=experiment.schemes,
-            fetch_schemes=experiment.fetch_schemes,
-            jobs=jobs,
+            # Resolve each study here so an unknown benchmark fails in
+            # this process, not as a worker traceback.
+            for name in benchmarks:
+                study_for(name, args.scale)
+            prewarm(
+                benchmarks,
+                scale=args.scale,
+                schemes=experiment.schemes,
+                fetch_schemes=experiment.fetch_schemes,
+                jobs=jobs,
+            )
+        headers, rows = experiment.runner(
+            args.benchmarks or None, args.scale
         )
-    headers, rows = experiment.runner(
-        args.benchmarks or None, args.scale
-    )
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         _emit_json(
             {
@@ -363,24 +296,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check(args) -> int:
     from repro.check import run_checks
-    from repro.errors import CheckError, ServeError
+    from repro.errors import CheckError
 
-    if args.via_server:
-        try:
-            with _open_client(args) as client:
-                response = client.check(
-                    benchmarks=args.benchmarks,
-                    full=args.full,
-                    seed=args.seed,
-                    scale=args.scale,
-                    inject=list(args.inject or ()),
-                    scopes=args.scope,
-                    retries=args.retries,
-                )
-        except ServeError as exc:
-            print(f"serve error: {exc}", file=sys.stderr)
-            return 2
-        return _client_check_exit(args, response["result"])
     try:
         report = run_checks(
             args.benchmarks or None,
@@ -419,37 +336,18 @@ def _cmd_analyze(args) -> int:
         analyze_suite,
         corrupt_branch_target,
     )
-    from repro.errors import AnalysisError, ServeError
+    from repro.errors import AnalysisError
 
     _apply_runtime_flags(args)
     if args.bounds:
-        if args.via_server or args.inject:
+        if args.inject:
             print(
                 "analysis error: --bounds is a local analysis and "
-                "cannot be combined with --via-server or --inject",
+                "cannot be combined with --inject",
                 file=sys.stderr,
             )
             return 2
         return _analyze_bounds(args)
-    if args.via_server:
-        if args.inject:
-            print(
-                "analysis error: --inject is a local diagnostic and "
-                "cannot be combined with --via-server",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            with _open_client(args) as client:
-                response = client.analyze(
-                    programs=args.programs,
-                    scale=args.scale,
-                    retries=args.retries,
-                )
-        except ServeError as exc:
-            print(f"serve error: {exc}", file=sys.stderr)
-            return 2
-        return _client_analyze_exit(args, response["result"])
     fail_on = Severity.parse(args.fail_on)
     names = tuple(args.programs or BENCHMARK_NAMES)
     progress = (
@@ -641,12 +539,8 @@ def _finish_study(args, payload: dict) -> int:
         _emit_json(payload)
     else:
         print(_render_study(payload))
-        metrics = payload.get("metrics")
-        if metrics is not None:
-            report = runtime.RuntimeReport()
-            report.merge_json(metrics)
-            print()
-            print(report.render())
+        print()
+        print(runtime.REPORT.render())
     if not payload["study"]["checksum_ok"]:
         print(
             f"checksum MISMATCH against the pure-Python oracle: "
@@ -658,38 +552,19 @@ def _finish_study(args, payload: dict) -> int:
 
 
 def _cmd_study(args) -> int:
-    from repro.errors import ServeError
+    from repro.serve.handlers import study_payload
 
     _apply_runtime_flags(args)
-    schemes = tuple(args.schemes or ())
-    if args.via_server:
-        try:
-            with _open_client(args) as client:
-                response = client.study(
-                    args.benchmark, args.scale, schemes,
-                    retries=args.retries,
-                )
-        except ServeError as exc:
-            print(f"serve error: {exc}", file=sys.stderr)
-            return 2
+    try:
         payload = {
-            "study": response["result"],
-            "metrics": response.get("metrics"),
-            "dedup": response.get("dedup"),
+            "study": study_payload(
+                args.benchmark, args.scale, tuple(args.schemes or ())
+            ),
+            "metrics": runtime.REPORT.to_json(),
         }
-    else:
-        from repro.serve.handlers import study_payload
-
-        try:
-            payload = {
-                "study": study_payload(
-                    args.benchmark, args.scale, schemes
-                ),
-                "metrics": runtime.REPORT.to_json(),
-            }
-        except ConfigurationError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     return _finish_study(args, payload)
 
 
@@ -779,196 +654,31 @@ def _finish_sweep(args, payload: dict) -> int:
         _emit_json(payload)
     else:
         print(_render_sweep(payload))
-        metrics = payload.get("metrics")
-        if metrics is not None:
-            report = runtime.RuntimeReport()
-            report.merge_json(metrics)
-            print()
-            print(report.render())
+        print()
+        print(runtime.REPORT.render())
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    from repro.errors import ServeError
+    from repro.serve.handlers import sweep_payload
 
     _apply_runtime_flags(args)
     try:
         grid = _sweep_grid(args)
+        payload = {
+            "sweep": sweep_payload(
+                args.benchmark, args.scale, grid, jobs=_jobs(args)
+            ),
+            "metrics": runtime.REPORT.to_json(),
+        }
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "via_server", False):
-        from repro.fetch.sweep import config_to_json
-
-        try:
-            with _open_client(args) as client:
-                response = client.sweep(
-                    args.benchmark,
-                    scale=args.scale,
-                    configs=[config_to_json(c) for c in grid],
-                    retries=args.retries,
-                )
-        except ServeError as exc:
-            print(f"serve error: {exc}", file=sys.stderr)
-            return 2
-        payload = {
-            "sweep": response["result"],
-            "metrics": response.get("metrics"),
-            "dedup": response.get("dedup"),
-        }
-    else:
-        from repro.serve.handlers import sweep_payload
-
-        try:
-            payload = {
-                "sweep": sweep_payload(
-                    args.benchmark, args.scale, grid,
-                    jobs=_jobs(args),
-                ),
-                "metrics": runtime.REPORT.to_json(),
-            }
-        except ConfigurationError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
     return _finish_sweep(args, payload)
-
-
-def _cmd_serve(args) -> int:
-    from repro.errors import ReproError
-    from repro.serve.server import serve
-
-    _apply_runtime_flags(args)
-    try:
-        return serve(
-            args.socket,
-            jobs=_jobs(args),
-            max_inflight=args.max_inflight,
-            max_frame_bytes=args.max_frame_bytes,
-        )
-    except ReproError as exc:
-        print(f"serve error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _client_check_exit(args, payload: dict) -> int:
-    from repro.check.runner import CheckReport
-
-    report = CheckReport.from_json(payload)
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(report.render())
-    if not report.ok:
-        names = ", ".join(o.name for o in report.failing)
-        print(f"invariant violation(s): {names}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _client_analyze_exit(args, payload: dict) -> int:
-    from repro.analysis import AnalysisReport, Severity
-
-    report = AnalysisReport.from_json(payload)
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(report.render())
-    fail_on = Severity.parse(getattr(args, "fail_on", "error"))
-    findings = report.at_least(fail_on)
-    if findings:
-        print(
-            f"{len(findings)} finding(s) at or above "
-            f"severity {fail_on.value}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_client(args) -> int:
-    """Thin protocol clients: every subcommand is one daemon request."""
-    from repro.errors import RemoteError, ServeError, ServerBusy
-
-    command = args.client_command
-    try:
-        with _open_client(args) as client:
-            if command == "ping":
-                _emit_json(client.ping(
-                    delay=args.delay, tag=args.tag or ""
-                ))
-                return 0
-            if command == "cache-stats":
-                _emit_json(client.cache_stats())
-                return 0
-            if command == "shutdown":
-                _emit_json(client.shutdown())
-                return 0
-            if command == "study":
-                response = client.study(
-                    args.benchmark, args.scale,
-                    tuple(args.schemes or ()), retries=args.retries,
-                )
-                return _finish_study(
-                    args,
-                    {
-                        "study": response["result"],
-                        "metrics": response.get("metrics"),
-                        "dedup": response.get("dedup"),
-                    },
-                )
-            if command == "check":
-                response = client.check(
-                    benchmarks=args.benchmarks,
-                    full=args.full,
-                    seed=args.seed,
-                    scale=args.scale,
-                    inject=list(args.inject or ()),
-                    scopes=args.scopes,
-                    retries=args.retries,
-                )
-                return _client_check_exit(args, response["result"])
-            if command == "analyze":
-                response = client.analyze(
-                    programs=args.programs,
-                    scale=args.scale,
-                    retries=args.retries,
-                )
-                return _client_analyze_exit(args, response["result"])
-            if command == "bench":
-                response = client.bench(
-                    names=args.names or None,
-                    quick=args.quick,
-                    repeats=args.repeats,
-                    retries=args.retries,
-                )
-                payload = response["result"]
-                if args.json:
-                    _emit_json(payload)
-                else:
-                    summary = payload["summary"]
-                    print("summary: " + ", ".join(
-                        f"{key}={value}"
-                        for key, value in sorted(summary.items())
-                    ))
-                return 0 if payload["summary"]["all_identical"] else 1
-            raise AssertionError(f"unhandled client command {command!r}")
-    except ServerBusy as exc:
-        print(
-            f"server busy: {exc} (retry after {exc.retry_after}s)",
-            file=sys.stderr,
-        )
-        return 3
-    except RemoteError as exc:
-        print(f"remote error: {exc}", file=sys.stderr)
-        return 2
-    except ServeError as exc:
-        print(f"serve error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main(argv: list[str] | None = None) -> int:
     from repro.check.registry import SCOPES
-    from repro.serve.protocol import DEFAULT_MAX_FRAME_BYTES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1077,14 +787,13 @@ def main(argv: list[str] | None = None) -> int:
         "--scope", action="append", default=None, choices=SCOPES,
         metavar="SCOPE",
         help="restrict to one registry scope (repeatable; e.g. "
-             "--scope serve runs only the daemon fault invariants; "
+             "--scope store runs only the store fault invariants; "
              f"scopes: {', '.join(SCOPES)})",
     )
     check.add_argument(
         "--json", action="store_true",
         help="emit the invariant report as JSON",
     )
-    _add_client_flags(check, via=True)
 
     analyze = sub.add_parser(
         "analyze",
@@ -1126,7 +835,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true",
         help="emit the diagnostics report as JSON",
     )
-    _add_client_flags(analyze, via=True)
 
     study = sub.add_parser(
         "study",
@@ -1147,7 +855,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true",
         help="emit the study payload and stage metrics as JSON",
     )
-    _add_client_flags(study, via=True)
 
     sweep = sub.add_parser(
         "sweep",
@@ -1165,7 +872,7 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument(
         "--hotness", dest="hotness_thresholds", action="append",
         type=float, default=None, metavar="T",
-        help="hybrid hotness-threshold axis in (0,1]; each bare "
+        help="hybrid hotness-threshold axis in [0,1]; each bare "
              "'hybrid' scheme entry expands into one hybrid@T point "
              "per value (repeatable)",
     )
@@ -1232,120 +939,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true",
         help="emit the sweep payload and stage metrics as JSON",
     )
-    _add_client_flags(sweep, via=True)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the long-lived study daemon on a Unix socket",
-    )
-    serve.add_argument(
-        "--socket", default=None,
-        help="socket path (default: REPRO_SOCKET or "
-             "<cache dir>/serve.sock)",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for cold study requests "
-             "(default: REPRO_JOBS or 1)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=int, default=8,
-        help="distinct requests admitted at once before replying "
-             "busy (default: 8; joining an identical in-flight "
-             "request never counts)",
-    )
-    serve.add_argument(
-        "--max-frame-bytes", type=int,
-        default=DEFAULT_MAX_FRAME_BYTES,
-        help="reject request frames larger than this "
-             f"(default: {DEFAULT_MAX_FRAME_BYTES})",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="serve without the persistent artifact cache "
-             "(forces --jobs 1 semantics per request)",
-    )
-
-    client = sub.add_parser(
-        "client",
-        help="issue one request to a running repro daemon",
-    )
-    csub = client.add_subparsers(dest="client_command", required=True)
-
-    cping = csub.add_parser("ping", help="health-check the daemon")
-    cping.add_argument(
-        "--delay", type=float, default=0,
-        help="server-side sleep in seconds (scheduling probe)",
-    )
-    cping.add_argument(
-        "--tag", default=None,
-        help="opaque discriminator (distinct tags defeat dedup)",
-    )
-    _add_client_flags(cping)
-
-    cstudy = csub.add_parser(
-        "study", help="run one study on the daemon"
-    )
-    cstudy.add_argument("benchmark", help="|".join(BENCHMARK_NAMES))
-    cstudy.add_argument("--scale", type=int, default=None)
-    cstudy.add_argument(
-        "--scheme", dest="schemes", action="append", default=None,
-        metavar="KEY",
-    )
-    cstudy.add_argument("--json", action="store_true")
-    _add_client_flags(cstudy)
-
-    cbench = csub.add_parser(
-        "bench", help="run kernel benchmarks on the daemon"
-    )
-    cbench.add_argument("names", nargs="*")
-    cbench.add_argument("--quick", action="store_true")
-    cbench.add_argument("--repeats", type=int, default=None)
-    cbench.add_argument("--json", action="store_true")
-    _add_client_flags(cbench)
-
-    ccheck = csub.add_parser(
-        "check", help="run the invariant registry on the daemon"
-    )
-    ccheck.add_argument("--benchmarks", nargs="*", default=None)
-    ccheck.add_argument("--full", action="store_true")
-    ccheck.add_argument("--seed", type=int, default=1999)
-    ccheck.add_argument("--scale", type=int, default=None)
-    ccheck.add_argument(
-        "--inject", action="append", default=None,
-        choices=("roundtrip", "conservation"),
-    )
-    ccheck.add_argument(
-        "--scope", dest="scopes", action="append", default=None,
-        choices=SCOPES, metavar="SCOPE",
-    )
-    ccheck.add_argument("--json", action="store_true")
-    _add_client_flags(ccheck)
-
-    canalyze = csub.add_parser(
-        "analyze", help="run the static verifier on the daemon"
-    )
-    canalyze.add_argument(
-        "--program", dest="programs", action="append", default=None,
-        metavar="NAME",
-    )
-    canalyze.add_argument("--scale", type=int, default=None)
-    canalyze.add_argument(
-        "--fail-on", dest="fail_on",
-        choices=("warning", "error"), default="error",
-    )
-    canalyze.add_argument("--json", action="store_true")
-    _add_client_flags(canalyze)
-
-    cstats = csub.add_parser(
-        "cache-stats", help="store + request-table snapshot"
-    )
-    _add_client_flags(cstats)
-
-    cshutdown = csub.add_parser(
-        "shutdown", help="ask the daemon to drain and exit"
-    )
-    _add_client_flags(cshutdown)
 
     cache = sub.add_parser("cache", help="inspect or clear the artifact "
                                           "cache")
@@ -1370,12 +963,7 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _cmd_cache,
         "study": _cmd_study,
         "sweep": _cmd_sweep,
-        "serve": _cmd_serve,
-        "client": _cmd_client,
     }[args.command]
-    if args.command == "serve":
-        # The daemon installs its own SIGTERM/SIGINT drain handlers.
-        return handler(args)
     try:
         with _graceful_sigterm():
             return handler(args)

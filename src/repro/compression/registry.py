@@ -1,8 +1,7 @@
 """Single authority for compression-scheme keys.
 
-Every surface that accepts a scheme key — the batch CLI, the serve
-daemon's param validation, :meth:`ProgramStudy.compressed`, the sweep
-grid builder — routes through this module, so a new scheme family (or a
+Every surface that accepts a scheme key — the CLI,
+:meth:`ProgramStudy.compressed`, the sweep grid builder — routes through this module, so a new scheme family (or a
 parameterized key like ``hybrid@0.75``) is accepted identically
 everywhere.  Keys come in two shapes:
 
@@ -17,8 +16,8 @@ everywhere.  Keys come in two shapes:
 
 Unknown or malformed keys raise :class:`UnknownSchemeError`, a
 :class:`~repro.errors.ConfigurationError` subclass, so callers that
-predate the registry keep working while new callers (the serve
-handlers) can distinguish "bad key" from a genuine factory crash.
+predate the registry keep working while new callers can distinguish
+"bad key" from a genuine factory crash.
 
 This module stays import-light (no scheme classes at module level) so
 the fetch layer can use the key helpers without pulling the compressors

@@ -2,7 +2,7 @@
 
 :func:`repro.fetch.sweep.simulate_fetch_sweep` is the pure engine — one
 (image, trace) pair, many configs, no I/O.  This module is the runtime
-wrapper the CLI, serve daemon, figure studies, and examples call:
+wrapper the CLI, figure studies, and examples call:
 
 * **Grid building** — :func:`expand_grid` turns per-axis value lists
   (schemes × caches × ATBs × predictors × L0 × bus) into an ordered,
@@ -53,7 +53,6 @@ from repro.runtime.tasks import TaskSpec, compile_id, compress_id, \
 __all__ = [
     "execute_sweep_chunk",
     "expand_grid",
-    "grid_token",
     "run_sweep",
 ]
 
@@ -191,13 +190,6 @@ def expand_grid(
                                         seen.add(token)
                                         configs.append(config)
     return configs
-
-
-def grid_token(configs: Sequence[FetchConfig]) -> str:
-    """Canonical JSON for a config list (serve dedup keys on this)."""
-    return json.dumps(
-        [config_to_json(config) for config in configs], sort_keys=True
-    )
 
 
 def _fetch_digest(

@@ -32,6 +32,12 @@ class CacheGeometry:
     line_bytes: int
 
     def __post_init__(self) -> None:
+        if min(self.capacity_bytes, self.ways, self.line_bytes) < 1:
+            raise ConfigurationError(
+                f"cache {self.name!r}: capacity, ways and line size must "
+                f"be positive, got {self.capacity_bytes}:{self.ways}:"
+                f"{self.line_bytes}"
+            )
         if self.capacity_bytes % (self.ways * self.line_bytes):
             raise ConfigurationError(
                 f"cache {self.name!r}: capacity {self.capacity_bytes} not "

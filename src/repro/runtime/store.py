@@ -24,7 +24,7 @@ damaged in place.  Guarantees:
   least-recently-used entries until the store fits ``max_bytes``;
 * **cross-process maintenance lock** — eviction and ``clear()`` take an
   exclusive ``flock`` on ``<root>/.lock`` while reads hold it shared, so
-  a serving daemon's evictor and a concurrent CLI invocation cannot
+  one CLI invocation's evictor and a concurrent invocation cannot
   unlink an entry out from under an in-progress read (and two evictors
   cannot interleave their walks).  The lock is advisory and best-effort:
   on filesystems or platforms without ``flock`` the store falls back to
@@ -297,8 +297,8 @@ class ArtifactStore:
         """Remove every entry; returns how many were dropped.
 
         Takes the exclusive maintenance lock so a ``repro cache clear``
-        racing a serving daemon waits for in-progress reads instead of
-        unlinking entries mid-validation.
+        racing another invocation waits for in-progress reads instead
+        of unlinking entries mid-validation.
         """
         dropped = 0
         with self._locked(exclusive=True):

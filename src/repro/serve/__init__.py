@@ -1,47 +1,7 @@
-"""``repro.serve`` — the long-running study service.
+"""``repro.serve`` — the payload builders behind ``repro study`` and
+``repro sweep``.
 
-Turns the batch CLI model into a daemon/client split: ``repro serve``
-runs a persistent process that owns the warm artifact store and worker
-pool and speaks a small versioned, length-prefixed JSON-framed protocol
-over a Unix domain socket (:mod:`repro.serve.protocol`); identical
-in-flight requests are deduplicated onto one execution and bounded
-admission produces explicit ``busy`` replies
-(:mod:`repro.serve.session`); ``repro client`` and the ``--via-server``
-flag on batch subcommands are thin :class:`ServeClient` wrappers whose
-results are byte-identical to in-process runs because both paths share
-the same handler code over the same store
-(:mod:`repro.serve.handlers`).
+:mod:`repro.serve.handlers` defines ``study_payload`` and
+``sweep_payload``; the CLI and the warm-cli perfbench workload import
+them from there.  This package re-exports nothing.
 """
-
-from __future__ import annotations
-
-from repro.serve.client import ServeClient
-from repro.serve.handlers import (
-    HANDLERS,
-    ServerContext,
-    study_payload,
-    sweep_payload,
-)
-from repro.serve.protocol import (
-    DEFAULT_MAX_FRAME_BYTES,
-    KINDS,
-    PROTOCOL_VERSION,
-)
-from repro.serve.server import ReproServer, default_socket_path, serve
-from repro.serve.session import JobTable, dedup_key
-
-__all__ = [
-    "DEFAULT_MAX_FRAME_BYTES",
-    "HANDLERS",
-    "JobTable",
-    "KINDS",
-    "PROTOCOL_VERSION",
-    "ReproServer",
-    "ServeClient",
-    "ServerContext",
-    "dedup_key",
-    "default_socket_path",
-    "serve",
-    "study_payload",
-    "sweep_payload",
-]

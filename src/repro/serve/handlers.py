@@ -1,115 +1,24 @@
-"""Request handlers: one normalize/execute pair per protocol kind.
+"""The JSON payloads of ``repro study`` and ``repro sweep``.
 
-``normalize`` validates raw request params and fills every default in,
-producing the *canonical* params dict that (a) drives execution and (b)
-is the dedup identity — two requests meaning the same computation must
-normalize to equal dicts.  ``execute`` performs the computation in the
-daemon process against the shared warm artifact store and returns a
-JSON-serializable payload.
-
-:func:`study_payload` is deliberately shared with the batch CLI
-(``repro study``): the serve path and the in-process path produce the
-payload through the same function over the same cached artifacts, which
-is what makes the differential gate ("client result == batch result,
-byte for byte") hold by construction.
+Each function computes one request against the artifact store and
+returns its canonical JSON-serializable payload; the CLI renders it as
+a table or emits it verbatim under ``--json``.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.errors import ProtocolError
 from repro.runtime.fingerprint import artifact_digest
-from repro.serve.protocol import PROTOCOL_VERSION
-
-#: Ceiling on the diagnostic ``ping`` delay (seconds).
-MAX_PING_DELAY = 10.0
 
 
-@dataclass(frozen=True)
-class Handler:
-    """Normalize/execute pair for one deduplicated kind."""
-
-    kind: str
-    normalize: Callable[[dict], dict]
-    execute: Callable[["ServerContext", dict], dict]
-
-
-@dataclass
-class ServerContext:
-    """What handlers may know about the daemon running them."""
-
-    #: Worker parallelism: >1 lets a cold ``study`` fan its artifact
-    #: chain out across processes via the runtime scheduler.
-    jobs: int = 1
-
-
-# ------------------------------------------------------------ helpers
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ProtocolError("bad-params", message)
-
-
-def _benchmark_names():
-    from repro.programs.suite import BENCHMARK_NAMES
-
-    return BENCHMARK_NAMES
-
-
-def _norm_benchmark(params: dict) -> str:
-    name = params.get("benchmark")
-    _require(isinstance(name, str), "benchmark must be a string")
-    _require(
-        name in _benchmark_names(),
-        f"unknown benchmark {name!r} "
-        f"(known: {', '.join(_benchmark_names())})",
-    )
-    return name
-
-
-def _norm_scale(params: dict, *, key: str = "scale") -> Optional[int]:
-    scale = params.get(key)
-    if scale is None:
-        return None
-    _require(
-        isinstance(scale, int) and not isinstance(scale, bool)
-        and scale >= 1,
-        f"{key} must be a positive integer or null",
-    )
-    return scale
-
-
-def _norm_name_list(
-    value, *, what: str, known: Sequence[str]
-) -> list:
-    _require(
-        isinstance(value, (list, tuple))
-        and all(isinstance(v, str) for v in value),
-        f"{what} must be a list of strings",
-    )
-    unknown = [v for v in value if v not in known]
-    _require(
-        not unknown,
-        f"unknown {what}: {', '.join(unknown)} "
-        f"(known: {', '.join(known)})",
-    )
-    return list(value)
-
-
-# -------------------------------------------------------------- study
 def study_payload(
     benchmark: str,
     scale: Optional[int] = None,
     schemes: Sequence[str] = (),
 ) -> dict:
-    """Every deterministic observable of one program study.
-
-    Used verbatim by both ``repro study`` (in-process) and the serve
-    daemon's ``study`` handler, so the two paths cannot drift: same
-    artifact digests, same checksums, same counters.
+    """Every deterministic observable of one program study: artifact
+    digests, the oracle checksum, op counts and per-scheme code sizes.
     """
     from repro.core.study import study_for
 
@@ -150,66 +59,6 @@ def study_payload(
     }
 
 
-def _normalize_study(params: dict) -> dict:
-    from repro.compression.registry import (
-        UnknownSchemeError,
-        normalize_scheme_key,
-    )
-    from repro.programs.suite import SUITE
-
-    benchmark = _norm_benchmark(params)
-    scale = _norm_scale(params)
-    if scale is None:
-        # Dedup identity: an absent scale *is* the suite default.
-        scale = SUITE[benchmark].default_scale
-    schemes = params.get("schemes") or []
-    _require(
-        isinstance(schemes, (list, tuple))
-        and all(isinstance(s, str) for s in schemes),
-        "schemes must be a list of scheme keys",
-    )
-    # Same registry call the batch CLI uses, catching exactly the
-    # lookup failure: a genuine scheme bug must surface as an internal
-    # error at execute time, never hide behind "bad-params".
-    normalized = []
-    for key in schemes:
-        try:
-            normalized.append(normalize_scheme_key(key))
-        except UnknownSchemeError as exc:
-            raise ProtocolError("bad-params", str(exc)) from None
-    return {
-        "benchmark": benchmark,
-        "scale": scale,
-        "schemes": sorted(set(normalized)),
-    }
-
-
-def _execute_study(ctx: ServerContext, params: dict) -> dict:
-    if ctx.jobs > 1:
-        from repro.runtime import runtime_config
-        from repro.runtime.scheduler import prewarm
-
-        if runtime_config().enabled:
-            prewarm(
-                [params["benchmark"]],
-                scale=params["scale"],
-                schemes=tuple(params["schemes"]),
-                jobs=ctx.jobs,
-            )
-    return study_payload(
-        params["benchmark"], params["scale"], params["schemes"]
-    )
-
-
-# -------------------------------------------------------------- sweep
-#: Grid-axis keys :func:`repro.core.sweep.expand_grid` understands.
-_GRID_AXES = (
-    "schemes", "caches", "atbs", "atb_miss_penalties", "predictors",
-    "gshare_bits", "l0_capacities", "bus_widths",
-    "hotness_thresholds", "scaled",
-)
-
-
 def sweep_payload(
     benchmark: str,
     scale: Optional[int],
@@ -217,12 +66,7 @@ def sweep_payload(
     *,
     jobs: int = 1,
 ) -> dict:
-    """One multi-config sweep, as its canonical JSON payload.
-
-    Shared by ``repro sweep`` (in-process) and the daemon's ``sweep``
-    handler, so the two paths are byte-identical by construction — same
-    engine, same store digests, same serialization.
-    """
+    """One multi-config sweep, as its canonical JSON payload."""
     from dataclasses import asdict
 
     from repro.core.study import study_for
@@ -246,214 +90,3 @@ def sweep_payload(
         "configs": len(configs),
         "results": results,
     }
-
-
-def _normalize_sweep(params: dict) -> dict:
-    """Canonical sweep params: an explicit ordered config-point list.
-
-    A request carries either ``configs`` (explicit points) or ``grid``
-    (axis lists expanded server-side); both normalize to the same
-    canonical form, so the dedup identity is exactly "this benchmark,
-    this scale, this ordered config grid" — plus the source fingerprint
-    the job table already mixes in.
-    """
-    from repro.core.sweep import expand_grid
-    from repro.errors import ConfigurationError
-    from repro.fetch.sweep import config_from_json, config_to_json
-    from repro.programs.suite import SUITE
-
-    benchmark = _norm_benchmark(params)
-    scale = _norm_scale(params)
-    if scale is None:
-        scale = SUITE[benchmark].default_scale
-    configs = params.get("configs")
-    grid = params.get("grid")
-    _require(
-        (configs is None) != (grid is None),
-        "exactly one of configs (point list) or grid (axis lists) "
-        "is required",
-    )
-    try:
-        if grid is not None:
-            _require(
-                isinstance(grid, dict)
-                and all(key in _GRID_AXES for key in grid),
-                f"grid keys must be among {', '.join(_GRID_AXES)}",
-            )
-            kwargs = {
-                key: value for key, value in grid.items()
-                if key != "schemes" and value is not None
-            }
-            for axis in ("caches", "atbs"):
-                if axis in kwargs:
-                    kwargs[axis] = [tuple(p) for p in kwargs[axis]]
-            points = expand_grid(
-                grid.get("schemes")
-                or ("base", "tailored", "compressed"),
-                **kwargs,
-            )
-        else:
-            _require(
-                isinstance(configs, (list, tuple)) and len(configs) > 0,
-                "configs must be a non-empty list of config points",
-            )
-            points = [config_from_json(point) for point in configs]
-        canonical = [config_to_json(point) for point in points]
-    except ConfigurationError as exc:
-        raise ProtocolError("bad-params", str(exc)) from None
-    _require(bool(canonical), "the grid expands to zero config points")
-    return {
-        "benchmark": benchmark,
-        "scale": scale,
-        "configs": canonical,
-    }
-
-
-def _execute_sweep(ctx: ServerContext, params: dict) -> dict:
-    from repro.fetch.sweep import config_from_json
-
-    configs = [
-        config_from_json(point) for point in params["configs"]
-    ]
-    return sweep_payload(
-        params["benchmark"], params["scale"], configs, jobs=ctx.jobs
-    )
-
-
-# -------------------------------------------------------------- bench
-def _normalize_bench(params: dict) -> dict:
-    from repro.bench import BY_NAME
-
-    names = params.get("names") or list(BY_NAME)
-    names = _norm_name_list(
-        names, what="benchmark(s)", known=tuple(BY_NAME)
-    )
-    quick = params.get("quick", True)
-    _require(isinstance(quick, bool), "quick must be a boolean")
-    repeats = params.get("repeats")
-    if repeats is not None:
-        _require(
-            isinstance(repeats, int) and not isinstance(repeats, bool)
-            and repeats >= 1,
-            "repeats must be a positive integer or null",
-        )
-    return {"names": names, "quick": quick, "repeats": repeats}
-
-
-def _execute_bench(ctx: ServerContext, params: dict) -> dict:
-    from repro.bench import BY_NAME, report_json, run_benchmarks
-
-    results = run_benchmarks(
-        [BY_NAME[name] for name in params["names"]],
-        quick=params["quick"],
-        repeats=params["repeats"],
-    )
-    return report_json(results, quick=params["quick"])
-
-
-# -------------------------------------------------------------- check
-def _normalize_check(params: dict) -> dict:
-    from repro.check.registry import INJECT_TAGS, SCOPES
-
-    benchmarks = params.get("benchmarks") or list(_benchmark_names())
-    benchmarks = _norm_name_list(
-        benchmarks, what="benchmark(s)", known=_benchmark_names()
-    )
-    full = params.get("full", False)
-    _require(isinstance(full, bool), "full must be a boolean")
-    seed = params.get("seed", 1999)
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool),
-        "seed must be an integer",
-    )
-    scale = _norm_scale(params)
-    inject = params.get("inject") or []
-    inject = _norm_name_list(
-        inject, what="inject tag(s)", known=INJECT_TAGS
-    )
-    scopes = params.get("scopes")
-    if scopes is not None:
-        scopes = _norm_name_list(scopes, what="scope(s)", known=SCOPES)
-    return {
-        "benchmarks": benchmarks,
-        "full": full,
-        "seed": seed,
-        "scale": scale,
-        "inject": sorted(set(inject)),
-        "scopes": scopes,
-    }
-
-
-def _execute_check(ctx: ServerContext, params: dict) -> dict:
-    from repro.check import run_checks
-
-    report = run_checks(
-        params["benchmarks"],
-        quick=not params["full"],
-        seed=params["seed"],
-        scale=params["scale"],
-        inject=tuple(params["inject"]),
-        scopes=params["scopes"],
-    )
-    return report.to_json()
-
-
-# ------------------------------------------------------------ analyze
-def _normalize_analyze(params: dict) -> dict:
-    programs = params.get("programs") or list(_benchmark_names())
-    programs = _norm_name_list(
-        programs, what="program(s)", known=_benchmark_names()
-    )
-    return {"programs": programs, "scale": _norm_scale(params)}
-
-
-def _execute_analyze(ctx: ServerContext, params: dict) -> dict:
-    from repro.analysis import analyze_suite
-
-    report = analyze_suite(tuple(params["programs"]), params["scale"])
-    return report.to_json()
-
-
-# --------------------------------------------------------------- ping
-def normalize_ping(params: dict) -> dict:
-    """Ping params; a non-zero ``delay`` makes it a schedulable job.
-
-    ``delay`` (seconds, capped at :data:`MAX_PING_DELAY`) turns ping
-    into a deterministic slow request — the latency/backpressure probe
-    the tests and the CI smoke use.  ``tag`` is an opaque discriminator
-    so probes can opt *out* of dedup by tagging themselves apart.
-    """
-    delay = params.get("delay", 0)
-    _require(
-        isinstance(delay, (int, float)) and not isinstance(delay, bool)
-        and 0 <= float(delay) <= MAX_PING_DELAY,
-        f"delay must be a number in [0, {MAX_PING_DELAY}]",
-    )
-    tag = params.get("tag", "")
-    _require(isinstance(tag, str), "tag must be a string")
-    return {"delay": float(delay), "tag": tag}
-
-
-def execute_ping(ctx: ServerContext, params: dict) -> dict:
-    if params["delay"]:
-        time.sleep(params["delay"])
-    return {
-        "pong": True,
-        "protocol": PROTOCOL_VERSION,
-        "pid": os.getpid(),
-        "delay": params["delay"],
-        "tag": params["tag"],
-    }
-
-
-#: Kinds routed through the dedup/admission job table.  ``ping`` joins
-#: only when delayed (the server special-cases the instant form);
-#: ``cache-stats`` and ``shutdown`` are always handled inline.
-HANDLERS: Dict[str, Handler] = {
-    "study": Handler("study", _normalize_study, _execute_study),
-    "sweep": Handler("sweep", _normalize_sweep, _execute_sweep),
-    "bench": Handler("bench", _normalize_bench, _execute_bench),
-    "check": Handler("check", _normalize_check, _execute_check),
-    "analyze": Handler("analyze", _normalize_analyze, _execute_analyze),
-    "ping": Handler("ping", normalize_ping, execute_ping),
-}

@@ -1,6 +1,6 @@
 """Adaptive compression: hybrid per-block tags and the context coder.
 
-Covers the scheme registry (one key authority for CLI/serve/study),
+Covers the scheme registry (one key authority for CLI/sweep/study),
 round-trips under randomized heat profiles, per-block tag semantics
 (every block must decode under exactly its tagged scheme), the fetch
 kernel/reference differential on hybrid images, and the bus flip
