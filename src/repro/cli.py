@@ -8,10 +8,6 @@ Examples::
     python -m repro run fig13 --jobs 8          # parallel prewarm
     python -m repro run fig5 --json             # machine-readable rows
     python -m repro suite
-    python -m repro bench --quick             # kernel-vs-reference timings
-    python -m repro bench fetch_replay_base --repeats 5
-    python -m repro bench emulate_trace_micro emulate_trace_macro \
-        --output BENCH_emulate.json           # the checked-in emulator report
     python -m repro check --quick             # invariant + fault sweep
     python -m repro check --full --seed 7 --json
     python -m repro analyze --all             # static verifier + lint
@@ -141,27 +137,21 @@ def _cmd_run(args) -> int:
     _apply_runtime_flags(args)
     benchmarks = tuple(args.benchmarks or BENCHMARK_NAMES)
     jobs = _jobs(args)
-    try:
-        if jobs > 1 and runtime.runtime_config().enabled:
-            from repro.runtime.scheduler import prewarm
+    if jobs > 1 and runtime.runtime_config().enabled:
+        from repro.runtime.scheduler import prewarm
 
-            # Resolve each study here so an unknown benchmark fails in
-            # this process, not as a worker traceback.
-            for name in benchmarks:
-                study_for(name, args.scale)
-            prewarm(
-                benchmarks,
-                scale=args.scale,
-                schemes=experiment.schemes,
-                fetch_schemes=experiment.fetch_schemes,
-                jobs=jobs,
-            )
-        headers, rows = experiment.runner(
-            args.benchmarks or None, args.scale
+        # Resolve each study here so an unknown benchmark fails in
+        # this process, not as a worker traceback.
+        for name in benchmarks:
+            study_for(name, args.scale)
+        prewarm(
+            benchmarks,
+            scale=args.scale,
+            schemes=experiment.schemes,
+            fetch_schemes=experiment.fetch_schemes,
+            jobs=jobs,
         )
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    headers, rows = experiment.runner(args.benchmarks or None, args.scale)
     if args.json:
         _emit_json(
             {
@@ -235,59 +225,6 @@ def _cmd_suite(args) -> int:
         print(
             "checksum MISMATCH against the pure-Python oracle: "
             + ", ".join(failures),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.bench import BY_NAME, report_json, result_rows, run_benchmarks
-
-    if args.list_benchmarks:
-        rows = [
-            [spec.name, spec.kind, spec.description]
-            for spec in BY_NAME.values()
-        ]
-        print(format_table(["benchmark", "kind", "description"], rows,
-                           title="Kernel benchmarks"))
-        return 0
-    names = args.names or list(BY_NAME)
-    unknown = [name for name in names if name not in BY_NAME]
-    if unknown:
-        print(
-            f"unknown benchmark(s): {', '.join(unknown)}; "
-            f"try: {', '.join(BY_NAME)}",
-            file=sys.stderr,
-        )
-        return 2
-    results = run_benchmarks(
-        [BY_NAME[name] for name in names],
-        quick=args.quick,
-        repeats=args.repeats,
-        progress=lambda spec: print(
-            f"bench {spec.name} ...", file=sys.stderr
-        ),
-    )
-    payload = report_json(results, quick=args.quick)
-    if args.json:
-        _emit_json(payload)
-    else:
-        headers, rows = result_rows(results)
-        print(format_table(headers, rows, title="Kernel vs reference"))
-        summary = payload["summary"]
-        print()
-        print("summary: " + ", ".join(
-            f"{key}={value}" for key, value in sorted(summary.items())
-        ))
-    if args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    if not payload["summary"]["all_identical"]:
-        print(
-            "DIFFERENTIAL FAILURE: kernel and reference outputs diverged",
             file=sys.stderr,
         )
         return 1
@@ -413,7 +350,7 @@ def _analyze_bounds(args) -> int:
     """
     from repro.analysis.cachebound import cycle_bounds
     from repro.compression.adaptive import heat_profile
-    from repro.errors import AnalysisError, ConfigurationError
+    from repro.errors import AnalysisError
     from repro.fetch.config import FetchConfig
     from repro.runtime.tasks import fetch_image_key
     from repro.utils.tables import format_table
@@ -469,7 +406,7 @@ def _analyze_bounds(args) -> int:
                 record["simulated_cycles"] = metrics.cycles
                 record["bracketed"] = ok
                 records.append(record)
-    except (AnalysisError, ConfigurationError) as exc:
+    except AnalysisError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 2
     if args.json:
@@ -555,16 +492,12 @@ def _cmd_study(args) -> int:
     from repro.serve.handlers import study_payload
 
     _apply_runtime_flags(args)
-    try:
-        payload = {
-            "study": study_payload(
-                args.benchmark, args.scale, tuple(args.schemes or ())
-            ),
-            "metrics": runtime.REPORT.to_json(),
-        }
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    payload = {
+        "study": study_payload(
+            args.benchmark, args.scale, tuple(args.schemes or ())
+        ),
+        "metrics": runtime.REPORT.to_json(),
+    }
     return _finish_study(args, payload)
 
 
@@ -663,17 +596,13 @@ def _cmd_sweep(args) -> int:
     from repro.serve.handlers import sweep_payload
 
     _apply_runtime_flags(args)
-    try:
-        grid = _sweep_grid(args)
-        payload = {
-            "sweep": sweep_payload(
-                args.benchmark, args.scale, grid, jobs=_jobs(args)
-            ),
-            "metrics": runtime.REPORT.to_json(),
-        }
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    grid = _sweep_grid(args)
+    payload = {
+        "sweep": sweep_payload(
+            args.benchmark, args.scale, grid, jobs=_jobs(args)
+        ),
+        "metrics": runtime.REPORT.to_json(),
+    }
     return _finish_sweep(args, payload)
 
 
@@ -722,37 +651,6 @@ def main(argv: list[str] | None = None) -> int:
     suite.add_argument(
         "--json", action="store_true",
         help="emit per-benchmark results and the runtime report as JSON",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the simulation kernels against the reference paths",
-    )
-    bench.add_argument(
-        "names", nargs="*",
-        help="benchmark names (default: all; see --list)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="smaller workloads and fewer repeats (CI smoke mode)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing repeats per path (default: 3, or 2 with --quick)",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_fetch.json",
-        help="where to write the JSON report ('-' to skip; "
-             "default: BENCH_fetch.json; the emulator subset is "
-             "checked in as BENCH_emulate.json)",
-    )
-    bench.add_argument(
-        "--json", action="store_true",
-        help="print the JSON report to stdout instead of a table",
-    )
-    bench.add_argument(
-        "--list", dest="list_benchmarks", action="store_true",
-        help="list the available benchmarks and exit",
     )
 
     check = sub.add_parser(
@@ -948,16 +846,10 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    try:
-        _validate_invocation(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     handler = {
         "list": _cmd_list,
         "run": _cmd_run,
         "suite": _cmd_suite,
-        "bench": _cmd_bench,
         "check": _cmd_check,
         "analyze": _cmd_analyze,
         "cache": _cmd_cache,
@@ -965,8 +857,12 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
     }[args.command]
     try:
+        _validate_invocation(args)
         with _graceful_sigterm():
             return handler(args)
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except (KeyboardInterrupt, _Interrupted):
         print(
             "interrupted: drained in-flight tasks, cache left "

@@ -190,8 +190,8 @@ class HuffmanDecoder:
     first-code/offset-per-length table — integer compares only, no
     per-length dict probes, no repeated reads.
     :meth:`decode_symbol_reference` is the original per-length
-    dictionary walk, retained as the oracle the differential tests and
-    ``repro bench huffman_decode`` compare against.
+    dictionary walk, retained as the oracle the differential tests
+    compare against.
     """
 
     __slots__ = ("_steps", "_max_length", "_by_length", "_lengths")

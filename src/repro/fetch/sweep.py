@@ -57,9 +57,8 @@ Table 1 uses the same discounts in every family.
 
 Every per-config result is **bit-identical** to
 :func:`~repro.fetch.engine.simulate_fetch_reference` — enforced by the
-``fetch`` and ``sweep`` check scopes, ``tests/test_kernel_differential.py``,
-``tests/test_fetch_sweep.py`` and the ``repro bench`` differential
-families.
+``fetch`` and ``sweep`` check scopes, ``tests/test_kernel_differential.py``
+and ``tests/test_fetch_sweep.py``.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from typing import Callable, Optional
 
 from repro.compiler import CompiledProgram, compile_module
 from repro.compiler.ir import IRModule
+from repro.errors import CompilerError, ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,14 @@ def compile_benchmark(
     actual_scale = scale if scale is not None else spec.default_scale
     key = (name, actual_scale, opt, hoist)
     if key not in _compile_cache:
-        module = spec.build(actual_scale)
+        try:
+            module = spec.build(actual_scale)
+        except CompilerError as exc:
+            # Building is pure IR construction sized by the scale; the
+            # one way it fails is data outgrowing the address space.
+            raise ConfigurationError(
+                f"benchmark {name!r} cannot be built at scale "
+                f"{actual_scale}: {exc}"
+            ) from exc
         _compile_cache[key] = compile_module(module, opt=opt, hoist=hoist)
     return _compile_cache[key]

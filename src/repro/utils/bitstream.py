@@ -16,8 +16,7 @@ instruction formats are drawn in the paper's Table 2 (bit 0 is the leftmost
 stream of n bits costs O(n) total.  The original big-int accumulator — O(n²)
 in stream bits because every ``to_int`` re-shifts the whole prefix — is
 retained as :class:`ReferenceBitWriter`; the differential tests prove the two
-produce byte-identical streams, and ``repro bench bitstream_roundtrip``
-measures the gap.
+produce byte-identical streams.
 """
 
 from __future__ import annotations

@@ -298,7 +298,7 @@ def test_kernel_matches_reference_on_hybrid(hybrid_study):
     from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 
     rng = random.Random(8)
-    for scheme in ("hybrid", "hybrid@0.6"):
+    for scheme in ("hybrid", "hybrid@0.6", "hybrid:static"):
         compressed = hybrid_study.compressed(scheme)
         blocks = len(compressed.image)
         trace = [rng.randrange(blocks) for _ in range(1500)]
@@ -320,16 +320,21 @@ def test_sweep_matches_engine_on_hybrid_grid(hybrid_study):
         key: hybrid_study.compressed(key)
         for key in ("hybrid", "hybrid@0.6")
     }
+    images["compressed"] = hybrid_study.compressed("full")
     rng = random.Random(9)
     blocks = len(images["hybrid"].image)
     trace = [rng.randrange(blocks) for _ in range(1000)]
+    # Compressed points share the batch, so per-block penalty families
+    # and the cold-only L0 must not leak across schemes.
     grid = expand_grid(
-        ("hybrid",),
+        ("compressed", "hybrid"),
         hotness_thresholds=(HYBRID_DEFAULT_HOTNESS, 0.6),
         l0_capacities=(4, 32),
         bus_widths=(4, 8),
     )
-    assert {c.scheme for c in grid} == {"hybrid", "hybrid@0.6"}
+    assert {c.scheme for c in grid} == {
+        "compressed", "hybrid", "hybrid@0.6"
+    }
     batch = simulate_fetch_sweep_multi(images, trace, grid)
     assert len(batch) == len(grid)
     for config, metrics in zip(grid, batch):

@@ -273,6 +273,26 @@ class TestInvocationValidation:
             f"got {scale}" in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["study", "compress"],
+            ["run", "fig7", "--benchmarks", "compress"],
+            ["sweep", "compress", "--scheme", "base"],
+            ["suite"],
+            ["analyze", "--program", "compress"],
+        ],
+        ids=["study", "run", "sweep", "suite", "analyze"],
+    )
+    def test_oversized_scale_rejected(self, capsys, argv):
+        assert main(argv + ["--scale", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "configuration error: benchmark 'compress' cannot be built at "
+            "scale 100000" in err
+        )
+        assert "Traceback" not in err
+
     def test_malformed_repro_jobs_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "banana")
         assert main(["list"]) == 2
@@ -354,44 +374,6 @@ class TestCheckCommand:
     def test_check_quick_and_full_are_exclusive(self):
         with pytest.raises(SystemExit):
             main(["check", "--quick", "--full"])
-
-
-def test_bench_list(capsys):
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "fetch_replay_base" in out and "bitstream_roundtrip" in out
-
-
-def test_bench_unknown_name(capsys):
-    assert main(["bench", "nope", "--output", "-"]) == 2
-    assert "unknown benchmark" in capsys.readouterr().err
-
-
-def test_bench_quick_micro_writes_report(tmp_path, capsys):
-    report = tmp_path / "bench.json"
-    assert main(
-        ["bench", "bitstream_roundtrip", "huffman_decode",
-         "--quick", "--repeats", "1", "--output", str(report)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "Kernel vs reference" in out
-    payload = json.loads(report.read_text())
-    assert [r["name"] for r in payload["results"]] == [
-        "bitstream_roundtrip", "huffman_decode"
-    ]
-    assert payload["summary"]["all_identical"] is True
-    assert all(r["identical"] for r in payload["results"])
-    assert all(r["speedup"] > 0 for r in payload["results"])
-
-
-def test_bench_json_mode_skips_file(capsys):
-    assert main(
-        ["bench", "huffman_encode", "--quick", "--repeats", "1",
-         "--json", "--output", "-"]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["results"][0]["name"] == "huffman_encode"
-    assert payload["schema"] == 1
 
 
 class TestAnalyzeCommand:

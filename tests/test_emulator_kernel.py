@@ -38,9 +38,98 @@ def _both(compiled, **kwargs):
 
 
 # ------------------------------------------------------------- suite
-@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def _op_soup_program(iterations: int):
+    """A synthetic op-soup loop touching every execution path the
+    kernel specializes: int/fp/compare/memory ops, predicated moves
+    (via ``select``) and a call/ret pair.  It is the only program that
+    runs ``fabs_``, and the only one running every FP family together
+    with call/ret and ``select``."""
+    from repro.compiler import compile_module
+    from repro.compiler.builder import ModuleBuilder
+
+    mb = ModuleBuilder("opsoup")
+    mb.global_array("buf", words=64)
+    mb.global_array("result", words=1)
+
+    helper = mb.function("mix", num_args=1)
+    hv = helper.arg(0)
+    out = helper.ireg()
+    helper.xori(out, hv, 0x5A5A)
+    helper.srai(out, out, 3)
+    helper.ret(out)
+    helper.done()
+
+    b = mb.function("main", num_args=0)
+    base = b.ireg()
+    b.la(base, "buf")
+    i = b.ireg()
+    b.li(i, 0)
+    acc = b.ireg()
+    b.li(acc, 1)
+    total = b.iconst(iterations)
+    # Loop 1: integer ALU, memory traffic, a call/ret pair and a
+    # predicated select.  (No FP state may live across the call — FP
+    # spill slots cannot be expressed in the baseline encoding.)
+    b.label("iloop")
+    slot = b.ireg()
+    b.modi(slot, i, 64)
+    b.store_index(base, slot, acc)
+    back = b.ireg()
+    b.load_index(back, base, slot)
+    b.mpyi(acc, acc, 1103515245)
+    b.addi(acc, acc, 12345)
+    b.xor(acc, acc, back)
+    mixed = b.ireg()
+    b.call("mix", [acc], ret=mixed)
+    lo = b.ireg()
+    b.andi(lo, mixed, 0xFF)
+    p = b.preg()
+    b.cmpi_gt(p, lo, 127)
+    picked = b.ireg()
+    b.select(picked, p, lo, acc)
+    b.add(acc, acc, picked)
+    b.addi(i, i, 1)
+    pg = b.preg()
+    b.cmp_lt(pg, i, total)
+    b.br_if(pg, "iloop")
+    # Loop 2: the floating-point families.
+    facc = b.freg()
+    seed = b.iconst(3)
+    b.i2f(facc, seed)
+    cap = b.freg()
+    big = b.iconst(65536)
+    b.i2f(cap, big)
+    b.li(i, 0)
+    b.label("floop")
+    fstep = b.freg()
+    step = b.ireg()
+    b.andi(step, i, 0xFF)
+    b.i2f(fstep, step)
+    b.fadd(facc, facc, fstep)
+    b.fmpy(facc, facc, facc)
+    b.fabs_(facc, facc)
+    b.fdiv(facc, facc, cap)
+    b.addi(i, i, 1)
+    pf = b.preg()
+    b.cmp_lt(pf, i, total)
+    b.br_if(pf, "floop")
+    fout = b.ireg()
+    b.f2i(fout, facc)
+    b.xor(acc, acc, fout)
+    outp = b.ireg()
+    b.la(outp, "result")
+    b.store(outp, acc)
+    b.halt()
+    b.done()
+    return compile_module(mb.build())
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES + ("op-soup",))
 def test_suite_program_runs_identical(name):
-    compiled = compile_benchmark(name, _SCALE)
+    if name == "op-soup":
+        compiled = _op_soup_program(200)
+    else:
+        compiled = compile_benchmark(name, _SCALE)
     reference, kernel = _both(compiled)
     ref_fp = reference.fingerprint()
     ker_fp = kernel.fingerprint()
@@ -49,6 +138,8 @@ def test_suite_program_runs_identical(name):
     # Counter equality is dict equality: a zero-count entry on one side
     # only would slip past fingerprint's name/count view.
     assert kernel.opcode_counts == reference.opcode_counts
+    if name == "op-soup":
+        assert reference.opcode_counts[Opcode.FABS] == 200
 
 
 def test_dataclass_fields_equal_modulo_machine():

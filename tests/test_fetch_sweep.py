@@ -140,6 +140,28 @@ def test_config_json_roundtrip(config):
     assert rebuilt.cache.line_bytes == config.cache.line_bytes
 
 
+def test_sweep_matches_sequential_on_the_64_point_grid(
+    sweep_images, compress_study
+):
+    """The fixed design grid the random draws never reach: 3 schemes ×
+    2 caches × 4 ATBs × 2 predictors, with L0 {8, 32} under compressed
+    (16 + 16 + 32 points), over the study's real trace."""
+    grid = expand_grid(
+        ("base", "tailored", "compressed"),
+        caches=[(1280, 2, 40), (1024, 2, 32)],
+        atbs=[(32, 4), (64, 4), (128, 4), (256, 8)],
+        predictors=("block", "gshare"),
+        l0_capacities=(8, 32),
+    )
+    assert len(grid) == 64
+    trace = compress_study.run.block_trace
+    batch = simulate_fetch_sweep_multi(sweep_images, trace, grid)
+    assert batch == [
+        simulate_fetch(sweep_images[config.scheme], trace, config)
+        for config in grid
+    ]
+
+
 # ------------------------------------------------------------ degenerate
 def test_single_config_grid_is_one_simulate_fetch(sweep_images):
     trace = list(range(len(sweep_images["base"].image))) * 3

@@ -5,8 +5,7 @@ writer and the canonical Huffman decoder are *optimizations* of the
 retained reference implementations (``simulate_fetch_reference``,
 ``ReferenceBitWriter``, ``decode_symbol_reference``), and every
 observable output — ``FetchMetrics`` fields, encoded bytes, decoded
-symbols — must match exactly.  ``repro bench`` re-checks the same
-identities before timing anything; CI runs this module as its
+symbols — must match exactly.  CI runs this module as part of its
 divergence gate.
 """
 
