@@ -10,7 +10,8 @@
   size and schedule density.
 """
 
-from repro.compression import SIX_STREAM_CONFIGS, scheme_decoder_cost
+from repro.compression.alphabets import SIX_STREAM_CONFIGS
+from repro.compression.decoder_cost import scheme_decoder_cost
 from repro.compression.huffman import HuffmanCode
 from repro.compression.schemes import FullOpHuffmanScheme
 from repro.core.study import study_for

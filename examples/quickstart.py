@@ -13,13 +13,13 @@ Run:  python examples/quickstart.py
 """
 
 from repro.compiler import ModuleBuilder, compile_module
-from repro.compression import (
+from repro.compression.alphabets import SIX_STREAM_CONFIGS
+from repro.compression.decoder_cost import scheme_decoder_cost
+from repro.compression.schemes import (
     BaselineScheme,
     ByteHuffmanScheme,
     FullOpHuffmanScheme,
-    SIX_STREAM_CONFIGS,
     StreamHuffmanScheme,
-    scheme_decoder_cost,
 )
 from repro.emulator import run_image
 from repro.tailored import TailoredScheme

@@ -22,124 +22,7 @@ makes that trust checkable without executing anything:
   of the I-cache and ATB yielding sound fetch-cycle bounds
   (``repro analyze --bounds``, checked against the simulator by the
   ``static`` scope of ``repro check``).
+
+This package re-exports nothing: import names from the submodule that
+defines them, so loading one layer does not load its siblings.
 """
-
-from repro.analysis.dataflow import (
-    DataflowResult,
-    definitely_assigned,
-    dominators,
-    live_variables,
-    predecessors,
-    reachable,
-    reaching_definitions,
-    solve,
-)
-from repro.analysis.diagnostics import (
-    AnalysisReport,
-    Diagnostic,
-    Severity,
-    sorted_diagnostics,
-)
-from repro.analysis.hazards import (
-    Hazard,
-    classify_hazards,
-    control_transfer_count,
-    has_hazard,
-    needs_buffered_execution,
-)
-from repro.analysis.cachebound import (
-    BoundsReport,
-    Classification,
-    FetchClassification,
-    classify_fetch,
-    cycle_bounds,
-)
-from repro.analysis.freq import (
-    block_frequencies,
-    branch_probabilities,
-    static_heat_profile,
-)
-from repro.analysis.imagecfg import (
-    block_successors,
-    function_entries,
-    image_cfg,
-    interprocedural_cfg,
-    return_continuations,
-)
-from repro.analysis.loops import (
-    Loop,
-    back_edges,
-    irreducible_edges,
-    loop_depths,
-    loops,
-    natural_loop,
-)
-from repro.analysis.verifier import (
-    DEFAULT_SCHEMES,
-    INJECT_TAGS,
-    RULES,
-    Rule,
-    RuleContext,
-    analysis_env_problem,
-    analyze_encoding,
-    analyze_image,
-    analyze_program,
-    analyze_suite,
-    corrupt_branch_target,
-    enforce_image,
-    gate_enabled,
-    rule,
-)
-
-__all__ = [
-    "AnalysisReport",
-    "BoundsReport",
-    "Classification",
-    "DEFAULT_SCHEMES",
-    "DataflowResult",
-    "Diagnostic",
-    "FetchClassification",
-    "Hazard",
-    "INJECT_TAGS",
-    "Loop",
-    "RULES",
-    "Rule",
-    "RuleContext",
-    "Severity",
-    "analysis_env_problem",
-    "analyze_encoding",
-    "analyze_image",
-    "analyze_program",
-    "analyze_suite",
-    "back_edges",
-    "block_frequencies",
-    "block_successors",
-    "branch_probabilities",
-    "classify_fetch",
-    "classify_hazards",
-    "control_transfer_count",
-    "corrupt_branch_target",
-    "cycle_bounds",
-    "definitely_assigned",
-    "dominators",
-    "enforce_image",
-    "function_entries",
-    "gate_enabled",
-    "has_hazard",
-    "image_cfg",
-    "interprocedural_cfg",
-    "irreducible_edges",
-    "live_variables",
-    "loop_depths",
-    "loops",
-    "natural_loop",
-    "needs_buffered_execution",
-    "predecessors",
-    "reachable",
-    "reaching_definitions",
-    "return_continuations",
-    "rule",
-    "solve",
-    "sorted_diagnostics",
-    "static_heat_profile",
-]

@@ -29,7 +29,6 @@ compilation.
 
 from __future__ import annotations
 
-import os
 import traceback
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -367,35 +366,6 @@ def corrupt_branch_target(image: ProgramImage) -> ProgramImage:
 
 
 # ----------------------------------------------------- the compile gate
-_FALSEY = {"0", "false", "off", "no"}
-_TRUTHY = {"1", "true", "on", "yes"}
-
-
-def gate_enabled(environ=None) -> bool:
-    """Is the ``REPRO_ANALYZE`` post-compile gate switched on?"""
-    env = os.environ if environ is None else environ
-    value = env.get("REPRO_ANALYZE")
-    if value is None:
-        return False
-    return value.strip().lower() in _TRUTHY
-
-
-def analysis_env_problem(environ=None) -> Optional[str]:
-    """Complaint about a malformed ``REPRO_ANALYZE`` value, if any."""
-    env = os.environ if environ is None else environ
-    value = env.get("REPRO_ANALYZE")
-    if value is None:
-        return None
-    norm = value.strip().lower()
-    if norm in _FALSEY or norm in _TRUTHY:
-        return None
-    choices = sorted(_FALSEY | _TRUTHY)
-    return (
-        f"REPRO_ANALYZE={value!r} is not a recognised switch "
-        f"(expected one of: {', '.join(choices)})"
-    )
-
-
 def enforce_image(
     image: ProgramImage, *, program: Optional[str] = None
 ) -> AnalysisReport:
@@ -431,13 +401,11 @@ __all__ = [
     "RULES",
     "Rule",
     "RuleContext",
-    "analysis_env_problem",
     "analyze_encoding",
     "analyze_image",
     "analyze_program",
     "analyze_suite",
     "corrupt_branch_target",
     "enforce_image",
-    "gate_enabled",
     "rule",
 ]

@@ -9,32 +9,7 @@ The subsystem has three layers:
   fault injection against the artifact store;
 * :mod:`repro.check.runner` — executes a selection and produces the
   :class:`CheckReport` behind ``repro check``.
+
+This package re-exports nothing: import names from the submodule that
+defines them, so loading one layer does not load its siblings.
 """
-
-from repro.check.registry import (
-    INJECT_TAGS,
-    REGISTRY,
-    SCOPES,
-    CheckContext,
-    Invariant,
-    Recorder,
-    Violation,
-    invariant,
-    select,
-)
-from repro.check.runner import CheckOutcome, CheckReport, run_checks
-
-__all__ = [
-    "CheckContext",
-    "CheckOutcome",
-    "CheckReport",
-    "INJECT_TAGS",
-    "Invariant",
-    "REGISTRY",
-    "Recorder",
-    "SCOPES",
-    "Violation",
-    "invariant",
-    "run_checks",
-    "select",
-]

@@ -661,13 +661,14 @@ def _atb_structure(ctx: CheckContext, rec: Recorder) -> None:
     quick=False,
 )
 def _static_verifier(ctx: CheckContext, rec: Recorder) -> None:
-    from repro.analysis import (
-        Severity,
+    from repro.analysis.diagnostics import Severity
+    from repro.analysis.verifier import (
+        DEFAULT_SCHEMES,
+        _geometry_for,
         analyze_encoding,
         analyze_image,
         corrupt_branch_target,
     )
-    from repro.analysis.verifier import DEFAULT_SCHEMES, _geometry_for
 
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)

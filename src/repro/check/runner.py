@@ -17,7 +17,7 @@ from repro.check.registry import (
     Violation,
     select,
 )
-from repro.errors import CheckError
+from repro.errors import CheckError, ConfigurationError
 from repro.utils.tables import format_table
 
 
@@ -150,6 +150,9 @@ def run_checks(
 
     A crashing check function is reported as a failing outcome, not
     propagated: the caller always gets the full per-invariant picture.
+    A :class:`ConfigurationError` (say, a scale the benchmark cannot be
+    built at) is the invocation's fault, not the invariant's, so it
+    propagates.
     """
     from repro.programs.suite import BENCHMARK_NAMES
 
@@ -194,6 +197,8 @@ def _run_one(inv: Invariant, context: CheckContext) -> CheckOutcome:
     started = perf_counter()
     try:
         inv.func(context, recorder)
+    except ConfigurationError:
+        raise
     except Exception:
         outcome.error = traceback.format_exc()
     outcome.seconds = perf_counter() - started

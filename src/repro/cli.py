@@ -26,6 +26,9 @@ Examples::
 cache: a warm invocation recomputes nothing, and ``--jobs N`` fans the
 cold artifact chain out across processes before the rows are rendered.
 ``--no-cache`` (or ``REPRO_CACHE=0``) restores the direct path.
+
+Each handler imports the layers it runs, so a warm ``study`` loads
+neither the compiler's passes nor the experiment table.
 """
 
 from __future__ import annotations
@@ -38,12 +41,10 @@ import sys
 import threading
 
 from repro import runtime
-from repro.core.experiments import EXPERIMENTS
-from repro.core.study import study_for
 from repro.errors import ConfigurationError
 from repro.programs.suite import BENCHMARK_NAMES, SUITE
 from repro.runtime.config import environment_problems
-from repro.utils.tables import format_table
+from repro.utils.tables import format_table  # loaded by repro.runtime too
 
 
 def _apply_runtime_flags(args) -> None:
@@ -70,11 +71,6 @@ def _validate_invocation(args) -> None:
             f"--jobs must be a positive process count, got {jobs}"
         )
     problems = environment_problems()
-    from repro.analysis import analysis_env_problem
-
-    gate_problem = analysis_env_problem()
-    if gate_problem:
-        problems = problems + [gate_problem]
     if problems:
         raise ConfigurationError("; ".join(problems))
 
@@ -119,6 +115,8 @@ def _graceful_sigterm():
 
 
 def _cmd_list(_args) -> int:
+    from repro.core.experiments import EXPERIMENTS
+
     rows = [
         [e.exp_id, e.title, e.bench] for e in EXPERIMENTS.values()
     ]
@@ -128,6 +126,9 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.core.experiments import EXPERIMENTS
+    from repro.core.study import study_for
+
     try:
         experiment = EXPERIMENTS[args.experiment]
     except KeyError:
@@ -170,6 +171,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from repro.core.study import study_for
+
     _apply_runtime_flags(args)
     jobs = _jobs(args)
     if jobs > 1 and runtime.runtime_config().enabled:
@@ -232,7 +235,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from repro.check import run_checks
+    from repro.check.runner import run_checks
     from repro.errors import CheckError
 
     try:
@@ -266,13 +269,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.analysis import (
-        AnalysisReport,
-        Severity,
+    from repro.analysis.diagnostics import AnalysisReport, Severity
+    from repro.analysis.verifier import (
         analyze_image,
         analyze_suite,
         corrupt_branch_target,
     )
+    from repro.core.study import study_for
     from repro.errors import AnalysisError
 
     _apply_runtime_flags(args)
@@ -350,10 +353,10 @@ def _analyze_bounds(args) -> int:
     """
     from repro.analysis.cachebound import cycle_bounds
     from repro.compression.adaptive import heat_profile
+    from repro.core.study import study_for
     from repro.errors import AnalysisError
     from repro.fetch.config import FetchConfig
     from repro.runtime.tasks import fetch_image_key
-    from repro.utils.tables import format_table
 
     names = tuple(args.programs or BENCHMARK_NAMES)
     unknown = [n for n in names if n not in BENCHMARK_NAMES]

@@ -1,17 +1,14 @@
-"""The compiler driver: IR module → program image, end to end."""
+"""The compiler driver: IR module → program image, end to end.
+
+The stage modules load inside :func:`compile_module`, so unpickling a
+cached :class:`CompiledProgram` imports only the IR and the image.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.compiler.assemble import assemble
-from repro.compiler.cfg import cleanup
 from repro.compiler.ir import IRModule
-from repro.compiler.lower import lower_module
-from repro.compiler.passes import optimize
-from repro.compiler.regalloc import allocate_registers
-from repro.compiler.schedule import schedule_module
-from repro.compiler.treegion import form_treegions, hoist_into_parents
 from repro.isa.image import ProgramImage
 
 
@@ -51,6 +48,14 @@ def compile_module(
     scheduling flavor).  Both default on, matching the paper's
     "optimizing compiler" setting.
     """
+    from repro.compiler.assemble import assemble
+    from repro.compiler.cfg import cleanup
+    from repro.compiler.lower import lower_module
+    from repro.compiler.passes import optimize
+    from repro.compiler.regalloc import allocate_registers
+    from repro.compiler.schedule import schedule_module
+    from repro.compiler.treegion import form_treegions, hoist_into_parents
+
     module.validate()
     stats = CompileStats()
     if opt:

@@ -19,69 +19,7 @@ contrasts this with Wolfe's unified encoding), keeps blocks byte aligned
 
 :mod:`repro.compression.decoder_cost` implements the paper's PLA/Huffman
 tree transistor-count model used for Figure 10.
+
+This package re-exports nothing: import names from the submodule that
+defines them, so loading one layer does not load its siblings.
 """
-
-from repro.compression.adaptive import (
-    ContextHuffmanScheme,
-    ContextImage,
-    HybridImage,
-    HybridScheme,
-    heat_profile,
-    hot_block_ids,
-)
-from repro.compression.alphabets import (
-    SIX_STREAM_CONFIGS,
-    StreamConfig,
-)
-from repro.compression.bounded import length_limited_code_lengths
-from repro.compression.decoder_cost import (
-    DecoderCost,
-    huffman_decoder_transistors,
-    scheme_decoder_cost,
-)
-from repro.compression.huffman import HuffmanCode
-from repro.compression.registry import (
-    HYBRID_DEFAULT_HOTNESS,
-    UnknownSchemeError,
-    hybrid_key,
-    known_scheme_keys,
-    normalize_scheme_key,
-    parse_hybrid_key,
-    scheme_factory,
-)
-from repro.compression.schemes import (
-    BaselineScheme,
-    ByteHuffmanScheme,
-    CompressedImage,
-    CompressionScheme,
-    FullOpHuffmanScheme,
-    StreamHuffmanScheme,
-)
-
-__all__ = [
-    "BaselineScheme",
-    "ByteHuffmanScheme",
-    "CompressedImage",
-    "CompressionScheme",
-    "ContextHuffmanScheme",
-    "ContextImage",
-    "DecoderCost",
-    "FullOpHuffmanScheme",
-    "HYBRID_DEFAULT_HOTNESS",
-    "HuffmanCode",
-    "HybridImage",
-    "HybridScheme",
-    "SIX_STREAM_CONFIGS",
-    "StreamConfig",
-    "StreamHuffmanScheme",
-    "UnknownSchemeError",
-    "heat_profile",
-    "hot_block_ids",
-    "huffman_decoder_transistors",
-    "hybrid_key",
-    "known_scheme_keys",
-    "length_limited_code_lengths",
-    "normalize_scheme_key",
-    "parse_hybrid_key",
-    "scheme_decoder_cost",
-]

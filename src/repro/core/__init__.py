@@ -5,32 +5,7 @@ every compression scheme, and the three fetch organizations, caching the
 expensive artifacts.  :mod:`repro.core.experiments` maps each of the
 paper's figures/tables onto those studies and returns structured rows;
 the benches under ``benchmarks/`` print them.
+
+This package re-exports nothing: import names from the submodule that
+defines them, so loading one layer does not load its siblings.
 """
-
-from repro.core.experiments import (
-    EXPERIMENTS,
-    fig5_compression_rows,
-    fig7_att_rows,
-    fig10_decoder_rows,
-    fig13_cache_rows,
-    fig14_busflip_rows,
-)
-from repro.core.study import (
-    ProgramStudy,
-    SCHEME_ORDER,
-    clear_caches,
-    study_for,
-)
-
-__all__ = [
-    "EXPERIMENTS",
-    "ProgramStudy",
-    "SCHEME_ORDER",
-    "clear_caches",
-    "fig5_compression_rows",
-    "fig7_att_rows",
-    "fig10_decoder_rows",
-    "fig13_cache_rows",
-    "fig14_busflip_rows",
-    "study_for",
-]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import runtime
-from repro.compiler import CompiledProgram
+from repro.compiler.pipeline import CompiledProgram
 from repro.compression.alphabets import SIX_STREAM_CONFIGS
 from repro.compression.registry import (
     hybrid_profile_source,
@@ -35,11 +35,12 @@ from repro.compression.registry import (
     scheme_factory as _scheme_factory,  # noqa: F401 - re-exported name
 )
 from repro.compression.schemes import CompressedImage
-from repro.emulator import RunResult, emulate
-from repro.errors import ConfigurationError
+from repro.emulator.machine import RunResult, emulate
+from repro.errors import ConfigurationError, MopBudgetError
 from repro.fetch.config import FetchConfig
 from repro.fetch.engine import FetchMetrics, ideal_metrics, simulate_fetch
 from repro.programs.suite import SUITE, compile_benchmark
+from repro.runtime.config import gate_enabled
 from repro.runtime.tasks import fetch_image_key, normalize_fetch_scheme
 
 #: Scheme presentation order in reports (mirrors Figure 5's legend).
@@ -90,10 +91,8 @@ class ProgramStudy:
             # Raises AnalysisError on error-severity findings; a cache
             # hit is re-verified too — corruption at rest is exactly
             # what the gate is for.
-            from repro.analysis import gate_enabled
-
             if gate_enabled():
-                from repro.analysis import enforce_image
+                from repro.analysis.verifier import enforce_image
 
                 enforce_image(
                     self._compiled.image, program=self.name
@@ -103,13 +102,21 @@ class ProgramStudy:
     @property
     def run(self) -> RunResult:
         if self._run is None:
-            self._run = self._stage(
-                "trace",
-                lambda: emulate(
-                    self.compiled.image, self.compiled.module.globals
-                ),
-            )
+            self._run = self._stage("trace", self._emulate)
         return self._run
+
+    def _emulate(self) -> RunResult:
+        try:
+            return emulate(
+                self.compiled.image, self.compiled.module.globals
+            )
+        except MopBudgetError as exc:
+            # The scale sizes the run; a budget overrun is the scale's
+            # fault, like a build that outgrows the address space.
+            raise ConfigurationError(
+                f"benchmark {self.name!r} cannot be emulated at scale "
+                f"{self.effective_scale}: {exc}"
+            ) from exc
 
     def verify_checksum(self) -> bool:
         """Does the emulated run match the pure-Python oracle?"""

@@ -50,7 +50,7 @@ from typing import Callable, List, Optional
 from weakref import WeakKeyDictionary
 
 from repro.analysis.hazards import needs_buffered_execution
-from repro.errors import EmulationError
+from repro.errors import EmulationError, MopBudgetError
 from repro.emulator.machine import (
     DEFAULT_MAX_MOPS,
     Machine,
@@ -665,7 +665,7 @@ def _overrun(
     for step in bp.steps:
         dynamic_mops += 1
         if dynamic_mops > max_mops:
-            raise EmulationError(
+            raise MopBudgetError(
                 f"program exceeded {max_mops} dynamic MultiOps"
             )
         step(m, rt)

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import EmulationError
+from repro.errors import EmulationError, MopBudgetError
 from repro.compiler.builder import MEMORY_BYTES, STACK_TOP
 from repro.compiler.ir import GlobalData
 from repro.isa.image import ProgramImage
@@ -237,7 +237,7 @@ def run_image(
             dynamic_mops += 1
             dynamic_ops += len(mop.ops)
             if dynamic_mops > max_mops:
-                raise EmulationError(
+                raise MopBudgetError(
                     f"program exceeded {max_mops} dynamic MultiOps"
                 )
             ctl, ran = _execute_mop(m, mop.ops, opcode_counts)

@@ -34,6 +34,10 @@ class EmulationError(ReproError):
     """The emulator encountered an invalid machine state."""
 
 
+class MopBudgetError(EmulationError):
+    """A run exceeded its dynamic-MultiOp budget (``max_mops``)."""
+
+
 class CompressionError(ReproError):
     """A compression scheme could not encode or verify an image."""
 

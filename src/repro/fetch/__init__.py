@@ -17,59 +17,13 @@ saturating counter plus last-target prediction (Section 3.4).  Blocks are
 atomic units of fetch under the restricted placement model; the cycle
 accounting implements Table 1 exactly.
 
-The machine is written twice: :func:`simulate_fetch_reference`, the
-readable object-per-structure model, and the columnar sweep engine in
+The machine is written twice:
+:func:`~repro.fetch.engine.simulate_fetch_reference`, the readable
+object-per-structure model, and the columnar sweep engine in
 :mod:`repro.fetch.sweep`, which replays one trace for a whole grid of
-configurations.  :func:`simulate_fetch` is a one-point sweep; both are
-differentially tested against the reference.
+configurations.  :func:`~repro.fetch.engine.simulate_fetch` is a
+one-point sweep; both are differentially tested against the reference.
+
+This package re-exports nothing: import names from the submodule that
+defines them, so loading one layer does not load its siblings.
 """
-
-from repro.fetch.atb import ATB, att_bytes, att_overhead_percent
-from repro.fetch.banked_cache import BankedCache
-from repro.fetch.branch_predict import BlockPredictor
-from repro.fetch.config import (
-    BASE_CACHE,
-    COMPRESSED_CACHE,
-    CacheGeometry,
-    FetchConfig,
-    PenaltyRows,
-    TAILORED_CACHE,
-    initiation_cycles,
-    penalty_rows,
-)
-from repro.fetch.engine import (
-    FetchMetrics,
-    simulate_fetch,
-    simulate_fetch_reference,
-)
-from repro.fetch.l0buffer import L0Buffer
-from repro.fetch.sweep import (
-    config_from_json,
-    config_to_json,
-    simulate_fetch_sweep,
-    simulate_fetch_sweep_multi,
-)
-
-__all__ = [
-    "ATB",
-    "BASE_CACHE",
-    "BankedCache",
-    "BlockPredictor",
-    "COMPRESSED_CACHE",
-    "CacheGeometry",
-    "FetchConfig",
-    "FetchMetrics",
-    "L0Buffer",
-    "PenaltyRows",
-    "TAILORED_CACHE",
-    "att_bytes",
-    "att_overhead_percent",
-    "config_from_json",
-    "config_to_json",
-    "initiation_cycles",
-    "penalty_rows",
-    "simulate_fetch",
-    "simulate_fetch_reference",
-    "simulate_fetch_sweep",
-    "simulate_fetch_sweep_multi",
-]

@@ -16,6 +16,11 @@ Environment variables:
     LRU size cap for the store (default 512 MiB).
 ``REPRO_JOBS``
     Default ``--jobs`` for the scheduler (default 1 = in-process).
+``REPRO_ANALYZE``
+    ``1`` / ``true`` / ``on`` / ``yes`` switches on the post-compile
+    static-verification gate (:func:`gate_enabled`; default off).
+
+A boolean switch that is unset or empty takes its default.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 _FALSEY = {"0", "false", "off", "no"}
-_TRUTHY = {"1", "true", "on", "yes", ""}
+_TRUTHY = {"1", "true", "on", "yes"}
+
+#: Boolean ``REPRO_*`` switches and their value when unset or empty.
+_SWITCHES = {"REPRO_CACHE": True, "REPRO_ANALYZE": False}
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
@@ -60,13 +68,12 @@ def environment_problems(environ=None) -> List[str]:
     """
     env = os.environ if environ is None else environ
     problems: List[str] = []
-    cache = env.get("REPRO_CACHE")
-    if cache is not None:
-        value = cache.strip().lower()
-        if value not in _FALSEY and value not in _TRUTHY:
-            choices = sorted((_FALSEY | _TRUTHY) - {""})
+    for name in _SWITCHES:
+        raw = env.get(name, "")
+        if raw.strip().lower() not in _FALSEY | _TRUTHY | {""}:
+            choices = sorted(_FALSEY | _TRUTHY)
             problems.append(
-                f"REPRO_CACHE={cache!r} is not a recognised switch "
+                f"{name}={raw!r} is not a recognised switch "
                 f"(expected one of: {', '.join(choices)})"
             )
     for name, minimum in (("REPRO_CACHE_MAX_BYTES", 0), ("REPRO_JOBS", 1)):
@@ -83,6 +90,21 @@ def environment_problems(environ=None) -> List[str]:
     return problems
 
 
+def _switch(env, name: str) -> bool:
+    value = env.get(name, "").strip().lower()
+    if value in _TRUTHY:
+        return True
+    if value in _FALSEY:
+        return False
+    return _SWITCHES[name]
+
+
+def gate_enabled(environ=None) -> bool:
+    """Is the ``REPRO_ANALYZE`` post-compile gate switched on?"""
+    return _switch(os.environ if environ is None else environ,
+                   "REPRO_ANALYZE")
+
+
 def config_from_env(environ=None) -> RuntimeConfig:
     """Build a :class:`RuntimeConfig` from environment variables.
 
@@ -93,7 +115,7 @@ def config_from_env(environ=None) -> RuntimeConfig:
     env = os.environ if environ is None else environ
     for problem in environment_problems(env):
         _warn_once(f"{problem}; using the default")
-    enabled = env.get("REPRO_CACHE", "1").strip().lower() not in _FALSEY
+    enabled = _switch(env, "REPRO_CACHE")
     cache_dir = pathlib.Path(
         env.get("REPRO_CACHE_DIR")
         or pathlib.Path.home() / ".cache" / "repro"

@@ -14,19 +14,16 @@ import json
 
 import pytest
 
-from repro.analysis import (
-    AnalysisReport,
-    Diagnostic,
-    Severity,
+from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.analysis.verifier import (
+    RULES,
     analyze_encoding,
     analyze_image,
     analyze_suite,
     corrupt_branch_target,
     enforce_image,
-    gate_enabled,
-    analysis_env_problem,
+    rule as register_rule,
 )
-from repro.analysis.verifier import RULES, rule as register_rule
 from repro.errors import AnalysisError
 from repro.isa.image import BasicBlockImage, ProgramImage
 from repro.isa.multiop import MultiOp
@@ -198,7 +195,7 @@ def test_branch_target_escaping_its_function(call_image):
 
 
 def test_call_target_must_be_a_function_entry(call_image):
-    from repro.analysis import function_entries
+    from repro.analysis.imagecfg import function_entries
 
     image = copy.deepcopy(call_image)
     entries = set(function_entries(image).values())
@@ -636,14 +633,18 @@ def test_enforce_image_raises_only_on_errors(tiny_image):
 
 
 def test_gate_environment_parsing():
+    from repro.runtime.config import environment_problems, gate_enabled
+
     assert not gate_enabled({})
+    assert not gate_enabled({"REPRO_ANALYZE": ""})
     assert gate_enabled({"REPRO_ANALYZE": "1"})
     assert gate_enabled({"REPRO_ANALYZE": "Yes"})
     assert not gate_enabled({"REPRO_ANALYZE": "0"})
-    assert analysis_env_problem({}) is None
-    assert analysis_env_problem({"REPRO_ANALYZE": "on"}) is None
-    problem = analysis_env_problem({"REPRO_ANALYZE": "maybe"})
-    assert problem and "REPRO_ANALYZE" in problem
+    assert not gate_enabled({"REPRO_ANALYZE": "maybe"})
+    assert environment_problems({}) == []
+    assert environment_problems({"REPRO_ANALYZE": "on"}) == []
+    (problem,) = environment_problems({"REPRO_ANALYZE": "maybe"})
+    assert "REPRO_ANALYZE" in problem
 
 
 def test_study_gate_verifies_after_compile(monkeypatch):

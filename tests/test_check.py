@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.check import (
+from repro.check.registry import (
     INJECT_TAGS,
     REGISTRY,
     SCOPES,
     CheckContext,
     Recorder,
     invariant,
-    run_checks,
     select,
 )
+from repro.check.runner import run_checks
 from repro.errors import CheckError
 
 

@@ -110,10 +110,8 @@ def test_warm_study_recomputes_nothing(capsys, fresh_cache):
         assert stage["misses"] == 0, (name, stage)
 
 
-def test_sigterm_drains_a_cold_parallel_run(tmp_path):
-    from repro.check.faults import _store_audit
-
-    store_root = tmp_path / "cache"
+def _child_env(store_root) -> dict:
+    """Environment for a ``repro`` child process using ``store_root``."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -121,6 +119,65 @@ def test_sigterm_drains_a_cold_parallel_run(tmp_path):
     )
     env["REPRO_CACHE_DIR"] = str(store_root)
     env.pop("REPRO_CACHE", None)
+    return env
+
+
+#: Layers a warm ``repro study`` never runs, so must never import.
+_NOT_IMPORTED_BY_WARM_STUDY = (
+    "repro.compiler.lower",
+    "repro.compiler.regalloc",
+    "repro.compiler.treegion",
+    "repro.compiler.schedule",
+    "repro.compiler.assemble",
+    "repro.compiler.liveness",
+    "repro.analysis.cachebound",
+    "repro.analysis.verifier",
+    "repro.analysis.dataflow",
+    "repro.check.runner",
+    "repro.core.experiments",
+    "repro.fetch.sweep",
+)
+
+
+def test_warm_study_imports_only_what_it_runs(capsys, fresh_cache):
+    argv = ["study", "compress", "--scheme", "full", "--json"]
+    assert main(argv) == 0  # warms the store
+    capsys.readouterr()
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = main({argv!r})\n"
+        "report = json.loads(out.getvalue())['metrics']\n"
+        "print(json.dumps({'code': code, 'report': report,\n"
+        "                  'modules': sorted(sys.modules)}))\n"
+    )
+    env = _child_env(runtime.runtime_config().cache_dir)
+    env.pop("REPRO_ANALYZE", None)
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    assert result["code"] == 0
+    assert result["report"]["totals"]["misses"] == 0
+    loaded = [
+        module
+        for module in result["modules"]
+        if any(
+            module == name or module.startswith(name + ".")
+            for name in _NOT_IMPORTED_BY_WARM_STUDY
+        )
+    ]
+    assert loaded == []
+
+
+def test_sigterm_drains_a_cold_parallel_run(tmp_path):
+    from repro.check.faults import _store_audit
+
+    store_root = tmp_path / "cache"
+    env = _child_env(store_root)
     stderr_path = tmp_path / "stderr.txt"
     with open(stderr_path, "w") as stderr:
         # Own session: a broken drain cannot leave orphaned workers.
@@ -281,8 +338,9 @@ class TestInvocationValidation:
             ["sweep", "compress", "--scheme", "base"],
             ["suite"],
             ["analyze", "--program", "compress"],
+            ["check", "--quick", "--benchmarks", "compress"],
         ],
-        ids=["study", "run", "sweep", "suite", "analyze"],
+        ids=["study", "run", "sweep", "suite", "analyze", "check"],
     )
     def test_oversized_scale_rejected(self, capsys, argv):
         assert main(argv + ["--scale", "100000"]) == 2
@@ -290,6 +348,26 @@ class TestInvocationValidation:
         assert (
             "configuration error: benchmark 'compress' cannot be built at "
             "scale 100000" in err
+        )
+        assert "Traceback" not in err
+
+    def test_emulation_budget_overrun_is_a_configuration_error(
+        self, capsys, monkeypatch, fresh_cache
+    ):
+        from repro.core import study as study_module
+        from repro.emulator.machine import emulate
+
+        monkeypatch.setattr(
+            study_module, "emulate",
+            lambda image, globals_data: emulate(
+                image, globals_data, max_mops=100
+            ),
+        )
+        assert main(["study", "compress", "--scale", "2"]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "configuration error: benchmark 'compress' cannot be emulated "
+            "at scale 2: program exceeded 100 dynamic MultiOps" in err
         )
         assert "Traceback" not in err
 

@@ -3,19 +3,21 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.compression import (
-    BaselineScheme,
-    ByteHuffmanScheme,
-    FullOpHuffmanScheme,
+from repro.compression.alphabets import (
     SIX_STREAM_CONFIGS,
     StreamConfig,
-    StreamHuffmanScheme,
-    scheme_decoder_cost,
+    config_by_name,
 )
-from repro.compression.alphabets import config_by_name
 from repro.compression.decoder_cost import (
     DecoderCost,
     huffman_decoder_transistors,
+    scheme_decoder_cost,
+)
+from repro.compression.schemes import (
+    BaselineScheme,
+    ByteHuffmanScheme,
+    FullOpHuffmanScheme,
+    StreamHuffmanScheme,
 )
 from repro.isa.formats import OP_BITS
 

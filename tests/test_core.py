@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import EXPERIMENTS
 from repro.core.experiments import (
+    EXPERIMENTS,
     fig5_compression_rows,
     fig7_att_rows,
     fig10_decoder_rows,
@@ -11,7 +11,7 @@ from repro.core.experiments import (
     fig14_busflip_rows,
 )
 from repro.core.study import ProgramStudy, SCHEME_ORDER, study_for
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EmulationError
 
 #: One small benchmark keeps the figure tests quick.
 BENCH = ["compress"]
@@ -63,6 +63,23 @@ class TestProgramStudy:
 
     def test_scheme_order_constant(self):
         assert "full" in SCHEME_ORDER and "tailored" in SCHEME_ORDER
+
+
+def test_only_a_budget_overrun_becomes_a_configuration_error(monkeypatch):
+    from repro import runtime
+    from repro.core import study as study_module
+
+    def broken(image, globals_data):
+        raise EmulationError("integer division by zero")
+
+    monkeypatch.setattr(study_module, "emulate", broken)
+    saved = runtime.runtime_config()
+    runtime.configure(enabled=False)
+    try:
+        with pytest.raises(EmulationError, match="division by zero"):
+            ProgramStudy("compress", 2).run
+    finally:
+        runtime.set_runtime_config(saved)
 
 
 class TestFigureRows:
