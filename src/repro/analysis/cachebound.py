@@ -421,10 +421,38 @@ def cycle_bounds(
     )
 
 
+#: Fetch organizations whose bounds are checked against the simulator:
+#: the sweepable families plus both hybrid profile sources.
+BOUND_SCHEMES = (
+    "base", "tailored", "compressed", "hybrid", "hybrid:static"
+)
+
+
+def standard_bounds(study, counts: Sequence[int]):
+    """Yield ``(scheme, compressed, report, simulated_cycles)`` for each
+    :data:`BOUND_SCHEMES` entry on its standard scaled config.
+
+    ``counts`` is the study's trace heat profile.  ``analyze --bounds``
+    and the ``static-cycle-bounds`` invariant both bracket these; the
+    invariant goes on to randomized geometries with ``compressed``.
+    """
+    from repro.runtime.tasks import fetch_image_key
+
+    for scheme in BOUND_SCHEMES:
+        compressed = study.compressed(fetch_image_key(scheme))
+        simulated = study.fetch_metrics(scheme).cycles
+        report = cycle_bounds(
+            compressed, counts, FetchConfig.for_scheme(scheme)
+        )
+        yield scheme, compressed, report, simulated
+
+
 __all__ = [
+    "BOUND_SCHEMES",
     "BoundsReport",
     "Classification",
     "FetchClassification",
     "classify_fetch",
     "cycle_bounds",
+    "standard_bounds",
 ]

@@ -21,11 +21,6 @@ from __future__ import annotations
 
 from repro.check.registry import CheckContext, Recorder, invariant
 
-#: Fetch organizations whose cycle bounds the scope verifies.
-_BOUND_SCHEMES = (
-    "base", "tailored", "compressed", "hybrid", "hybrid:static"
-)
-
 #: Randomized-geometry pool: every entry keeps ``num_sets`` a power of
 #: two and >= 2 (the banked cache halves the set count per bank).
 _CACHE_POOL = (
@@ -96,10 +91,9 @@ def _trace_edges(ctx: CheckContext, rec: Recorder) -> None:
     ),
 )
 def _cycle_bounds(ctx: CheckContext, rec: Recorder) -> None:
-    from repro.analysis.cachebound import cycle_bounds
+    from repro.analysis.cachebound import cycle_bounds, standard_bounds
     from repro.fetch.config import CacheGeometry, FetchConfig
     from repro.fetch.engine import simulate_fetch
-    from repro.runtime.tasks import fetch_image_key
 
     rng = ctx.rng("static-cycle-bounds")
     random_rounds = 1 if ctx.quick else 3
@@ -107,19 +101,15 @@ def _cycle_bounds(ctx: CheckContext, rec: Recorder) -> None:
         study = ctx.study(benchmark)
         counts = _trace_counts(study)
         trace = study.run.block_trace
-        for scheme in _BOUND_SCHEMES:
-            compressed = study.compressed(fetch_image_key(scheme))
+        for scheme, compressed, report, cycles in standard_bounds(
+            study, counts
+        ):
             subject = f"{benchmark}/{scheme}"
-            # Standard scaled config, via the study (store-backed).
-            metrics = study.fetch_metrics(scheme)
-            report = cycle_bounds(
-                compressed, counts, FetchConfig.for_scheme(scheme)
-            )
             rec.expect(
-                report.bracket(metrics.cycles),
+                report.bracket(cycles),
                 subject,
                 f"standard config: bounds [{report.lower}, "
-                f"{report.upper}] miss simulated {metrics.cycles}",
+                f"{report.upper}] miss simulated {cycles}",
             )
             # Randomized geometries against the real trace.
             for _ in range(random_rounds):

@@ -27,8 +27,13 @@ cache: a warm invocation recomputes nothing, and ``--jobs N`` fans the
 cold artifact chain out across processes before the rows are rendered.
 ``--no-cache`` (or ``REPRO_CACHE=0``) restores the direct path.
 
-Each handler imports the layers it runs, so a warm ``study`` loads
-neither the compiler's passes nor the experiment table.
+Every subcommand is one entry of :data:`_COMMANDS`: its help, the
+shared flags it takes (each declared once, as an argparse parent
+parser), its own arguments and its handler.  A handler returns a
+:class:`_Result`; ``main`` alone validates the invocation, applies the
+runtime flags, prints the result and maps errors to exit codes.  Each
+handler imports the layers it runs, so a warm ``study`` loads neither
+the compiler's passes nor the experiment table.
 """
 
 from __future__ import annotations
@@ -39,21 +44,44 @@ import json
 import signal
 import sys
 import threading
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from repro import runtime
-from repro.errors import ConfigurationError
+from repro.errors import (
+    AnalysisError,
+    CheckError,
+    ConfigurationError,
+    ReproError,
+    SchedulerError,
+)
 from repro.programs.suite import BENCHMARK_NAMES, SUITE
 from repro.runtime.config import environment_problems
 from repro.utils.tables import format_table  # loaded by repro.runtime too
 
 
-def _apply_runtime_flags(args) -> None:
-    if getattr(args, "no_cache", False):
-        runtime.configure(enabled=False)
+class _Result(NamedTuple):
+    """What one handler computed; ``main`` prints it."""
+
+    #: The document ``--json`` prints.
+    payload: Optional[dict]
+    #: What is printed otherwise.
+    text: str
+    #: A line for stderr; the exit status is 1 exactly when it is set.
+    failure: Optional[str] = None
+
+
+#: The errors an invocation may end in, each with its stderr prefix
+#: (exit status 2).
+_ERROR_PREFIXES = (
+    (ConfigurationError, "configuration error"),
+    (CheckError, "check error"),
+    (AnalysisError, "analysis error"),
+)
 
 
 def _validate_invocation(args) -> None:
-    """Reject bad flags and malformed ``REPRO_*`` environment values.
+    """Reject bad flags, unknown benchmarks and malformed ``REPRO_*``
+    environment values.
 
     Raises :class:`ConfigurationError`; ``main`` maps it to exit code 2.
     The library layer merely warns and defaults on the same problems —
@@ -73,17 +101,39 @@ def _validate_invocation(args) -> None:
     problems = environment_problems()
     if problems:
         raise ConfigurationError("; ".join(problems))
-
-
-def _jobs(args) -> int:
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = runtime.runtime_config().jobs
-    return max(1, jobs)
+    names = [getattr(args, "benchmark", None)]
+    names += getattr(args, "benchmarks", None) or ()
+    names += getattr(args, "programs", None) or ()
+    for name in names:
+        if name is not None and name not in BENCHMARK_NAMES:
+            raise ConfigurationError(f"unknown benchmark {name!r}")
 
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _progress(args, label: Callable[[object], str]):
+    """A per-item progress callback printing ``label(item)`` to stderr,
+    or ``None`` under ``--json``."""
+    if args.json:
+        return None
+    return lambda item: print(label(item), file=sys.stderr)
+
+
+def _mismatch(names) -> str:
+    return (
+        "checksum MISMATCH against the pure-Python oracle: "
+        + ", ".join(names)
+    )
+
+
+def _prewarm(args, benchmarks, **stages) -> None:
+    """Fan the cold artifact chain out across ``--jobs`` processes."""
+    if args.jobs > 1 and runtime.runtime_config().enabled:
+        from repro.runtime.scheduler import prewarm
+
+        prewarm(benchmarks, scale=args.scale, jobs=args.jobs, **stages)
 
 
 class _Interrupted(BaseException):
@@ -114,79 +164,65 @@ def _graceful_sigterm():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _cmd_list(_args) -> int:
+# ---------------------------------------------------------------- list
+def _cmd_list(_args) -> _Result:
     from repro.core.experiments import EXPERIMENTS
 
     rows = [
         [e.exp_id, e.title, e.bench] for e in EXPERIMENTS.values()
     ]
-    print(format_table(["id", "title", "bench"], rows,
-                       title="Experiments"))
-    return 0
+    return _Result(
+        None, format_table(["id", "title", "bench"], rows,
+                           title="Experiments")
+    )
 
 
-def _cmd_run(args) -> int:
+# ----------------------------------------------------------------- run
+def _run_arguments(parser) -> None:
+    parser.add_argument(
+        "experiment",
+        help="fig5|fig7|fig10|fig13|fig14|adaptive|static (see repro list)",
+    )
+
+
+def _cmd_run(args) -> _Result:
     from repro.core.experiments import EXPERIMENTS
-    from repro.core.study import study_for
 
-    try:
-        experiment = EXPERIMENTS[args.experiment]
-    except KeyError:
-        print(f"unknown experiment {args.experiment!r}; "
-              f"try: {', '.join(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    _apply_runtime_flags(args)
-    benchmarks = tuple(args.benchmarks or BENCHMARK_NAMES)
-    jobs = _jobs(args)
-    if jobs > 1 and runtime.runtime_config().enabled:
-        from repro.runtime.scheduler import prewarm
-
-        # Resolve each study here so an unknown benchmark fails in
-        # this process, not as a worker traceback.
-        for name in benchmarks:
-            study_for(name, args.scale)
-        prewarm(
-            benchmarks,
-            scale=args.scale,
-            schemes=experiment.schemes,
-            fetch_schemes=experiment.fetch_schemes,
-            jobs=jobs,
+    experiment = EXPERIMENTS.get(args.experiment)
+    if experiment is None:
+        raise ConfigurationError(
+            f"unknown experiment {args.experiment!r}; "
+            f"try: {', '.join(EXPERIMENTS)}"
         )
+    _prewarm(
+        args,
+        tuple(args.benchmarks or BENCHMARK_NAMES),
+        schemes=experiment.schemes,
+        fetch_schemes=experiment.fetch_schemes,
+    )
     headers, rows = experiment.runner(args.benchmarks or None, args.scale)
-    if args.json:
-        _emit_json(
-            {
-                "experiment": experiment.exp_id,
-                "title": experiment.title,
-                "headers": list(headers),
-                "rows": [list(r) for r in rows],
-                "runtime": runtime.REPORT.to_json(),
-            }
-        )
-        return 0
-    print(format_table(headers, rows, title=experiment.title))
-    print()
-    print(runtime.REPORT.render())
-    return 0
+    payload = {
+        "experiment": experiment.exp_id,
+        "title": experiment.title,
+        "headers": list(headers),
+        "rows": [list(r) for r in rows],
+        "runtime": runtime.REPORT.to_json(),
+    }
+    return _Result(
+        payload, format_table(headers, rows, title=experiment.title)
+    )
 
 
-def _cmd_suite(args) -> int:
+# --------------------------------------------------------------- suite
+def _cmd_suite(args) -> _Result:
     from repro.core.study import study_for
 
-    _apply_runtime_flags(args)
-    jobs = _jobs(args)
-    if jobs > 1 and runtime.runtime_config().enabled:
-        from repro.runtime.scheduler import prewarm
-
-        prewarm(BENCHMARK_NAMES, scale=args.scale, jobs=jobs)
+    _prewarm(args, BENCHMARK_NAMES)
     rows = []
-    failures = []
     for name in BENCHMARK_NAMES:
         study = study_for(name, args.scale)
         image = study.compiled.image
         ok = study.verify_checksum()
-        if not ok:
-            failures.append(name)
         rows.append(
             [
                 name,
@@ -196,79 +232,115 @@ def _cmd_suite(args) -> int:
                 "ok" if ok else "MISMATCH",
             ]
         )
-    if args.json:
-        _emit_json(
-            {
-                "benchmarks": [
-                    {
-                        "name": r[0],
-                        "description": r[1],
-                        "static_ops": r[2],
-                        "dynamic_mops": r[3],
-                        "oracle": r[4],
-                    }
-                    for r in rows
-                ],
-                "failures": failures,
-                "runtime": runtime.REPORT.to_json(),
-            }
-        )
-    else:
-        print(
-            format_table(
-                ["benchmark", "description", "static ops", "dynamic mops",
-                 "oracle"],
-                rows,
-                title="Benchmark suite",
-            )
-        )
-        print()
-        print(runtime.REPORT.render())
-    if failures:
-        print(
-            "checksum MISMATCH against the pure-Python oracle: "
-            + ", ".join(failures),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    failures = [r[0] for r in rows if r[4] != "ok"]
+    payload = {
+        "benchmarks": [
+            dict(zip(("name", "description", "static_ops",
+                      "dynamic_mops", "oracle"), r))
+            for r in rows
+        ],
+        "failures": failures,
+        "runtime": runtime.REPORT.to_json(),
+    }
+    text = format_table(
+        ["benchmark", "description", "static ops", "dynamic mops",
+         "oracle"],
+        rows,
+        title="Benchmark suite",
+    )
+    return _Result(payload, text, _mismatch(failures) if failures else None)
 
 
-def _cmd_check(args) -> int:
+# --------------------------------------------------------------- check
+def _check_arguments(parser) -> None:
+    from repro.check.registry import SCOPES
+
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--quick", action="store_true",
+        help="quick sweep: one stream config, shorter random streams "
+             "(the default)",
+    )
+    mode.add_argument(
+        "--full", action="store_true",
+        help="exhaustive sweep: all stream configs, longer traces, "
+             "full-only invariants",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=1999,
+        help="seed for every randomized trace and fault pattern "
+             "(default: 1999)",
+    )
+    parser.add_argument(
+        "--inject", action="append", default=None,
+        choices=("roundtrip", "conservation"),
+        help="deliberately corrupt one observation so the named "
+             "invariant must fail (CI proves non-zero exit)",
+    )
+    parser.add_argument(
+        "--scope", action="append", default=None, choices=SCOPES,
+        metavar="SCOPE",
+        help="restrict to one registry scope (repeatable; e.g. "
+             "--scope store runs only the store fault invariants; "
+             f"scopes: {', '.join(SCOPES)})",
+    )
+
+
+def _cmd_check(args) -> _Result:
     from repro.check.runner import run_checks
-    from repro.errors import CheckError
 
-    try:
-        report = run_checks(
-            args.benchmarks or None,
-            quick=not args.full,
-            seed=args.seed,
-            scale=args.scale,
-            inject=tuple(args.inject or ()),
-            scopes=args.scope,
-            progress=(
-                None
-                if args.json
-                else lambda inv: print(
-                    f"check {inv.name} ...", file=sys.stderr
-                )
-            ),
-        )
-    except CheckError as exc:
-        print(f"check error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        _emit_json(report.to_json())
-    else:
-        print(report.render())
+    report = run_checks(
+        args.benchmarks or None,
+        quick=not args.full,
+        seed=args.seed,
+        scale=args.scale,
+        inject=tuple(args.inject or ()),
+        scopes=args.scope,
+        progress=_progress(args, lambda inv: f"check {inv.name} ..."),
+    )
+    failure = None
     if not report.ok:
         names = ", ".join(o.name for o in report.failing)
-        print(f"invariant violation(s): {names}", file=sys.stderr)
-        return 1
-    return 0
+        failure = f"invariant violation(s): {names}"
+    return _Result(report.to_json(), report.render(), failure)
 
 
-def _cmd_analyze(args) -> int:
+# ------------------------------------------------------------- analyze
+def _analyze_arguments(parser) -> None:
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument(
+        "--program", dest="programs", action="append", default=None,
+        metavar="NAME",
+        help="verify one benchmark (repeatable)",
+    )
+    which.add_argument(
+        "--all", action="store_true",
+        help="verify every suite benchmark (the default)",
+    )
+    parser.add_argument(
+        "--fail-on", dest="fail_on",
+        choices=("warning", "error"), default="error",
+        help="exit 1 when a finding reaches this severity "
+             "(default: error; 'warning' promotes the lint tier)",
+    )
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--inject", action="append", default=None,
+        choices=("bad-branch",),
+        help="verify a deliberately corrupted copy of each image "
+             "instead (CI proves the verifier exits non-zero)",
+    )
+    mode.add_argument(
+        "--bounds", action="store_true",
+        help="report static fetch-cycle bounds per scheme and check "
+             "lower <= simulated <= upper (exit 1 on a violation)",
+    )
+
+
+def _cmd_analyze(args) -> _Result:
+    if args.bounds:
+        return _analyze_bounds(args)
+
     from repro.analysis.diagnostics import AnalysisReport, Severity
     from repro.analysis.verifier import (
         analyze_image,
@@ -276,169 +348,107 @@ def _cmd_analyze(args) -> int:
         corrupt_branch_target,
     )
     from repro.core.study import study_for
-    from repro.errors import AnalysisError
 
-    _apply_runtime_flags(args)
-    if args.bounds:
-        if args.inject:
-            print(
-                "analysis error: --bounds is a local analysis and "
-                "cannot be combined with --inject",
-                file=sys.stderr,
-            )
-            return 2
-        return _analyze_bounds(args)
     fail_on = Severity.parse(args.fail_on)
     names = tuple(args.programs or BENCHMARK_NAMES)
-    progress = (
-        None
-        if args.json
-        else lambda name: print(f"analyze {name} ...", file=sys.stderr)
-    )
-    try:
-        if args.inject:
-            # Seeded-corruption mode: run the machine rules over a
-            # deliberately broken copy of each image, proving the
-            # verifier (and the CI job watching it) actually fires.
-            unknown = [n for n in names if n not in BENCHMARK_NAMES]
-            if unknown:
-                raise AnalysisError(
-                    f"unknown benchmark(s): {', '.join(unknown)} "
-                    f"(known: {', '.join(BENCHMARK_NAMES)})"
-                )
-            report = AnalysisReport()
-            for name in names:
-                if progress is not None:
-                    progress(f"{name} [inject: bad-branch]")
-                image = study_for(name, args.scale).compiled.image
-                report.merge(
-                    analyze_image(
-                        corrupt_branch_target(image), program=name
-                    )
-                )
-        else:
-            report = analyze_suite(
-                names, args.scale, progress=progress
-            )
-    except AnalysisError as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        _emit_json(report.to_json())
-    else:
-        print(report.render())
-    findings = report.at_least(fail_on)
-    if findings:
-        print(
-            f"{len(findings)} finding(s) at or above "
-            f"severity {fail_on.value}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-#: Fetch organizations ``analyze --bounds`` brackets (the sweepable
-#: families plus both hybrid profile sources).
-_BOUNDS_SCHEMES = (
-    "base", "tailored", "compressed", "hybrid", "hybrid:static"
-)
-
-
-def _analyze_bounds(args) -> int:
-    """Static cycle bounds vs the simulator, per benchmark × scheme.
-
-    Exits 1 when any bracket fails — the same gate CI's analyze-smoke
-    job runs over all eight benchmarks.
-    """
-    from repro.analysis.cachebound import cycle_bounds
-    from repro.compression.adaptive import heat_profile
-    from repro.core.study import study_for
-    from repro.errors import AnalysisError
-    from repro.fetch.config import FetchConfig
-    from repro.runtime.tasks import fetch_image_key
-
-    names = tuple(args.programs or BENCHMARK_NAMES)
-    unknown = [n for n in names if n not in BENCHMARK_NAMES]
-    if unknown:
-        print(
-            f"analysis error: unknown benchmark(s): {', '.join(unknown)} "
-            f"(known: {', '.join(BENCHMARK_NAMES)})",
-            file=sys.stderr,
-        )
-        return 2
-    progress = (
-        None
-        if args.json
-        else lambda name: print(f"bounds {name} ...", file=sys.stderr)
-    )
-    rows = []
-    records = []
-    failures = 0
-    try:
+    progress = _progress(args, "analyze {} ...".format)
+    if args.inject:
+        # Seeded-corruption mode: run the machine rules over a
+        # deliberately broken copy of each image, proving the
+        # verifier (and the CI job watching it) actually fires.
+        report = AnalysisReport()
         for name in names:
             if progress is not None:
-                progress(name)
-            study = study_for(name, args.scale)
-            counts = heat_profile(
-                study.run.block_trace, len(study.compiled.image)
+                progress(f"{name} [inject: bad-branch]")
+            image = study_for(name, args.scale).compiled.image
+            report.merge(
+                analyze_image(corrupt_branch_target(image), program=name)
             )
-            for scheme in _BOUNDS_SCHEMES:
-                compressed = study.compressed(fetch_image_key(scheme))
-                metrics = study.fetch_metrics(scheme)
-                report = cycle_bounds(
-                    compressed, counts, FetchConfig.for_scheme(scheme)
-                )
-                ok = report.bracket(metrics.cycles)
-                if not ok:
-                    failures += 1
-                cls = report.classification.cache
-                rows.append([
-                    name,
-                    scheme,
-                    report.lower,
-                    metrics.cycles,
-                    report.upper,
-                    len(cls.always_hit),
-                    len(cls.always_miss),
-                    len(cls.unclassified),
-                    "ok" if ok else "VIOLATED",
-                ])
-                record = report.to_json()
-                record["benchmark"] = name
-                record["simulated_cycles"] = metrics.cycles
-                record["bracketed"] = ok
-                records.append(record)
-    except AnalysisError as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        _emit_json({"bounds": records, "ok": failures == 0})
     else:
-        print(format_table(
-            (
-                "benchmark", "scheme", "lower", "simulated", "upper",
-                "AH", "AM", "NC", "bracket",
-            ),
-            rows,
-            title="Static fetch-cycle bounds vs simulator",
-        ))
-    if failures:
-        print(
-            f"{failures} bound violation(s): static analysis failed to "
-            "bracket the simulator",
-            file=sys.stderr,
+        report = analyze_suite(names, args.scale, progress=progress)
+    findings = report.at_least(fail_on)
+    failure = None
+    if findings:
+        failure = (
+            f"{len(findings)} finding(s) at or above "
+            f"severity {fail_on.value}"
         )
-        return 1
-    return 0
+    return _Result(report.to_json(), report.render(), failure)
 
 
-def _cmd_cache(args) -> int:
+def _analyze_bounds(args) -> _Result:
+    """Static cycle bounds vs the simulator, per benchmark × scheme.
+
+    Fails (exit 1) when any bracket fails — the same gate CI's
+    analyze-smoke job runs over all eight benchmarks.
+    """
+    from repro.analysis.cachebound import standard_bounds
+    from repro.compression.adaptive import heat_profile
+    from repro.core.study import study_for
+
+    progress = _progress(args, "bounds {} ...".format)
+    rows = []
+    records = []
+    for name in args.programs or BENCHMARK_NAMES:
+        if progress is not None:
+            progress(name)
+        study = study_for(name, args.scale)
+        counts = heat_profile(
+            study.run.block_trace, len(study.compiled.image)
+        )
+        for scheme, _, report, cycles in standard_bounds(study, counts):
+            ok = report.bracket(cycles)
+            cls = report.classification.cache
+            rows.append([
+                name,
+                scheme,
+                report.lower,
+                cycles,
+                report.upper,
+                len(cls.always_hit),
+                len(cls.always_miss),
+                len(cls.unclassified),
+                "ok" if ok else "VIOLATED",
+            ])
+            records.append(dict(
+                report.to_json(),
+                benchmark=name,
+                simulated_cycles=cycles,
+                bracketed=ok,
+            ))
+    failures = sum(not record["bracketed"] for record in records)
+    text = format_table(
+        (
+            "benchmark", "scheme", "lower", "simulated", "upper",
+            "AH", "AM", "NC", "bracket",
+        ),
+        rows,
+        title="Static fetch-cycle bounds vs simulator",
+    )
+    failure = None
+    if failures:
+        failure = (
+            f"{failures} bound violation(s): static analysis failed to "
+            "bracket the simulator"
+        )
+    return _Result({"bounds": records, "ok": failures == 0}, text, failure)
+
+
+# --------------------------------------------------------------- cache
+def _cache_arguments(parser) -> None:
+    parser.add_argument(
+        "cache_command", choices=("stats", "clear"),
+        help="stats: footprint summary; clear: drop every entry",
+    )
+
+
+def _cmd_cache(args) -> _Result:
     store = runtime.default_store()
     if args.cache_command == "clear":
         dropped = store.clear()
-        print(f"dropped {dropped} cached artifact(s) from {store.root}")
-        return 0
+        return _Result(
+            None, f"dropped {dropped} cached artifact(s) from {store.root}"
+        )
     stats = store.stats()
     config = runtime.runtime_config()
     rows = [
@@ -448,12 +458,21 @@ def _cmd_cache(args) -> int:
         ["total", f"{stats.total_bytes / (1024 * 1024):.2f} MiB"],
         ["cap", f"{stats.max_bytes / (1024 * 1024):.2f} MiB"],
     ]
-    print(format_table(["field", "value"], rows, title="Artifact cache"))
-    return 0
+    return _Result(
+        None, format_table(["field", "value"], rows, title="Artifact cache")
+    )
 
 
-def _render_study(payload: dict) -> str:
-    study = payload["study"]
+# --------------------------------------------------------------- study
+def _study_arguments(parser) -> None:
+    parser.add_argument(
+        "--scheme", dest="schemes", action="append", default=None,
+        metavar="KEY",
+        help="also compress with this scheme (repeatable)",
+    )
+
+
+def _render_study(study: dict) -> str:
     rows = [
         ["benchmark", study["benchmark"]],
         ["scale", study["scale"]],
@@ -474,34 +493,87 @@ def _render_study(payload: dict) -> str:
     )
 
 
-def _finish_study(args, payload: dict) -> int:
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(_render_study(payload))
-        print()
-        print(runtime.REPORT.render())
-    if not payload["study"]["checksum_ok"]:
-        print(
-            f"checksum MISMATCH against the pure-Python oracle: "
-            f"{payload['study']['benchmark']}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_study(args) -> int:
+def _cmd_study(args) -> _Result:
     from repro.serve.handlers import study_payload
 
-    _apply_runtime_flags(args)
-    payload = {
-        "study": study_payload(
-            args.benchmark, args.scale, tuple(args.schemes or ())
-        ),
-        "metrics": runtime.REPORT.to_json(),
-    }
-    return _finish_study(args, payload)
+    study = study_payload(
+        args.benchmark, args.scale, tuple(args.schemes or ())
+    )
+    payload = {"study": study, "metrics": runtime.REPORT.to_json()}
+    failure = None
+    if not study["checksum_ok"]:
+        failure = _mismatch([study["benchmark"]])
+    return _Result(payload, _render_study(study), failure)
+
+
+# --------------------------------------------------------------- sweep
+def _sweep_arguments(parser) -> None:
+    parser.add_argument(
+        "--scheme", dest="schemes", action="append", default=None,
+        metavar="KEY",
+        help="fetch organization axis: base|tailored|compressed|"
+             "hybrid[@T][:static] (repeatable; default: base tailored "
+             "compressed)",
+    )
+    parser.add_argument(
+        "--hotness", dest="hotness_thresholds", action="append",
+        type=float, default=None, metavar="T",
+        help="hybrid hotness-threshold axis in [0,1]; each bare "
+             "'hybrid' scheme entry expands into one hybrid@T point "
+             "per value (repeatable)",
+    )
+    parser.add_argument(
+        "--hotness-source", dest="hotness_sources", action="append",
+        default=None, choices=("trace", "static"),
+        help="hybrid heat-profile provider axis: the emulator trace "
+             "and/or the compile-time static estimate (repeatable; "
+             "default: trace)",
+    )
+    parser.add_argument(
+        "--cache", dest="caches", action="append", default=None,
+        metavar="CAP:WAYS:LINE",
+        help="cache geometry axis, e.g. 1024:2:32 (repeatable; "
+             "default: each scheme's standard geometry)",
+    )
+    parser.add_argument(
+        "--atb", dest="atbs", action="append", default=None,
+        metavar="ENTRIES:WAYS",
+        help="ATB size axis, e.g. 128:4 (repeatable; default: 128:4)",
+    )
+    parser.add_argument(
+        "--atb-miss-penalty", dest="atb_miss_penalties",
+        action="append", type=int, default=None, metavar="CYCLES",
+        help="ATB miss penalty axis (repeatable; default: 2)",
+    )
+    parser.add_argument(
+        "--predictor", dest="predictors", action="append",
+        default=None, choices=("block", "gshare"),
+        help="next-block predictor axis (repeatable; default: block)",
+    )
+    parser.add_argument(
+        "--gshare-bits", dest="gshare_bits", action="append",
+        type=int, default=None, metavar="BITS",
+        help="gshare history width axis (repeatable; only expands "
+             "under --predictor gshare)",
+    )
+    parser.add_argument(
+        "--l0", dest="l0_capacities", action="append", type=int,
+        default=None,
+        metavar="OPS",
+        help="L0 buffer capacity axis in ops (repeatable; only "
+             "expands for the compressed and hybrid schemes)",
+    )
+    parser.add_argument(
+        "--bus", dest="bus_widths", action="append", type=int,
+        default=None,
+        metavar="BYTES",
+        help="memory bus width axis in bytes (repeatable; default: 8)",
+    )
+    parser.add_argument(
+        "--paper-geometry", action="store_true",
+        help="default geometries use the paper's literal 16/20KB pair "
+             "instead of the pressure-scaled pair",
+    )
 
 
 def _parse_axis_tuple(value: str, flag: str, arity: int):
@@ -522,6 +594,12 @@ def _sweep_grid(args):
     from repro.core.sweep import expand_grid
 
     kwargs = {"scaled": not args.paper_geometry}
+    for axis in (
+        "atb_miss_penalties", "predictors", "gshare_bits",
+        "l0_capacities", "bus_widths", "hotness_thresholds",
+    ):
+        if getattr(args, axis):
+            kwargs[axis] = getattr(args, axis)
     if args.caches:
         kwargs["caches"] = [
             _parse_axis_tuple(v, "--cache", 3) for v in args.caches
@@ -530,18 +608,6 @@ def _sweep_grid(args):
         kwargs["atbs"] = [
             _parse_axis_tuple(v, "--atb", 2) for v in args.atbs
         ]
-    if args.atb_miss_penalties:
-        kwargs["atb_miss_penalties"] = args.atb_miss_penalties
-    if args.predictors:
-        kwargs["predictors"] = args.predictors
-    if args.gshare_bits:
-        kwargs["gshare_bits"] = args.gshare_bits
-    if args.l0:
-        kwargs["l0_capacities"] = args.l0
-    if args.bus:
-        kwargs["bus_widths"] = args.bus
-    if args.hotness_thresholds:
-        kwargs["hotness_thresholds"] = args.hotness_thresholds
     if args.hotness_sources:
         kwargs["hotness_sources"] = tuple(
             dict.fromkeys(args.hotness_sources)
@@ -552,8 +618,7 @@ def _sweep_grid(args):
     )
 
 
-def _render_sweep(payload: dict) -> str:
-    sweep = payload["sweep"]
+def _render_sweep(sweep: dict) -> str:
     rows = []
     for entry in sweep["results"]:
         config = entry["config"]
@@ -585,287 +650,140 @@ def _render_sweep(payload: dict) -> str:
     )
 
 
-def _finish_sweep(args, payload: dict) -> int:
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(_render_sweep(payload))
-        print()
-        print(runtime.REPORT.render())
-    return 0
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> _Result:
     from repro.serve.handlers import sweep_payload
 
-    _apply_runtime_flags(args)
-    grid = _sweep_grid(args)
-    payload = {
-        "sweep": sweep_payload(
-            args.benchmark, args.scale, grid, jobs=_jobs(args)
+    sweep = sweep_payload(
+        args.benchmark, args.scale, _sweep_grid(args), jobs=args.jobs
+    )
+    payload = {"sweep": sweep, "metrics": runtime.REPORT.to_json()}
+    return _Result(payload, _render_sweep(sweep))
+
+
+# --------------------------------------------------------------- table
+class _Command(NamedTuple):
+    """One subcommand."""
+
+    help: str
+    handler: Callable[[argparse.Namespace], _Result]
+    #: The shared flags it takes: keys of :func:`_shared_flags`.
+    flags: Tuple[str, ...] = ()
+    #: Adds the subcommand's own arguments to its parser.
+    arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None
+    #: Whether the text output ends with the runtime report.
+    report: bool = False
+
+
+_COMMANDS = {
+    "list": _Command("list the experiments", _cmd_list),
+    "run": _Command(
+        "run one experiment", _cmd_run,
+        ("benchmarks", "scale", "jobs", "no_cache", "json"),
+        _run_arguments, report=True,
+    ),
+    "suite": _Command(
+        "compile, run and verify the whole benchmark suite", _cmd_suite,
+        ("scale", "jobs", "no_cache", "json"), report=True,
+    ),
+    "check": _Command(
+        "run the invariant registry and store fault injection",
+        _cmd_check, ("benchmarks", "scale", "json"), _check_arguments,
+    ),
+    "analyze": _Command(
+        "statically verify compiled images and their encodings",
+        _cmd_analyze, ("scale", "no_cache", "json"), _analyze_arguments,
+    ),
+    "study": _Command(
+        "every deterministic observable of one program study",
+        _cmd_study, ("benchmark", "scale", "no_cache", "json"),
+        _study_arguments, report=True,
+    ),
+    "sweep": _Command(
+        "simulate a grid of fetch configurations in one trace pass",
+        _cmd_sweep, ("benchmark", "scale", "jobs", "no_cache", "json"),
+        _sweep_arguments, report=True,
+    ),
+    "cache": _Command(
+        "inspect or clear the artifact cache", _cmd_cache,
+        arguments=_cache_arguments,
+    ),
+}
+
+
+def _shared_flags() -> dict:
+    """The arguments several subcommands take, each declared once as an
+    argparse parent parser."""
+
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    return {
+        "benchmark": flag("benchmark", help="|".join(BENCHMARK_NAMES)),
+        "benchmarks": flag(
+            "--benchmarks", nargs="*", default=None,
+            help="restrict to these benchmarks (default: all)",
         ),
-        "metrics": runtime.REPORT.to_json(),
+        "scale": flag(
+            "--scale", type=int, default=None,
+            help="benchmark input scale (default: each benchmark's own)",
+        ),
+        "jobs": flag(
+            "--jobs", type=int, default=None,
+            help="fan cold work out across N processes "
+                 "(default: REPRO_JOBS or 1)",
+        ),
+        "no_cache": flag(
+            "--no-cache", action="store_true",
+            help="bypass the persistent artifact cache",
+        ),
+        "json": flag(
+            "--json", action="store_true",
+            help="emit the result (and runtime metrics) as JSON",
+        ),
     }
-    return _finish_sweep(args, payload)
 
 
-def main(argv: list[str] | None = None) -> int:
-    from repro.check.registry import SCOPES
-
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser: one subparser per :data:`_COMMANDS` entry."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce Larin & Conte (MICRO 1999) experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list the experiments")
+    shared = _shared_flags()
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(
+            name,
+            help=command.help,
+            parents=[shared[flag] for flag in command.flags],
+        )
+        if command.arguments is not None:
+            command.arguments(subparser)
+    return parser
 
-    run = sub.add_parser("run", help="run one experiment")
-    run.add_argument(
-        "experiment",
-        help="fig5|fig7|fig10|fig13|fig14|adaptive|static (see repro list)",
-    )
-    run.add_argument("--benchmarks", nargs="*", default=None)
-    run.add_argument("--scale", type=int, default=None)
-    run.add_argument(
-        "--jobs", type=int, default=None,
-        help="fan the artifact chain out across N processes "
-             "(default: REPRO_JOBS or 1)",
-    )
-    run.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent artifact cache",
-    )
-    run.add_argument(
-        "--json", action="store_true",
-        help="emit rows and the runtime report as JSON",
-    )
 
-    suite = sub.add_parser("suite", help="compile, run and verify the "
-                                          "whole benchmark suite")
-    suite.add_argument("--scale", type=int, default=None)
-    suite.add_argument(
-        "--jobs", type=int, default=None,
-        help="compile/trace benchmarks across N processes",
-    )
-    suite.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent artifact cache",
-    )
-    suite.add_argument(
-        "--json", action="store_true",
-        help="emit per-benchmark results and the runtime report as JSON",
-    )
-
-    check = sub.add_parser(
-        "check",
-        help="run the invariant registry and store fault injection",
-    )
-    mode = check.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--quick", action="store_true",
-        help="quick sweep: one stream config, shorter random streams "
-             "(the default)",
-    )
-    mode.add_argument(
-        "--full", action="store_true",
-        help="exhaustive sweep: all stream configs, longer traces, "
-             "full-only invariants",
-    )
-    check.add_argument(
-        "--seed", type=int, default=1999,
-        help="seed for every randomized trace and fault pattern "
-             "(default: 1999)",
-    )
-    check.add_argument("--benchmarks", nargs="*", default=None)
-    check.add_argument("--scale", type=int, default=None)
-    check.add_argument(
-        "--inject", action="append", default=None,
-        choices=("roundtrip", "conservation"),
-        help="deliberately corrupt one observation so the named "
-             "invariant must fail (CI proves non-zero exit)",
-    )
-    check.add_argument(
-        "--scope", action="append", default=None, choices=SCOPES,
-        metavar="SCOPE",
-        help="restrict to one registry scope (repeatable; e.g. "
-             "--scope store runs only the store fault invariants; "
-             f"scopes: {', '.join(SCOPES)})",
-    )
-    check.add_argument(
-        "--json", action="store_true",
-        help="emit the invariant report as JSON",
-    )
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="statically verify compiled images and their encodings",
-    )
-    which = analyze.add_mutually_exclusive_group()
-    which.add_argument(
-        "--program", dest="programs", action="append", default=None,
-        metavar="NAME",
-        help="verify one benchmark (repeatable)",
-    )
-    which.add_argument(
-        "--all", action="store_true",
-        help="verify every suite benchmark (the default)",
-    )
-    analyze.add_argument("--scale", type=int, default=None)
-    analyze.add_argument(
-        "--fail-on", dest="fail_on",
-        choices=("warning", "error"), default="error",
-        help="exit 1 when a finding reaches this severity "
-             "(default: error; 'warning' promotes the lint tier)",
-    )
-    analyze.add_argument(
-        "--inject", action="append", default=None,
-        choices=("bad-branch",),
-        help="verify a deliberately corrupted copy of each image "
-             "instead (CI proves the verifier exits non-zero)",
-    )
-    analyze.add_argument(
-        "--bounds", action="store_true",
-        help="report static fetch-cycle bounds per scheme and check "
-             "lower <= simulated <= upper (exit 1 on a violation)",
-    )
-    analyze.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent artifact cache",
-    )
-    analyze.add_argument(
-        "--json", action="store_true",
-        help="emit the diagnostics report as JSON",
-    )
-
-    study = sub.add_parser(
-        "study",
-        help="every deterministic observable of one program study",
-    )
-    study.add_argument("benchmark", help="|".join(BENCHMARK_NAMES))
-    study.add_argument("--scale", type=int, default=None)
-    study.add_argument(
-        "--scheme", dest="schemes", action="append", default=None,
-        metavar="KEY",
-        help="also compress with this scheme (repeatable)",
-    )
-    study.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent artifact cache",
-    )
-    study.add_argument(
-        "--json", action="store_true",
-        help="emit the study payload and stage metrics as JSON",
-    )
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="simulate a grid of fetch configurations in one trace pass",
-    )
-    sweep.add_argument("benchmark", help="|".join(BENCHMARK_NAMES))
-    sweep.add_argument("--scale", type=int, default=None)
-    sweep.add_argument(
-        "--scheme", dest="schemes", action="append", default=None,
-        metavar="KEY",
-        help="fetch organization axis: base|tailored|compressed|"
-             "hybrid[@T][:static] (repeatable; default: base tailored "
-             "compressed)",
-    )
-    sweep.add_argument(
-        "--hotness", dest="hotness_thresholds", action="append",
-        type=float, default=None, metavar="T",
-        help="hybrid hotness-threshold axis in [0,1]; each bare "
-             "'hybrid' scheme entry expands into one hybrid@T point "
-             "per value (repeatable)",
-    )
-    sweep.add_argument(
-        "--hotness-source", dest="hotness_sources", action="append",
-        default=None, choices=("trace", "static"),
-        help="hybrid heat-profile provider axis: the emulator trace "
-             "and/or the compile-time static estimate (repeatable; "
-             "default: trace)",
-    )
-    sweep.add_argument(
-        "--cache", dest="caches", action="append", default=None,
-        metavar="CAP:WAYS:LINE",
-        help="cache geometry axis, e.g. 1024:2:32 (repeatable; "
-             "default: each scheme's standard geometry)",
-    )
-    sweep.add_argument(
-        "--atb", dest="atbs", action="append", default=None,
-        metavar="ENTRIES:WAYS",
-        help="ATB size axis, e.g. 128:4 (repeatable; default: 128:4)",
-    )
-    sweep.add_argument(
-        "--atb-miss-penalty", dest="atb_miss_penalties",
-        action="append", type=int, default=None, metavar="CYCLES",
-        help="ATB miss penalty axis (repeatable; default: 2)",
-    )
-    sweep.add_argument(
-        "--predictor", dest="predictors", action="append",
-        default=None, choices=("block", "gshare"),
-        help="next-block predictor axis (repeatable; default: block)",
-    )
-    sweep.add_argument(
-        "--gshare-bits", dest="gshare_bits", action="append",
-        type=int, default=None, metavar="BITS",
-        help="gshare history width axis (repeatable; only expands "
-             "under --predictor gshare)",
-    )
-    sweep.add_argument(
-        "--l0", dest="l0", action="append", type=int, default=None,
-        metavar="OPS",
-        help="L0 buffer capacity axis in ops (repeatable; only "
-             "expands for the compressed and hybrid schemes)",
-    )
-    sweep.add_argument(
-        "--bus", dest="bus", action="append", type=int, default=None,
-        metavar="BYTES",
-        help="memory bus width axis in bytes (repeatable; default: 8)",
-    )
-    sweep.add_argument(
-        "--paper-geometry", action="store_true",
-        help="default geometries use the paper's literal 16/20KB pair "
-             "instead of the pressure-scaled pair",
-    )
-    sweep.add_argument(
-        "--jobs", type=int, default=None,
-        help="shard cold configs across N processes "
-             "(default: REPRO_JOBS or 1)",
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent artifact cache",
-    )
-    sweep.add_argument(
-        "--json", action="store_true",
-        help="emit the sweep payload and stage metrics as JSON",
-    )
-
-    cache = sub.add_parser("cache", help="inspect or clear the artifact "
-                                          "cache")
-    cache.add_argument(
-        "cache_command", choices=("stats", "clear"),
-        help="stats: footprint summary; clear: drop every entry",
-    )
-
-    args = parser.parse_args(argv)
-    handler = {
-        "list": _cmd_list,
-        "run": _cmd_run,
-        "suite": _cmd_suite,
-        "check": _cmd_check,
-        "analyze": _cmd_analyze,
-        "cache": _cmd_cache,
-        "study": _cmd_study,
-        "sweep": _cmd_sweep,
-    }[args.command]
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         _validate_invocation(args)
+        if getattr(args, "no_cache", False):
+            runtime.configure(enabled=False)
+        if "jobs" in vars(args) and args.jobs is None:
+            args.jobs = runtime.runtime_config().jobs
         with _graceful_sigterm():
-            return handler(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+            result = command.handler(args)
+    except ReproError as exc:
+        # A worker's ConfigurationError arrives as the cause of the
+        # scheduler's error; any other failure stays a traceback.
+        cause = exc.__cause__ if isinstance(exc, SchedulerError) else exc
+        for error, prefix in _ERROR_PREFIXES:
+            if isinstance(cause, error):
+                print(f"{prefix}: {cause}", file=sys.stderr)
+                return 2
+        raise
     except (KeyboardInterrupt, _Interrupted):
         print(
             "interrupted: drained in-flight tasks, cache left "
@@ -873,6 +791,17 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 130
+    if getattr(args, "json", False):
+        _emit_json(result.payload)
+    else:
+        print(result.text)
+        if command.report:
+            print()
+            print(runtime.REPORT.render())
+    if result.failure is None:
+        return 0
+    print(result.failure, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -141,21 +141,26 @@ def block_bus_beats(
 ) -> tuple[list, list]:
     """``(beats_by_block, payload_lens)`` for one bus width.
 
-    Beats are big-endian words padded exactly like ``BusModel``.
+    Beats are big-endian words zero-padded like ``BusModel``'s, but
+    only to the longest payload's length when the bus is wider: the
+    zero tail past every payload byte never flips, so shortening it
+    shifts every beat alike and leaves each flip count unchanged.
     """
+    payloads = [
+        bytes(compressed.block_payloads[bid])
+        for bid in range(len(compressed.image))
+    ]
+    width = min(bus_width, max(map(len, payloads), default=0))
     beats_by_block: list[list[int]] = []
-    payload_lens: list[int] = []
-    for bid in range(len(compressed.image)):
-        payload = bytes(compressed.block_payloads[bid])
-        payload_lens.append(len(payload))
+    for payload in payloads:
         beats = []
         for i in range(0, len(payload), bus_width):
             chunk = payload[i : i + bus_width]
-            if len(chunk) < bus_width:
-                chunk = chunk + b"\x00" * (bus_width - len(chunk))
-            beats.append(int.from_bytes(chunk, "big"))
+            beats.append(
+                int.from_bytes(chunk, "big") << 8 * (width - len(chunk))
+            )
         beats_by_block.append(beats)
-    return beats_by_block, payload_lens
+    return beats_by_block, [len(payload) for payload in payloads]
 
 
 # ------------------------------------------------------------ wire form

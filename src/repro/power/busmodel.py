@@ -24,6 +24,7 @@ class BusModel:
             )
         self.bus_bytes = bus_bytes
         self._state = 0
+        self._state_bytes = 0
         self.beats = 0
         self.bytes_transferred = 0
         self.bit_flips = 0
@@ -34,11 +35,17 @@ class BusModel:
         width = self.bus_bytes
         for i in range(0, len(payload), width):
             beat_bytes = payload[i : i + width]
-            if len(beat_bytes) < width:
-                beat_bytes = beat_bytes + b"\x00" * (width - len(beat_bytes))
             beat = int.from_bytes(beat_bytes, "big")
-            self.bit_flips += (beat ^ self._state).bit_count()
-            self._state = beat
+            # Each beat is zero-padded to the bus width.  The zero tail
+            # past both beats' bytes never flips, so compare the two
+            # padded only to the longer one.
+            n, state_n = len(beat_bytes), self._state_bytes
+            padded = max(n, state_n)
+            self.bit_flips += (
+                (beat << 8 * (padded - n))
+                ^ (self._state << 8 * (padded - state_n))
+            ).bit_count()
+            self._state, self._state_bytes = beat, n
             self.beats += 1
         self.bytes_transferred += len(payload)
         return self.bit_flips - flips_before

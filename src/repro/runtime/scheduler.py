@@ -42,6 +42,8 @@ class TaskResult:
     seconds: float
     ok: bool = True
     error: Optional[str] = None
+    #: The message of a :class:`ConfigurationError` the task raised.
+    configuration_error: Optional[str] = None
     report: dict = field(default_factory=dict)
 
 
@@ -65,19 +67,24 @@ def _pool_run(spec: TaskSpec) -> TaskResult:
 
     A failing task must never be swallowed into a silent wrong result:
     the full worker traceback rides home in ``TaskResult.error`` and the
-    parent re-raises it as a :class:`SchedulerError`.
+    parent re-raises it as a :class:`SchedulerError`.  A
+    :class:`ConfigurationError` (a bad invocation, not a broken task)
+    also sends its message, so the parent can chain it as the cause.
     """
     reset_metrics()
     started = perf_counter()
     try:
         execute_task(spec)
-    except Exception:
+    except Exception as exc:
         return TaskResult(
             spec.task_id,
             spec.stage,
             perf_counter() - started,
             ok=False,
             error=traceback.format_exc(),
+            configuration_error=(
+                str(exc) if isinstance(exc, ConfigurationError) else None
+            ),
         )
     return TaskResult(
         spec.task_id,
@@ -113,7 +120,10 @@ def execute_graph(
     in-flight work), carrying the real worker traceback and recording
     the failure against the stage in :data:`REPORT`; partial artifacts
     already persisted stay valid — content addressing makes re-runs pick
-    them up.
+    them up.  The first failing task in topological order is the one
+    reported; when it raised a :class:`ConfigurationError`, the
+    :class:`SchedulerError` is chained from one carrying its message.
+    The pool never holds more workers than the graph has tasks.
     """
     if config is None:
         config = runtime_config()
@@ -138,7 +148,8 @@ def execute_graph(
     results: List[TaskResult] = []
     failed = False
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_worker_init, initargs=(config,)
+        max_workers=min(jobs, len(graph)),
+        initializer=_worker_init, initargs=(config,)
     ) as pool:
         futures = {}
 
@@ -178,11 +189,16 @@ def execute_graph(
             REPORT.record_failure(
                 result.stage, result.task_id, result.error or ""
             )
-        detail = errors[0].error or ""
-        raise SchedulerError(
-            f"{len(errors)} task(s) failed, first: {errors[0].task_id}\n"
-            f"{detail}"
+        first = min(errors, key=lambda r: order.index(r.task_id))
+        cause = (
+            None
+            if first.configuration_error is None
+            else ConfigurationError(first.configuration_error)
         )
+        raise SchedulerError(
+            f"{len(errors)} task(s) failed, first: {first.task_id}\n"
+            f"{first.error or ''}"
+        ) from cause
     return results
 
 

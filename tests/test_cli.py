@@ -1,16 +1,21 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro import runtime
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.study import clear_caches
 
 
@@ -40,7 +45,10 @@ def test_run_fig10(capsys):
 
 def test_run_unknown_experiment(capsys):
     assert main(["run", "fig99"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
+    assert (
+        "configuration error: unknown experiment 'fig99'"
+        in capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -339,8 +347,12 @@ class TestInvocationValidation:
             ["suite"],
             ["analyze", "--program", "compress"],
             ["check", "--quick", "--benchmarks", "compress"],
+            ["run", "fig7", "--benchmarks", "compress", "--jobs", "2"],
+            ["suite", "--jobs", "2"],
+            ["sweep", "compress", "--jobs", "2"],
         ],
-        ids=["study", "run", "sweep", "suite", "analyze", "check"],
+        ids=["study", "run", "sweep", "suite", "analyze", "check",
+             "run-jobs2", "suite-jobs2", "sweep-jobs2"],
     )
     def test_oversized_scale_rejected(self, capsys, argv):
         assert main(argv + ["--scale", "100000"]) == 2
@@ -370,6 +382,43 @@ class TestInvocationValidation:
             "at scale 2: program exceeded 100 dynamic MultiOps" in err
         )
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig7", "--benchmarks", "compress", "nope"],
+            ["study", "nope"],
+            ["sweep", "nope"],
+            ["check", "--benchmarks", "nope"],
+            ["analyze", "--program", "nope"],
+            ["analyze", "--program", "nope", "--bounds"],
+        ],
+        ids=["run", "study", "sweep", "check", "analyze", "bounds"],
+    )
+    def test_unknown_benchmark_rejected_in_one_wording(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unknown benchmark 'nope'\n"
+        )
+
+    def test_huge_job_count_runs(self, capsys):
+        assert main(
+            ["run", "fig7", "--benchmarks", "compress", "--scale", "2",
+             "--jobs", "99999999999"]
+        ) == 0
+        assert "compress" in capsys.readouterr().out
+
+    def test_huge_repro_jobs_runs(self, tmp_path):
+        # A child process: the environment is read once per process.
+        env = _child_env(tmp_path / "cache")
+        env["REPRO_JOBS"] = "99999999999"
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "fig7",
+             "--benchmarks", "compress", "--scale", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "compress" in child.stdout
 
     def test_malformed_repro_jobs_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "banana")
@@ -547,10 +596,12 @@ class TestAnalyzeCommand:
             )
 
     def test_analyze_bounds_rejects_inject(self, capsys):
-        assert main(
-            ["analyze", "--program", "compress", "--bounds",
-             "--inject", "bad-branch"]
-        ) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["analyze", "--program", "compress", "--bounds",
+                 "--inject", "bad-branch"]
+            )
+        assert excinfo.value.code == 2
         assert "--bounds" in capsys.readouterr().err
 
     def test_analyze_rejects_malformed_gate_env(
@@ -678,3 +729,82 @@ class TestSweepCommand:
             for entry in payload["sweep"]["results"]
         }
         assert schemes == {"hybrid@0.5", "hybrid@0.5:static"}
+
+
+#: A cheap valid invocation of each subcommand with numeric or
+#: geometry options; the fuzz cases append one such option to it.
+_FUZZ_BASE = {
+    "run": ["run", "fig7", "--benchmarks", "compress", "--scale", "2"],
+    "suite": ["suite", "--scale", "2"],
+    "check": ["check", "--quick", "--benchmarks", "compress",
+              "--scale", "2", "--scope", "att"],
+    "analyze": ["analyze", "--program", "compress", "--scale", "2"],
+    "study": ["study", "compress", "--scale", "2"],
+    "sweep": ["sweep", "compress", "--scale", "2", "--scheme", "hybrid",
+              "--predictor", "gshare"],
+}
+
+
+def _fuzz_cases():
+    """Each ``int``/``float``/geometry option of every subcommand, read
+    off the parser itself, with 0, -1, a huge and a malformed value."""
+    (subcommands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for name, parser in subcommands.items():
+        for action in parser._actions:
+            if action.type in (int, float):
+                arity = 1
+            elif action.metavar and ":" in action.metavar:
+                arity = action.metavar.count(":") + 1
+            else:
+                continue
+            flag = action.option_strings[-1]
+            for value in ("0", "-1", "99999999999", "x"):
+                option = f"{flag}={':'.join([value] * arity)}"
+                yield pytest.param(name, option, id=f"{name}{option}")
+
+
+@pytest.mark.parametrize("command,option", list(_fuzz_cases()))
+def test_numeric_and_geometry_options_never_crash(capsys, command, option):
+    try:
+        code = main(_FUZZ_BASE[command] + [option])
+    except SystemExit as exc:  # an argparse usage error
+        assert exc.code == 2
+        assert f"repro {command}: error:" in capsys.readouterr().err
+        return
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code in (0, 2), err
+    if code == 2:
+        lines = err.splitlines()
+        named = [line for line in lines if line.startswith(
+            "configuration error:"
+        )]
+        assert named == lines[-1:], err
+
+
+def _documented_invocations():
+    """Every ``python -m repro ...`` example in the CLI docstring and
+    the README, continuation lines joined and comments dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = (repro.cli.__doc__ + readme.read_text()).replace("\\\n", " ")
+    for line in text.splitlines():
+        match = re.match(r"\s*(?:\w+=\S+\s+)*python -m repro (.*)", line)
+        if match and "..." not in match.group(1):  # README elisions
+            yield match.group(1).split("#")[0]
+
+
+def test_documented_examples_parse():
+    examples = list(_documented_invocations())
+    assert len(examples) > 30
+    parser = build_parser()
+    rejected = []
+    for example in examples:
+        try:
+            parser.parse_args(shlex.split(example))
+        except SystemExit:
+            rejected.append(example)
+    assert rejected == []

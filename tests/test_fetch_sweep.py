@@ -12,6 +12,8 @@ the store-backed ``run_sweep`` wrapper.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,25 @@ def test_single_config_grid_is_one_simulate_fetch(sweep_images):
     assert batch == [
         simulate_fetch_reference(sweep_images["base"], trace, config)
     ]
+
+
+def test_bus_wider_than_every_payload(sweep_images, compress_study):
+    """Beats pad no further than the longest payload: both engines
+    agree at a 10**11-byte bus without building its zero tail, and
+    flip exactly as often as on a bus that just fits that payload."""
+    compressed = sweep_images["compressed"]
+    trace = compress_study.run.block_trace
+    longest = max(len(p) for p in compressed.block_payloads)
+    huge = replace(
+        FetchConfig.for_scheme("compressed", scaled=True),
+        bus_bytes=10**11,
+    )
+    [swept] = simulate_fetch_sweep(compressed, trace, [huge])
+    assert swept == simulate_fetch_reference(compressed, trace, huge)
+    fitted = replace(huge, bus_bytes=longest)
+    assert swept.bus_bit_flips == simulate_fetch_reference(
+        compressed, trace, fitted
+    ).bus_bit_flips
 
 
 def test_empty_trace_and_empty_grid(sweep_images):

@@ -155,6 +155,14 @@ class TestExecution:
         with pytest.raises(ConfigurationError):
             execute_graph(graph, jobs=2)
 
+    def test_job_count_beyond_the_graph_is_capped(self, fresh_cache):
+        # The pool holds at most one worker per task; sizing it by the
+        # requested count overflowed the pool's semaphore.
+        graph = build_study_graph(["compress"], scale=2)
+        results = execute_graph(graph, jobs=99999999999)
+        assert len(results) == len(graph)
+        assert all(r.ok for r in results)
+
     def test_failing_task_raises_with_task_id(self, fresh_cache):
         graph = {
             "bad": TaskSpec("bad", "compile", "no-such-benchmark", 2),
@@ -216,6 +224,19 @@ class TestFailureSurfacing:
         assert isinstance(excinfo.value.__cause__, ConfigurationError)
         assert REPORT.stage("compile").errors == 1
         assert "bad" in str(excinfo.value)
+
+    def test_pool_failure_chains_a_worker_configuration_error(
+        self, fresh_cache
+    ):
+        graph = {
+            "bad": TaskSpec("bad", "compile", "no-such-benchmark", 2),
+        }
+        with pytest.raises(SchedulerError) as excinfo:
+            execute_graph(graph, jobs=2)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ConfigurationError)
+        assert "no-such-benchmark" in str(cause)
+        assert "Traceback" in str(excinfo.value)
 
     def test_scheduler_error_is_both_repro_and_runtime_error(self):
         # Callers that predate the dedicated class catch RuntimeError.
