@@ -31,9 +31,10 @@ every age.  The solver visits blocks in reverse postorder.
 
 :func:`cycle_bounds` combines the classification with the fetch
 machine's own per-block cost columns
-(:func:`~repro.fetch.config.penalty_rows`,
-:func:`~repro.fetch.sweep.block_span_pairs` — queried, not
-re-derived, so the bounds can never drift from Table 1) into per-fetch
+(:func:`~repro.fetch.sweep.block_costs` over
+:func:`~repro.fetch.sweep.block_span_pairs`, the very columns the sweep
+charges — queried, not re-derived, so the bounds can never drift from
+Table 1 or the L0 rules) into per-fetch
 feasible-outcome sets, yielding ``lower <= simulated <= upper`` for any
 trace with the given per-block visit counts.  The ``static`` check
 scope enforces exactly that bracket against the simulator.
@@ -48,7 +49,6 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.analysis.dataflow import predecessors, reverse_postorder
 from repro.analysis.imagecfg import interprocedural_cfg
-from repro.compression.registry import fetch_scheme_base
 from repro.errors import ConfigurationError
 from repro.fetch.config import FetchConfig
 
@@ -197,34 +197,6 @@ class FetchClassification:
     atb: Classification
 
 
-def _l0_possible(compressed, config: FetchConfig) -> List[bool]:
-    """Can each block's fetch be served by the L0 buffer?
-
-    Mirrors the simulator: the buffer exists for compressed/hybrid, serves
-    Huffman-tagged blocks, and never holds a block wider than its
-    capacity (an oversized block is probed but can never be resident).
-    """
-    base_scheme = fetch_scheme_base(config.scheme)
-    nblocks = len(compressed.image)
-    has_buffer = base_scheme in ("compressed", "hybrid")
-    if not has_buffer:
-        return [False] * nblocks
-    if base_scheme == "hybrid":
-        tags = compressed.block_scheme_tags()
-        if tags is None:
-            raise ConfigurationError(
-                "hybrid fetch needs an image with per-block scheme tags"
-            )
-        eligible = [tag == "compressed" for tag in tags]
-    else:
-        eligible = [True] * nblocks
-    cap = config.l0_capacity_ops
-    return [
-        eligible[bid] and compressed.image.block(bid).op_count <= cap
-        for bid in range(nblocks)
-    ]
-
-
 def _classify_structure(
     cfg: Dict[int, Sequence[int]],
     entry: int,
@@ -284,13 +256,14 @@ def classify_fetch(compressed, config: FetchConfig) -> FetchClassification:
     before the block's own access), matching the simulator's
     probe-then-install order.
     """
-    from repro.fetch.sweep import block_span_pairs
+    from repro.fetch.sweep import block_costs, block_span_pairs
 
+    span_pairs = block_span_pairs(compressed, config.cache)
     return _classify(
         compressed,
         config,
-        block_span_pairs(compressed, config.cache),
-        _l0_possible(compressed, config),
+        span_pairs,
+        block_costs(compressed, config, span_pairs).l0_fits,
     )
 
 
@@ -341,32 +314,20 @@ def cycle_bounds(
     larger of guaranteed always-miss fetches and compulsory first
     touches (one per distinct fetched block).
     """
-    from repro.fetch.config import penalty_rows
-    from repro.fetch.sweep import block_span_pairs
+    from repro.fetch.sweep import block_costs, block_span_pairs
 
-    image = compressed.image
-    nblocks = len(image)
+    nblocks = len(compressed.image)
     if len(counts) != nblocks:
         raise ConfigurationError(
             f"counts length {len(counts)} != block count {nblocks}"
         )
-    scheme = config.scheme
-    base_scheme = fetch_scheme_base(scheme)
-    if base_scheme not in ("base", "tailored", "compressed", "hybrid"):
-        raise ConfigurationError(f"unknown fetch scheme {scheme!r}")
-    is_hybrid = base_scheme == "hybrid"
-    block_tags = compressed.block_scheme_tags() if is_hybrid else None
-    if is_hybrid and block_tags is None:
-        raise ConfigurationError(
-            "hybrid fetch needs an image with per-block scheme tags"
-        )
-
     span_pairs = block_span_pairs(compressed, config.cache)
-    l0_possible = _l0_possible(compressed, config)
-    classification = _classify(compressed, config, span_pairs, l0_possible)
+    costs = block_costs(compressed, config, span_pairs)
+    classification = _classify(
+        compressed, config, span_pairs, costs.l0_fits
+    )
     cache_cls = classification.cache
     atb_cls = classification.atb
-    rows = penalty_rows()
 
     lower = upper = 0
     fetches = 0
@@ -375,25 +336,19 @@ def cycle_bounds(
         if not count:
             continue
         fetches += count
-        block = image.block(bid)
-        tail = block.mop_count - 1
-        extra = len(span_pairs[bid]) - 1
-        hit_t, hit_f, miss_t, miss_f = rows.by_family[
-            block_tags[bid] if is_hybrid else base_scheme
-        ]
         outcomes = []
-        if l0_possible[bid]:
-            outcomes.append(rows.buffer_hit_cycles + tail)
+        if costs.l0_fits[bid]:
+            outcomes.append(costs.buffer[bid])
         hit_possible = bid not in cache_cls.always_miss
         miss_possible = bid not in cache_cls.always_hit
         if not hit_possible and not miss_possible:  # defensive: ⊥ block
             hit_possible = miss_possible = True
         if hit_possible:
-            outcomes.append(hit_t[0] + hit_t[1] * extra + tail)
-            outcomes.append(hit_f[0] + hit_f[1] * extra + tail)
+            outcomes.append(costs.hit_t[bid])
+            outcomes.append(costs.hit_f[bid])
         if miss_possible:
-            outcomes.append(miss_t[0] + miss_t[1] * extra + tail)
-            outcomes.append(miss_f[0] + miss_f[1] * extra + tail)
+            outcomes.append(costs.miss_t[bid])
+            outcomes.append(costs.miss_f[bid])
         lower += count * min(outcomes)
         upper += count * max(outcomes)
 
@@ -413,7 +368,7 @@ def cycle_bounds(
     upper += atb_penalty * upper_misses
 
     return BoundsReport(
-        scheme=scheme,
+        scheme=config.scheme,
         lower=lower,
         upper=upper,
         fetches=fetches,

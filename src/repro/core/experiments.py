@@ -144,9 +144,11 @@ def fig13_cache_rows(
 
     The three real organizations go through the columnar sweep engine
     (one factored trace pass per benchmark, bit-identical to — and
-    store-interchangeable with — per-scheme ``fetch_metrics`` calls);
-    Ideal has no cache/predictor machinery to factor and stays on the
-    study path.
+    store-interchangeable with — per-scheme ``fetch_metrics`` calls:
+    the default grid's points are the standard configs, stored under
+    the same :func:`~repro.core.study.fetch_key`, so a ``--jobs``
+    prewarm or an earlier Figure 14 run serves them); Ideal has no
+    cache/predictor machinery to factor and stays on the study path.
     """
     from repro.core.sweep import expand_grid, run_sweep
 

@@ -209,32 +209,46 @@ class ProgramStudy:
         ``scaled`` (default) selects the pressure-scaled cache pair that
         puts these miniature benchmarks under the same cache pressure
         SPEC put on the paper's 16KB caches; pass ``scaled=False`` for
-        the paper's literal geometry.
+        the paper's literal geometry.  ``scaled`` only picks the default
+        ``config``: the result is stored under :func:`fetch_key` of the
+        resolved config.
         """
-        if scheme != "ideal":
+        if scheme == "ideal":
+            config = None
+        else:
             scheme = normalize_fetch_scheme(scheme)
-        config_token = runtime.fetch_config_token(config)
-        key = (scheme, scaled, config_token)
-        if key in self._fetch:
-            return self._fetch[key]
+            if config is None:
+                config = FetchConfig.for_scheme(scheme, scaled=scaled)
+        memo = (scheme, config)
+        if memo in self._fetch:
+            return self._fetch[memo]
 
         def compute() -> FetchMetrics:
             trace = self.run.block_trace
             if scheme == "ideal":
                 return ideal_metrics(self.compressed("base"), trace)
             return simulate_fetch(
-                self.compressed(fetch_image_key(scheme)),
-                trace,
-                config or FetchConfig.for_scheme(scheme, scaled=scaled),
+                self.compressed(fetch_image_key(scheme)), trace, config
             )
-        metrics = self._stage(
-            "fetch",
-            compute,
-            scheme=scheme,
-            extra={"config": config_token, "scaled": scaled},
-        )
-        self._fetch[key] = metrics
+        metrics = self._stage("fetch", compute, **fetch_key(scheme, config))
+        self._fetch[memo] = metrics
         return metrics
+
+
+def fetch_key(scheme: str, config: Optional[FetchConfig]) -> dict:
+    """The store address of one fetch result (``get_or_compute`` key).
+
+    ``scheme`` is the normalized fetch organization and ``config`` its
+    resolved :class:`FetchConfig` (``None`` for ``ideal``, which has no
+    cache or predictor to configure).  The config token already holds
+    the geometry, so a figure study's standard config and the equal
+    sweep point share one entry: ``fetch_metrics`` and ``run_sweep``
+    both read and publish through this key.
+    """
+    return {
+        "scheme": scheme,
+        "extra": {"config": runtime.fetch_config_token(config)},
+    }
 
 
 #: Capacity of the process-level study cache.  Bounded so long sweeps

@@ -10,24 +10,23 @@ wrapper the CLI, figure studies, and examples call:
   that cannot affect a point (L0 capacity outside the Compressed
   scheme, gshare history width under the block predictor) so a grid
   never pays for — or caches — behaviorally identical points twice.
-* **Store interop** — every per-config result is cached under the same
-  ``fetch``-stage digest :meth:`ProgramStudy.fetch_metrics` uses
-  (``extra={"config": token, "scaled": True}``), so sweeps warm the
+* **Store interop** — every per-config result is read and published
+  under :func:`~repro.core.study.fetch_key`, the one address
+  :meth:`ProgramStudy.fetch_metrics` uses too, so sweeps warm the
   figure studies and vice versa; a fully warm sweep is pure store
   reads.
 * **Sharding** — with ``jobs > 1`` the cold configs are split into
-  contiguous single-scheme chunks and run as ``sweep`` nodes of the
-  PR 1 task graph; workers publish per-config results through the
-  content-addressed store exactly like any other stage.  Contiguous
-  chunks keep cross-product neighbors (which share predictor or cache
-  components) in the same worker, preserving the engine's sharing.
+  contiguous single-scheme chunks and run as ``fetch`` nodes of the
+  task graph, each carrying its configs; a worker runs ``run_sweep``
+  on its chunk and publishes through the store like any other stage,
+  and the parent then reads the results back.  Contiguous chunks keep
+  cross-product neighbors (which share predictor or cache components)
+  in the same worker, preserving the engine's sharing.
 """
 
 from __future__ import annotations
 
-import json
 from math import ceil
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import runtime
@@ -41,17 +40,19 @@ from repro.compression.registry import (
 from repro.errors import ConfigurationError
 from repro.fetch.config import CacheGeometry, FetchConfig
 from repro.fetch.engine import FetchMetrics
-from repro.fetch.sweep import (
-    config_from_json,
-    config_to_json,
-    simulate_fetch_sweep_multi,
+from repro.fetch.sweep import simulate_fetch_sweep_multi
+from repro.runtime.store import default_store
+from repro.runtime.tasks import (
+    TaskSpec,
+    build_study_graph,
+    compress_id,
+    fetch_id,
+    fetch_image_key,
+    normalize_fetch_scheme,
+    trace_id,
 )
-from repro.runtime.store import MISS, default_store
-from repro.runtime.tasks import TaskSpec, compile_id, compress_id, \
-    fetch_image_key, normalize_fetch_scheme, trace_id
 
 __all__ = [
-    "execute_sweep_chunk",
     "expand_grid",
     "run_sweep",
 ]
@@ -192,144 +193,74 @@ def expand_grid(
     return configs
 
 
-def _fetch_digest(
-    benchmark: str, scale: int, config: FetchConfig, token: str
-) -> str:
-    """The store address :meth:`ProgramStudy.fetch_metrics` would use."""
-    return runtime.artifact_digest(
-        "fetch",
-        benchmark=benchmark,
-        scale=scale,
-        scheme=config.scheme,
-        extra={"config": token, "scaled": True},
-    )
-
-
-def _store_result(
-    benchmark: str,
-    scale: int,
-    config: FetchConfig,
-    token: str,
-    metrics: FetchMetrics,
-) -> None:
-    """Publish one computed result under its ``fetch``-stage address."""
-    runtime.get_or_compute(
-        "fetch",
-        lambda: metrics,
-        benchmark=benchmark,
-        scale=scale,
-        scheme=config.scheme,
-        extra={"config": token, "scaled": True},
-    )
-
-
 def _compute_batch(
-    study, indices: Sequence[int], configs: Sequence[FetchConfig]
+    study, configs: Sequence[FetchConfig]
 ) -> List[FetchMetrics]:
-    """Run the columnar engine over ``indices`` in one mixed-scheme call.
+    """Run the columnar engine over ``configs`` in one mixed-scheme call.
 
-    Returns results positionally aligned with ``indices``.  The
-    multi-image entry point resolves each config's scheme to the study's
-    per-scheme compressed image, so predictor components are shared
-    across schemes (all images wrap the same program).
+    The multi-image entry point resolves each config's scheme to the
+    study's per-scheme compressed image, so predictor components are
+    shared across schemes (all images wrap the same program).
     """
     trace = study.run.block_trace
     images = {
         scheme: study.compressed(fetch_image_key(scheme))
-        for scheme in {configs[i].scheme for i in indices}
+        for scheme in dict.fromkeys(config.scheme for config in configs)
     }
-    batch = simulate_fetch_sweep_multi(
-        images, trace, [configs[i] for i in indices]
+    return simulate_fetch_sweep_multi(images, trace, configs)
+
+
+def _stored(study, key: dict) -> bool:
+    """Does the store already hold the fetch result at ``key``?"""
+    if not runtime.runtime_config().enabled:
+        return False
+    digest = runtime.artifact_digest(
+        "fetch",
+        benchmark=study.name,
+        scale=study.effective_scale,
+        **key,
     )
-    return list(batch)
+    return default_store().size_of(digest) > 0
 
 
-def sweep_chunk_id(
-    benchmark: str, scale: Optional[int], scheme: str, ordinal: int
-) -> str:
-    node = f"{benchmark}@{'d' if scale is None else scale}"
-    return f"sweep:{node}:{scheme}:{ordinal}"
-
-
-def execute_sweep_chunk(spec: TaskSpec) -> None:
-    """Worker body of one ``sweep`` node: compute and publish a chunk.
-
-    The chunk's configs ride in ``spec.payload`` as JSON; results land
-    in the store under per-config ``fetch`` digests, which is the only
-    channel back to the parent.
-    """
-    from repro.core.study import study_for
-
-    if not spec.payload:
-        raise ConfigurationError(
-            f"sweep task {spec.task_id!r} has no config payload"
-        )
-    configs = [
-        config_from_json(point) for point in json.loads(spec.payload)
-    ]
-    study = study_for(spec.benchmark, spec.scale)
-    scale = study.effective_scale
-    results = _compute_batch(study, range(len(configs)), configs)
-    for config, metrics in zip(configs, results):
-        token = runtime.fetch_config_token(config)
-        _store_result(study.name, scale, config, token, metrics)
-
-
-def _shard_pending(
-    study,
-    pending: Sequence[int],
-    configs: Sequence[FetchConfig],
-    payloads: Dict[int, dict],
-    jobs: int,
-) -> None:
-    """Run ``pending`` configs as sweep nodes on the process pool.
+def _shard_pending(study, configs: Sequence[FetchConfig], jobs: int) -> None:
+    """Publish ``configs`` into the store from the process pool.
 
     Chunks are contiguous runs within each scheme group, at most
-    ``jobs`` chunks total, each depending on the trace node and its
-    scheme's compress node.  Workers publish through the store; the
-    caller reads the results back afterwards.
+    ``jobs`` chunks per group, run as ``fetch`` nodes on top of the
+    compile, trace and compress nodes of :func:`build_study_graph`.
     """
     from repro.runtime.scheduler import execute_graph
 
     benchmark, scale = study.name, study.scale
-    by_scheme: Dict[str, List[int]] = {}
-    for index in pending:
-        by_scheme.setdefault(configs[index].scheme, []).append(index)
-
-    graph: Dict[str, TaskSpec] = {}
-    cid = compile_id(benchmark, scale)
-    tid = trace_id(benchmark, scale)
-    graph[cid] = TaskSpec(cid, "compile", benchmark, scale)
-    graph[tid] = TaskSpec(tid, "trace", benchmark, scale, deps=(cid,))
-    chunk_size = max(1, ceil(len(pending) / max(1, jobs)))
+    by_scheme: Dict[str, List[FetchConfig]] = {}
+    for config in configs:
+        scheme = normalize_fetch_scheme(config.scheme)
+        by_scheme.setdefault(scheme, []).append(config)
+    graph = build_study_graph(
+        [benchmark],
+        scale=scale,
+        schemes=[fetch_image_key(scheme) for scheme in by_scheme],
+    )
+    chunk_size = max(1, ceil(len(configs) / jobs))
     for scheme, members in by_scheme.items():
-        image_key = fetch_image_key(scheme)
-        sid = compress_id(benchmark, image_key, scale)
-        if sid not in graph:
-            # Trace-profiled hybrid recompression reads the trace (its
-            # heat profile); ``:static`` hybrids need compile only.
-            deps = (
-                (cid, tid)
-                if hybrid_profile_source(image_key) == "trace"
-                else (cid,)
+        deps = (
+            trace_id(benchmark, scale),
+            compress_id(benchmark, fetch_image_key(scheme), scale),
+        )
+        for start in range(0, len(members), chunk_size):
+            task = (
+                f"{fetch_id(benchmark, scheme, scale)}:"
+                f"{start // chunk_size}"
             )
-            graph[sid] = TaskSpec(
-                sid, "compress", benchmark, scale,
-                scheme=image_key, deps=deps,
-            )
-        for ordinal, start in enumerate(
-            range(0, len(members), chunk_size)
-        ):
-            chunk = members[start : start + chunk_size]
-            task = sweep_chunk_id(benchmark, scale, scheme, ordinal)
             graph[task] = TaskSpec(
                 task,
-                "sweep",
+                "fetch",
                 benchmark,
                 scale,
                 fetch_scheme=scheme,
-                payload=json.dumps([payloads[i] for i in chunk]),
-                deps=(tid, sid),
+                configs=tuple(members[start : start + chunk_size]),
+                deps=deps,
             )
     execute_graph(graph, jobs=jobs)
 
@@ -344,99 +275,46 @@ def run_sweep(
     """Simulate ``configs`` against one benchmark's trace, in order.
 
     Each returned element is bit-identical to
-    ``study.fetch_metrics(config.scheme, config)`` — same store
-    digests, same values — but cold configs are computed by the
-    columnar engine (optionally sharded across ``jobs`` processes)
-    instead of one replay per config.
+    ``study.fetch_metrics(config.scheme, config)`` and stored under the
+    same :func:`~repro.core.study.fetch_key`, but cold configs are
+    computed by one columnar engine call (after ``jobs`` worker
+    processes have published them, when ``jobs > 1``) instead of one
+    replay per config.  Nothing is memoized in-process: with the store
+    off every point is simulated on every call.
     """
-    from repro.core.study import study_for
+    from repro.core.study import fetch_key, study_for
 
-    for config in configs:
-        scheme = normalize_fetch_scheme(config.scheme)
-        if scheme == "ideal":
-            raise ConfigurationError(
-                "the ideal organization has no fetch config to sweep"
-            )
-
+    schemes = [normalize_fetch_scheme(config.scheme) for config in configs]
+    if "ideal" in schemes:
+        raise ConfigurationError(
+            "the ideal organization has no fetch config to sweep"
+        )
     study = study_for(benchmark, scale)
-    eff_scale = study.effective_scale
-    results: List[Optional[FetchMetrics]] = [None] * len(configs)
 
     # Deduplicate repeated points: simulate once, answer every index.
-    tokens = [runtime.fetch_config_token(c) for c in configs]
+    tokens = [runtime.fetch_config_token(config) for config in configs]
     first_of: Dict[str, int] = {}
-    unique: List[int] = []
     for index, token in enumerate(tokens):
-        if token not in first_of:
-            first_of[token] = index
-            unique.append(index)
+        first_of.setdefault(token, index)
+    unique = list(first_of.values())
+    keys = [fetch_key(schemes[i], configs[i]) for i in unique]
 
-    cache_on = runtime.runtime_config().enabled
-    pending: List[int] = []
-    if cache_on:
-        store = default_store()
-        for index in unique:
-            started = perf_counter()
-            digest = _fetch_digest(
-                benchmark, eff_scale, configs[index], tokens[index]
-            )
-            value = store.get(digest)
-            if value is MISS:
-                pending.append(index)
-            else:
-                results[index] = value
-                runtime.REPORT.record(
-                    "fetch",
-                    hit=True,
-                    seconds=perf_counter() - started,
-                    bytes_read=store.size_of(digest),
-                )
-    else:
-        pending = unique
+    if jobs > 1:
+        cold = [
+            configs[i] for i, key in zip(unique, keys)
+            if not _stored(study, key)
+        ]
+        if len(cold) > 1:
+            _shard_pending(study, cold, jobs)
 
-    if pending:
-        # A config without a JSON wire form (subclassed penalty table)
-        # cannot ride to a worker; it computes in-process, where the
-        # engine's per-config fallback handles it.
-        payloads: Dict[int, dict] = {}
-        local: List[int] = []
-        shardable: List[int] = []
-        for index in pending:
-            try:
-                payloads[index] = config_to_json(configs[index])
-                shardable.append(index)
-            except ConfigurationError:
-                local.append(index)
-
-        if jobs > 1 and len(shardable) > 1:
-            _shard_pending(study, shardable, configs, payloads, jobs)
-            store = default_store()
-            for index in shardable:
-                digest = _fetch_digest(
-                    benchmark, eff_scale, configs[index], tokens[index]
-                )
-                value = store.get(digest)
-                if value is MISS:  # pragma: no cover - worker published
-                    local.append(index)
-                else:
-                    results[index] = value
-        else:
-            local = pending
-
-        if local:
-            batch = _compute_batch(study, local, configs)
-            for index, metrics in zip(local, batch):
-                results[index] = metrics
-                if cache_on:
-                    _store_result(
-                        benchmark,
-                        eff_scale,
-                        configs[index],
-                        tokens[index],
-                        metrics,
-                    )
-
-    for index, token in enumerate(tokens):
-        if results[index] is None:
-            results[index] = results[first_of[token]]
-    return results  # type: ignore[return-value]
+    values = runtime.get_or_compute_many(
+        "fetch",
+        lambda missing: _compute_batch(
+            study, [configs[unique[i]] for i in missing]
+        ),
+        keys,
+        benchmark=study.name,
+        scale=study.effective_scale,
+    )
+    by_token = dict(zip(first_of, values))
+    return [by_token[token] for token in tokens]

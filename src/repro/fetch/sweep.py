@@ -63,7 +63,7 @@ and ``tests/test_fetch_sweep.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.compression.registry import fetch_scheme_base
 from repro.compression.schemes import CompressedImage
@@ -74,10 +74,11 @@ from repro.fetch.config import CacheGeometry, FetchConfig, penalty_rows
 from repro.fetch.engine import FetchMetrics
 
 __all__ = [
+    "BlockCosts",
     "block_bus_beats",
+    "block_costs",
     "block_meta_columns",
     "block_span_pairs",
-    "config_from_json",
     "config_to_json",
     "simulate_fetch_sweep",
     "simulate_fetch_sweep_multi",
@@ -163,7 +164,76 @@ def block_bus_beats(
     return beats_by_block, [len(payload) for payload in payloads]
 
 
-# ------------------------------------------------------------ wire form
+class BlockCosts(NamedTuple):
+    """Per-block fetch costs of one image under one configuration.
+
+    Each block is charged at its own Table 1 penalty family (a hybrid
+    block at its ATT scheme tag), as initiation cycles plus its
+    streaming tail of one cycle per further MultiOp.  ``hit_t`` and
+    ``hit_f`` are an L1 hit with the prediction correct and incorrect,
+    ``miss_t`` and ``miss_f`` an L1 miss, ``buffer`` an L0 hit.
+    ``l0_probe`` says whether a fetch of the block probes the L0 buffer
+    (every block under Compressed, the tagged-cold ones under a hybrid,
+    none without a buffer); ``l0_fits`` whether it can also be resident
+    there, which takes no more ops than the buffer's capacity.
+    """
+
+    l0_probe: List[bool]
+    l0_fits: List[bool]
+    hit_t: List[int]
+    hit_f: List[int]
+    miss_t: List[int]
+    miss_f: List[int]
+    buffer: List[int]
+
+
+def block_costs(
+    compressed: CompressedImage,
+    config: FetchConfig,
+    span_pairs: Sequence[tuple],
+) -> BlockCosts:
+    """:class:`BlockCosts` for ``compressed`` under ``config``.
+
+    ``span_pairs`` is :func:`block_span_pairs` for the config's cache
+    (a block spanning ``n`` lines pays the per-line slope ``n - 1``
+    times).  Raises :class:`ConfigurationError` for a scheme outside
+    the fetch families, or a hybrid image without scheme tags.
+    """
+    scheme = config.scheme
+    base_scheme = fetch_scheme_base(scheme)
+    if base_scheme not in ("base", "tailored", "compressed", "hybrid"):
+        raise ConfigurationError(f"unknown fetch scheme {scheme!r}")
+    image = compressed.image
+    nblocks = len(image)
+    if base_scheme == "hybrid":
+        families = compressed.block_scheme_tags()
+        if families is None:
+            raise ConfigurationError(
+                "hybrid fetch needs an image with per-block scheme tags"
+            )
+        l0_probe = [family == "compressed" for family in families]
+    else:
+        families = [base_scheme] * nblocks
+        l0_probe = [base_scheme == "compressed"] * nblocks
+    rows = penalty_rows()
+    capacity = config.l0_capacity_ops
+    l0_fits = []
+    columns: Tuple[List[int], ...] = ([], [], [], [])
+    buffer = []
+    for bid, family in enumerate(families):
+        block = image.block(bid)
+        l0_fits.append(l0_probe[bid] and block.op_count <= capacity)
+        extra = len(span_pairs[bid]) - 1
+        tail = block.mop_count - 1
+        for column, (cycles, per_line) in zip(
+            columns, rows.by_family[family]
+        ):
+            column.append(cycles + per_line * extra + tail)
+        buffer.append(rows.buffer_hit_cycles + tail)
+    return BlockCosts(l0_probe, l0_fits, *columns, buffer)
+
+
+# ------------------------------------------------------------ JSON form
 def config_to_json(config: FetchConfig) -> dict:
     """A JSON-serializable dict capturing one :class:`FetchConfig`."""
     return {
@@ -182,39 +252,6 @@ def config_to_json(config: FetchConfig) -> dict:
         "predictor": config.predictor,
         "gshare_history_bits": config.gshare_history_bits,
     }
-
-
-def config_from_json(payload: dict) -> FetchConfig:
-    """Rebuild a :class:`FetchConfig` from :func:`config_to_json` output."""
-    if not isinstance(payload, dict):
-        raise ConfigurationError(
-            f"config point must be an object, got {type(payload).__name__}"
-        )
-    try:
-        cache = payload["cache"]
-        geometry = CacheGeometry(
-            name=str(cache.get("name", "sweep")),
-            capacity_bytes=int(cache["capacity_bytes"]),
-            ways=int(cache["ways"]),
-            line_bytes=int(cache["line_bytes"]),
-        )
-        return FetchConfig(
-            scheme=str(payload["scheme"]),
-            cache=geometry,
-            atb_entries=int(payload.get("atb_entries", 128)),
-            atb_ways=int(payload.get("atb_ways", 4)),
-            atb_miss_penalty=int(payload.get("atb_miss_penalty", 2)),
-            l0_capacity_ops=int(payload.get("l0_capacity_ops", 32)),
-            bus_bytes=int(payload.get("bus_bytes", 8)),
-            predictor=str(payload.get("predictor", "block")),
-            gshare_history_bits=int(
-                payload.get("gshare_history_bits", 10)
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"malformed sweep config point: {exc!r}"
-        ) from exc
 
 
 # --------------------------------------------------- predictor component
@@ -368,23 +405,24 @@ def _cache_component(
     span_pairs: Sequence[tuple],
     geometry: CacheGeometry,
     has_buffer: bool,
-    l0_elig: Optional[Sequence[bool]],
+    costs: BlockCosts,
     l0_cap: int,
     op_counts: Sequence[int],
     beats_by_block: Sequence[list],
     payload_lens: Sequence[int],
-    hit_cost_f: Sequence[int],
-    miss_cost_f: Sequence[int],
-    buf_cost: Sequence[int],
 ) -> _CacheComponent:
     """One trace pass of the L0 + banked L1 + bus machine.
 
     Charges every position at its pred-*incorrect* Table 1 cost (the
     combine step subtracts the constant correct-prediction discount per
-    intersected position).  ``l0_elig`` restricts L0 probes to
-    tagged-cold blocks for hybrid images (``None`` = every block probes,
-    the Compressed rule).
+    intersected position).  Only ``costs.l0_probe`` blocks probe the
+    L0, and only ``costs.l0_fits`` blocks are installed there.
     """
+    l0_probe = costs.l0_probe
+    l0_fits = costs.l0_fits
+    hit_cost_f = costs.hit_f
+    miss_cost_f = costs.miss_f
+    buf_cost = costs.buffer
     cache_ways = geometry.ways
     cache_sets: List[Dict[int, bool]] = [
         {} for _ in range(geometry.num_sets)
@@ -413,7 +451,7 @@ def _cache_component(
 
     for position, block_id in enumerate(trace):
         buffer_hit = False
-        if has_buffer and (l0_elig is None or l0_elig[block_id]):
+        if l0_probe[block_id]:
             resident = l0.pop(block_id, None)
             if resident is not None:
                 l0[block_id] = resident
@@ -421,8 +459,8 @@ def _cache_component(
                 buffer_hit = True
             else:
                 buffer_misses += 1
-                op_count = op_counts[block_id]
-                if op_count <= l0_cap:
+                if l0_fits[block_id]:
+                    op_count = op_counts[block_id]
                     while l0_used + op_count > l0_cap:
                         l0_used -= l0.pop(next(iter(l0)))
                     l0[block_id] = op_count
@@ -531,19 +569,7 @@ def _sweep_engine(
     for config in configs:
         scheme = config.scheme
         base_scheme = fetch_scheme_base(scheme)
-        if base_scheme not in ("base", "tailored", "compressed", "hybrid"):
-            raise ConfigurationError(f"unknown fetch scheme {scheme!r}")
         compressed = image_for(scheme)
-        is_hybrid = base_scheme == "hybrid"
-        if is_hybrid:
-            block_tags = compressed.block_scheme_tags()
-            if block_tags is None:
-                raise ConfigurationError(
-                    "hybrid fetch needs an image with per-block scheme"
-                    " tags"
-                )
-        else:
-            block_tags = None
 
         image = compressed.image
         meta = meta_memo.get(id(image))
@@ -618,35 +644,11 @@ def _sweep_engine(
                 beats_memo[beats_key] = beats
             beats_by_block, payload_lens = beats
 
-            # Per-block pred-incorrect costs (streaming tail folded
-            # in), each block charged at its own penalty family.
-            hit_cost_f = [0] * nblocks
-            miss_cost_f = [0] * nblocks
-            buf_cost = [0] * nblocks
-            for bid in range(nblocks):
-                _, hit_pen_f, _, miss_pen_f = rows.by_family[
-                    block_tags[bid] if is_hybrid else base_scheme
-                ]
-                extra = len(span_pairs[bid]) - 1
-                tail = mop_counts[bid] - 1
-                hit_cost_f[bid] = (
-                    hit_pen_f[0] + hit_pen_f[1] * extra + tail
-                )
-                miss_cost_f[bid] = (
-                    miss_pen_f[0] + miss_pen_f[1] * extra + tail
-                )
-                buf_cost[bid] = rows.buffer_hit_cycles + tail
-
-            l0_elig = (
-                [tag == "compressed" for tag in block_tags]
-                if is_hybrid
-                else None
-            )
             comp = _cache_component(
-                trace, span_pairs, geometry,
-                has_buffer, l0_elig, config.l0_capacity_ops,
+                trace, span_pairs, geometry, has_buffer,
+                block_costs(compressed, config, span_pairs),
+                config.l0_capacity_ops,
                 op_counts, beats_by_block, payload_lens,
-                hit_cost_f, miss_cost_f, buf_cost,
             )
             cache_comps[cache_key] = comp
 

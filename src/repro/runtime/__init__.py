@@ -19,14 +19,15 @@ This package turns the per-process memoization of
 :func:`get_or_compute` is the seam :class:`repro.core.study.ProgramStudy`
 calls through: cache disabled (``REPRO_CACHE=0`` / ``--no-cache``) means
 the compute callable runs directly, byte-identical to the historical
-path.  Cached payloads are pickles — the store trusts its own cache
+path.  :func:`get_or_compute_many` is the same seam for a batch of one
+stage's artifacts computed by one call (``run_sweep``'s grid points).
+Cached payloads are pickles — the store trusts its own cache
 directory, nothing else.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.runtime.config import (
     RuntimeConfig,
@@ -48,6 +49,7 @@ from repro.runtime.metrics import (
     StageMetrics,
     capture,
     reset_metrics,
+    stage_clock,
 )
 from repro.runtime.store import (
     MISS,
@@ -72,6 +74,7 @@ __all__ = [
     "default_store",
     "fetch_config_token",
     "get_or_compute",
+    "get_or_compute_many",
     "reset_default_store",
     "reset_fingerprint_cache",
     "reset_metrics",
@@ -97,35 +100,77 @@ def get_or_compute(
     Looks the artifact up by its content address; on a miss (or with the
     cache disabled) runs ``compute()`` and persists the result.  Either
     way the stage's wall-time and hit/miss counters land in
-    :data:`REPORT`.
+    :data:`REPORT` (see :func:`get_or_compute_many`).
     """
-    started = perf_counter()
-    if not runtime_config().enabled:
-        value = compute()
-        REPORT.record(stage, hit=False, seconds=perf_counter() - started)
-        return value
-    digest = artifact_digest(
-        stage, benchmark=benchmark, scale=scale, scheme=scheme, extra=extra
-    )
-    store = default_store()
-    value = store.get(digest)
-    if value is not MISS:
-        REPORT.record(
-            stage,
-            hit=True,
-            seconds=perf_counter() - started,
-            bytes_read=store.size_of(digest),
-        )
-        return value
-    value = compute()
-    written = store.put(digest, value)
-    REPORT.record(
+    [value] = get_or_compute_many(
         stage,
-        hit=False,
-        seconds=perf_counter() - started,
-        bytes_written=written,
+        lambda missing: [compute()],
+        [{"scheme": scheme, "extra": extra}],
+        benchmark=benchmark,
+        scale=scale,
     )
     return value
+
+
+def get_or_compute_many(
+    stage: str,
+    compute,
+    keys: Sequence[dict],
+    *,
+    benchmark: str,
+    scale: int,
+) -> List:
+    """Several artifacts of one stage, through the store when enabled.
+
+    ``keys`` holds each artifact's ``scheme``/``extra`` address parts.
+    ``compute(missing)`` receives the indices of the artifacts the store
+    lacks (all of them with the cache disabled) and returns their
+    values in that order: one call however many are missing.  Each
+    computed value is persisted with one ``put``.
+
+    Every artifact records one hit or miss in :data:`REPORT`.  Seconds
+    are exclusive of the stages nested inside ``compute``: a hit is
+    charged its own lookup, and the misses share the rest equally.
+    """
+    with stage_clock() as clock:
+        values = [MISS] * len(keys)
+        digests: List[Optional[str]] = [None] * len(keys)
+        hit_seconds = 0.0
+        enabled = runtime_config().enabled
+        if enabled:
+            store = default_store()
+            for index, key in enumerate(keys):
+                started = clock.seconds()
+                digest = artifact_digest(
+                    stage, benchmark=benchmark, scale=scale, **key
+                )
+                digests[index] = digest
+                value = store.get(digest)
+                if value is not MISS:
+                    values[index] = value
+                    seconds = clock.seconds() - started
+                    hit_seconds += seconds
+                    REPORT.record(
+                        stage,
+                        hit=True,
+                        seconds=seconds,
+                        bytes_read=store.size_of(digest),
+                    )
+        missing = [i for i, value in enumerate(values) if value is MISS]
+        if not missing:
+            return values
+        written = []
+        for index, value in zip(missing, compute(missing)):
+            values[index] = value
+            written.append(
+                store.put(digests[index], value) if enabled else 0
+            )
+        share = (clock.seconds() - hit_seconds) / len(missing)
+        for count in written:
+            REPORT.record(
+                stage, hit=False, seconds=share, bytes_written=count
+            )
+    return values
 
 
 def reset_runtime_state() -> None:

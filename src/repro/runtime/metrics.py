@@ -11,6 +11,11 @@ so a caller can see the stage activity of one piece of work while the
 process-global totals keep accumulating.  The tee is a
 :class:`contextvars.ContextVar`, so concurrent threads capture only
 their own stage activity.
+
+Stage seconds are *exclusive*: :func:`stage_clock` subtracts the time
+of every stage nested inside a stage's compute (a fetch simulation that
+first emulates the trace charges the emulation to ``trace`` alone), so
+the stage seconds of one call sum to at most its wall time.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Tuple
 
 from repro.utils.tables import format_table
@@ -26,6 +32,12 @@ from repro.utils.tables import format_table
 #: records into (innermost last); managed only by :func:`capture`.
 _captures: ContextVar[Tuple["RuntimeReport", ...]] = ContextVar(
     "repro_metric_captures", default=()
+)
+
+#: The stage clocks open in the current execution context (innermost
+#: last); managed only by :func:`stage_clock`.
+_open_clocks: ContextVar[Tuple["StageClock", ...]] = ContextVar(
+    "repro_stage_clocks", default=()
 )
 
 #: Stage presentation order in reports (pipeline order).
@@ -236,3 +248,36 @@ def capture():
         yield report
     finally:
         _captures.reset(token)
+
+
+class StageClock:
+    """Wall time of one open stage, less the stages nested inside it."""
+
+    __slots__ = ("started", "nested")
+
+    def __init__(self) -> None:
+        self.started = perf_counter()
+        self.nested = 0.0
+
+    def seconds(self) -> float:
+        """Exclusive seconds since the stage opened."""
+        return perf_counter() - self.started - self.nested
+
+
+@contextmanager
+def stage_clock():
+    """Open a :class:`StageClock` for the duration of the block.
+
+    On exit the block's whole wall time is charged as nested time to
+    the enclosing clock, if any, so each stage reports only its own
+    work.  Clocks are context-local, like :func:`capture`.
+    """
+    outer = _open_clocks.get()
+    clock = StageClock()
+    token = _open_clocks.set(outer + (clock,))
+    try:
+        yield clock
+    finally:
+        _open_clocks.reset(token)
+        if outer:
+            outer[-1].nested += perf_counter() - clock.started

@@ -2,8 +2,9 @@
 
 The paper's artifact chain — compile → emulate (trace) → compress per
 scheme → fetch-simulate per organization — becomes an explicit DAG of
-:class:`TaskSpec` nodes.  Nodes are cheap descriptions (picklable
-tuples of strings), so the scheduler can ship them to worker processes;
+:class:`TaskSpec` nodes.  Nodes are cheap picklable descriptions
+(strings, plus the frozen fetch configs of a sweep chunk), so the
+scheduler can ship them to worker processes;
 executing a node routes through :class:`~repro.core.study.ProgramStudy`
 and therefore through the artifact store, which is how a worker's
 output becomes visible to its parent.
@@ -14,13 +15,16 @@ Dependencies mirror the data flow:
 * ``compress`` needs ``compile`` (the scheme re-encodes the image);
 * ``fetch`` needs ``trace`` plus the ``compress`` node of the image it
   runs on (Base/Tailored/Full-op per the paper's choices; the Ideal
-  organization walks the uncompressed image).
+  organization walks the uncompressed image).  A ``fetch`` node
+  without configs simulates its organization's standard config; one
+  with configs is a chunk of a sharded ``run_sweep`` and publishes
+  each of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.compression.registry import (
     hybrid_key,
@@ -30,7 +34,10 @@ from repro.compression.registry import (
 )
 from repro.errors import ConfigurationError
 
-STAGES = ("compile", "trace", "compress", "fetch", "sweep")
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.fetch.config import FetchConfig
+
+STAGES = ("compile", "trace", "compress", "fetch")
 
 #: Which compressed image each fetch organization consumes
 #: ("'Compressed' uses the Full op compression scheme").  Hybrid fetch
@@ -83,9 +90,8 @@ class TaskSpec:
     scale: Optional[int] = None
     scheme: Optional[str] = None  # compression scheme key
     fetch_scheme: Optional[str] = None  # fetch organization
-    #: Stage-specific JSON payload (``sweep`` nodes carry their config
-    #: chunk here — still a cheap picklable string).
-    payload: Optional[str] = None
+    #: A ``fetch`` node's sweep chunk (empty: the standard config).
+    configs: Tuple["FetchConfig", ...] = ()
     deps: Tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -214,11 +220,11 @@ def execute_task(spec: TaskSpec) -> None:
         study.run
     elif spec.stage == "compress":
         study.compressed(spec.scheme)
+    elif spec.stage == "fetch" and spec.configs:
+        from repro.core.sweep import run_sweep
+
+        run_sweep(spec.benchmark, spec.configs, scale=spec.scale)
     elif spec.stage == "fetch":
         study.fetch_metrics(spec.fetch_scheme)
-    elif spec.stage == "sweep":
-        from repro.core.sweep import execute_sweep_chunk
-
-        execute_sweep_chunk(spec)
     else:  # pragma: no cover - __post_init__ rejects these
         raise ConfigurationError(f"unknown stage {spec.stage!r}")

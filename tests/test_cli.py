@@ -101,6 +101,19 @@ def test_second_run_is_all_cache_hits(capsys, fresh_cache):
     assert payload["runtime"]["totals"]["misses"] == 0
 
 
+def test_parallel_fig13_simulates_each_organization_once(
+    capsys, fresh_cache
+):
+    """The workers simulate Ideal, Base, Compressed and Tailored; the
+    parent's sweep and Ideal lookups read those same four entries."""
+    assert main(
+        ["run", "fig13", "--jobs", "2", "--benchmarks", "compress",
+         "--scale", "2", "--json"]
+    ) == 0
+    fetch = json.loads(capsys.readouterr().out)["runtime"]["stages"]["fetch"]
+    assert (fetch["misses"], fetch["hits"]) == (4, 4)
+
+
 def test_warm_study_recomputes_nothing(capsys, fresh_cache):
     args = ["study", "compress", "--scale", "2", "--scheme", "byte",
             "--json"]

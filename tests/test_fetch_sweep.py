@@ -12,19 +12,20 @@ the store-backed ``run_sweep`` wrapper.
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import runtime
+from repro.core.study import clear_caches, study_for
 from repro.core.sweep import expand_grid, run_sweep
 from repro.errors import ConfigurationError
 from repro.fetch.config import CacheGeometry, FetchConfig
 from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 from repro.fetch.sweep import (
-    config_from_json,
-    config_to_json,
     simulate_fetch_sweep,
     simulate_fetch_sweep_multi,
 )
@@ -131,17 +132,6 @@ def test_unsupported_configs_fall_back_without_poisoning(
         )
 
 
-@settings(max_examples=30, deadline=None)
-@given(config=fetch_configs())
-def test_config_json_roundtrip(config):
-    rebuilt = config_from_json(config_to_json(config))
-    assert config_to_json(rebuilt) == config_to_json(config)
-    assert rebuilt.scheme == config.scheme
-    assert rebuilt.cache.capacity_bytes == config.cache.capacity_bytes
-    assert rebuilt.cache.ways == config.cache.ways
-    assert rebuilt.cache.line_bytes == config.cache.line_bytes
-
-
 def test_sweep_matches_sequential_on_the_64_point_grid(
     sweep_images, compress_study
 ):
@@ -222,13 +212,6 @@ def test_unknown_scheme_raises(sweep_images):
         simulate_fetch_sweep(sweep_images["base"], [0], [bad])
 
 
-def test_config_from_json_rejects_malformed():
-    with pytest.raises(ConfigurationError):
-        config_from_json({"scheme": "base"})  # no cache
-    with pytest.raises(ConfigurationError):
-        config_from_json("not a dict")
-
-
 # ------------------------------------------------------------ expand_grid
 def test_expand_grid_collapses_inert_axes():
     grid = expand_grid(
@@ -251,12 +234,27 @@ def test_expand_grid_rejects_unknown_scheme():
 
 
 # --------------------------------------------------------- run_sweep/store
+#: 3 schemes x 2 caches x 2 predictors: a 12-point design grid.
+DESIGN_GRID = dict(
+    schemes=("base", "tailored", "compressed"),
+    caches=[(1280, 2, 40), (1024, 2, 32)],
+    predictors=("block", "gshare"),
+)
+
+
+@pytest.fixture
+def fresh_store(tmp_path):
+    """An empty store and no in-process study state."""
+    saved = runtime.runtime_config()
+    clear_caches()
+    runtime.configure(enabled=True, cache_dir=tmp_path / "cache")
+    yield
+    clear_caches()
+    runtime.set_runtime_config(saved)
+
+
 def test_run_sweep_matches_study_and_warms_store(compress_study):
-    grid = expand_grid(
-        ("base", "tailored", "compressed"),
-        caches=[(1280, 2, 40), (1024, 2, 32)],
-        predictors=("block", "gshare"),
-    )
+    grid = expand_grid(**DESIGN_GRID)
     results = run_sweep(
         "compress", grid, scale=compress_study.scale
     )
@@ -271,3 +269,63 @@ def test_run_sweep_matches_study_and_warms_store(compress_study):
     again = run_sweep("compress", doubled, scale=compress_study.scale)
     assert again[-1] == again[0]
     assert again[: len(grid)] == results
+
+
+def test_sharded_sweep_equals_inline(fresh_store):
+    grid = expand_grid(**DESIGN_GRID)
+    assert len(grid) == 12
+    sharded = run_sweep("compress", grid, scale=2, jobs=2)
+    runtime.configure(enabled=False)
+    assert run_sweep("compress", grid, scale=2, jobs=1) == sharded
+
+
+def test_default_grid_sweep_warms_the_figure_studies(fresh_store):
+    """One address per result: the standard config of each organization
+    is a point of the default grid, stored once and read by both."""
+    swept = run_sweep("compress", expand_grid(), scale=2)
+    clear_caches()
+    study = study_for("compress", 2)
+    with runtime.capture() as report:
+        found = [
+            study.fetch_metrics(scheme)
+            for scheme in ("base", "tailored", "compressed")
+        ]
+    assert found == swept
+    assert report.stage("fetch").hits == 3
+    assert report.stage("fetch").misses == 0
+
+
+# ----------------------------------------------------------- stage seconds
+def test_nested_stages_are_not_counted_twice(fresh_store):
+    """A cold fetch emulates and compresses inside its compute; each
+    stage reports only its own time, so they sum to at most the wall
+    time of the call."""
+    runtime.configure(enabled=False)
+    study = study_for("compress", 2)
+    with runtime.capture() as report:
+        started = time.perf_counter()
+        study.fetch_metrics("compressed")
+        wall = time.perf_counter() - started
+    assert {"compile", "trace", "compress", "fetch"} <= set(report.stages)
+    assert sum(m.seconds for m in report.stages.values()) <= wall
+
+
+def test_sweep_misses_charge_the_engine_to_fetch(fresh_store, monkeypatch):
+    import repro.core.sweep as sweep_module
+
+    engine = sweep_module.simulate_fetch_sweep_multi
+
+    def slow_engine(*args, **kwargs):
+        time.sleep(0.2)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(
+        sweep_module, "simulate_fetch_sweep_multi", slow_engine
+    )
+    grid = expand_grid(**DESIGN_GRID)
+    study_for("compress", 2).run  # the trace is not the sweep's time
+    with runtime.capture() as report:
+        run_sweep("compress", grid, scale=2)
+    fetch = report.stage("fetch")
+    assert fetch.misses == len(grid)
+    assert fetch.seconds >= 0.2
