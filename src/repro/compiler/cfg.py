@@ -128,7 +128,3 @@ def cleanup(func: IRFunction) -> None:
     remove_unreachable_blocks(func)
     if not func.blocks:
         raise CompilerError(f"function {func.name!r} optimized to nothing")
-
-
-def layout_index(func: IRFunction) -> dict[str, int]:
-    return {block.label: i for i, block in enumerate(func.blocks)}

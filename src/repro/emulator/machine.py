@@ -40,6 +40,9 @@ from repro.utils.arith import (
 #: Default dynamic MultiOp budget before the emulator declares a runaway.
 DEFAULT_MAX_MOPS = 50_000_000
 
+#: Bytes one load or store moves, by its BHWX width code.
+_ACCESS_WIDTH = {BHWX_BYTE: 1, BHWX_HALF: 2, BHWX_WORD: 4, BHWX_DOUBLE: 8}
+
 
 @dataclass
 class RunResult:
@@ -127,9 +130,7 @@ class Machine:
             )
 
     def _check(self, addr: int, bhwx: int) -> None:
-        width = {BHWX_BYTE: 1, BHWX_HALF: 2, BHWX_WORD: 4, BHWX_DOUBLE: 8}[
-            bhwx
-        ]
+        width = _ACCESS_WIDTH[bhwx]
         if addr < 0 or addr + width > len(self.memory):
             raise EmulationError(f"memory access at {addr:#x} out of range")
         if addr % width:

@@ -19,11 +19,32 @@ is a one-point call of :func:`simulate_fetch_sweep`.
   correct" bitmap.
 * **Cache components** — the L0 buffer, banked L1, and bus never
   observe the predictor, so their evolution depends only on
-  ``(geometry, scheme, l0 capacity, bus width)``.  One trace pass per
-  distinct tuple yields the hit/miss/bus counters, per-position
-  buffer-hit and cache-miss bitmaps, and the mispredicted-path cycle
-  total ``cycles_f`` (every position charged at its pred-incorrect
-  Table 1 row).
+  ``(geometry, scheme, l0 capacity, bus width)``.  Each distinct tuple
+  yields the hit/miss/bus counters, per-position buffer-hit and
+  cache-miss bitmaps, and the mispredicted-path cycle total
+  ``cycles_f`` (every position charged at its pred-incorrect Table 1
+  row).  It is computed in two passes:
+
+  - The **L0 pass** walks the buffer, which never observes the L1
+    either, so it depends only on ``(image, scheme family, l0
+    capacity)``: a grid's geometries share one walk per buffer size.
+  - The **L1 + bus pass** first splits the sets.  A set whose distinct
+    lines, over the blocks present in the trace, number at most
+    ``ways`` never evicts, so each of its lines misses exactly once, at
+    the first access that touches it.  Only the blocks touching an
+    *evicting* set are replayed, at their positions minus the L0's
+    buffer hits, and against those sets alone.  Hits and cycles follow
+    from each block's occurrence count times its per-block costs plus
+    one correction per miss event, and the bus walks the miss events
+    in trace order.
+
+  This is exact: LRU sets evolve independently; probe-all-then-install
+  (``BankedCache.access_block``) couples only lines of one block that
+  fall in one set, and the replay keeps it; a set with at most ``ways``
+  distinct lines never evicts; and every block's first occurrence
+  misses the L0, because the buffer starts empty, so a line's first
+  touch is the first occurrence of the earliest block holding it with
+  or without a buffer.
 * **Combine** — Table 1 rows for one (scheme, outcome) differ between
   correct and incorrect prediction by a *constant* (their per-extra-line
   slopes are equal, which :func:`~repro.fetch.config.penalty_rows`
@@ -63,6 +84,8 @@ and ``tests/test_fetch_sweep.py``.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from itertools import chain, compress, filterfalse
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.compression.registry import fetch_scheme_base
@@ -376,7 +399,89 @@ def _predictor_component(
 
 
 # ------------------------------------------------------- cache component
-class _CacheComponent:
+def _block_positions(trace: Sequence[int]) -> Dict[int, List[int]]:
+    """Each block's trace positions, ascending.
+
+    Keys run in order of first occurrence, so ``positions[b][0]`` is
+    block ``b``'s first position and ``len(positions[b])`` its count.
+    """
+    positions: Dict[int, List[int]] = defaultdict(list)
+    for position, block_id in enumerate(trace):
+        positions[block_id].append(position)
+    return dict(positions)
+
+
+class _L0Pass(NamedTuple):
+    """What the L0 buffer did over one trace.
+
+    ``hit_bits`` holds one byte per position, 1 at a buffer hit (empty
+    without a buffer), and ``hit_mask`` is the same bitmap as a big-int
+    for the combine step.  ``cycles`` is the buffer hits' Table 1 cost
+    and ``hits_by_block`` counts each block's buffer hits.
+    """
+
+    hit_bits: bytes
+    hit_mask: int
+    hits: int
+    misses: int
+    cycles: int
+    hits_by_block: Counter
+
+
+#: The L0 pass of an organization without a buffer.
+_NO_L0 = _L0Pass(b"", 0, 0, 0, 0, Counter())
+
+
+def _l0_pass(
+    trace: Sequence[int],
+    positions: Dict[int, List[int]],
+    costs: BlockCosts,
+    op_counts: Sequence[int],
+    capacity: int,
+) -> _L0Pass:
+    """One walk of the L0 buffer (fully associative by block, LRU).
+
+    The buffer never observes the L1, so its walk depends only on the
+    image, the scheme family (which blocks probe it) and its capacity,
+    and a grid's geometries share it.  Only blocks that fit are walked:
+    a probing block larger than the buffer always misses and never
+    changes the buffer's contents.
+    """
+    l0_fits = costs.l0_fits
+    hit_bits = bytearray(len(trace))
+    l0: Dict[int, int] = {}
+    used = 0
+    for position, block_id in compress(
+        enumerate(trace), map(l0_fits.__getitem__, trace)
+    ):
+        resident = l0.pop(block_id, None)
+        if resident is not None:
+            l0[block_id] = resident
+            hit_bits[position] = 1
+        else:
+            op_count = op_counts[block_id]
+            while used + op_count > capacity:
+                used -= l0.pop(next(iter(l0)))
+            l0[block_id] = op_count
+            used += op_count
+    hits_by_block = Counter(compress(trace, hit_bits))
+    hits = sum(hits_by_block.values())
+    l0_probe = costs.l0_probe
+    probes = sum(
+        len(at) for block_id, at in positions.items() if l0_probe[block_id]
+    )
+    buffer = costs.buffer
+    cycles = sum(
+        count * buffer[block_id]
+        for block_id, count in hits_by_block.items()
+    )
+    return _L0Pass(
+        bytes(hit_bits), int.from_bytes(hit_bits, "big"),
+        hits, probes - hits, cycles, hits_by_block,
+    )
+
+
+class _CacheComponent(NamedTuple):
     """Everything one (geometry, scheme, L0, bus) tuple produced.
 
     Only the miss and buffer-hit bitmaps are kept — a position that is
@@ -384,148 +489,140 @@ class _CacheComponent:
     bitmap (``ph = pred_correct - pm - pb``).
     """
 
-    __slots__ = (
-        "miss_mask", "buf_mask", "cycles_f",
-        "cache_hits", "cache_misses", "lines_fetched",
-        "buffer_hits", "buffer_misses",
-        "bus_bytes", "bus_beats", "bus_flips",
-    )
-
-    def __init__(self) -> None:
-        self.miss_mask = 0
-        self.buf_mask = 0
-        self.cycles_f = 0
-        self.cache_hits = self.cache_misses = self.lines_fetched = 0
-        self.buffer_hits = self.buffer_misses = 0
-        self.bus_bytes = self.bus_beats = self.bus_flips = 0
+    miss_mask: int
+    buf_mask: int
+    cycles_f: int
+    cache_hits: int
+    cache_misses: int
+    lines_fetched: int
+    buffer_hits: int
+    buffer_misses: int
+    bus_bytes: int
+    bus_beats: int
+    bus_flips: int
 
 
 def _cache_component(
     trace: Sequence[int],
+    positions: Dict[int, List[int]],
     span_pairs: Sequence[tuple],
-    geometry: CacheGeometry,
-    has_buffer: bool,
+    ways: int,
     costs: BlockCosts,
-    l0_cap: int,
-    op_counts: Sequence[int],
+    l0: _L0Pass,
     beats_by_block: Sequence[list],
     payload_lens: Sequence[int],
 ) -> _CacheComponent:
-    """One trace pass of the L0 + banked L1 + bus machine.
+    """The banked L1 + bus machine behind the L0 pass ``l0``.
 
     Charges every position at its pred-*incorrect* Table 1 cost (the
     combine step subtracts the constant correct-prediction discount per
-    intersected position).  Only ``costs.l0_probe`` blocks probe the
-    L0, and only ``costs.l0_fits`` blocks are installed there.
+    intersected position).  A line of a set that never evicts misses
+    once, at the first occurrence of the earliest block holding it; only
+    the blocks touching an evicting set are replayed, and only against
+    those sets (the module docstring says why this is exact).
     """
-    l0_probe = costs.l0_probe
-    l0_fits = costs.l0_fits
+    lines_of_set: Dict[int, set] = {}
+    for block_id in positions:
+        for set_index, line in span_pairs[block_id]:
+            lines_of_set.setdefault(set_index, set()).add(line)
+    buckets: Dict[int, Dict[int, bool]] = {
+        set_index: {}
+        for set_index, lines in lines_of_set.items()
+        if len(lines) > ways
+    }
+
+    # One byte per position, 1 where the access missed: the first
+    # touches of lines in never-evicting sets, then the replay's misses.
+    miss_bits = bytearray(len(trace))
+    touched = set()
+    replayed = []
+    single_span: List[tuple] = [None] * len(span_pairs)
+    multi_span: List[tuple] = [None] * len(span_pairs)
+    for block_id, at in positions.items():
+        spans = []
+        for set_index, line in span_pairs[block_id]:
+            bucket = buckets.get(set_index)
+            if bucket is not None:
+                spans.append((bucket, line))
+            elif line not in touched:
+                touched.add(line)
+                miss_bits[at[0]] = 1
+        if spans:
+            replayed.append(at)
+            if len(spans) == 1:
+                single_span[block_id] = spans[0]
+            else:
+                multi_span[block_id] = tuple(spans)
+
+    lines_fetched = len(touched)
+    order = sorted(chain.from_iterable(replayed))
+    if l0.hit_bits:
+        order = filterfalse(l0.hit_bits.__getitem__, order)
+    for position in order:
+        block_id = trace[position]
+        single = single_span[block_id]
+        if single is not None:
+            bucket, line = single
+            if bucket.pop(line, False):
+                bucket[line] = True
+                continue
+            missing = 1
+            if len(bucket) >= ways:
+                del bucket[next(iter(bucket))]
+            bucket[line] = True
+        else:
+            # Two phases, like BankedCache.access_block: probe every
+            # line before touching any, so an install cannot evict a
+            # sibling line that should have counted as resident.
+            spans = multi_span[block_id]
+            missing = 0
+            for bucket, line in spans:
+                if line not in bucket:
+                    missing += 1
+            for bucket, line in spans:
+                if line in bucket:
+                    del bucket[line]
+                elif len(bucket) >= ways:
+                    del bucket[next(iter(bucket))]
+                bucket[line] = True
+            if not missing:
+                continue
+        miss_bits[position] = 1
+        lines_fetched += missing
+
     hit_cost_f = costs.hit_f
     miss_cost_f = costs.miss_f
-    buf_cost = costs.buffer
-    cache_ways = geometry.ways
-    cache_sets: List[Dict[int, bool]] = [
-        {} for _ in range(geometry.num_sets)
-    ]
-    span_buckets = [
-        tuple((cache_sets[set_index], line) for set_index, line in pairs)
-        for pairs in span_pairs
-    ]
-    span_single_bucket = [
-        (cache_sets[pairs[0][0]], pairs[0][1]) if len(pairs) == 1
-        else None
-        for pairs in span_pairs
-    ]
-
-    l0: Dict[int, int] = {}
-    l0_used = 0
-
-    out = _CacheComponent()
-    cycles_f = 0
-    cache_hits = cache_misses = lines_fetched = 0
-    buffer_hits = buffer_misses = 0
-    bus_state = 0
-    bus_beats = bus_bytes = bus_flips = 0
-    miss_bits = bytearray(len(trace))
-    buf_bits = bytearray(len(trace)) if has_buffer else b""
-
-    for position, block_id in enumerate(trace):
-        buffer_hit = False
-        if l0_probe[block_id]:
-            resident = l0.pop(block_id, None)
-            if resident is not None:
-                l0[block_id] = resident
-                buffer_hits += 1
-                buffer_hit = True
-            else:
-                buffer_misses += 1
-                if l0_fits[block_id]:
-                    op_count = op_counts[block_id]
-                    while l0_used + op_count > l0_cap:
-                        l0_used -= l0.pop(next(iter(l0)))
-                    l0[block_id] = op_count
-                    l0_used += op_count
-
-        if buffer_hit:
-            cycles_f += buf_cost[block_id]
-            buf_bits[position] = 1
-        else:
-            single = span_single_bucket[block_id]
-            if single is not None:
-                bucket, line = single
-                if bucket.pop(line, False):
-                    bucket[line] = True
-                    missing = 0
-                else:
-                    missing = 1
-                    if len(bucket) >= cache_ways:
-                        del bucket[next(iter(bucket))]
-                    bucket[line] = True
-            else:
-                # Two phases, like BankedCache.access_block: probe every
-                # line before touching any, so an install cannot evict a
-                # sibling line that should have counted as resident.
-                spans = span_buckets[block_id]
-                missing = 0
-                for bucket, line in spans:
-                    if line not in bucket:
-                        missing += 1
-                for bucket, line in spans:
-                    if line in bucket:
-                        del bucket[line]
-                    elif len(bucket) >= cache_ways:
-                        del bucket[next(iter(bucket))]
-                    bucket[line] = True
-            if missing:
-                cache_misses += 1
-                lines_fetched += missing
-                beats = beats_by_block[block_id]
-                for beat in beats:
-                    bus_flips += (beat ^ bus_state).bit_count()
-                    bus_state = beat
-                bus_beats += len(beats)
-                bus_bytes += payload_lens[block_id]
-                cycles_f += miss_cost_f[block_id]
-                miss_bits[position] = 1
-            else:
-                cache_hits += 1
-                cycles_f += hit_cost_f[block_id]
-
-    out.miss_mask = int.from_bytes(bytes(miss_bits), "big")
-    out.buf_mask = (
-        int.from_bytes(bytes(buf_bits), "big") if has_buffer else 0
+    buffer_hits_of = l0.hits_by_block
+    cycles_f = l0.cycles + sum(
+        (len(at) - buffer_hits_of[block_id]) * hit_cost_f[block_id]
+        for block_id, at in positions.items()
     )
-    out.cycles_f = cycles_f
-    out.cache_hits = cache_hits
-    out.cache_misses = cache_misses
-    out.lines_fetched = lines_fetched
-    out.buffer_hits = buffer_hits
-    out.buffer_misses = buffer_misses
-    out.bus_bytes = bus_bytes
-    out.bus_beats = bus_beats
-    out.bus_flips = bus_flips
-    return out
+    misses_of = Counter(compress(trace, miss_bits))
+    bus_beats = bus_bytes = 0
+    for block_id, count in misses_of.items():
+        cycles_f += count * (miss_cost_f[block_id] - hit_cost_f[block_id])
+        bus_beats += count * len(beats_by_block[block_id])
+        bus_bytes += count * payload_lens[block_id]
+    bus_state = bus_flips = 0
+    for block_id in compress(trace, miss_bits):
+        for beat in beats_by_block[block_id]:
+            bus_flips += (beat ^ bus_state).bit_count()
+            bus_state = beat
 
+    cache_misses = sum(misses_of.values())
+    return _CacheComponent(
+        miss_mask=int.from_bytes(miss_bits, "big"),
+        buf_mask=l0.hit_mask,
+        cycles_f=cycles_f,
+        cache_hits=len(trace) - l0.hits - cache_misses,
+        cache_misses=cache_misses,
+        lines_fetched=lines_fetched,
+        buffer_hits=l0.hits,
+        buffer_misses=l0.misses,
+        bus_bytes=bus_bytes,
+        bus_beats=bus_beats,
+        bus_flips=bus_flips,
+    )
 
 # -------------------------------------------------------------- the sweep
 def _geometry_key(geometry: CacheGeometry) -> tuple:
@@ -542,15 +639,17 @@ def _sweep_engine(
 
     ``image_for(scheme)`` resolves the :class:`CompressedImage` a config
     of that scheme replays against.  Memo tables are keyed so that
-    anything derived from the compressed *payload* (spans, bus beats,
-    cache components) is per-image while anything derived only from the
-    underlying *program* (block metadata, predictor components,
-    delivered-op totals) is shared across images of the same program —
-    a mixed-scheme grid pays for each distinct predictor once.
+    anything derived from the compressed *payload* (spans, bus beats, L0
+    passes, cache components) is per-image while anything derived only
+    from the underlying *program* (block metadata, predictor
+    components, delivered-op totals) is shared across images of the
+    same program — a mixed-scheme grid pays for each distinct predictor
+    once.  The trace's per-block positions are gathered once per call.
     """
     rows = penalty_rows()
     results: List[FetchMetrics] = []
     blocks_fetched = len(trace)
+    positions = _block_positions(trace)
 
     # ----------------------------------------------------- memo tables
     meta_memo: Dict[int, tuple] = {}        # id(program image)
@@ -561,6 +660,7 @@ def _sweep_engine(
     pred_tokens: Dict[tuple, int] = {}      # meta columns -> token
     pred_comps: Dict[tuple, tuple] = {}     # (program token, pred key)
     cache_comps: Dict[tuple, _CacheComponent] = {}
+    l0_memo: Dict[tuple, _L0Pass] = {}      # (id(image), family, L0)
     span_memo: Dict[tuple, list] = {}       # (id(image), line, sets)
     beats_memo: Dict[tuple, tuple] = {}     # (id(image), bus width)
     att_memo: Dict[tuple, int] = {}         # (id(image), geo key)
@@ -578,9 +678,9 @@ def _sweep_engine(
                 block_meta_columns(image)
             )
             delivered_mops = delivered_ops = 0
-            for block_id in trace:
-                delivered_mops += mop_counts[block_id]
-                delivered_ops += op_counts[block_id]
+            for block_id, at in positions.items():
+                delivered_mops += len(at) * mop_counts[block_id]
+                delivered_ops += len(at) * op_counts[block_id]
             columns = (tuple(kinds), tuple(targets), tuple(falls))
             program_token = pred_tokens.setdefault(
                 columns, len(pred_tokens)
@@ -644,11 +744,20 @@ def _sweep_engine(
                 beats_memo[beats_key] = beats
             beats_by_block, payload_lens = beats
 
+            costs = block_costs(compressed, config, span_pairs)
+            l0 = _NO_L0
+            if has_buffer:
+                l0_key = (id(compressed), base_scheme, config.l0_capacity_ops)
+                l0 = l0_memo.get(l0_key)
+                if l0 is None:
+                    l0 = _l0_pass(
+                        trace, positions, costs, op_counts,
+                        config.l0_capacity_ops,
+                    )
+                    l0_memo[l0_key] = l0
             comp = _cache_component(
-                trace, span_pairs, geometry, has_buffer,
-                block_costs(compressed, config, span_pairs),
-                config.l0_capacity_ops,
-                op_counts, beats_by_block, payload_lens,
+                trace, positions, span_pairs, geometry.ways, costs, l0,
+                beats_by_block, payload_lens,
             )
             cache_comps[cache_key] = comp
 

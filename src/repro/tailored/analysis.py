@@ -16,7 +16,6 @@ registers ... it needs only two bits").  The resulting
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.errors import EncodingError
 from repro.isa.fields import Format
@@ -186,8 +185,3 @@ def _empty_format(name: FormatName, fmt: Format) -> TailoredFormat:
             )
         )
     return TailoredFormat(name=name, fields=fields)
-
-
-def usage_iter(spec: TailoredSpec) -> Iterable[FieldUsage]:
-    for tf in spec.formats.values():
-        yield from tf.fields

@@ -14,7 +14,7 @@ Encoding resolves each format's tailored body layout once per spec
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.compression.schemes import CompressedImage, CompressionScheme
 from repro.errors import CompressionError
@@ -143,7 +143,3 @@ def tailor_image(image: ProgramImage) -> TailoredImage:
 def tailored_ratio(image: ProgramImage) -> float:
     """Code-segment size as % of baseline under the tailored ISA."""
     return tailor_image(image).ratio_percent()
-
-
-def spec_for(image: ProgramImage) -> Optional[TailoredSpec]:
-    return analyze_image(image)

@@ -6,8 +6,9 @@ to a sequential ``simulate_fetch(compressed, trace, config)`` call
 (which checks the engine's cross-config memo keys) and to the
 reference engine ``simulate_fetch_reference``.  Hypothesis drives
 randomized grids over geometry, scheme, predictor, ATB shape, L0
-capacity and bus width; the unit tests cover the degenerate shapes and
-the store-backed ``run_sweep`` wrapper.
+capacity and bus width; the unit tests cover the degenerate shapes,
+the cache component's split into never-evicting and replayed sets on
+hand-laid images, and the store-backed ``run_sweep`` wrapper.
 """
 
 from __future__ import annotations
@@ -20,24 +21,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import runtime
+from repro.compression.schemes import CompressedImage
 from repro.core.study import clear_caches, study_for
 from repro.core.sweep import expand_grid, run_sweep
 from repro.errors import ConfigurationError
 from repro.fetch.config import CacheGeometry, FetchConfig
 from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 from repro.fetch.sweep import (
+    block_span_pairs,
     simulate_fetch_sweep,
     simulate_fetch_sweep_multi,
 )
+from repro.runtime.tasks import fetch_image_key
 
 #: fetch scheme -> compression-scheme key of the image it runs on.
 SCHEME_IMAGE = {"base": "base", "tailored": "tailored",
                 "compressed": "full"}
 
-#: Valid geometries (power-of-two set counts) spanning the axes.
+#: Valid geometries (power-of-two set counts) spanning the axes.  On
+#: the compress images every set of 256:2:16 can evict, no set of
+#: 16384:4:32 can, and blocks span more lines than 128:2:16 has sets
+#: (``test_geometries_cover_the_set_split`` pins all three).
 GEOMETRIES = [
-    (512, 2, 16), (640, 2, 40), (1280, 2, 40),
-    (1024, 2, 32), (2048, 4, 32), (4096, 4, 64),
+    (128, 2, 16), (256, 2, 16), (512, 2, 16), (640, 2, 40),
+    (1280, 2, 40), (1024, 2, 32), (2048, 4, 32), (4096, 4, 64),
+    (16384, 4, 32),
 ]
 
 
@@ -102,10 +110,38 @@ def test_sweep_matches_sequential_on_random_grids(
     batch = simulate_fetch_sweep_multi(sweep_images, trace, grid)
     assert len(batch) == len(grid)
     for config, metrics in zip(grid, batch):
-        expected = simulate_fetch(
-            sweep_images[config.scheme], trace, config
+        compressed = sweep_images[config.scheme]
+        assert metrics == simulate_fetch(compressed, trace, config)
+        assert metrics == simulate_fetch_reference(
+            compressed, trace, config
         )
-        assert metrics == expected
+
+
+def _lines_per_set(compressed, geometry, blocks):
+    """Distinct lines each set holds over ``blocks``."""
+    sets = {}
+    for pairs in map(block_span_pairs(compressed, geometry).__getitem__,
+                     blocks):
+        for set_index, line in pairs:
+            sets.setdefault(set_index, set()).add(line)
+    return {set_index: len(lines) for set_index, lines in sets.items()}
+
+
+def test_geometries_cover_the_set_split(sweep_images, nblocks):
+    every_block = range(nblocks)
+    for compressed in sweep_images.values():
+        small = _geometry((256, 2, 16))
+        evicting = _lines_per_set(compressed, small, every_block)
+        assert len(evicting) == small.num_sets
+        assert min(evicting.values()) > small.ways
+        large = _geometry((16384, 4, 32))
+        assert max(
+            _lines_per_set(compressed, large, every_block).values()
+        ) <= large.ways
+    tiny = _geometry((128, 2, 16))
+    for scheme in ("base", "tailored"):
+        spans = block_span_pairs(sweep_images[scheme], tiny)
+        assert max(map(len, spans)) > tiny.num_sets
 
 
 @settings(max_examples=15, deadline=None)
@@ -183,7 +219,7 @@ def test_bus_wider_than_every_payload(sweep_images, compress_study):
     ).bus_bit_flips
 
 
-def test_empty_trace_and_empty_grid(sweep_images):
+def test_empty_trace_and_empty_grid(sweep_images, compress_study):
     config = FetchConfig.for_scheme("compressed", scaled=True)
     batch = simulate_fetch_sweep(
         sweep_images["compressed"], [], [config]
@@ -191,6 +227,11 @@ def test_empty_trace_and_empty_grid(sweep_images):
     assert batch == [
         simulate_fetch_reference(sweep_images["compressed"], [], config)
     ]
+    for scheme in ("base", "tailored", "compressed", "hybrid"):
+        _assert_matches_reference(
+            compress_study.compressed(fetch_image_key(scheme)), [],
+            [(256, 2, 16), (16384, 4, 32)], (scheme,),
+        )
     assert simulate_fetch_sweep_multi(sweep_images, [0, 1], []) == []
 
 
@@ -210,6 +251,133 @@ def test_unknown_scheme_raises(sweep_images):
     )
     with pytest.raises(ConfigurationError, match="ideal"):
         simulate_fetch_sweep(sweep_images["base"], [0], [bad])
+
+
+# ------------------------------------------------------------ set split
+#: Two 2-way sets (even lines, odd lines) of 16-byte lines.
+TWO_SETS = (64, 2, 16)
+
+
+class _LaidOut(CompressedImage):
+    """The compress program's blocks at hand-picked payloads.
+
+    Blocks sit back to back, so the payload sizes place every line;
+    ``tags`` turns it into a hybrid image.
+    """
+
+    def __init__(self, like, payloads, tags=None):
+        super().__init__(
+            like.scheme, like.image, payloads,
+            [8 * len(payload) for payload in payloads], [],
+        )
+        self.tags = tags
+
+    def block_scheme_tags(self):
+        return self.tags
+
+
+def _laid_out(like, sizes):
+    """Blocks ``0..len(sizes)-1`` at ``sizes`` bytes of distinct
+    content each; every other block is one byte."""
+    sizes = list(sizes) + [1] * (len(like.image) - len(sizes))
+    return _LaidOut(like, [
+        bytes((37 * block + 11 * k + 1) & 0xFF for k in range(size))
+        for block, size in enumerate(sizes)
+    ])
+
+
+def _assert_matches_reference(compressed, trace, caches, schemes,
+                              l0_capacities=(32,), bus_widths=(8,)):
+    grid = [
+        FetchConfig(scheme=scheme, cache=_geometry(cache),
+                    l0_capacity_ops=capacity, bus_bytes=bus)
+        for scheme in schemes
+        for cache in caches
+        for capacity in l0_capacities
+        for bus in bus_widths
+    ]
+    batch = simulate_fetch_sweep(compressed, trace, grid)
+    for config, metrics in zip(grid, batch):
+        assert metrics == simulate_fetch_reference(
+            compressed, trace, config
+        )
+    return batch
+
+
+def test_block_with_two_lines_in_one_evicting_set(sweep_images):
+    # Block 0 holds lines 0-2, so lines 0 and 2 share the even set,
+    # which block 2's line 4 pushes past its two ways.
+    compressed = _laid_out(sweep_images["compressed"], [48, 16, 16])
+    trace = [0, 2, 0, 1, 2, 2, 0, 0, 1, 2, 0, 2, 0]
+    assert _lines_per_set(
+        compressed, _geometry(TWO_SETS), {0, 1, 2}
+    ) == {0: 3, 1: 2}
+    batch = _assert_matches_reference(
+        compressed, trace, [TWO_SETS], ("base", "compressed"),
+        l0_capacities=(1, 32),
+    )
+    assert batch[0].cache_misses > 3  # lines are refetched
+
+
+def test_lines_shared_across_evicting_and_never_evicting_sets(
+    sweep_images,
+):
+    # Blocks 0|1 share line 1 (odd set, never evicts), 1|2 share line 2
+    # (even set, evicts) and 2|3 share line 3 (odd set).
+    compressed = _laid_out(sweep_images["compressed"], [24, 16, 16, 16])
+    spans = block_span_pairs(compressed, _geometry(TWO_SETS))
+    assert [[line for _, line in pairs] for pairs in spans[:4]] == [
+        [0, 1], [1, 2], [2, 3], [3, 4],
+    ]
+    assert _lines_per_set(
+        compressed, _geometry(TWO_SETS), {0, 1, 2, 3}
+    ) == {0: 3, 1: 2}
+    trace = [1, 0, 3, 2, 1, 3, 0, 2, 2, 1, 3, 0, 0, 2]
+    _assert_matches_reference(
+        compressed, trace, [TWO_SETS, (128, 2, 16)],
+        ("base", "tailored", "compressed"), l0_capacities=(1, 32),
+    )
+
+
+def test_hybrid_cold_blocks_probe_l0_before_a_partly_evicting_l1(
+    sweep_images,
+):
+    # Cold blocks 0/2/4 (12, 9 and 5 ops) probe the L0 and thrash the
+    # even set; hot blocks 1/3 bypass the L0 and sit in the odd set,
+    # which never evicts.  Only the L0's misses may touch the L1.
+    like = sweep_images["compressed"]
+    compressed = _laid_out(like, [16] * 5)
+    compressed.tags = [
+        ("compressed", "tailored")[block % 2]
+        for block in range(len(like.image))
+    ]
+    trace = [0, 2, 0, 4, 1, 0, 2, 4, 3, 2, 0, 4, 4, 0, 1, 2, 2, 0, 3, 4]
+    assert _lines_per_set(
+        compressed, _geometry(TWO_SETS), trace
+    ) == {0: 3, 1: 2}
+    batch = _assert_matches_reference(
+        compressed, trace * 2, [TWO_SETS], ("hybrid",),
+        l0_capacities=(4, 12, 16, 26),
+    )
+    assert all(m.buffer_hits for m in batch[1:])
+    cold = 2 * sum(block % 2 == 0 for block in trace)
+    assert all(m.buffer_hits + m.buffer_misses == cold for m in batch)
+
+
+def test_bus_flips_follow_interleaved_first_touch_and_replayed_misses(
+    sweep_images,
+):
+    # One line per block: blocks 0/2/4 thrash the even set, blocks 1/3
+    # miss once each in the odd set, between the even set's misses.
+    compressed = _laid_out(sweep_images["compressed"], [16] * 5)
+    trace = [0, 1, 2, 4, 3, 0, 2, 4, 1, 0, 3, 4]
+    batch = _assert_matches_reference(
+        compressed, trace, [TWO_SETS], ("base", "compressed"),
+        l0_capacities=(1,), bus_widths=(4, 16),
+    )
+    # Even-set misses at positions 0, 2, 3, 5, 6, 7 and 9; the odd
+    # set's first touches at 1 and 4.
+    assert batch[0].cache_misses == 9
 
 
 # ------------------------------------------------------------ expand_grid
