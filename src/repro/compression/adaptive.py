@@ -32,19 +32,19 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.compression.huffman import HuffmanCode
+from repro.compression.huffman import HuffmanCode, unknown_symbol
 from repro.compression.registry import HYBRID_DEFAULT_HOTNESS, hybrid_key
 from repro.compression.schemes import (
+    BlockWords,
     CompressedImage,
     CompressionScheme,
     DEFAULT_MAX_CODE_LENGTH,
     StreamTable,
-    block_words,
 )
 from repro.errors import CompressionError, ConfigurationError
 from repro.isa.formats import OP_BITS
 from repro.isa.image import ProgramImage
-from repro.utils.bitstream import BitWriter
+from repro.utils.bitstream import pack_block
 
 #: Per-block tag values: the fetch-penalty family the block is accounted
 #: under.  Hot blocks are tailored-encoded (fixed width, no dictionary);
@@ -123,14 +123,19 @@ def _context_codes(
     return {ctx: build_code(h) for ctx, h in histograms.items()}
 
 
-def _encode_in_context(
-    codes: dict[int, HuffmanCode], words: Sequence[int], writer: BitWriter
-) -> None:
-    """Write one block's words, each under its left-context's code."""
+def _pack_in_context(
+    tables: dict[int, dict[int, tuple[int, int]]], words: Sequence[int]
+) -> tuple[bytes, int]:
+    """Pack one block's words, each under its left-context's code table."""
+    pairs = []
     ctx = BLOCK_START_CONTEXT
-    for word in words:
-        codes[ctx].encode_symbol(word, writer)
-        ctx = context_of(word)
+    try:
+        for word in words:
+            pairs.append(tables[ctx][word])
+            ctx = (word >> _CONTEXT_SHIFT) & _CONTEXT_MASK
+    except KeyError:
+        raise unknown_symbol(word) from None
+    return pack_block(pairs)
 
 
 class HybridImage(CompressedImage):
@@ -202,11 +207,7 @@ class HybridScheme(CompressionScheme):
         return self
 
     # ------------------------------------------------------------ encode
-    def compress(self, image: ProgramImage) -> HybridImage:
-        from repro.tailored.analysis import analyze_image
-        from repro.tailored.encoding import op_encoder
-        from repro.utils.bitstream import new_writer
-
+    def _hot_blocks(self, image: ProgramImage) -> frozenset[int]:
         if self._profile is None:
             raise ConfigurationError(
                 "hybrid compression needs a heat profile; attach one "
@@ -217,37 +218,50 @@ class HybridScheme(CompressionScheme):
             raise CompressionError(
                 "heat profile length != block count"
             )
-        hot = hot_block_ids(self._profile, self.hotness)
-        tags = [
-            HOT_TAG if block.block_id in hot else COLD_TAG
+        return hot_block_ids(self._profile, self.hotness)
+
+    def _own_words(self, image: ProgramImage) -> list:
+        # Hot blocks are tailored-encoded from their fields, so only cold
+        # blocks need op words.
+        hot = self._hot_blocks(image)
+        return [
+            None if block.block_id in hot
+            else tuple([op.encode() for op in block.ops])
             for block in image
+        ]
+
+    def _compress(
+        self, image: ProgramImage, words: BlockWords
+    ) -> HybridImage:
+        from repro.tailored.analysis import analyze_image
+        from repro.tailored.encoding import op_encoder
+
+        hot = self._hot_blocks(image)
+        tags = [
+            HOT_TAG if block_id in hot else COLD_TAG
+            for block_id in range(len(image))
         ]
         # Cold dictionaries are per-context and built from cold blocks
         # only: the hot set is out of the alphabet, so the sharper cold
-        # model buys back what the hot blocks give up in size.  Hot
-        # blocks are tailored-encoded from their fields, so only cold
-        # blocks need op words.
-        cold_words = {
-            block.block_id: [op.encode() for op in block.ops]
-            for block in image
-            if tags[block.block_id] == COLD_TAG
-        }
-        codes = _context_codes(cold_words.values(), self._build_code)
+        # model buys back what the hot blocks give up in size.
+        codes = _context_codes(
+            (words[bid] for bid, tag in enumerate(tags) if tag == COLD_TAG),
+            self._build_code,
+        )
+        tables = {ctx: code.codes for ctx, code in codes.items()}
         spec = analyze_image(image)
         encode_hot = op_encoder(spec)
         payloads = []
         bit_lengths = []
         for block in image:
-            writer = new_writer()
-            words = cold_words.get(block.block_id)
-            if words is None:
-                for op in block.ops:
-                    encode_hot(op, writer)
+            if tags[block.block_id] == HOT_TAG:
+                payload, bits = pack_block(map(encode_hot, block.ops))
             else:
-                _encode_in_context(codes, words, writer)
-            bit_lengths.append(writer.bit_length)
-            writer.align_to_byte()
-            payloads.append(writer.to_bytes())
+                payload, bits = _pack_in_context(
+                    tables, words[block.block_id]
+                )
+            payloads.append(payload)
+            bit_lengths.append(bits)
         context_ids = tuple(sorted(codes))
         streams = tuple(
             StreamTable(codes[ctx], symbol_bits=OP_BITS)
@@ -311,19 +325,17 @@ class ContextHuffmanScheme(CompressionScheme):
     ) -> None:
         super().__init__(max_code_length)
 
-    def compress(self, image: ProgramImage) -> ContextImage:
-        from repro.utils.bitstream import new_writer
-
-        all_words = block_words(image)
-        codes = _context_codes(all_words, self._build_code)
+    def _compress(
+        self, image: ProgramImage, words: BlockWords
+    ) -> ContextImage:
+        codes = _context_codes(words, self._build_code)
+        tables = {ctx: code.codes for ctx, code in codes.items()}
         payloads = []
         bit_lengths = []
-        for words in all_words:
-            writer = new_writer()
-            _encode_in_context(codes, words, writer)
-            bit_lengths.append(writer.bit_length)
-            writer.align_to_byte()
-            payloads.append(writer.to_bytes())
+        for block in words:
+            payload, bits = _pack_in_context(tables, block)
+            payloads.append(payload)
+            bit_lengths.append(bits)
         context_ids = tuple(sorted(codes))
         streams = tuple(
             StreamTable(codes[ctx], symbol_bits=OP_BITS)

@@ -25,14 +25,14 @@ from collections import Counter
 from typing import Sequence
 
 from repro.compression.schemes import (
+    BlockWords,
     CompressedImage,
     CompressionScheme,
-    block_words,
 )
 from repro.errors import CompressionError
 from repro.isa.formats import OP_BITS
 from repro.isa.image import ProgramImage
-from repro.utils.bitstream import BitReader, new_writer
+from repro.utils.bitstream import BitReader, pack_block
 
 #: Sequence lengths considered for dictionary entries.
 MIN_SEQ = 2
@@ -77,12 +77,12 @@ class DictionaryScheme(CompressionScheme):
 
     # ----------------------------------------------------------- build
     @staticmethod
-    def _candidate_counts(all_words: list[list[int]]) -> Counter:
+    def _candidate_counts(all_words: BlockWords) -> Counter:
         counts: Counter = Counter()
         for words in all_words:
             for length in range(MIN_SEQ, MAX_SEQ + 1):
                 for i in range(len(words) - length + 1):
-                    counts[tuple(words[i : i + length])] += 1
+                    counts[words[i : i + length]] += 1
         return counts
 
     def _select_dictionary(
@@ -101,39 +101,42 @@ class DictionaryScheme(CompressionScheme):
         ]
         return picked
 
-    def compress(self, image: ProgramImage) -> DictionaryImage:
-        all_words = block_words(image)
+    def _compress(
+        self, image: ProgramImage, all_words: BlockWords
+    ) -> DictionaryImage:
         index_bits = max(1, (self.max_entries - 1).bit_length())
         dictionary = self._select_dictionary(
             self._candidate_counts(all_words), index_bits
         )
         by_sequence = {seq: i for i, seq in enumerate(dictionary)}
         index_bits = max(1, (max(1, len(dictionary)) - 1).bit_length())
+        # Each token is one pair: a 1-bit flag, then an index or a literal.
+        reference = 1 << index_bits
         payloads = []
         bit_lengths = []
         for words in all_words:
-            writer = new_writer()
+            tokens = []
             i = 0
             while i < len(words):
                 match = None
                 for length in range(
                     min(MAX_SEQ, len(words) - i), MIN_SEQ - 1, -1
                 ):
-                    candidate = tuple(words[i : i + length])
+                    candidate = words[i : i + length]
                     if candidate in by_sequence:
                         match = candidate
                         break
                 if match is not None:
-                    writer.write(1, 1)
-                    writer.write(by_sequence[match], index_bits)
+                    tokens.append(
+                        (reference | by_sequence[match], 1 + index_bits)
+                    )
                     i += len(match)
                 else:
-                    writer.write(0, 1)
-                    writer.write(words[i], OP_BITS)
+                    tokens.append((words[i], 1 + OP_BITS))
                     i += 1
-            bit_lengths.append(writer.bit_length)
-            writer.align_to_byte()
-            payloads.append(writer.to_bytes())
+            payload, bits = pack_block(tokens)
+            payloads.append(payload)
+            bit_lengths.append(bits)
         return DictionaryImage(
             dictionary, self, image, payloads, bit_lengths, streams=()
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.errors import CompressionError
-from repro.utils.bitstream import BitReader, BitWriter
+from repro.utils.bitstream import BitReader, BitWriter, pack_block
 
 
 def code_lengths_from_frequencies(
@@ -160,9 +160,7 @@ class HuffmanCode:
         try:
             code, length = self.codes[symbol]
         except KeyError:
-            raise CompressionError(
-                f"symbol {symbol} not in the Huffman dictionary"
-            ) from None
+            raise unknown_symbol(symbol) from None
         writer.write(code, length)
 
     def encoded_length(self, symbols: Iterable[int]) -> int:
@@ -180,6 +178,27 @@ class HuffmanCode:
             decoder = HuffmanDecoder(self)
             object.__setattr__(self, "_decoder", decoder)
         return decoder
+
+
+def unknown_symbol(symbol: int) -> CompressionError:
+    """The error an encoder raises for a symbol its code does not hold."""
+    return CompressionError(f"symbol {symbol} not in the Huffman dictionary")
+
+
+def pack_symbols(
+    codes: Mapping[int, tuple[int, int]], symbols: Iterable[int]
+) -> tuple[bytes, int]:
+    """One byte-aligned block of ``symbols``' ``(code, length)`` words.
+
+    ``codes`` is a :attr:`HuffmanCode.codes` table, or any table mapping
+    a symbol to its concatenated code words.  Returns
+    ``(payload, bit_length)`` (see
+    :func:`repro.utils.bitstream.pack_block`).
+    """
+    try:
+        return pack_block([codes[symbol] for symbol in symbols])
+    except KeyError as exc:
+        raise unknown_symbol(exc.args[0]) from None
 
 
 class HuffmanDecoder:

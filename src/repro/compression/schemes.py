@@ -11,10 +11,17 @@ Every scheme can also *decompress* what it compressed; tests verify the
 round trip bit-exactly, standing in for the hardware decoder's
 correctness.
 
-Each ``compress`` call encodes every op once (:func:`block_words`) and
-reuses those words for both its histogram and its payload pass.  The
-words live only for that call: ops are mutable, so nothing caches them
-on an op, a block or an image.
+The schemes read the image's baseline 40-bit op words (:data:`BlockWords`),
+not its ops.  A study encodes them once and hands the same immutable
+tuple to every scheme through :meth:`CompressionScheme.with_words`; a
+caller that attaches none gets :func:`block_words` of the image, encoded
+for that call.  Ops are mutable, so nothing caches words on an op, a
+block or an image.
+
+Every encoder packs a block as one integer
+(:func:`~repro.utils.bitstream.pack_block`) from ``(code, length)`` pairs.
+The byte, stream and full-op codes give each distinct word one pair, its
+symbols' code words concatenated, so a block is one table lookup per op.
 """
 
 from __future__ import annotations
@@ -24,7 +31,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.compression.alphabets import StreamConfig
-from repro.compression.huffman import HuffmanCode, HuffmanDecoder
+from repro.compression.huffman import (
+    HuffmanCode,
+    HuffmanDecoder,
+    pack_symbols,
+)
 from repro.errors import CompressionError
 from repro.isa.formats import OP_BITS
 from repro.isa.image import OP_BYTES, ProgramImage
@@ -34,9 +45,18 @@ from repro.isa.image import OP_BYTES, ProgramImage
 DEFAULT_MAX_CODE_LENGTH = 16
 
 
-def block_words(image: ProgramImage) -> list[list[int]]:
+#: Every block's baseline 40-bit op words, in block then op order.
+BlockWords = tuple[tuple[int, ...], ...]
+
+
+def block_words(image: ProgramImage) -> BlockWords:
     """Every block's baseline 40-bit op words, encoded once, in order."""
-    return [[op.encode() for op in block.ops] for block in image]
+    return tuple(tuple([op.encode() for op in block.ops]) for block in image)
+
+
+def baseline_bytes(words: Sequence[int]) -> bytes:
+    """A block's baseline encoding: each 40-bit word, big endian."""
+    return b"".join([word.to_bytes(OP_BYTES, "big") for word in words])
 
 
 @dataclass(frozen=True)
@@ -69,6 +89,11 @@ class CompressedImage:
 
     Holds the per-block payload bytes and sizes; the fetch simulators and
     the power model consume these, and :meth:`decode_block` verifies them.
+
+    A pickled compressed image (an artifact-store entry) holds only what
+    the compress stage computed.  The :class:`ProgramImage` it encodes is
+    the compile stage's output, so it is left out and :meth:`bind` puts it
+    back; ``ProgramStudy.compressed`` binds the study's own image.
     """
 
     def __init__(
@@ -82,7 +107,7 @@ class CompressedImage:
         if len(block_payloads) != len(image):
             raise CompressionError("payload count != block count")
         self.scheme = scheme
-        self.image = image
+        self._image: Optional[ProgramImage] = image
         self.block_payloads = list(block_payloads)
         self.block_bit_lengths = list(block_bit_lengths)
         self.streams = list(streams)
@@ -93,6 +118,32 @@ class CompressedImage:
             cursor += len(payload)
         self.block_offsets = offsets
         self.total_code_bytes = cursor
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_image"] = None
+        return state
+
+    @property
+    def image(self) -> ProgramImage:
+        """The program image these payloads encode."""
+        if self._image is None:
+            raise CompressionError(
+                f"{self.scheme_name!r} compressed image is not bound to its "
+                "program image; read it through ProgramStudy.compressed "
+                "or call bind()"
+            )
+        return self._image
+
+    def bind(self, image: ProgramImage) -> "CompressedImage":
+        """Attach the program image an unpickled copy was compressed from."""
+        if len(image) != len(self.block_payloads):
+            raise CompressionError(
+                f"cannot bind a {len(self.block_payloads)}-block "
+                f"compressed image to a {len(image)}-block program"
+            )
+        self._image = image
+        return self
 
     @property
     def scheme_name(self) -> str:
@@ -144,7 +195,12 @@ class CompressedImage:
         return self.scheme.decode_block(self, block_id)
 
     def verify(self) -> None:
-        """Round-trip every block; raises on any mismatch."""
+        """Round-trip every block; raises on any mismatch.
+
+        The expected words are encoded afresh from the ops, never taken
+        from the words the payloads were built from: this is the
+        independent check.
+        """
         for block in self.image:
             expected = [op.encode() for op in block.ops]
             actual = self.decode_block(block.block_id)
@@ -156,7 +212,11 @@ class CompressedImage:
 
 
 class CompressionScheme:
-    """Base class: compress a program image block by block."""
+    """Base class: compress a program image block by block.
+
+    Subclasses implement :meth:`_compress`, which receives the image's
+    op words (:data:`BlockWords`) alongside the image.
+    """
 
     #: Short identifier used in reports (e.g. ``full``, ``byte``).
     name: str = "abstract"
@@ -166,7 +226,35 @@ class CompressionScheme:
     ) -> None:
         self.max_code_length = max_code_length
 
+    def with_words(self, words: BlockWords) -> "CompressionScheme":
+        """Attach the image's op words for the next :meth:`compress`.
+
+        ``ProgramStudy`` encodes its image once and attaches the same
+        words to every scheme.  ``compress`` consumes them, so the scheme
+        a compressed image keeps (and the store pickles) holds none.
+        """
+        self._words = words
+        return self
+
     def compress(self, image: ProgramImage) -> CompressedImage:
+        """Re-encode ``image`` from the attached words, else its own."""
+        words = self.__dict__.pop("_words", None)
+        if words is None:
+            words = self._own_words(image)
+        elif len(words) != len(image):
+            raise CompressionError(
+                f"{len(words)} blocks of op words for a "
+                f"{len(image)}-block image"
+            )
+        return self._compress(image, words)
+
+    def _own_words(self, image: ProgramImage) -> Sequence:
+        """The words :meth:`_compress` needs when none were attached."""
+        return block_words(image)
+
+    def _compress(
+        self, image: ProgramImage, words: Sequence
+    ) -> CompressedImage:
         raise NotImplementedError
 
     def decode_block(
@@ -189,9 +277,11 @@ class BaselineScheme(CompressionScheme):
     def __init__(self) -> None:
         super().__init__(max_code_length=None)
 
-    def compress(self, image: ProgramImage) -> CompressedImage:
-        payloads = [block.encode_baseline() for block in image]
-        bits = [block.op_count * OP_BITS for block in image]
+    def _compress(
+        self, image: ProgramImage, words: BlockWords
+    ) -> CompressedImage:
+        payloads = [baseline_bytes(block) for block in words]
+        bits = [len(block) * OP_BITS for block in words]
         return CompressedImage(self, image, payloads, bits, streams=())
 
     def decode_block(
@@ -223,23 +313,19 @@ class ByteHuffmanScheme(CompressionScheme):
     ) -> None:
         super().__init__(max_code_length)
 
-    def compress(self, image: ProgramImage) -> CompressedImage:
-        raw_blocks = [block.encode_baseline() for block in image]
-        histogram: Counter = Counter()
-        for raw in raw_blocks:
-            histogram.update(raw)
-        code = self._build_code(histogram)
-        from repro.utils.bitstream import new_writer
-
-        payloads = []
-        bit_lengths = []
-        for raw in raw_blocks:
-            writer = new_writer()
-            for byte in raw:
-                code.encode_symbol(byte, writer)
-            bit_lengths.append(writer.bit_length)
-            writer.align_to_byte()
-            payloads.append(writer.to_bytes())
+    def _compress(
+        self, image: ProgramImage, words: BlockWords
+    ) -> CompressedImage:
+        code = self._build_code(
+            Counter(b"".join([baseline_bytes(block) for block in words]))
+        )
+        tables = [code.codes] * OP_BYTES
+        word_codes = _word_codes(
+            {word: word.to_bytes(OP_BYTES, "big") for block in words
+             for word in block},
+            tables,
+        )
+        payloads, bit_lengths = _pack_words(words, word_codes)
         streams = (StreamTable(code, symbol_bits=8),)
         return CompressedImage(self, image, payloads, bit_lengths, streams)
 
@@ -277,29 +363,23 @@ class StreamHuffmanScheme(CompressionScheme):
         self.config = config
         self.name = config.name
 
-    def compress(self, image: ProgramImage) -> CompressedImage:
+    def _compress(
+        self, image: ProgramImage, words: BlockWords
+    ) -> CompressedImage:
+        # Every op contributes one symbol per stream, so a word's code is
+        # its streams' code words concatenated: each distinct word is
+        # split and looked up once.
+        counts = Counter(word for block in words for word in block)
         split = self.config.split
-        block_rows = [
-            [split(word) for word in words] for words in block_words(image)
-        ]
+        rows = {word: split(word) for word in counts}
         histograms = [Counter() for _ in range(self.config.num_streams)]
-        for rows in block_rows:
-            for row in rows:
-                for histogram, symbol in zip(histograms, row):
-                    histogram[symbol] += 1
+        for word, row in rows.items():
+            count = counts[word]
+            for histogram, symbol in zip(histograms, row):
+                histogram[symbol] += count
         codes = [self._build_code(h) for h in histograms]
-        from repro.utils.bitstream import new_writer
-
-        payloads = []
-        bit_lengths = []
-        for rows in block_rows:
-            writer = new_writer()
-            for row in rows:
-                for code, symbol in zip(codes, row):
-                    code.encode_symbol(symbol, writer)
-            bit_lengths.append(writer.bit_length)
-            writer.align_to_byte()
-            payloads.append(writer.to_bytes())
+        word_codes = _word_codes(rows, [code.codes for code in codes])
+        payloads, bit_lengths = _pack_words(words, word_codes)
         streams = tuple(
             StreamTable(code, symbol_bits=width)
             for code, width in zip(codes, self.config.widths)
@@ -337,23 +417,14 @@ class FullOpHuffmanScheme(CompressionScheme):
     ) -> None:
         super().__init__(max_code_length)
 
-    def compress(self, image: ProgramImage) -> CompressedImage:
-        all_words = block_words(image)
+    def _compress(
+        self, image: ProgramImage, words: BlockWords
+    ) -> CompressedImage:
         histogram: Counter = Counter()
-        for words in all_words:
-            histogram.update(words)
+        for block in words:
+            histogram.update(block)
         code = self._build_code(histogram)
-        from repro.utils.bitstream import new_writer
-
-        payloads = []
-        bit_lengths = []
-        for words in all_words:
-            writer = new_writer()
-            for word in words:
-                code.encode_symbol(word, writer)
-            bit_lengths.append(writer.bit_length)
-            writer.align_to_byte()
-            payloads.append(writer.to_bytes())
+        payloads, bit_lengths = _pack_words(words, code.codes)
         streams = (StreamTable(code, symbol_bits=OP_BITS),)
         return CompressedImage(self, image, payloads, bit_lengths, streams)
 
@@ -368,3 +439,35 @@ class FullOpHuffmanScheme(CompressionScheme):
             decoder.decode_symbol(reader)
             for _ in range(compressed.image.block(block_id).op_count)
         ]
+
+
+def _word_codes(
+    rows: dict[int, Sequence[int]],
+    tables: Sequence[dict[int, tuple[int, int]]],
+) -> dict[int, tuple[int, int]]:
+    """Each word's ``(code, length)``: its row's code words concatenated.
+
+    ``rows[word][i]`` is the word's symbol under ``tables[i]``.
+    """
+    word_codes = {}
+    for word, row in rows.items():
+        code = length = 0
+        for table, symbol in zip(tables, row):
+            bits, width = table[symbol]
+            code = (code << width) | bits
+            length += width
+        word_codes[word] = (code, length)
+    return word_codes
+
+
+def _pack_words(
+    words: BlockWords, word_codes: dict[int, tuple[int, int]]
+) -> tuple[list[bytes], list[int]]:
+    """Pack every block as one ``word_codes`` pair per op."""
+    payloads: list[bytes] = []
+    bit_lengths: list[int] = []
+    for block in words:
+        payload, bits = pack_symbols(word_codes, block)
+        payloads.append(payload)
+        bit_lengths.append(bits)
+    return payloads, bit_lengths

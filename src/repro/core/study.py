@@ -34,7 +34,11 @@ from repro.compression.registry import (
     parse_hybrid_key,
     scheme_factory as _scheme_factory,  # noqa: F401 - re-exported name
 )
-from repro.compression.schemes import CompressedImage
+from repro.compression.schemes import (
+    BlockWords,
+    CompressedImage,
+    block_words,
+)
 from repro.emulator.machine import RunResult, emulate
 from repro.errors import ConfigurationError, MopBudgetError
 from repro.fetch.config import FetchConfig
@@ -55,6 +59,7 @@ class ProgramStudy:
     scale: Optional[int] = None
     _compiled: Optional[CompiledProgram] = None
     _run: Optional[RunResult] = None
+    _words: Optional[BlockWords] = None
     _images: dict = field(default_factory=dict)
     _fetch: dict = field(default_factory=dict)
 
@@ -128,6 +133,18 @@ class ProgramStudy:
         return self.run.machine.load_word(address) == expected
 
     # ------------------------------------------------------ compression
+    @property
+    def op_words(self) -> BlockWords:
+        """The compiled image's baseline op words, encoded once.
+
+        Every scheme this study compresses reads these same words
+        (:meth:`CompressionScheme.with_words`).  They are an immutable
+        value held by the study, not a memo on the mutable image.
+        """
+        if self._words is None:
+            self._words = block_words(self.compiled.image)
+        return self._words
+
     def compressed(self, scheme_key: str) -> CompressedImage:
         """The program re-encoded under ``scheme_key`` (cached).
 
@@ -140,6 +157,10 @@ class ProgramStudy:
         the compile-time heat estimate instead — the trace stage is
         never touched, which the ``static-profile-zero-trace`` invariant
         verifies via stage metrics.
+
+        A store hit holds no program image (see :class:`CompressedImage`);
+        it is bound to this study's compiled image, which the same
+        (benchmark, scale, source fingerprint) key determines.
         """
         scheme_key = normalize_scheme_key(scheme_key)
         if scheme_key not in self._images:
@@ -162,11 +183,11 @@ class ProgramStudy:
                                 len(self.compiled.image),
                             )
                         )
+                scheme.with_words(self.op_words)
                 return scheme.compress(self.compiled.image)
 
-            self._images[scheme_key] = self._stage(
-                "compress", compute, scheme=scheme_key
-            )
+            compressed = self._stage("compress", compute, scheme=scheme_key)
+            self._images[scheme_key] = compressed.bind(self.compiled.image)
         return self._images[scheme_key]
 
     def stream_results(self) -> dict[str, CompressedImage]:

@@ -43,6 +43,10 @@ DEFAULT_MAX_MOPS = 50_000_000
 #: Bytes one load or store moves, by its BHWX width code.
 _ACCESS_WIDTH = {BHWX_BYTE: 1, BHWX_HALF: 2, BHWX_WORD: 4, BHWX_DOUBLE: 8}
 
+#: Granule of a pickled machine's memory: only nonzero pages are kept.
+PAGE_BYTES = 4096
+_ZERO_PAGE = bytes(PAGE_BYTES)
+
 
 @dataclass
 class RunResult:
@@ -149,6 +153,31 @@ class Machine:
         for g in data.values():
             for i, word in enumerate(g.init_words):
                 self.store(g.address + 4 * i, wrap32(word), BHWX_WORD)
+
+    # ------------------------------------------------------------ pickle
+    def __getstate__(self) -> dict:
+        """State with memory as ``(length, {page offset: bytes})``.
+
+        A run touches a few of memory's pages, so a trace artifact keeps
+        only the nonzero ones.
+        """
+        state = self.__dict__.copy()
+        memory = state.pop("memory")
+        pages = {}
+        for offset in range(0, len(memory), PAGE_BYTES):
+            page = bytes(memory[offset : offset + PAGE_BYTES])
+            if page != _ZERO_PAGE[: len(page)]:
+                pages[offset] = page
+        state["memory_pages"] = (len(memory), pages)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        length, pages = state.pop("memory_pages")
+        memory = bytearray(length)
+        for offset, page in pages.items():
+            memory[offset : offset + len(page)] = page
+        state["memory"] = memory
+        self.__dict__.update(state)
 
     # ---------------------------------------------------------- registers
     def read(self, opcode_is_float_bank: bool, index: int) -> object:

@@ -48,6 +48,14 @@ class CacheGeometry:
                 f"cache {self.name!r}: {self.num_sets} sets is not a "
                 "power of two"
             )
+        if self.num_sets < 2:
+            # The banked layout interleaves lines over two banks of
+            # num_sets // 2 sets each.
+            raise ConfigurationError(
+                f"cache {self.name!r}: {self.capacity_bytes}:{self.ways}:"
+                f"{self.line_bytes} has {self.num_sets} set; the two-bank "
+                "layout needs at least two"
+            )
 
     @property
     def num_sets(self) -> int:

@@ -9,12 +9,16 @@ it performs *no entropy coding*: each op is its fixed tailored width
 scheme's low hardware cost.
 
 Encoding resolves each format's tailored body layout once per spec
-(:func:`op_encoder`) rather than re-deriving every field's width per op.
+(:func:`op_encoder`) rather than re-deriving every field's width per op,
+and turns each op into one ``(bits, width)`` pair, so a block packs with
+:func:`~repro.utils.bitstream.pack_block` like every other encoding.
+The encoding reads each op's fields, not its baseline word, so the
+scheme ignores the study's op words.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.compression.schemes import CompressedImage, CompressionScheme
 from repro.errors import CompressionError
@@ -22,11 +26,11 @@ from repro.isa.formats import FORMATS
 from repro.isa.image import ProgramImage
 from repro.isa.operation import Operation
 from repro.tailored.analysis import TailoredSpec, analyze_image
-from repro.utils.bitstream import BitReader, BitWriter, new_writer
+from repro.utils.bitstream import BitReader, pack_block
 
 
-def op_encoder(spec: TailoredSpec) -> Callable[[Operation, BitWriter], None]:
-    """An encoder writing one op in ``spec``'s tailored ISA.
+def op_encoder(spec: TailoredSpec) -> Callable[[Operation], tuple[int, int]]:
+    """An encoder giving one op's ``(bits, width)`` in ``spec``'s ISA.
 
     Each format's body layout — ``(name, width, signed)`` per field of
     non-zero tailored width — is resolved once here, not once per op.
@@ -43,18 +47,23 @@ def op_encoder(spec: TailoredSpec) -> Callable[[Operation, BitWriter], None]:
     selector_width = spec.selector_width
     speculative_used = spec.speculative_used
 
-    def encode_op(op: Operation, writer: BitWriter) -> None:
-        writer.write(int(op.tail), 1)
+    def encode_op(op: Operation) -> tuple[int, int]:
+        bits = int(op.tail)
+        width = 1
         if speculative_used:
-            writer.write(int(op.speculative), 1)
-        writer.write(selector[op.opcode], selector_width)
+            bits = (bits << 1) | op.speculative
+            width = 2
+        bits = (bits << selector_width) | selector[op.opcode]
+        width += selector_width
         values = op.field_values()
-        for name, width, signed in layouts[op.opcode.format_name]:
+        for name, field_width, signed in layouts[op.opcode.format_name]:
             if signed:
-                raw = (op.imm or 0) & ((1 << width) - 1)
+                raw = (op.imm or 0) & ((1 << field_width) - 1)
             else:
                 raw = values[name]
-            writer.write(raw, width)
+            bits = (bits << field_width) | raw
+            width += field_width
+        return bits, width
 
     return encode_op
 
@@ -76,18 +85,21 @@ class TailoredScheme(CompressionScheme):
         super().__init__(max_code_length=None)
 
     # ------------------------------------------------------------ encode
-    def compress(self, image: ProgramImage) -> TailoredImage:
+    def _own_words(self, image: ProgramImage) -> None:
+        # The encoding reads fields, so a caller with no words costs none.
+        return None
+
+    def _compress(
+        self, image: ProgramImage, words: Sequence
+    ) -> TailoredImage:
         spec = analyze_image(image)
         encode_op = op_encoder(spec)
         payloads = []
         bit_lengths = []
         for block in image:
-            writer = new_writer()
-            for op in block.ops:
-                encode_op(op, writer)
-            bit_lengths.append(writer.bit_length)
-            writer.align_to_byte()
-            payloads.append(writer.to_bytes())
+            payload, bits = pack_block(map(encode_op, block.ops))
+            payloads.append(payload)
+            bit_lengths.append(bits)
         return TailoredImage(
             spec, self, image, payloads, bit_lengths, streams=()
         )

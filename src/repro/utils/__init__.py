@@ -4,7 +4,7 @@ from repro.utils.bitstream import (
     BitReader,
     BitWriter,
     ReferenceBitWriter,
-    new_writer,
+    pack_block,
 )
 from repro.utils.stats import (
     geometric_mean,
@@ -21,7 +21,7 @@ __all__ = [
     "BitWriter",
     "ReferenceBitWriter",
     "format_table",
-    "new_writer",
+    "pack_block",
     "geometric_mean",
     "mean",
     "median",

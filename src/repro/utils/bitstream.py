@@ -2,11 +2,12 @@
 
 The TEPIC image formats in this project are not byte aligned: operations are
 40 bits in the baseline ISA, arbitrary widths in the tailored ISA, and
-variable-length Huffman codes in the compressed encodings.  ``BitWriter`` and
-``BitReader`` pack and unpack every variable-width stream (tailored ops,
-Huffman codes, dictionary tokens).  Fixed-format 40-bit words do not go
-through a writer: :meth:`repro.isa.fields.Format.encode` ORs each field into
-the word at the shift its format's precomputed layout gives it.
+variable-length Huffman codes in the compressed encodings.  Encoders pack
+each variable-width block (tailored ops, Huffman codes, dictionary tokens)
+with :func:`pack_block`; decoders read it back with ``BitReader``.
+Fixed-format 40-bit words are not packed at all:
+:meth:`repro.isa.fields.Format.encode` ORs each field into the word at the
+shift its format's precomputed layout gives it.
 
 Bits are written most-significant-first within the stream, matching the way
 instruction formats are drawn in the paper's Table 2 (bit 0 is the leftmost
@@ -17,9 +18,17 @@ stream of n bits costs O(n) total.  The original big-int accumulator — O(n²)
 in stream bits because every ``to_int`` re-shifts the whole prefix — is
 retained as :class:`ReferenceBitWriter`; the differential tests prove the two
 produce byte-identical streams.
+
+The compression encoders use neither writer: a block is short (a few
+hundred bits to a few KB), so :func:`pack_block` shifts its
+``(value, width)`` pairs into one Python int and renders it with a single
+``to_bytes``.  The property tests prove it byte-identical to
+``BitWriter``.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 
 class BitWriter:
@@ -183,9 +192,21 @@ class ReferenceBitWriter:
         return "".join(out)
 
 
-def new_writer() -> BitWriter:
-    """A fresh :class:`BitWriter` (the encoders' single construction point)."""
-    return BitWriter()
+def pack_block(pairs: Iterable[tuple[int, int]]) -> tuple[bytes, int]:
+    """Pack MSB-first ``(value, width)`` pairs into one byte-aligned block.
+
+    Returns ``(payload, bit_length)``: the bits zero-padded to a byte
+    boundary, and the count before padding.  Each value must fit its
+    width (the encoders' code tables and field layouts guarantee it);
+    the compressors' round-trip checks catch any that would not.
+    """
+    acc = 0
+    nbits = 0
+    for value, width in pairs:
+        acc = (acc << width) | value
+        nbits += width
+    pad = -nbits & 7
+    return (acc << pad).to_bytes((nbits + pad) >> 3, "big"), nbits
 
 
 class BitReader:

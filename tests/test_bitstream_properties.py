@@ -1,7 +1,8 @@
 """Hypothesis properties for the kernelized bit packing and decoding.
 
 Random variable-width write sequences must render identically through
-``BitWriter`` and ``ReferenceBitWriter`` and read back exactly; random
+``BitWriter``, ``ReferenceBitWriter`` and the encoders' one-integer
+``pack_block``, and read back exactly; random
 frequency tables must decode identically through the canonical-table
 decoder and the per-length reference walk.  These complement the fixed
 workloads in ``tests/test_kernel_differential.py`` with generated ones.
@@ -9,10 +10,21 @@ workloads in ``tests/test_kernel_differential.py`` with generated ones.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.huffman import HuffmanCode, HuffmanDecoder
-from repro.utils.bitstream import BitReader, BitWriter, ReferenceBitWriter
+from repro.compression.huffman import (
+    HuffmanCode,
+    HuffmanDecoder,
+    pack_symbols,
+)
+from repro.errors import CompressionError
+from repro.utils.bitstream import (
+    BitReader,
+    BitWriter,
+    ReferenceBitWriter,
+    pack_block,
+)
 
 #: (value, width) pairs with value guaranteed to fit the width.
 chunks = st.lists(
@@ -36,6 +48,16 @@ def test_writers_render_identical_streams(pairs):
     assert fast.to_int() == reference.to_int()
     assert fast.to_bytes() == reference.to_bytes()
     assert fast.to_bitstring() == reference.to_bitstring()
+
+
+@given(chunks)
+def test_pack_block_matches_bit_writer(pairs):
+    writer = BitWriter()
+    for value, width in pairs:
+        writer.write(value, width)
+    bits = writer.bit_length
+    writer.align_to_byte()
+    assert pack_block(pairs) == (writer.to_bytes(), bits)
 
 
 @given(chunks)
@@ -94,3 +116,20 @@ def test_canonical_decoder_matches_reference(frequencies, data):
         decoder.decode_symbol_reference(reference_reader) for _ in symbols
     ] == symbols
     assert kernel_reader.position == reference_reader.position == bits
+
+
+@given(frequency_tables, st.data())
+def test_pack_symbols_matches_encode_symbol(frequencies, data):
+    code = HuffmanCode.from_frequencies(frequencies, max_length=16)
+    symbols = data.draw(
+        st.lists(st.sampled_from(sorted(frequencies)), max_size=64)
+    )
+    writer = BitWriter()
+    for symbol in symbols:
+        code.encode_symbol(symbol, writer)
+    bits = writer.bit_length
+    writer.align_to_byte()
+    assert pack_symbols(code.codes, symbols) == (writer.to_bytes(), bits)
+    unknown = max(frequencies) + 1
+    with pytest.raises(CompressionError, match=f"symbol {unknown} "):
+        pack_symbols(code.codes, symbols + [unknown])

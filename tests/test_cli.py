@@ -778,7 +778,9 @@ def _fuzz_cases():
             for value in ("0", "-1", "99999999999", "x"):
                 option = f"{flag}={':'.join([value] * arity)}"
                 yield pytest.param(name, option, id=f"{name}{option}")
-
+    # A valid-looking geometry with a single set: the two-bank layout
+    # needs one set per bank.
+    yield pytest.param("sweep", "--cache=64:2:32", id="sweep--cache=64:2:32")
 
 @pytest.mark.parametrize("command,option", list(_fuzz_cases()))
 def test_numeric_and_geometry_options_never_crash(capsys, command, option):
