@@ -3,10 +3,17 @@
 The solver works on the same graph shape :mod:`repro.compiler.cfg`
 produces — ``{node: [successor, ...]}`` — but is deliberately agnostic
 about what the nodes are: IR block labels, image block ids, or the
-synthetic graphs the property tests generate.  Facts are hashable
-items collected in ``frozenset``s; a problem is fully described by its
-direction, its meet (may = union, must = intersection) and per-node
-``gen``/``kill`` sets, the classical bit-vector framework.
+synthetic graphs the property tests generate.  A problem is fully
+described by its direction, its meet (may = union, must =
+intersection) and per-node ``gen``/``kill`` sets, the classical
+bit-vector framework.
+
+There is one fixed-point loop, :func:`solve_masks`, and its facts are
+Python-int bitmasks: bit ``i`` is the caller's fact number ``i``.
+Callers that already number their facts (treegion hoisting numbers
+physical registers) call it directly.  :func:`solve` is the
+``frozenset`` front end: it numbers any hashable facts once per call,
+runs the same loop and decodes the fixed point back to ``frozenset``s.
 
 On top of the solver sit the analyses the verifier and the compiler
 share: may-liveness (:func:`live_variables`, which
@@ -109,6 +116,69 @@ class DataflowResult:
     after: Dict[Node, FrozenSet[Fact]]
 
 
+@dataclass
+class MaskResult:
+    """:class:`DataflowResult` with each fact set as an int bitmask."""
+
+    before: Dict[Node, int]
+    after: Dict[Node, int]
+
+
+def solve_masks(
+    cfg: Digraph,
+    *,
+    gen: Mapping[Node, int],
+    kill: Optional[Mapping[Node, int]] = None,
+    forward: bool = True,
+    may: bool = True,
+    boundary: Optional[Mapping[Node, int]] = None,
+    universe: int = 0,
+) -> MaskResult:
+    """Iterate ``out = gen | (meet(in) & ~kill)`` to a fixed point.
+
+    Bit ``i`` of every mask stands for the caller's fact number ``i``.
+    ``may`` selects the meet: union (initialized empty) or, when
+    False, intersection (initialized to ``universe``).  ``boundary``
+    facts are forced into a node's meet input — the entry seed of a
+    forward problem, or extra facts injected at join points (a
+    must-analysis unions them in after the intersection).  The
+    worklist converges for any monotone bit-vector problem; node order
+    only affects speed, not the result.
+    """
+    nodes = list(cfg)
+    preds = predecessors(cfg)
+    feeders = preds if forward else cfg
+    dependents = cfg if forward else preds
+    kill = kill or {}
+    boundary = boundary or {}
+    out: Dict[Node, int] = dict.fromkeys(nodes, 0 if may else universe)
+    met: Dict[Node, int] = {}
+    work = deque(nodes if forward else reversed(nodes))
+    queued = set(nodes)
+    while work:
+        node = work.popleft()
+        queued.discard(node)
+        ins = feeders[node]
+        acc = out[ins[0]] if ins else 0
+        for other in ins[1:]:
+            if may:
+                acc |= out[other]
+            else:
+                acc &= out[other]
+        acc |= boundary.get(node, 0)
+        met[node] = acc
+        new_out = gen.get(node, 0) | (acc & ~kill.get(node, 0))
+        if new_out != out[node]:
+            out[node] = new_out
+            for dep in dependents[node]:
+                if dep not in queued:
+                    queued.add(dep)
+                    work.append(dep)
+    if forward:
+        return MaskResult(before=met, after=out)
+    return MaskResult(before=out, after=met)
+
+
 def solve(
     cfg: Digraph,
     *,
@@ -119,62 +189,58 @@ def solve(
     boundary: Optional[Mapping[Node, Iterable[Fact]]] = None,
     universe: Optional[Iterable[Fact]] = None,
 ) -> DataflowResult:
-    """Iterate ``out = gen ∪ (meet(in) − kill)`` to a fixed point.
+    """:func:`solve_masks` over ``frozenset``s of hashable facts.
 
-    ``may`` selects the meet: union (initialized empty) or, when
-    False, intersection (initialized to ``universe``, which is then
-    required).  ``boundary`` facts are forced into a node's meet input
-    — the entry seed of a forward problem, or extra facts injected at
-    join points (a must-analysis unions them in after the
-    intersection).  The worklist converges for any monotone bit-vector
-    problem; node order only affects speed, not the result.
+    Facts are numbered in first-seen order, the masks are solved, and
+    the fixed point is decoded back to ``frozenset``s.  A must
+    (``may=False``) analysis needs a ``universe``.
     """
-    nodes = list(cfg)
-    preds = predecessors(cfg)
-    feeders = preds if forward else cfg
-    dependents = cfg if forward else preds
     if not may and universe is None:
         raise AnalysisError(
             "a must (intersection) analysis needs a universe"
         )
-    top = frozenset(universe or ())
-    gen_f = {n: frozenset(gen.get(n, ())) for n in nodes}
-    kill_f = {n: frozenset((kill or {}).get(n, ())) for n in nodes}
-    bound = {n: frozenset((boundary or {}).get(n, ())) for n in nodes}
-    out: Dict[Node, FrozenSet[Fact]] = {
-        n: (top if not may else frozenset()) for n in nodes
-    }
-    met: Dict[Node, FrozenSet[Fact]] = {}
-    work = deque(nodes if forward else reversed(nodes))
-    queued = set(nodes)
-    while work:
-        node = work.popleft()
-        queued.discard(node)
-        ins = feeders[node]
-        if ins:
-            acc = set(out[ins[0]])
-            for other in ins[1:]:
-                if may:
-                    acc |= out[other]
-                else:
-                    acc &= out[other]
-        else:
-            acc = set()
-        acc |= bound[node]
-        met[node] = frozenset(acc)
-        new_out = gen_f[node] | (met[node] - kill_f[node])
-        if new_out != out[node]:
-            out[node] = new_out
-            for dep in dependents[node]:
-                if dep not in queued:
-                    queued.add(dep)
-                    work.append(dep)
-    # Nodes never fed by anyone still need their meet recorded.
-    for node in nodes:
-        met.setdefault(node, bound[node])
-    if forward:
-        return DataflowResult(before=met, after=out)
-    return DataflowResult(before=out, after=met)
+    bits: Dict[Fact, int] = {}
+
+    def encode(facts: Iterable[Fact]) -> int:
+        mask = 0
+        for fact in facts:
+            bit = bits.get(fact)
+            if bit is None:
+                bit = bits[fact] = 1 << len(bits)
+            mask |= bit
+        return mask
+
+    def encode_all(
+        sets: Optional[Mapping[Node, Iterable[Fact]]],
+    ) -> Dict[Node, int]:
+        sets = sets or {}
+        return {n: encode(sets[n]) for n in cfg if n in sets}
+
+    result = solve_masks(
+        cfg,
+        gen=encode_all(gen),
+        kill=encode_all(kill),
+        forward=forward,
+        may=may,
+        boundary=encode_all(boundary),
+        universe=encode(universe or ()),
+    )
+    facts = list(bits)
+    decoded: Dict[int, FrozenSet[Fact]] = {}
+
+    def decode(mask: int) -> FrozenSet[Fact]:
+        found = decoded.get(mask)
+        if found is None:
+            digits = bin(mask)[:1:-1]  # bit 0 first
+            found = decoded[mask] = frozenset(
+                facts[i] for i, digit in enumerate(digits) if digit == "1"
+            )
+        return found
+
+    return DataflowResult(
+        before={n: decode(m) for n, m in result.before.items()},
+        after={n: decode(m) for n, m in result.after.items()},
+    )
 
 
 # ------------------------------------------------------------- analyses
@@ -280,6 +346,7 @@ def definitely_assigned(
 
 __all__ = [
     "DataflowResult",
+    "MaskResult",
     "definitely_assigned",
     "dominators",
     "live_variables",
@@ -288,4 +355,5 @@ __all__ = [
     "reaching_definitions",
     "reverse_postorder",
     "solve",
+    "solve_masks",
 ]

@@ -38,6 +38,9 @@ class RegClass(enum.Enum):
     FLOAT = "f"
     PRED = "p"
 
+    # Singletons compared by identity; Enum's hash is a slow Python call.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, order=True)
 class VReg:

@@ -1,7 +1,8 @@
 """Backward liveness dataflow over virtual registers.
 
-Used by the register allocator (live-interval construction) and by the
-treegion hoisting pass (is a destination live into other successors?).
+Used by the register allocator (live-interval construction).  Treegion
+hoisting solves physical-register liveness with the same solver, on
+register bitmasks (:mod:`repro.compiler.treegion`).
 
 Predicated ops are conditional writes, so a predicated destination is
 *not* treated as a kill — the old value may survive.

@@ -10,17 +10,36 @@ single-predecessor child may move into their parent block when the
 destination is dead on the parent's other paths.  Hoisted ops are marked
 speculative (the ``S`` bit of the TEPIC encoding).
 
+Hoisting asks which registers are live into the parent's other
+successors.  Physical registers are numbered once, by bank and index,
+into int bitmasks, and liveness is solved by the same fixed-point loop
+every other analysis uses (:func:`repro.analysis.dataflow.solve_masks`).
+After a hoist that moved ops, only the parent's and the child's
+use/def masks are recomputed, and liveness is solved again from the
+empty bottom.  A hoist can *shrink* liveness (the child may stop
+reading an operand), and a solve seeded from the previous solution
+could then stop at a larger, non-least fixed point around a loop and
+change later hoisting decisions.
+
 The motion is deliberately conservative — correctness is checked by
-differential tests (emulator output with hoisting on vs. off).
+differential tests (emulator output with hoisting on vs. off) and by a
+set-based reference of the hoisting loop (``test_treegion_oracle.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.dataflow import predecessors, solve_masks
 from repro.compiler.machine import MBlock, MFunction, MInstr
 from repro.isa.opcodes import Opcode, OpType
-from repro.isa.registers import Register, TRUE_PREDICATE
+from repro.isa.registers import (
+    NUM_FPR,
+    NUM_GPR,
+    Register,
+    RegisterBank,
+    TRUE_PREDICATE,
+)
 
 #: Most ops movable per parent/child pair (one issue packet's worth).
 MAX_HOIST_PER_EDGE = 6
@@ -45,29 +64,25 @@ def _successors(func: MFunction) -> dict[str, list[str]]:
     return succ
 
 
-def _predecessors(succ: dict[str, list[str]]) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {label: [] for label in succ}
-    for label, targets in succ.items():
-        for t in targets:
-            if t in preds:
-                preds[t].append(label)
-    return preds
+def _cfg(
+    func: MFunction,
+) -> tuple[dict[str, list[str]], dict[str, list[str]], set[tuple[str, str]]]:
+    """Successors, predecessors and back edges of ``func``.
 
-
-def _back_edge_heads(func: MFunction) -> set[tuple[str, str]]:
-    """Edges (u, v) where v does not come after u in layout order.
-
-    Layout order is a conservative stand-in for a DFS order here: any
-    backward-in-layout edge is treated as a loop back edge, which can only
-    make treegions smaller, never incorrect.
+    A back edge is an edge (u, v) where v does not come after u in
+    layout order.  Layout order is a conservative stand-in for a DFS
+    order here: any backward-in-layout edge is treated as a loop back
+    edge, which can only make treegions smaller, never incorrect.
     """
+    succ = _successors(func)
     index = {b.label: i for i, b in enumerate(func.blocks)}
-    back = set()
-    for u, targets in _successors(func).items():
-        for v in targets:
-            if index[v] <= index[u]:
-                back.add((u, v))
-    return back
+    back = {
+        (u, v)
+        for u, targets in succ.items()
+        for v in targets
+        if index[v] <= index[u]
+    }
+    return succ, predecessors(succ), back
 
 
 @dataclass
@@ -85,9 +100,15 @@ class Treegion:
 
 def form_treegions(func: MFunction) -> list[Treegion]:
     """Partition the CFG into maximal treegions (greedy, layout order)."""
-    succ = _successors(func)
-    preds = _predecessors(succ)
-    back = _back_edge_heads(func)
+    _, preds, back = _cfg(func)
+    return _form_treegions(func, preds, back)
+
+
+def _form_treegions(
+    func: MFunction,
+    preds: dict[str, list[str]],
+    back: set[tuple[str, str]],
+) -> list[Treegion]:
     assigned: dict[str, Treegion] = {}
     regions: list[Treegion] = []
     for block in func.blocks:
@@ -110,45 +131,40 @@ def form_treegions(func: MFunction) -> list[Treegion]:
     return regions
 
 
-def _machine_liveness(func: MFunction) -> dict[str, set[Register]]:
-    """Per-block live-in sets of physical registers."""
-    succ = _successors(func)
-    use: dict[str, set[Register]] = {}
-    deff: dict[str, set[Register]] = {}
-    for block in func.blocks:
-        upward: set[Register] = set()
-        killed: set[Register] = set()
-        for instr in block.instrs:
-            for reg in _minstr_reads(instr):
-                if reg not in killed:
-                    upward.add(reg)
-            if instr.predicate == TRUE_PREDICATE:
-                killed.update(instr.writes())
-        use[block.label] = upward
-        deff[block.label] = killed
-    live_in = {b.label: set() for b in func.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for block in reversed(func.blocks):
-            label = block.label
-            out: set[Register] = set()
-            for s in succ[label]:
-                out |= live_in[s]
-            new_in = use[label] | (out - deff[label])
-            if new_in != live_in[label]:
-                live_in[label] = new_in
-                changed = True
-    return live_in
+#: Bit offset of each bank in a register mask.
+_BANK_SHIFT = {
+    RegisterBank.GPR: 0,
+    RegisterBank.FPR: NUM_GPR,
+    RegisterBank.PRED: NUM_GPR + NUM_FPR,
+}
 
 
-def _minstr_reads(instr: MInstr) -> set[Register]:
-    regs = {r for r in (instr.src1, instr.src2) if r is not None}
+def _bit(reg: Register) -> int:
+    return 1 << (_BANK_SHIFT[reg.bank] + reg.index)
+
+
+def _read_mask(instr: MInstr) -> int:
+    """The registers ``instr`` reads; a predicated op also reads its
+    destination, whose old value survives when the predicate is false."""
+    mask = 0
+    for reg in (instr.src1, instr.src2):
+        if reg is not None:
+            mask |= _bit(reg)
     if instr.predicate != TRUE_PREDICATE:
-        regs.add(instr.predicate)
+        mask |= _bit(instr.predicate)
         if instr.dest is not None:
-            regs.add(instr.dest)
-    return regs
+            mask |= _bit(instr.dest)
+    return mask
+
+
+def _block_masks(block: MBlock) -> tuple[int, int]:
+    """(upward-exposed reads, definite writes) of ``block``."""
+    upward = killed = 0
+    for instr in block.instrs:
+        upward |= _read_mask(instr) & ~killed
+        if instr.predicate == TRUE_PREDICATE and instr.dest is not None:
+            killed |= _bit(instr.dest)
+    return upward, killed
 
 
 def _hoistable(instr: MInstr) -> bool:
@@ -171,24 +187,30 @@ def hoist_into_parents(func: MFunction) -> int:
     Returns the number of hoisted operations.  Must run before
     scheduling.
     """
-    succ = _successors(func)
-    preds = _predecessors(succ)
-    back = _back_edge_heads(func)
+    succ, preds, back = _cfg(func)
     by_label = {b.label: b for b in func.blocks}
+    use: dict[str, int] = {}
+    deff: dict[str, int] = {}
+    for block in func.blocks:
+        use[block.label], deff[block.label] = _block_masks(block)
+    live_in = None
     hoisted_total = 0
-    for region in form_treegions(func):
+    for region in _form_treegions(func, preds, back):
         for child_label in region.blocks:
             parent_label = region.parent.get(child_label)
             if parent_label is None:
                 continue
-            if (parent_label, child_label) in back:
-                continue
-            live_in = _machine_liveness(func)
+            if live_in is None:
+                live_in = solve_masks(
+                    succ, gen=use, kill=deff, forward=False
+                ).before
             parent = by_label[parent_label]
             child = by_label[child_label]
-            moved = _hoist_prefix(
-                parent, child, succ, live_in, child_label
-            )
+            moved = _hoist_prefix(parent, child, succ, live_in)
+            if moved:
+                for block in (parent, child):
+                    use[block.label], deff[block.label] = _block_masks(block)
+                live_in = None
             hoisted_total += moved
     return hoisted_total
 
@@ -197,24 +219,24 @@ def _hoist_prefix(
     parent: MBlock,
     child: MBlock,
     succ: dict[str, list[str]],
-    live_in: dict[str, set[Register]],
-    child_label: str,
+    live_in: dict[str, int],
 ) -> int:
     # Registers that must stay intact on the parent's *other* paths.
-    other_live: set[Register] = set()
+    blocked = 0
     for other in succ[parent.label]:
-        if other != child_label:
-            other_live |= live_in[other]
+        if other != child.label:
+            blocked |= live_in[other]
     # Registers the parent's terminator reads (the hoisted op lands
     # before the terminator, so it must not clobber its inputs).
     term = parent.terminator
-    term_reads = _minstr_reads(term) if term is not None else set()
+    if term is not None:
+        blocked |= _read_mask(term)
     moved = 0
     while moved < MAX_HOIST_PER_EDGE and child.instrs:
         op = child.instrs[0]
         if not _hoistable(op):
             break
-        if op.dest in other_live or op.dest in term_reads:
+        if _bit(op.dest) & blocked:
             break
         if len(child.instrs) == 1:
             break  # never empty a block

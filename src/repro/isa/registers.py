@@ -26,6 +26,9 @@ class RegisterBank(enum.Enum):
     FPR = "f"
     PRED = "p"
 
+    # Singletons compared by identity; Enum's hash is a slow Python call.
+    __hash__ = object.__hash__
+
     @property
     def size(self) -> int:
         return {

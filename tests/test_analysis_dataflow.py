@@ -9,6 +9,10 @@ cannot hide behind the analyses' own assumptions:
   removing ``d`` disconnects ``n`` from the entry);
 * liveness vs a naive round-robin fixed point (the pre-refactor
   algorithm of :mod:`repro.compiler.liveness`, kept inline here);
+* every direction × meet, with boundary facts and a universe, vs a
+  round-robin fixed point over ``frozenset``s — and the int-mask entry
+  :func:`solve_masks` vs the ``frozenset`` :func:`solve` on the same
+  problem;
 * definite assignment vs an avoid-the-generators reachability oracle;
 * reverse postorder vs a recursive depth-first search.
 """
@@ -27,6 +31,7 @@ from repro.analysis.dataflow import (
     reaching_definitions,
     reverse_postorder,
     solve,
+    solve_masks,
 )
 from repro.errors import AnalysisError
 
@@ -62,6 +67,26 @@ def digraphs_with_facts(draw):
         for node in cfg
     }
     return cfg, sets
+
+
+@st.composite
+def problems(draw):
+    """A digraph with gen/kill/boundary sets and a universe holding
+    every gen and boundary fact (so a must solve starts at the top)."""
+    cfg = draw(digraphs())
+
+    def sets():
+        return {
+            node: frozenset(
+                draw(st.lists(st.sampled_from(FACTS), max_size=2, unique=True))
+            )
+            for node in cfg
+        }
+
+    gen, kill, boundary = sets(), sets(), sets()
+    extra = draw(st.sets(st.sampled_from(FACTS + ("d",))))
+    universe = frozenset(extra).union(*gen.values(), *boundary.values())
+    return cfg, gen, kill, boundary, universe
 
 
 # ------------------------------------------------------------ the oracles
@@ -103,6 +128,35 @@ def _liveness_oracle(cfg, use, deff):
                 live_in[node] = new_in
                 changed = True
     return live_in, live_out
+
+
+def _roundrobin_oracle(cfg, gen, kill, boundary, universe, forward, may):
+    """Any direction and meet: sweep every node until nothing changes,
+    returning ``(before, after)`` in program order."""
+    preds = {node: [] for node in cfg}
+    for node, succs in cfg.items():
+        for succ in succs:
+            preds[succ].append(node)
+    feeders = preds if forward else cfg
+    out = {node: frozenset() if may else universe for node in cfg}
+    met = {}
+    changed = True
+    while changed:
+        changed = False
+        for node in cfg:
+            ins = [out[other] for other in feeders[node]]
+            if not ins:
+                acc = frozenset()
+            elif may:
+                acc = frozenset().union(*ins)
+            else:
+                acc = ins[0].intersection(*ins[1:])
+            acc |= boundary[node]
+            new_out = gen[node] | (acc - kill[node])
+            if met.get(node) != acc or out[node] != new_out:
+                met[node], out[node] = acc, new_out
+                changed = True
+    return (met, out) if forward else (out, met)
 
 
 def _assigned_oracle(cfg, entry, gen, seed, fact):
@@ -190,6 +244,52 @@ def test_liveness_matches_roundrobin_oracle(graph_use, graph_deff):
     for node in cfg:
         assert set(result.before[node]) == live_in[node]
         assert set(result.after[node]) == live_out[node]
+
+
+@pytest.mark.parametrize(
+    "forward,may",
+    [(True, True), (True, False), (False, True), (False, False)],
+    ids=["forward-may", "forward-must", "backward-may", "backward-must"],
+)
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_solver_matches_roundrobin_oracle_in_every_mode(
+    forward, may, problem
+):
+    cfg, gen, kill, boundary, universe = problem
+    result = solve(
+        cfg, gen=gen, kill=kill, forward=forward, may=may,
+        boundary=boundary, universe=universe,
+    )
+    before, after = _roundrobin_oracle(
+        cfg, gen, kill, boundary, universe, forward, may
+    )
+    assert result.before == before, (cfg, problem)
+    assert result.after == after, (cfg, problem)
+
+    # The mask entry on a numbering of the test's own agrees too.
+    bits = {fact: 1 << i for i, fact in enumerate(sorted(universe | {
+        fact for sets in (gen, kill) for facts in sets.values()
+        for fact in facts
+    }))}
+
+    def encode(facts):
+        return sum(bits[fact] for fact in facts)
+
+    def decode(mask):
+        return frozenset(fact for fact, bit in bits.items() if mask & bit)
+
+    masks = solve_masks(
+        cfg,
+        gen={node: encode(facts) for node, facts in gen.items()},
+        kill={node: encode(facts) for node, facts in kill.items()},
+        forward=forward,
+        may=may,
+        boundary={node: encode(facts) for node, facts in boundary.items()},
+        universe=encode(universe),
+    )
+    assert {n: decode(m) for n, m in masks.before.items()} == result.before
+    assert {n: decode(m) for n, m in masks.after.items()} == result.after
 
 
 @settings(max_examples=80, deadline=None)
