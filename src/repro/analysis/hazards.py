@@ -13,12 +13,17 @@ bug even though the hardware resolves it deterministically.
 Two entry points serve the two consumers:
 
 * :func:`needs_buffered_execution` / :func:`has_hazard` — the boolean
-  the threaded-code kernel dispatches on (early exit, no allocation);
+  the threaded-code kernel dispatches on (early exit, no allocation):
+  a group it flags runs the reference's own
+  :func:`~repro.emulator.machine._execute_mop` instead of the kernel's
+  closures;
 * :func:`classify_hazards` — the exhaustive, structured scan the
   verifier turns into diagnostics (op indices, hazard kind, registers).
 
 ``tests/test_analysis_hazards.py`` pins both to identical
-classifications over every MultiOp of the full benchmark suite.
+classifications over every MultiOp of the full benchmark suite, and
+pins that no suite MultiOp (at scale 2 or the default scale) needs
+buffered execution at all.
 """
 
 from __future__ import annotations
@@ -111,8 +116,8 @@ def needs_buffered_execution(ops: Sequence[Operation]) -> bool:
     True when in-order execution could diverge from the reference
     semantics (:func:`has_hazard`) or when the group carries more than
     one control transfer — the reference detects the double-transfer
-    error only under buffered execution, so the kernel must take the
-    same path to raise identically.
+    error only under buffered execution, so the kernel hands such a
+    group to the reference's executor to raise identically.
     """
     return control_transfer_count(ops) > 1 or has_hazard(ops)
 

@@ -18,9 +18,12 @@ from repro.compression.alphabets import SIX_STREAM_CONFIGS
 from repro.fetch.atb import ATB, att_bytes, att_entry_bits
 from repro.fetch.config import FetchConfig
 from repro.fetch.l0buffer import L0Buffer
+from repro.runtime.tasks import fetch_image_key
 
 #: Fetch organizations the studies model.
 FETCH_SCHEMES = ("base", "tailored", "compressed", "hybrid", "ideal")
+#: The organizations that fetch through a cache and an ATT.
+CACHED_FETCH_SCHEMES = tuple(s for s in FETCH_SCHEMES if s != "ideal")
 
 
 def compression_schemes(ctx: CheckContext) -> tuple:
@@ -132,16 +135,8 @@ def _att_sizing(ctx: CheckContext, rec: Recorder) -> None:
     # geometry a fetch study uses.
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
-        for fetch_scheme in (
-            "base", "tailored", "compressed", "hybrid"
-        ):
-            image_key = {
-                "base": "base",
-                "tailored": "tailored",
-                "compressed": "full",
-                "hybrid": "hybrid",
-            }[fetch_scheme]
-            compressed = study.compressed(image_key)
+        for fetch_scheme in CACHED_FETCH_SCHEMES:
+            compressed = study.compressed(fetch_image_key(fetch_scheme))
             geometry = FetchConfig.for_scheme(
                 fetch_scheme, scaled=True
             ).cache
@@ -291,16 +286,8 @@ def _kernel_vs_reference(ctx: CheckContext, rec: Recorder) -> None:
     length = 1500 if ctx.quick else 6000
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
-        for fetch_scheme in (
-            "base", "tailored", "compressed", "hybrid"
-        ):
-            image_key = {
-                "base": "base",
-                "tailored": "tailored",
-                "compressed": "full",
-                "hybrid": "hybrid",
-            }[fetch_scheme]
-            compressed = study.compressed(image_key)
+        for fetch_scheme in CACHED_FETCH_SCHEMES:
+            compressed = study.compressed(fetch_image_key(fetch_scheme))
             config = FetchConfig.for_scheme(fetch_scheme, scaled=True)
             subject = f"{benchmark}/{fetch_scheme}"
             rng = ctx.rng(f"kernel-vs-reference:{subject}")
@@ -366,14 +353,6 @@ def _hybrid_tags(ctx: CheckContext, rec: Recorder) -> None:
 
 
 # -------------------------------------------------------------- sweep
-_SWEEP_IMAGE_KEYS = (
-    ("base", "base"),
-    ("tailored", "tailored"),
-    ("compressed", "full"),
-    ("hybrid", "hybrid"),
-)
-
-
 def _metrics_diff(actual, expected) -> list:
     """Names of the FetchMetrics fields where the two disagree."""
     expected_fields = asdict(expected)
@@ -405,8 +384,8 @@ def _sweep_vs_kernel(ctx: CheckContext, rec: Recorder) -> None:
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
         images = {
-            scheme: study.compressed(key)
-            for scheme, key in _SWEEP_IMAGE_KEYS
+            scheme: study.compressed(fetch_image_key(scheme))
+            for scheme in CACHED_FETCH_SCHEMES
         }
         rng = ctx.rng(f"sweep-vs-kernel:{benchmark}")
         blocks = len(images["compressed"].image)
@@ -419,7 +398,7 @@ def _sweep_vs_kernel(ctx: CheckContext, rec: Recorder) -> None:
             3,
         )
         grid = expand_grid(
-            ("base", "tailored", "compressed", "hybrid"),
+            CACHED_FETCH_SCHEMES,
             caches=caches,
             atbs=[rng.choice([(32, 4), (64, 4)]), (128, 4)],
             predictors=("block", "gshare"),
@@ -487,13 +466,13 @@ def _sweep_degenerate_grid(ctx: CheckContext, rec: Recorder) -> None:
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
         images = {
-            scheme: study.compressed(key)
-            for scheme, key in _SWEEP_IMAGE_KEYS
+            scheme: study.compressed(fetch_image_key(scheme))
+            for scheme in CACHED_FETCH_SCHEMES
         }
         rng = ctx.rng(f"sweep-degenerate-grid:{benchmark}")
         blocks = len(images["compressed"].image)
         trace = [rng.randrange(blocks) for _ in range(length)]
-        for scheme, _ in _SWEEP_IMAGE_KEYS:
+        for scheme in CACHED_FETCH_SCHEMES:
             config = FetchConfig.for_scheme(scheme, scaled=True)
             subject = f"{benchmark}/{scheme}"
             single = simulate_fetch_sweep(

@@ -77,7 +77,7 @@ def compile_module(
                 stats.largest_treegion, max(r.size for r in regions)
             )
         if hoist:
-            stats.hoisted_ops += hoist_into_parents(func)
+            stats.hoisted_ops += hoist_into_parents(func, regions)
     schedule_module(mmodule)
     image = assemble(mmodule)
     return CompiledProgram(image=image, stats=stats, module=module)

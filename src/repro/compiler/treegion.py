@@ -64,27 +64,6 @@ def _successors(func: MFunction) -> dict[str, list[str]]:
     return succ
 
 
-def _cfg(
-    func: MFunction,
-) -> tuple[dict[str, list[str]], dict[str, list[str]], set[tuple[str, str]]]:
-    """Successors, predecessors and back edges of ``func``.
-
-    A back edge is an edge (u, v) where v does not come after u in
-    layout order.  Layout order is a conservative stand-in for a DFS
-    order here: any backward-in-layout edge is treated as a loop back
-    edge, which can only make treegions smaller, never incorrect.
-    """
-    succ = _successors(func)
-    index = {b.label: i for i, b in enumerate(func.blocks)}
-    back = {
-        (u, v)
-        for u, targets in succ.items()
-        for v in targets
-        if index[v] <= index[u]
-    }
-    return succ, predecessors(succ), back
-
-
 @dataclass
 class Treegion:
     """One tree of blocks; ``parent`` maps non-root labels to parents."""
@@ -99,16 +78,16 @@ class Treegion:
 
 
 def form_treegions(func: MFunction) -> list[Treegion]:
-    """Partition the CFG into maximal treegions (greedy, layout order)."""
-    _, preds, back = _cfg(func)
-    return _form_treegions(func, preds, back)
+    """Partition the CFG into maximal treegions (greedy, layout order).
 
-
-def _form_treegions(
-    func: MFunction,
-    preds: dict[str, list[str]],
-    back: set[tuple[str, str]],
-) -> list[Treegion]:
+    A back edge is an edge (u, v) where v does not come after u in
+    layout order.  Layout order is a conservative stand-in for a DFS
+    order here: any backward-in-layout edge is treated as a loop back
+    edge, which can only make treegions smaller, never incorrect.
+    """
+    succ = _successors(func)
+    preds = predecessors(succ)
+    index = {b.label: i for i, b in enumerate(func.blocks)}
     assigned: dict[str, Treegion] = {}
     regions: list[Treegion] = []
     for block in func.blocks:
@@ -117,7 +96,8 @@ def _form_treegions(
         joins_parent = None
         if len(block_preds) == 1:
             parent = block_preds[0]
-            if (parent, label) not in back and parent in assigned:
+            # Only a forward edge joins; its parent is already placed.
+            if index[parent] < index[label]:
                 joins_parent = parent
         if joins_parent is None:
             region = Treegion(root=label, blocks=[label])
@@ -181,13 +161,15 @@ def _hoistable(instr: MInstr) -> bool:
     return instr.opcode.optype in (OpType.INT, OpType.FLOAT)
 
 
-def hoist_into_parents(func: MFunction) -> int:
+def hoist_into_parents(func: MFunction, regions: list[Treegion]) -> int:
     """Move safe child-prefix ops into single-predecessor parents.
 
+    ``regions`` are ``func``'s treegions (:func:`form_treegions`);
+    hoisting moves no control op, so they stay valid while it runs.
     Returns the number of hoisted operations.  Must run before
     scheduling.
     """
-    succ, preds, back = _cfg(func)
+    succ = _successors(func)
     by_label = {b.label: b for b in func.blocks}
     use: dict[str, int] = {}
     deff: dict[str, int] = {}
@@ -195,7 +177,7 @@ def hoist_into_parents(func: MFunction) -> int:
         use[block.label], deff[block.label] = _block_masks(block)
     live_in = None
     hoisted_total = 0
-    for region in _form_treegions(func, preds, back):
+    for region in regions:
         for child_label in region.blocks:
             parent_label = region.parent.get(child_label)
             if parent_label is None:

@@ -12,7 +12,10 @@ Two executions of the same machine exist: the interpretive reference
 (:func:`run_image`) and the threaded-code kernel
 (:func:`~repro.emulator.kernel.run_image_kernel`).  :func:`emulate` runs
 the kernel and is what the study pipeline calls; the reference stays as
-the oracle the differential tests compare against.
+the oracle the differential tests compare against.  The kernel states
+only the hazard-free MultiOp semantics; a group with an intra-MultiOp
+hazard (:mod:`repro.analysis.hazards`) runs the reference's own
+executor.
 """
 
 from repro.emulator.machine import (

@@ -25,21 +25,28 @@ engine:
 
 Per-MultiOp VLIW semantics are preserved exactly.  At compile time each
 MultiOp is analyzed for intra-group hazards (an op reading a register —
-or a predicate guard — written by an earlier op of the same group, or a
-load following a store): hazard-free groups run as straight-line
-closures, hazardous ones through a buffered read-all-then-write-all
-executor identical in effect to the reference's ``_execute_mop``.
+or a predicate guard — written by an earlier op of the same group, a
+load following a store, or two control transfers).  Hazard-free groups
+run as straight-line closures, the kernel's one op table.  Hazardous
+groups run the reference's own read-all-then-write-all
+:func:`~repro.emulator.machine._execute_mop`, which counts their ops
+dynamically, so they match the reference by construction, error path
+included.  The scheduler never emits such a group (see
+:mod:`repro.analysis.hazards`), so no suite program runs that path.
 
 The kernel must produce a **bit-identical** :class:`RunResult`
 (``block_trace``, ``dynamic_ops``/``dynamic_mops``, ``executed_ops``,
 ``opcode_counts``, final machine state) — enforced by
 ``tests/test_emulator_kernel.py`` and the ``emulator-kernel-vs-ref``
 invariant in :mod:`repro.check`.  The one deliberate divergence is on
-the *raising* path: when an op faults mid-MultiOp (division by zero,
-bad address), earlier ops of a hazard-free group have already written
-their results where the reference would have discarded the whole
-group's buffered writes.  An :class:`EmulationError` aborts the run
-before any ``RunResult`` exists, so no observable output differs.
+the *raising* path of a hazard-free group: its ops write as they run,
+where the reference buffers every write of the group until all of its
+ops have been evaluated.  So when an op faults mid-MultiOp (division by
+zero, bad address), earlier ops have already written their results,
+and a store that faults is reported before a later op of the same
+group that would fault too, where the reference reports that later
+op.  An :class:`EmulationError` aborts the run before any
+``RunResult`` exists, so no run result differs.
 """
 
 from __future__ import annotations
@@ -57,10 +64,9 @@ from repro.emulator.machine import (
     RunResult,
     _CMP,
     _FP_BINARY,
-    _INT_BINARY,
+    _execute_mop,
 )
 from repro.isa.image import BasicBlockImage, ProgramImage
-from repro.isa.multiop import MultiOp
 from repro.isa.opcodes import Opcode
 from repro.isa.operation import (
     BHWX_DOUBLE,
@@ -82,8 +88,9 @@ _CTL_RET = (_RET, -1)
 _CTL_HALT = (_HALT, -1)
 
 #: A compiled MultiOp: ``step(machine, rt) -> control | None`` where
-#: ``rt`` is the per-run dynamic-statistics cell ``[predicated_executed,
-#: predicated_opcode_counter]``.
+#: ``rt`` is the per-run dynamic-statistics cell ``[executed,
+#: opcode_counter]`` of the ops not counted statically: predicated ops
+#: of hazard-free groups and every op of hazardous ones.
 Step = Callable[[Machine, list], Optional[tuple]]
 
 
@@ -288,128 +295,6 @@ def _control_const(op: Operation) -> Optional[tuple]:
     return None
 
 
-def _buffered_effect(op: Operation):
-    """``effect(m, gw, fw, pw, st) -> None`` appending fully-converted
-    write-back values, or ``None`` for pure control ops.
-
-    The value functions are shared with the reference
-    (:data:`_INT_BINARY` / :data:`_CMP` / :data:`_FP_BINARY` from
-    :mod:`repro.emulator.machine`), so the buffered path can never
-    drift from ``_execute_op`` arithmetic.
-    """
-    opcode = op.opcode
-    d = op.dest.index if op.dest is not None else 0
-    s1 = op.src1.index if op.src1 is not None else 0
-    s2 = op.src2.index if op.src2 is not None else 0
-    if opcode in _INT_BINARY:
-        fn = _INT_BINARY[opcode]
-        def eff(m, gw, fw, pw, st):
-            g = m.gpr
-            gw.append((d, fn(g[s1], g[s2])))
-        return eff
-    if opcode in _CMP:
-        if d == 0:
-            def eff(m, gw, fw, pw, st):
-                pw.append((0, True))
-            return eff
-        cmp = _CMP[opcode]
-        def eff(m, gw, fw, pw, st):
-            g = m.gpr
-            pw.append((d, cmp(g[s1], g[s2])))
-        return eff
-    if opcode is Opcode.LDI:
-        imm = op.imm or 0
-        def eff(m, gw, fw, pw, st):
-            gw.append((d, imm))
-        return eff
-    if opcode is Opcode.MOV:
-        def eff(m, gw, fw, pw, st):
-            gw.append((d, m.gpr[s1]))
-        return eff
-    if opcode is Opcode.ABS:
-        def eff(m, gw, fw, pw, st):
-            gw.append((d, ((abs(m.gpr[s1]) + _BIAS) & _MASK) - _BIAS))
-        return eff
-    if opcode is Opcode.NOT:
-        def eff(m, gw, fw, pw, st):
-            gw.append((d, ~m.gpr[s1]))
-        return eff
-    if opcode in (Opcode.DIV, Opcode.MOD):
-        fn = div_trunc if opcode is Opcode.DIV else mod_trunc
-        def eff(m, gw, fw, pw, st):
-            g = m.gpr
-            b = g[s2]
-            if b == 0:
-                raise EmulationError("integer division by zero")
-            gw.append((d, ((fn(g[s1], b) + _BIAS) & _MASK) - _BIAS))
-        return eff
-    if opcode in _FP_BINARY:
-        fn = _FP_BINARY[opcode]
-        def eff(m, gw, fw, pw, st):
-            f = m.fpr
-            fw.append((d, fn(f[s1], f[s2])))
-        return eff
-    if opcode is Opcode.FDIV:
-        def eff(m, gw, fw, pw, st):
-            f = m.fpr
-            b = f[s2]
-            if b == 0.0:
-                raise EmulationError("floating-point division by zero")
-            fw.append((d, f[s1] / b))
-        return eff
-    if opcode is Opcode.FABS:
-        def eff(m, gw, fw, pw, st):
-            fw.append((d, abs(m.fpr[s1])))
-        return eff
-    if opcode is Opcode.FMOV:
-        def eff(m, gw, fw, pw, st):
-            fw.append((d, m.fpr[s1]))
-        return eff
-    if opcode is Opcode.I2F:
-        def eff(m, gw, fw, pw, st):
-            fw.append((d, float(m.gpr[s1])))
-        return eff
-    if opcode is Opcode.F2I:
-        def eff(m, gw, fw, pw, st):
-            gw.append((d, ((int(m.fpr[s1]) + _BIAS) & _MASK) - _BIAS))
-        return eff
-    if opcode is Opcode.LD:
-        bhwx = op.bhwx
-        if op.dest.bank is RegisterBank.FPR:
-            def eff(m, gw, fw, pw, st):
-                fw.append((d, float(m.load(m.gpr[s1], bhwx, True))))
-            return eff
-        if bhwx == BHWX_DOUBLE:
-            def eff(m, gw, fw, pw, st):
-                gw.append((
-                    d,
-                    ((int(m.load(m.gpr[s1], bhwx, False)) + _BIAS)
-                     & _MASK) - _BIAS,
-                ))
-            return eff
-        def eff(m, gw, fw, pw, st):
-            gw.append((d, m.load(m.gpr[s1], bhwx, False)))
-        return eff
-    if opcode is Opcode.ST:
-        bhwx = op.bhwx
-        if op.src2.bank is RegisterBank.FPR:
-            def eff(m, gw, fw, pw, st):
-                st.append((m.gpr[s1], m.fpr[s2], bhwx))
-            return eff
-        def eff(m, gw, fw, pw, st):
-            st.append((m.gpr[s1], m.gpr[s2], bhwx))
-        return eff
-    if opcode.is_branch:
-        return None  # pure control; the constant is attached separately
-    return _unimplemented_buffered(opcode)
-
-
-def _unimplemented_buffered(opcode: Opcode):
-    def eff(m, gw, fw, pw, st):
-        raise EmulationError(f"unimplemented opcode {opcode.name}")
-    return eff
-
-
 # ----------------------------------------------------------- mop compile
 def _guard_step(p: int, opcode: Opcode, inner: Step) -> Step:
     """Wrap ``inner`` in a predicate check plus dynamic statistics."""
@@ -439,66 +324,27 @@ def _seq_step(steps: tuple) -> Step:
     return step
 
 
-def _buffered_step(ops: tuple) -> Step:
-    """Reference-shaped executor: read all, then write all.
+def _reference_step(ops: tuple) -> Step:
+    """A hazardous group: the reference's own ``_execute_mop``.
 
-    Used for groups with intra-MultiOp hazards or more than one control
-    op; mirrors ``_execute_mop`` including the double-control check.
+    It reads all, then writes all, counts every op it runs (``p0``
+    guarded ones too) into the dynamic statistics and raises the
+    reference's errors, two control transfers included.
     """
-    compiled = tuple(
-        (
-            op.predicate.index,
-            op.opcode,
-            _buffered_effect(op),
-            _control_const(op),
-        )
-        for op in ops
-    )
-
     def step(m, rt):
-        gw: List[tuple] = []
-        fw: List[tuple] = []
-        pw: List[tuple] = []
-        st: List[tuple] = []
-        control = None
-        for p, opcode, eff, ctl in compiled:
-            if p:
-                if not m.pr[p]:
-                    continue
-                rt[0] += 1
-                rt[1][opcode] += 1
-            if eff is not None:
-                eff(m, gw, fw, pw, st)
-            if ctl is not None:
-                if control is not None:
-                    raise EmulationError(
-                        "two control transfers in one MultiOp"
-                    )
-                control = ctl
-        if gw:
-            g = m.gpr
-            for d, v in gw:
-                g[d] = v
-        if fw:
-            f = m.fpr
-            for d, v in fw:
-                f[d] = v
-        if pw:
-            pr = m.pr
-            for d, v in pw:
-                pr[d] = v
-        for addr, value, bhwx in st:
-            m.store(addr, value, bhwx)
-        return control
+        control, executed = _execute_mop(m, ops, rt[1])
+        rt[0] += executed
+        if control is None:
+            return None
+        if control.target is None:
+            return _CTL_RET if control.kind == "ret" else _CTL_HALT
+        kind = _BRANCH if control.kind == "branch" else _CALL
+        return (kind, control.target)
     return step
 
 
-def _compile_mop(mop: MultiOp) -> Step:
-    ops = mop.ops
-    # Shared with the static verifier's vliw-hazard rule; the pinning
-    # regression test keeps the two consumers classifying identically.
-    if needs_buffered_execution(ops):
-        return _buffered_step(ops)
+def _direct_mop(ops: tuple) -> Step:
+    """A hazard-free group: its ops' closures run in order."""
     steps = []
     for op in ops:
         inner = _direct_step(op)
@@ -526,17 +372,22 @@ class _BlockPlan:
     )
 
     def __init__(self, block: BasicBlockImage) -> None:
-        self.steps = tuple(_compile_mop(mop) for mop in block.mops)
+        steps = []
+        static: Counter = Counter()
+        for mop in block.mops:
+            ops = mop.ops
+            # Shared with the static verifier's vliw-hazard rule; the
+            # pinning regression test keeps the two classifying alike.
+            if needs_buffered_execution(ops):
+                steps.append(_reference_step(ops))
+                continue
+            steps.append(_direct_mop(ops))
+            static.update(op.opcode for op in ops if op.guard is None)
+        self.steps = tuple(steps)
         self.mop_count = block.mop_count
         self.op_count = block.op_count
         self.fallthrough = block.fallthrough
         self.label = block.label
-        static = Counter(
-            op.opcode
-            for mop in block.mops
-            for op in mop.ops
-            if op.guard is None
-        )
         self.static_counts = tuple(static.items())
         self.static_executed = sum(static.values())
 

@@ -179,10 +179,6 @@ class Machine:
         state["memory"] = memory
         self.__dict__.update(state)
 
-    # ---------------------------------------------------------- registers
-    def read(self, opcode_is_float_bank: bool, index: int) -> object:
-        return self.fpr[index] if opcode_is_float_bank else self.gpr[index]
-
     # ------------------------------------------------------------ digest
     def state_digest(self) -> str:
         """SHA-256 over the full architectural state.

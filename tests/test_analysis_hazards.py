@@ -81,6 +81,22 @@ def test_shared_hazards_pin_legacy_kernel_classification(bench_name):
     assert groups > 0
 
 
+@pytest.mark.parametrize("bench_name", BENCHMARK_NAMES)
+def test_suite_schedules_carry_no_intra_group_hazard(bench_name):
+    """The scheduler never packs a reader with its writer, so no suite
+    MultiOp, at scale 2 or at the default scale, runs the emulator
+    kernel's reference path for hazardous groups."""
+    for scale in (_SCALE, None):
+        image = compile_benchmark(bench_name, scale).image
+        hazardous = [
+            str(mop)
+            for block in image
+            for mop in block.mops
+            if needs_buffered_execution(mop.ops)
+        ]
+        assert hazardous == [], f"{bench_name}@{scale}"
+
+
 # ------------------------------------------------------------------ units
 def test_raw_within_group_is_a_hazard():
     ops = (

@@ -15,12 +15,16 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.hazards import needs_buffered_execution
 from repro.emulator import Machine, emulate, run_image
-from repro.emulator.kernel import _compile_mop, plan_for, run_image_kernel
+from repro.emulator.kernel import _direct_mop, plan_for, run_image_kernel
 from repro.emulator.machine import _execute_mop
 from repro.errors import EmulationError
 from repro.isa import MultiOp, Opcode, Operation
-from repro.isa.registers import gpr, pred
+from repro.isa.image import BasicBlockImage, ProgramImage
+from repro.isa.multiop import MEMORY_UNITS
+from repro.isa.operation import BHWX_BYTE, BHWX_DOUBLE, BHWX_HALF, BHWX_WORD
+from repro.isa.registers import fpr, gpr, pred
 from repro.programs.suite import BENCHMARK_NAMES, compile_benchmark
 from repro.utils.arith import wrap32
 
@@ -192,66 +196,95 @@ def test_plan_is_memoized_per_image():
 
 
 # ------------------------------------------------- VLIW group compile
-def _run_step(mop, machine):
-    rt = [0, Counter()]
-    return _compile_mop(mop)(machine, rt), rt
+_HALT = MultiOp.of([Operation(Opcode.HALT)])
+
+
+def _run_one_block(mops, prepare=lambda machine: None):
+    """Run ``mops`` as a one-block image on both engines.
+
+    The kernel must match the reference's fingerprint and histogram, or
+    raise its error; returns the kernel's result and final machine, or
+    the error message.
+    """
+    image = ProgramImage("case", [BasicBlockImage(0, "case", tuple(mops))])
+    outcomes = []
+    for runner in (run_image, run_image_kernel):
+        machine = Machine()
+        prepare(machine)
+        try:
+            result = runner(image, machine=machine)
+        except EmulationError as exc:
+            outcomes.append(str(exc))
+            continue
+        outcomes.append(result)
+    reference, kernel = outcomes
+    if isinstance(reference, str):
+        assert kernel == reference
+    else:
+        assert kernel.fingerprint() == reference.fingerprint()
+        assert kernel.opcode_counts == reference.opcode_counts
+    return kernel
 
 
 class TestCompiledMopSemantics:
     def test_swap_reads_before_writes(self):
-        machine = Machine()
-        machine.gpr[1], machine.gpr[2] = 11, 22
+        def prepare(machine):
+            machine.gpr[1], machine.gpr[2] = 11, 22
+
         mop = MultiOp.of([
             Operation(Opcode.MOV, dest=gpr(1), src1=gpr(2)),
             Operation(Opcode.MOV, dest=gpr(2), src1=gpr(1)),
         ])
-        _run_step(mop, machine)
+        machine = _run_one_block([mop, _HALT], prepare).machine
         assert (machine.gpr[1], machine.gpr[2]) == (22, 11)
 
     def test_two_control_transfers_rejected(self):
-        machine = Machine()
         mop = MultiOp.of([
-            Operation(Opcode.BR, target_block=1),
-            Operation(Opcode.BR, target_block=2),
+            Operation(Opcode.BR, target_block=0),
+            Operation(Opcode.HALT),
         ])
-        with pytest.raises(EmulationError, match="two control"):
-            _run_step(mop, machine)
+        assert _run_one_block([mop]) == "two control transfers in one MultiOp"
 
     def test_predicated_second_control_is_fine(self):
-        machine = Machine()  # p1 is False
-        mop = MultiOp.of([
-            Operation(Opcode.BR, target_block=1),
-            Operation(Opcode.BR, target_block=2, predicate=pred(1)),
+        mop = MultiOp.of([  # p1 is False
+            Operation(Opcode.HALT),
+            Operation(Opcode.BR, target_block=0, predicate=pred(1)),
         ])
-        control, rt = _run_step(mop, machine)
-        assert control is not None and control[1] == 1
-        assert rt == [0, Counter()]  # the nullified op counted nothing
+        result = _run_one_block([mop])
+        # The nullified branch counted nothing.
+        assert result.executed_ops == 1
+        assert result.opcode_counts == Counter({Opcode.HALT: 1})
 
     def test_store_applied_after_reads(self):
-        machine = Machine()
-        machine.gpr[1] = 256
-        machine.gpr[2] = 5
-        machine.store(256, 99, 2)
+        def prepare(machine):
+            machine.gpr[1] = 256
+            machine.gpr[2] = 5
+            machine.store(256, 99, 2)
+
         mop = MultiOp.of([
             Operation(Opcode.LD, dest=gpr(3), src1=gpr(1)),
             Operation(Opcode.ST, src1=gpr(1), src2=gpr(2)),
         ])
-        _run_step(mop, machine)
+        machine = _run_one_block([mop, _HALT], prepare).machine
         assert machine.gpr[3] == 99
         assert machine.load_word(256) == 5
 
     def test_predicated_op_counts_dynamically(self):
-        machine = Machine()
-        machine.pr[2] = True
-        machine.gpr[4] = 9
+        def prepare(machine):
+            machine.pr[2] = True
+            machine.gpr[4] = 9
+
         mop = MultiOp.of([
             Operation(
                 Opcode.MOV, dest=gpr(5), src1=gpr(4), predicate=pred(2)
             ),
         ])
-        _, rt = _run_step(mop, machine)
-        assert machine.gpr[5] == 9
-        assert rt == [1, Counter({Opcode.MOV: 1})]
+        result = _run_one_block([mop, _HALT], prepare)
+        assert result.machine.gpr[5] == 9
+        assert result.executed_ops == 2
+        assert result.opcode_counts == Counter(
+            {Opcode.MOV: 1, Opcode.HALT: 1}
+        )
 
 
 # --------------------------------------------------------- hypothesis
@@ -301,7 +334,7 @@ def test_compiled_arithmetic_matches_execute_op(case):
     outcomes = []
     for machine, execute in (
         (ref_machine, lambda m: _execute_mop(m, mop.ops, Counter())),
-        (ker_machine, lambda m: _compile_mop(mop)(m, [0, Counter()])),
+        (ker_machine, lambda m: _direct_mop(mop.ops)(m, [0, Counter()])),
     ):
         try:
             execute(machine)
@@ -312,3 +345,229 @@ def test_compiled_arithmetic_matches_execute_op(case):
     assert ker_machine.gpr == ref_machine.gpr
     assert ker_machine.pr == ref_machine.pr
     assert ker_machine.state_digest() == ref_machine.state_digest()
+
+
+# ------------------------------------------- hazardous groups (hypothesis)
+#: Few registers per bank, so random operands collide often.
+_NREGS = 6
+_reg = st.integers(min_value=0, max_value=_NREGS - 1)
+#: Guards: p0 (always true) half the time, else p1..p4.
+_guard = st.one_of(
+    st.just(pred(0)), st.integers(min_value=1, max_value=4).map(pred)
+)
+#: Register values: mostly aligned in-range addresses (so memory ops
+#: usually succeed), plus small ints (zero divisors) and any int32.
+_gpr_value = st.one_of(
+    st.sampled_from([256, 264, 512, 1024, 4096]),
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    _int32,
+)
+_fpr_value = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+_INT_OPS = tuple(op for op in _BINARY_OPCODES if not op.is_compare)
+_CMP_OPS = tuple(op for op in _BINARY_OPCODES if op.is_compare)
+_FP_BINARY_OPS = (
+    Opcode.FADD, Opcode.FSUB, Opcode.FMPY, Opcode.FMIN, Opcode.FMAX,
+    Opcode.FDIV,
+)
+_WIDTHS = (BHWX_BYTE, BHWX_HALF, BHWX_WORD, BHWX_DOUBLE)
+
+
+@st.composite
+def _int_op(draw, src1=None, guard=None):
+    opcode = draw(st.sampled_from(_INT_OPS + _UNARY_OPCODES))
+    return Operation(
+        opcode,
+        dest=gpr(draw(_reg)),
+        src1=src1 or gpr(draw(_reg)),
+        src2=gpr(draw(_reg)) if opcode in _INT_OPS else None,
+        predicate=guard or draw(_guard),
+    )
+
+
+@st.composite
+def _fp_op(draw, src1=None, guard=None):
+    opcode = draw(st.sampled_from(
+        _FP_BINARY_OPS + (Opcode.FABS, Opcode.FMOV)
+    ))
+    return Operation(
+        opcode,
+        dest=fpr(draw(_reg)),
+        src1=src1 or fpr(draw(_reg)),
+        src2=fpr(draw(_reg)) if opcode in _FP_BINARY_OPS else None,
+        predicate=guard or draw(_guard),
+    )
+
+
+@st.composite
+def _compare_op(draw, src1=None, min_pred=0):
+    return Operation(
+        draw(st.sampled_from(_CMP_OPS)),
+        dest=pred(draw(st.integers(min_value=min_pred, max_value=4))),
+        src1=src1 or gpr(draw(_reg)),
+        src2=gpr(draw(_reg)),
+        predicate=draw(_guard),
+    )
+
+
+@st.composite
+def _gpr_writer(draw):
+    """LDI, F2I or LD: the GPR writers besides the integer ALU."""
+    kind = draw(st.sampled_from(("ldi", "f2i", "ld")))
+    guard = draw(_guard)
+    if kind == "ldi":
+        return Operation(
+            Opcode.LDI, dest=gpr(draw(_reg)),
+            imm=draw(st.integers(min_value=-8, max_value=4096)),
+            predicate=guard,
+        )
+    if kind == "f2i":
+        return Operation(
+            Opcode.F2I, dest=gpr(draw(_reg)), src1=fpr(draw(_reg)),
+            predicate=guard,
+        )
+    return Operation(
+        Opcode.LD, dest=gpr(draw(_reg)), src1=gpr(draw(_reg)),
+        bhwx=draw(st.sampled_from(_WIDTHS)), predicate=guard,
+    )
+
+
+@st.composite
+def _i2f_op(draw):
+    return Operation(
+        Opcode.I2F, dest=fpr(draw(_reg)), src1=gpr(draw(_reg)),
+        predicate=draw(_guard),
+    )
+
+
+@st.composite
+def _store_op(draw):
+    value = draw(st.one_of(_reg.map(gpr), _reg.map(fpr)))
+    return Operation(
+        Opcode.ST, src1=gpr(draw(_reg)), src2=value,
+        bhwx=draw(st.sampled_from(_WIDTHS)), predicate=draw(_guard),
+    )
+
+
+@st.composite
+def _control_op(draw, guard=None):
+    opcode = draw(st.sampled_from(
+        (Opcode.BR, Opcode.BR, Opcode.CALL, Opcode.RET, Opcode.HALT)
+    ))
+    target = None
+    if opcode in (Opcode.BR, Opcode.CALL):
+        # Block 1 halts; a transfer back to block 0 loops until the
+        # MultiOp budget aborts the run.
+        target = draw(st.sampled_from((1, 1, 0)))
+    return Operation(
+        opcode, target_block=target, predicate=guard or draw(_guard)
+    )
+
+
+_filler_op = st.one_of(
+    _int_op(), _fp_op(), _compare_op(), _gpr_writer(), _i2f_op(),
+    _store_op(), _control_op(),
+)
+
+
+@st.composite
+def _hazard_pair(draw):
+    """Two ops, the later one depending on the earlier in one group."""
+    kind = draw(st.sampled_from(
+        ("raw", "fp-raw", "guard-raw", "load-after-store", "two-controls")
+    ))
+    if kind == "raw":
+        first = draw(st.one_of(_int_op(), _gpr_writer()))
+        return first, draw(st.one_of(
+            _int_op(src1=first.dest), _compare_op(src1=first.dest)
+        ))
+    if kind == "fp-raw":
+        first = draw(_fp_op())
+        return first, draw(_fp_op(src1=first.dest))
+    if kind == "guard-raw":
+        first = draw(_compare_op(min_pred=1))
+        return first, draw(st.one_of(
+            _int_op(guard=first.dest), _fp_op(guard=first.dest),
+            _control_op(guard=first.dest),
+        ))
+    if kind == "load-after-store":
+        return draw(_store_op()), draw(
+            _gpr_writer().filter(lambda op: op.opcode is Opcode.LD)
+        )
+    return draw(_control_op()), draw(_control_op())
+
+
+@st.composite
+def _hazardous_group(draw):
+    """A 2-4 op MultiOp that ``needs_buffered_execution``."""
+    ops = list(draw(_hazard_pair()))
+    memory_left = MEMORY_UNITS - sum(op.opcode.is_memory for op in ops)
+    for filler in draw(st.lists(_filler_op, max_size=2)):
+        if filler.opcode.is_memory:
+            if not memory_left:
+                continue
+            memory_left -= 1
+        ops.insert(
+            draw(st.integers(min_value=0, max_value=len(ops))), filler
+        )
+    return MultiOp.of(ops)
+
+
+@st.composite
+def _hazard_programs(draw):
+    """Block 0 holds the groups and falls through to a HALT block."""
+    groups = draw(st.lists(_hazardous_group(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        # A hazard-free, fault-free group, so one block mixes the
+        # kernel's static opcode counts with hazardous groups.
+        safe = MultiOp.of([
+            Operation(Opcode.ADD, dest=gpr(1), src1=gpr(2), src2=gpr(3)),
+            Operation(Opcode.FMOV, dest=fpr(1), src1=fpr(2),
+                      predicate=draw(_guard)),
+        ])
+        groups.insert(
+            draw(st.integers(min_value=0, max_value=len(groups))), safe
+        )
+    image = ProgramImage("hazards", [
+        BasicBlockImage(0, "groups", tuple(groups), fallthrough=1),
+        BasicBlockImage(1, "done", (MultiOp.of([Operation(Opcode.HALT)]),)),
+    ])
+    state = (
+        draw(st.lists(_gpr_value, min_size=_NREGS, max_size=_NREGS)),
+        draw(st.lists(_fpr_value, min_size=_NREGS, max_size=_NREGS)),
+        draw(st.lists(st.booleans(), min_size=4, max_size=4)),
+    )
+    return image, state
+
+
+def _hazard_outcome(runner, image, state):
+    """The run's fingerprint and histogram, or its error type and text."""
+    gprs, fprs, preds = state
+    machine = Machine()
+    machine.gpr[:_NREGS] = gprs
+    machine.fpr[:_NREGS] = fprs
+    machine.pr[1:5] = preds
+    try:
+        result = runner(image, max_mops=40, machine=machine)
+    except (EmulationError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return result.fingerprint(), result.opcode_counts
+
+
+@given(_hazard_programs())
+@settings(max_examples=300, deadline=None)
+def test_hazardous_groups_match_reference(program):
+    """Groups with RAW, guard-RAW, load-after-store or two control
+    transfers (plus predicated-off ops, zero divisors and FP ops) give
+    the reference's fingerprint, or raise its error type and message."""
+    image, state = program
+    mops = image.block(0).mops
+    hazardous = [mop for mop in mops if needs_buffered_execution(mop.ops)]
+    assert len(hazardous) >= len(mops) - 1
+    assert all(2 <= len(mop) <= 4 for mop in hazardous)
+    assert _hazard_outcome(run_image_kernel, image, state) == (
+        _hazard_outcome(run_image, image, state)
+    )

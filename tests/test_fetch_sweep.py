@@ -34,9 +34,8 @@ from repro.fetch.sweep import (
 )
 from repro.runtime.tasks import fetch_image_key
 
-#: fetch scheme -> compression-scheme key of the image it runs on.
-SCHEME_IMAGE = {"base": "base", "tailored": "tailored",
-                "compressed": "full"}
+#: The single-image fetch organizations the sweep tests replay.
+SCHEMES = ("base", "tailored", "compressed")
 
 #: Valid geometries (power-of-two set counts) spanning the axes.  On
 #: the compress images every set of 256:2:16 can evict, no set of
@@ -60,7 +59,7 @@ def _geometry(point):
 
 
 @st.composite
-def fetch_configs(draw, schemes=tuple(SCHEME_IMAGE)):
+def fetch_configs(draw, schemes=SCHEMES):
     scheme = draw(st.sampled_from(schemes))
     atb_entries, atb_ways = draw(
         st.sampled_from([(32, 4), (64, 4), (128, 4), (256, 8)])
@@ -81,8 +80,8 @@ def fetch_configs(draw, schemes=tuple(SCHEME_IMAGE)):
 @pytest.fixture(scope="module")
 def sweep_images(compress_study):
     return {
-        scheme: compress_study.compressed(key)
-        for scheme, key in SCHEME_IMAGE.items()
+        scheme: compress_study.compressed(fetch_image_key(scheme))
+        for scheme in SCHEMES
     }
 
 

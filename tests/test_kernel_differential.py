@@ -16,16 +16,13 @@ import pytest
 from repro.fetch import engine
 from repro.fetch.config import FetchConfig, initiation_cycles
 from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
-
-#: fetch scheme -> compression-scheme key of the image it runs on.
-SCHEME_IMAGE = {"base": "base", "tailored": "tailored",
-                "compressed": "full"}
+from repro.runtime.tasks import fetch_image_key
 
 
 @pytest.mark.parametrize("scaled", [True, False])
-@pytest.mark.parametrize("scheme", sorted(SCHEME_IMAGE))
+@pytest.mark.parametrize("scheme", ["base", "compressed", "tailored"])
 def test_fetch_kernel_matches_reference(compress_study, scheme, scaled):
-    compressed = compress_study.compressed(SCHEME_IMAGE[scheme])
+    compressed = compress_study.compressed(fetch_image_key(scheme))
     trace = compress_study.run.block_trace
     config = FetchConfig.for_scheme(scheme, scaled=scaled)
     reference = simulate_fetch_reference(compressed, trace, config)

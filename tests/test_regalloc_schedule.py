@@ -246,7 +246,10 @@ class TestTreegion:
         for func in module.functions.values():
             allocate_registers(func)
         mmodule = lower_module(module)
-        moved = sum(hoist_into_parents(f) for f in mmodule.functions)
+        moved = sum(
+            hoist_into_parents(f, form_treegions(f))
+            for f in mmodule.functions
+        )
         if moved:
             spec_ops = [
                 i

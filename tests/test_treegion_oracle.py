@@ -174,7 +174,7 @@ def _assert_matches_reference(mmodule: MModule) -> int:
     reference = copy.deepcopy(mmodule)
     total = 0
     for func, ref in zip(mmodule.functions, reference.functions):
-        moved = hoist_into_parents(func)
+        moved = hoist_into_parents(func, form_treegions(func))
         assert moved == _reference_hoist(ref), func.name
         assert _code(func) == _code(ref), func.name
         total += moved
@@ -219,6 +219,6 @@ def test_hoist_keeps_the_parent_branch_predicate(written, expected):
         return MFunction("f", 0, [entry, child, out])
 
     func, ref = build(), build()
-    assert hoist_into_parents(func) == expected
+    assert hoist_into_parents(func, form_treegions(func)) == expected
     assert _reference_hoist(ref) == expected
     assert _code(func) == _code(ref)
