@@ -2,9 +2,19 @@
 
 import pytest
 
+from repro.compression.registry import known_scheme_keys
 from repro.compression.schemes import BaselineScheme, FullOpHuffmanScheme
 from repro.errors import ConfigurationError
-from repro.fetch.config import CacheGeometry, FetchConfig
+from repro.fetch.config import (
+    BASE_CACHE,
+    BASE_CACHE_SCALED,
+    COMPRESSED_CACHE,
+    COMPRESSED_CACHE_SCALED,
+    TAILORED_CACHE,
+    TAILORED_CACHE_SCALED,
+    CacheGeometry,
+    FetchConfig,
+)
 from repro.fetch.engine import FetchMetrics, ideal_metrics, simulate_fetch
 from repro.tailored.encoding import TailoredScheme
 
@@ -56,14 +66,50 @@ class TestEngineBasics:
         assert metrics.atb_hits + metrics.atb_misses == len(trace)
         assert metrics.cycles >= metrics.delivered_mops
 
-    def test_default_config_derived_from_scheme(self, artifacts):
-        image, trace = artifacts
-        metrics = simulate_fetch(BaselineScheme().compress(image), trace)
-        assert metrics.scheme == "base"
-        metrics = simulate_fetch(
-            FullOpHuffmanScheme().compress(image), trace
-        )
-        assert metrics.scheme == "compressed"
+    def test_default_config_derived_from_scheme(
+        self, compress_study, monkeypatch
+    ):
+        """Every image fetches under one organization and cache pair.
+
+        Base and Tailored images and hybrid keys fetch under their own
+        organization; every other scheme's image decodes through the
+        Compressed path.  The default fetch config, the verifier's ATT
+        geometry and the ``cache-bounds`` rule must all agree on it.
+        """
+        from repro.analysis import cachebound
+        from repro.analysis.verifier import _geometry_for, analyze_encoding
+
+        own = {"base": BASE_CACHE, "tailored": TAILORED_CACHE}
+        own_scaled = {"base": None, "tailored": TAILORED_CACHE_SCALED}
+        bounded = []
+        real_bounds = cachebound.cycle_bounds
+
+        def spy_bounds(compressed, counts, config):
+            bounded.append(config)
+            return real_bounds(compressed, counts, config)
+
+        monkeypatch.setattr(cachebound, "cycle_bounds", spy_bounds)
+        trace = compress_study.run.block_trace
+        keys = known_scheme_keys() + ("hybrid@0.5", "hybrid:static")
+        for key in keys:
+            compressed = compress_study.compressed(key)
+            hybrid = key.startswith("hybrid")
+            expected = key if hybrid or key in own else "compressed"
+            cache = own.get(key, COMPRESSED_CACHE)
+            metrics = simulate_fetch(compressed, trace)
+            assert metrics.scheme == expected, key
+            assert metrics == simulate_fetch(
+                compressed, trace, FetchConfig(scheme=expected, cache=cache)
+            ), key
+            scaled = own_scaled.get(key, COMPRESSED_CACHE_SCALED)
+            assert _geometry_for(key) == scaled, key
+            bounded.clear()
+            analyze_encoding(
+                compressed,
+                geometry=scaled or BASE_CACHE_SCALED,
+                names=["cache-bounds"],
+            )
+            assert [c.scheme for c in bounded] == [expected], key
 
     def test_deterministic(self, artifacts):
         image, trace = artifacts
