@@ -16,11 +16,10 @@ from repro.compression.schemes import FullOpHuffmanScheme
 from repro.core.study import study_for
 from repro.core.sweep import expand_grid
 from repro.emulator import emulate
-from repro.fetch.config import FetchConfig
+from repro.fetch.config import FetchConfig, fetch_image_key
 from repro.fetch.engine import simulate_fetch
 from repro.fetch.sweep import simulate_fetch_sweep_multi
 from repro.programs.suite import SUITE
-from repro.runtime.tasks import FETCH_IMAGE_KEYS
 
 
 def test_compile_throughput(benchmark):
@@ -69,7 +68,7 @@ def test_sweep_beats_sequential_replay():
     regression even when every output stays identical."""
     study = study_for("compress", 3)
     schemes = ("base", "tailored", "compressed")
-    images = {s: study.compressed(FETCH_IMAGE_KEYS[s]) for s in schemes}
+    images = {s: study.compressed(fetch_image_key(s)) for s in schemes}
     trace = study.run.block_trace
     grid = expand_grid(
         schemes,

@@ -50,7 +50,11 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 from repro.analysis.dataflow import predecessors, reverse_postorder
 from repro.analysis.imagecfg import interprocedural_cfg
 from repro.errors import ConfigurationError
-from repro.fetch.config import FetchConfig
+from repro.fetch.config import (
+    CACHED_ORGANIZATIONS,
+    FetchConfig,
+    fetch_image_key,
+)
 
 #: One abstract cache: bit ``line`` of ``state[k]`` is set iff the
 #: line's age bound is at most ``k``.
@@ -377,10 +381,8 @@ def cycle_bounds(
 
 
 #: Fetch organizations whose bounds are checked against the simulator:
-#: the sweepable families plus both hybrid profile sources.
-BOUND_SCHEMES = (
-    "base", "tailored", "compressed", "hybrid", "hybrid:static"
-)
+#: every cached organization, the hybrid under both profile sources.
+BOUND_SCHEMES = CACHED_ORGANIZATIONS + ("hybrid:static",)
 
 
 def standard_bounds(study, counts: Sequence[int]):
@@ -391,8 +393,6 @@ def standard_bounds(study, counts: Sequence[int]):
     and the ``static-cycle-bounds`` invariant both bracket these; the
     invariant goes on to randomized geometries with ``compressed``.
     """
-    from repro.runtime.tasks import fetch_image_key
-
     for scheme in BOUND_SCHEMES:
         compressed = study.compressed(fetch_image_key(scheme))
         simulated = study.fetch_metrics(scheme).cycles

@@ -125,16 +125,13 @@ def _cache_bounds(ctx: RuleContext) -> None:
     if ctx.geometry is None or not len(ctx.image):
         return  # the baseline fetches untranslated: nothing to bound
     from repro.analysis.cachebound import cycle_bounds
-    from repro.compression.registry import fetch_scheme_base
-    from repro.fetch.config import FetchConfig
+    from repro.fetch.config import FetchConfig, image_organization
 
     image = ctx.image
-    scheme = ctx.scheme or "compressed"
-    if fetch_scheme_base(scheme) not in (
-        "base", "tailored", "compressed", "hybrid"
-    ):
-        scheme = "compressed"
-    config = FetchConfig(scheme=scheme, cache=ctx.geometry)
+    config = FetchConfig(
+        scheme=image_organization(ctx.scheme or "compressed"),
+        cache=ctx.geometry,
+    )
     live = reachable(interprocedural_cfg(image), image.entry_block)
     counts = [1 if b in live else 0 for b in range(len(image))]
     report = cycle_bounds(ctx.compressed, counts, config)

@@ -270,16 +270,14 @@ def analyze_encoding(
 
 
 def _geometry_for(scheme_key: str):
-    from repro.fetch.config import (
-        COMPRESSED_CACHE_SCALED,
-        TAILORED_CACHE_SCALED,
-    )
+    """The scaled cache an image's ATT is sized for (``None``: no ATT)."""
+    from repro.fetch.config import FetchConfig, image_organization
 
     if scheme_key == "base":
         return None  # the baseline fetches untranslated: no ATT
-    if scheme_key == "tailored":
-        return TAILORED_CACHE_SCALED
-    return COMPRESSED_CACHE_SCALED
+    return FetchConfig.for_scheme(
+        image_organization(scheme_key), scaled=True
+    ).cache
 
 
 def analyze_program(

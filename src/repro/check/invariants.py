@@ -16,14 +16,13 @@ from dataclasses import asdict, replace
 from repro.check.registry import CheckContext, Recorder, invariant
 from repro.compression.alphabets import SIX_STREAM_CONFIGS
 from repro.fetch.atb import ATB, att_bytes, att_entry_bits
-from repro.fetch.config import FetchConfig
+from repro.fetch.config import (
+    CACHED_ORGANIZATIONS,
+    ORGANIZATIONS,
+    FetchConfig,
+    fetch_image_key,
+)
 from repro.fetch.l0buffer import L0Buffer
-from repro.runtime.tasks import fetch_image_key
-
-#: Fetch organizations the studies model.
-FETCH_SCHEMES = ("base", "tailored", "compressed", "hybrid", "ideal")
-#: The organizations that fetch through a cache and an ATT.
-CACHED_FETCH_SCHEMES = tuple(s for s in FETCH_SCHEMES if s != "ideal")
 
 
 def compression_schemes(ctx: CheckContext) -> tuple:
@@ -135,7 +134,7 @@ def _att_sizing(ctx: CheckContext, rec: Recorder) -> None:
     # geometry a fetch study uses.
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
-        for fetch_scheme in CACHED_FETCH_SCHEMES:
+        for fetch_scheme in CACHED_ORGANIZATIONS:
             compressed = study.compressed(fetch_image_key(fetch_scheme))
             geometry = FetchConfig.for_scheme(
                 fetch_scheme, scaled=True
@@ -172,8 +171,15 @@ def _fetch_conservation(ctx: CheckContext, rec: Recorder) -> None:
         image = study.compiled.image
         total_ops = sum(image.block(b).op_count for b in trace)
         total_mops = sum(image.block(b).mop_count for b in trace)
-        for scheme in FETCH_SCHEMES:
-            metrics = study.fetch_metrics(scheme, scaled=True)
+        for scheme in ORGANIZATIONS:
+            # The config the metrics are simulated under (none for
+            # ideal), whose bus width the bus checks below read.
+            config = (
+                None
+                if scheme == "ideal"
+                else FetchConfig.for_scheme(scheme, scaled=True)
+            )
+            metrics = study.fetch_metrics(scheme, config)
             if ctx.tampered("conservation"):
                 metrics = replace(
                     metrics, blocks_fetched=metrics.blocks_fetched + 1
@@ -257,7 +263,7 @@ def _fetch_conservation(ctx: CheckContext, rec: Recorder) -> None:
             )
             # Bus conservation: traffic only on misses, and beats carry
             # a full-to-partial bus width each.
-            bus_width = metrics.extra.get("bus_bytes", 8)
+            bus_width = config.bus_bytes
             if metrics.cache_misses == 0:
                 rec.expect_equal(
                     metrics.bus_bytes, 0, subject,
@@ -286,7 +292,7 @@ def _kernel_vs_reference(ctx: CheckContext, rec: Recorder) -> None:
     length = 1500 if ctx.quick else 6000
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
-        for fetch_scheme in CACHED_FETCH_SCHEMES:
+        for fetch_scheme in CACHED_ORGANIZATIONS:
             compressed = study.compressed(fetch_image_key(fetch_scheme))
             config = FetchConfig.for_scheme(fetch_scheme, scaled=True)
             subject = f"{benchmark}/{fetch_scheme}"
@@ -385,7 +391,7 @@ def _sweep_vs_kernel(ctx: CheckContext, rec: Recorder) -> None:
         study = ctx.study(benchmark)
         images = {
             scheme: study.compressed(fetch_image_key(scheme))
-            for scheme in CACHED_FETCH_SCHEMES
+            for scheme in CACHED_ORGANIZATIONS
         }
         rng = ctx.rng(f"sweep-vs-kernel:{benchmark}")
         blocks = len(images["compressed"].image)
@@ -398,7 +404,7 @@ def _sweep_vs_kernel(ctx: CheckContext, rec: Recorder) -> None:
             3,
         )
         grid = expand_grid(
-            CACHED_FETCH_SCHEMES,
+            CACHED_ORGANIZATIONS,
             caches=caches,
             atbs=[rng.choice([(32, 4), (64, 4)]), (128, 4)],
             predictors=("block", "gshare"),
@@ -467,12 +473,12 @@ def _sweep_degenerate_grid(ctx: CheckContext, rec: Recorder) -> None:
         study = ctx.study(benchmark)
         images = {
             scheme: study.compressed(fetch_image_key(scheme))
-            for scheme in CACHED_FETCH_SCHEMES
+            for scheme in CACHED_ORGANIZATIONS
         }
         rng = ctx.rng(f"sweep-degenerate-grid:{benchmark}")
         blocks = len(images["compressed"].image)
         trace = [rng.randrange(blocks) for _ in range(length)]
-        for scheme in CACHED_FETCH_SCHEMES:
+        for scheme in CACHED_ORGANIZATIONS:
             config = FetchConfig.for_scheme(scheme, scaled=True)
             subject = f"{benchmark}/{scheme}"
             single = simulate_fetch_sweep(

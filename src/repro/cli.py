@@ -612,10 +612,9 @@ def _sweep_grid(args):
         kwargs["hotness_sources"] = tuple(
             dict.fromkeys(args.hotness_sources)
         )
-    return expand_grid(
-        tuple(args.schemes or ("base", "tailored", "compressed")),
-        **kwargs,
-    )
+    if args.schemes:
+        kwargs["schemes"] = tuple(args.schemes)
+    return expand_grid(**kwargs)
 
 
 def _render_sweep(sweep: dict) -> str:

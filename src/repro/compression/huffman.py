@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.errors import CompressionError
-from repro.utils.bitstream import BitReader, BitWriter, pack_block
+from repro.utils.bitstream import BitReader, pack_block
 
 
 def code_lengths_from_frequencies(
@@ -156,13 +156,6 @@ class HuffmanCode:
         )
 
     # ------------------------------------------------------ encode/decode
-    def encode_symbol(self, symbol: int, writer: BitWriter) -> None:
-        try:
-            code, length = self.codes[symbol]
-        except KeyError:
-            raise unknown_symbol(symbol) from None
-        writer.write(code, length)
-
     def encoded_length(self, symbols: Iterable[int]) -> int:
         return sum(self.codes[s][1] for s in symbols)
 

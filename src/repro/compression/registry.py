@@ -137,14 +137,6 @@ def hybrid_key(hotness: float, source: str = "trace") -> str:
     return key
 
 
-def fetch_scheme_base(scheme: str) -> str:
-    """The penalty/geometry family of a fetch-scheme key
-    (``hybrid@0.75`` → ``hybrid``; everything else unchanged)."""
-    if parse_hybrid_key(scheme) is not None:
-        return "hybrid"
-    return scheme
-
-
 def normalize_scheme_key(key: str) -> str:
     """Validate ``key`` and return its canonical form.
 

@@ -20,7 +20,7 @@ what the compute closures return.
 
 from __future__ import annotations
 
-import os
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,11 +41,14 @@ from repro.compression.schemes import (
 )
 from repro.emulator.machine import RunResult, emulate
 from repro.errors import ConfigurationError, MopBudgetError
-from repro.fetch.config import FetchConfig
+from repro.fetch.config import (
+    FetchConfig,
+    fetch_image_key,
+    normalize_fetch_scheme,
+)
 from repro.fetch.engine import FetchMetrics, ideal_metrics, simulate_fetch
 from repro.programs.suite import SUITE, compile_benchmark
-from repro.runtime.config import gate_enabled
-from repro.runtime.tasks import fetch_image_key, normalize_fetch_scheme
+from repro.runtime.config import gate_enabled, integer_setting
 
 #: Scheme presentation order in reports (mirrors Figure 5's legend).
 SCHEME_ORDER = ("byte", "stream", "stream_1", "full", "tailored")
@@ -234,23 +237,21 @@ class ProgramStudy:
         ``config``: the result is stored under :func:`fetch_key` of the
         resolved config.
         """
+        scheme = normalize_fetch_scheme(scheme)
         if scheme == "ideal":
             config = None
-        else:
-            scheme = normalize_fetch_scheme(scheme)
-            if config is None:
-                config = FetchConfig.for_scheme(scheme, scaled=scaled)
+        elif config is None:
+            config = FetchConfig.for_scheme(scheme, scaled=scaled)
         memo = (scheme, config)
         if memo in self._fetch:
             return self._fetch[memo]
 
         def compute() -> FetchMetrics:
             trace = self.run.block_trace
-            if scheme == "ideal":
-                return ideal_metrics(self.compressed("base"), trace)
-            return simulate_fetch(
-                self.compressed(fetch_image_key(scheme)), trace, config
-            )
+            compressed = self.compressed(fetch_image_key(scheme))
+            if config is None:
+                return ideal_metrics(compressed, trace)
+            return simulate_fetch(compressed, trace, config)
         metrics = self._stage("fetch", compute, **fetch_key(scheme, config))
         self._fetch[memo] = metrics
         return metrics
@@ -272,12 +273,12 @@ def fetch_key(scheme: str, config: Optional[FetchConfig]) -> dict:
     }
 
 
-#: Capacity of the process-level study cache.  Bounded so long sweeps
-#: (cache-size studies, ablations over many scales) cannot grow without
-#: limit; evicted studies reload cheaply from the artifact store.
-STUDY_CACHE_CAPACITY = max(
-    1, int(os.environ.get("REPRO_STUDY_CACHE_CAP", "16"))
-)
+@functools.lru_cache(maxsize=None)
+def _study_cache_capacity() -> int:
+    """The study cache's bound (``REPRO_STUDY_CACHE_CAP``, read once):
+    long sweeps cannot grow it without limit, and evicted studies
+    reload cheaply from the artifact store."""
+    return integer_setting("REPRO_STUDY_CACHE_CAP")
 
 _studies: "OrderedDict[tuple[str, Optional[int]], ProgramStudy]" = (
     OrderedDict()
@@ -297,7 +298,7 @@ def study_for(name: str, scale: Optional[int] = None) -> ProgramStudy:
             )
         study = ProgramStudy(name, scale)
         _studies[key] = study
-        while len(_studies) > STUDY_CACHE_CAPACITY:
+        while len(_studies) > _study_cache_capacity():
             _studies.popitem(last=False)
     else:
         _studies.move_to_end(key)

@@ -7,9 +7,10 @@ wrapper the CLI, figure studies, and examples call:
 * **Grid building** — :func:`expand_grid` turns per-axis value lists
   (schemes × caches × ATBs × predictors × L0 × bus) into an ordered,
   deduplicated list of :class:`FetchConfig` points, collapsing axes
-  that cannot affect a point (L0 capacity outside the Compressed
-  scheme, gshare history width under the block predictor) so a grid
-  never pays for — or caches — behaviorally identical points twice.
+  that cannot affect a point (L0 capacity outside the organizations
+  with an L0 buffer, gshare history width under the block predictor)
+  so a grid never pays for — or caches — behaviorally identical points
+  twice.
 * **Store interop** — every per-config result is read and published
   under :func:`~repro.core.study.fetch_key`, the one address
   :meth:`ProgramStudy.fetch_metrics` uses too, so sweeps warm the
@@ -32,13 +33,19 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro import runtime
 from repro.compression.registry import (
     HYBRID_PROFILE_SOURCES,
-    fetch_scheme_base,
     hybrid_key,
     hybrid_profile_source,
     parse_hybrid_key,
 )
 from repro.errors import ConfigurationError
-from repro.fetch.config import CacheGeometry, FetchConfig
+from repro.fetch.config import (
+    PAPER_ORGANIZATIONS,
+    CacheGeometry,
+    FetchConfig,
+    fetch_image_key,
+    normalize_fetch_scheme,
+    organization,
+)
 from repro.fetch.engine import FetchMetrics
 from repro.fetch.sweep import simulate_fetch_sweep_multi
 from repro.runtime.store import default_store
@@ -47,8 +54,6 @@ from repro.runtime.tasks import (
     build_study_graph,
     compress_id,
     fetch_id,
-    fetch_image_key,
-    normalize_fetch_scheme,
     trace_id,
 )
 
@@ -56,8 +61,6 @@ __all__ = [
     "expand_grid",
     "run_sweep",
 ]
-
-_SWEEP_SCHEMES = ("base", "tailored", "compressed")
 
 CachePoint = Union[CacheGeometry, Tuple[int, int, int]]
 
@@ -80,8 +83,18 @@ def _as_geometry(point: CachePoint, index: int) -> CacheGeometry:
     )
 
 
+def _sweep_scheme(scheme: str) -> str:
+    """Normalize one organization of a sweep; Ideal has no config."""
+    scheme = normalize_fetch_scheme(scheme)
+    if scheme == "ideal":
+        raise ConfigurationError(
+            "the ideal organization has no fetch config to sweep"
+        )
+    return scheme
+
+
 def expand_grid(
-    schemes: Sequence[str] = _SWEEP_SCHEMES,
+    schemes: Sequence[str] = PAPER_ORGANIZATIONS,
     *,
     caches: Optional[Sequence[CachePoint]] = None,
     atbs: Sequence[Tuple[int, int]] = ((128, 4),),
@@ -119,11 +132,7 @@ def expand_grid(
             )
     expanded: List[str] = []
     for scheme in schemes:
-        scheme = normalize_fetch_scheme(scheme)
-        if scheme == "ideal":
-            raise ConfigurationError(
-                "the ideal organization has no fetch config to sweep"
-            )
+        scheme = _sweep_scheme(scheme)
         hotness = parse_hybrid_key(scheme)
         if hotness is None:
             expanded.append(scheme)
@@ -162,13 +171,12 @@ def expand_grid(
                         hist_axis = (
                             gshare_bits
                             if predictor == "gshare"
-                            else (10,)
+                            else (FetchConfig.gshare_history_bits,)
                         )
                         l0_axis = (
                             l0_capacities
-                            if fetch_scheme_base(scheme)
-                            in ("compressed", "hybrid")
-                            else (32,)
+                            if organization(scheme).l0
+                            else (FetchConfig.l0_capacity_ops,)
                         )
                         for bits in hist_axis:
                             for l0 in l0_axis:
@@ -284,11 +292,7 @@ def run_sweep(
     """
     from repro.core.study import fetch_key, study_for
 
-    schemes = [normalize_fetch_scheme(config.scheme) for config in configs]
-    if "ideal" in schemes:
-        raise ConfigurationError(
-            "the ideal organization has no fetch config to sweep"
-        )
+    schemes = [_sweep_scheme(config.scheme) for config in configs]
     study = study_for(benchmark, scale)
 
     # Deduplicate repeated points: simulate once, answer every index.

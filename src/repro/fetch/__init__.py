@@ -15,7 +15,11 @@ All three share the ATB (Address Translation Buffer, backed by the
 compiler-generated ATT) and its per-block branch predictor — a 2-bit
 saturating counter plus last-target prediction (Section 3.4).  Blocks are
 atomic units of fetch under the restricted placement model; the cycle
-accounting implements Table 1 exactly.
+accounting implements Table 1 exactly.  A fourth, hybrid organization
+charges each block at its ATT hot/cold tag, and Ideal bounds them all.
+:data:`~repro.fetch.config.ORGANIZATIONS` is the one table of these
+organizations: every other module asks it for an organization's image,
+cache pair, penalty family and L0 rule.
 
 The machine is written twice:
 :func:`~repro.fetch.engine.simulate_fetch_reference`, the readable

@@ -1,4 +1,10 @@
-"""Fetch-path configuration and the paper's Table 1 penalty matrix.
+"""Fetch organizations, their configuration, and Table 1.
+
+:data:`ORGANIZATIONS` is the one table of fetch organizations.  Every
+other module asks it, through the functions below, how a name
+normalizes, which image and cache pair an organization uses, which
+organization an image is fetched under, and which Table 1 family and
+L0 rule each block follows.
 
 Cache geometry follows Section 5: "moderately sized caches on scale
 suitable for an embedded system: 16KB, 2-way set associative.  The
@@ -17,8 +23,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from repro.compression.registry import (
+    hybrid_key,
+    hybrid_profile_source,
+    nearest_scheme_key,
+    parse_hybrid_key,
+)
 from repro.errors import ConfigurationError
 
 
@@ -113,6 +125,142 @@ BUFFER_HIT_CYCLES = 1
 #: The penalty families Table 1 defines (hybrid charges each block at
 #: its ATT tag, ``tailored`` or ``compressed``).
 PENALTY_FAMILIES = ("base", "tailored", "compressed")
+
+
+class Organization(NamedTuple):
+    """One fetch organization.
+
+    ``image`` is the scheme key of the image it replays (``None``: a
+    hybrid key names its own).  ``cache``/``scaled_cache`` are its
+    literal and pressure-scaled geometries (``None``: Ideal has no
+    cache).  ``family`` is the Table 1 family of every block (``None``:
+    each block's ATT tag); ``l0`` says it has the L0 buffer.
+    """
+
+    name: str
+    image: Optional[str]
+    cache: Optional[CacheGeometry]
+    scaled_cache: Optional[CacheGeometry]
+    family: Optional[str]
+    l0: bool
+
+
+#: The paper's Base, Tailored, Compressed ("'Compressed' uses the Full
+#: op compression scheme") and Ideal, then the hybrid, which tags each
+#: block hot (tailored) or cold (compressed); every ``hybrid@T[:static]``
+#: key names its row.
+ORGANIZATIONS: Mapping[str, Organization] = MappingProxyType({
+    org.name: org
+    for org in (
+        Organization(
+            "base", "base", BASE_CACHE, BASE_CACHE_SCALED, "base", False
+        ),
+        Organization(
+            "tailored", "tailored", TAILORED_CACHE, TAILORED_CACHE_SCALED,
+            "tailored", False,
+        ),
+        Organization(
+            "compressed", "full", COMPRESSED_CACHE,
+            COMPRESSED_CACHE_SCALED, "compressed", True,
+        ),
+        Organization("ideal", "base", None, None, None, False),
+        Organization(
+            "hybrid", None, COMPRESSED_CACHE, COMPRESSED_CACHE_SCALED,
+            None, True,
+        ),
+    )
+})
+
+#: The organizations that fetch through a cache, an ATB and Table 1,
+#: and the paper's three among them (one Table 1 family each).
+CACHED_ORGANIZATIONS = tuple(
+    name for name, org in ORGANIZATIONS.items() if org.cache is not None
+)
+PAPER_ORGANIZATIONS = tuple(
+    name for name in CACHED_ORGANIZATIONS if ORGANIZATIONS[name].family
+)
+
+
+def _row(scheme: str) -> Optional[Organization]:
+    """The row a fetch-scheme key names (``hybrid@0.75`` → hybrid)."""
+    hybrid = parse_hybrid_key(scheme) is not None
+    return ORGANIZATIONS.get("hybrid" if hybrid else scheme)
+
+
+def organization(scheme: str) -> Organization:
+    """The cached organization a :class:`FetchConfig` scheme names;
+    raises :class:`ConfigurationError` for any other (``ideal`` too)."""
+    org = _row(scheme)
+    if org is None or org.cache is None:
+        raise ConfigurationError(f"unknown fetch scheme {scheme!r}")
+    return org
+
+
+def normalize_fetch_scheme(scheme: str) -> str:
+    """Canonical key for a fetch organization; raises on unknown ones.
+
+    The error lists the accepted organizations and, for a near-miss
+    (``hybird@0.3``), suggests the closest valid key.
+    """
+    if scheme in ORGANIZATIONS:
+        return scheme
+    hotness = parse_hybrid_key(scheme)
+    if hotness is not None:
+        return hybrid_key(hotness, hybrid_profile_source(scheme) or "trace")
+    message = (
+        f"unknown fetch scheme {scheme!r} "
+        f"(known: {', '.join(ORGANIZATIONS)}; "
+        "hybrid also accepts hybrid@T[:static])"
+    )
+    suggestion = nearest_scheme_key(scheme, tuple(ORGANIZATIONS))
+    if suggestion is not None:
+        message += f"; did you mean {suggestion!r}?"
+    raise ConfigurationError(message)
+
+
+def fetch_image_key(scheme: str) -> str:
+    """Compression-image key one fetch organization replays against."""
+    scheme = normalize_fetch_scheme(scheme)
+    return _row(scheme).image or scheme
+
+
+def image_organization(image_key: str) -> str:
+    """The organization an image of scheme ``image_key`` is fetched under.
+
+    Base, Tailored and hybrid images fetch under their own name; every
+    other scheme's image decodes through the decompressor and the L0
+    buffer, as Compressed's full-op image does.
+    """
+    org = _row(image_key)
+    if org is not None and org.image in (None, image_key):
+        return image_key
+    return "compressed"
+
+
+def block_families(
+    compressed, scheme: str
+) -> Tuple[Sequence[str], List[bool]]:
+    """Each block's Table 1 family, and whether its fetch probes the L0.
+
+    A hybrid charges each block at its ATT tag (``tailored`` hot,
+    ``compressed`` cold), the others every block at their own family.
+    Only blocks charged as ``compressed`` probe the L0: hot hybrid
+    blocks decode in-line from the L1, like Tailored.  Raises
+    :class:`ConfigurationError` where :func:`organization` does, or for
+    a hybrid image without tags.
+    """
+    org = organization(scheme)
+    if org.family is None:
+        families = compressed.block_scheme_tags()
+        if families is None:
+            raise ConfigurationError(
+                "hybrid fetch needs an image with per-block scheme tags"
+            )
+    else:
+        families = (org.family,) * len(compressed.image)
+    return families, [
+        org.l0 and family == "compressed" for family in families
+    ]
 
 
 def initiation_cycles(
@@ -277,21 +425,6 @@ class FetchConfig:
         the Compressed organization — and keep the full key in
         ``scheme`` so per-threshold configs stay distinct.
         """
-        from repro.compression.registry import fetch_scheme_base
-
-        table = {
-            "base": BASE_CACHE_SCALED if scaled else BASE_CACHE,
-            "tailored": (
-                TAILORED_CACHE_SCALED if scaled else TAILORED_CACHE
-            ),
-            "compressed": (
-                COMPRESSED_CACHE_SCALED if scaled else COMPRESSED_CACHE
-            ),
-            "hybrid": (
-                COMPRESSED_CACHE_SCALED if scaled else COMPRESSED_CACHE
-            ),
-        }
-        cache = table.get(fetch_scheme_base(scheme))
-        if cache is None:
-            raise ConfigurationError(f"unknown fetch scheme {scheme!r}")
+        org = organization(scheme)
+        cache = org.scaled_cache if scaled else org.cache
         return FetchConfig(scheme=scheme, cache=cache, **overrides)

@@ -17,13 +17,16 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.compression.registry import fetch_scheme_base
 from repro.compression.schemes import CompressedImage
-from repro.errors import ConfigurationError
 from repro.fetch.atb import ATB, att_bytes
 from repro.fetch.banked_cache import BankedCache
 from repro.fetch.branch_predict import BlockMeta, GshareUnit
-from repro.fetch.config import FetchConfig, initiation_cycles
+from repro.fetch.config import (
+    FetchConfig,
+    block_families,
+    image_organization,
+    initiation_cycles,
+)
 from repro.fetch.l0buffer import L0Buffer
 from repro.power.busmodel import BusModel
 
@@ -90,17 +93,6 @@ def ideal_metrics(
     return metrics
 
 
-def _resolve_config(
-    compressed: CompressedImage, config: Optional[FetchConfig]
-) -> FetchConfig:
-    if config is not None:
-        return config
-    name = compressed.scheme_name
-    if name not in ("base", "tailored") and not name.startswith("hybrid"):
-        name = "compressed"
-    return FetchConfig.for_scheme(name)
-
-
 def simulate_fetch(
     compressed: CompressedImage,
     trace: Sequence[int],
@@ -110,8 +102,9 @@ def simulate_fetch(
 
     ``compressed`` supplies the address-space geometry (block offsets and
     sizes in the scheme's ROM encoding) and the payload bytes for the bus
-    model.  The scheme is taken from the config (``base`` / ``tailored``
-    / ``compressed`` / ``hybrid``).
+    model.  The scheme is taken from the config; without one, the
+    image's organization (:func:`~repro.fetch.config.image_organization`)
+    on its literal cache.
 
     This is a one-point :func:`~repro.fetch.sweep.simulate_fetch_sweep`;
     its result is bit-identical to :func:`simulate_fetch_reference`,
@@ -119,7 +112,9 @@ def simulate_fetch(
     """
     from repro.fetch.sweep import simulate_fetch_sweep
 
-    config = _resolve_config(compressed, config)
+    config = config or FetchConfig.for_scheme(
+        image_organization(compressed.scheme_name)
+    )
     return simulate_fetch_sweep(compressed, trace, [config])[0]
 
 
@@ -134,11 +129,11 @@ def simulate_fetch_reference(
     columnar sweep behind :func:`simulate_fetch` is an optimization of
     *this* function and is differentially tested against it.
     """
-    config = _resolve_config(compressed, config)
+    config = config or FetchConfig.for_scheme(
+        image_organization(compressed.scheme_name)
+    )
     scheme = config.scheme
-    base_scheme = fetch_scheme_base(scheme)
-    if base_scheme not in ("base", "tailored", "compressed", "hybrid"):
-        raise ConfigurationError(f"unknown fetch scheme {scheme!r}")
+    block_schemes, l0_probes = block_families(compressed, scheme)
 
     image = compressed.image
     metas = [BlockMeta.from_block(b) for b in image]
@@ -148,28 +143,10 @@ def simulate_fetch_reference(
     )
     payloads = compressed.block_payloads
 
-    # Per-block penalty family: uniform organizations charge their own
-    # scheme everywhere; the hybrid organization charges each block's
-    # ATT tag ("tailored" for hot blocks, "compressed" for cold).
-    if base_scheme == "hybrid":
-        block_schemes = compressed.block_scheme_tags()
-        if block_schemes is None:
-            raise ConfigurationError(
-                "hybrid fetch needs an image with per-block scheme tags"
-            )
-    else:
-        block_schemes = None
-
     atb = ATB(config.atb_entries, config.atb_ways)
     cache = BankedCache(config.cache)
-    # Only Huffman-decoded blocks go through the L0 decompression
-    # buffer: every block for Compressed, the cold blocks for hybrid
-    # (hot blocks decode in-line from the L1, like Tailored).
-    buffer = (
-        L0Buffer(config.l0_capacity_ops)
-        if base_scheme in ("compressed", "hybrid")
-        else None
-    )
+    # Only the blocks ``block_families`` marks probe the L0 buffer.
+    buffer = L0Buffer(config.l0_capacity_ops)
     bus = BusModel(config.bus_bytes)
     gshare = (
         GshareUnit(config.gshare_history_bits)
@@ -186,11 +163,7 @@ def simulate_fetch_reference(
 
     for position, block_id in enumerate(trace):
         meta = metas[block_id]
-        block_scheme = (
-            block_schemes[block_id]
-            if block_schemes is not None
-            else base_scheme
-        )
+        block_scheme = block_schemes[block_id]
         # Was this block the one fetch predicted?  (Cold start counts as
         # correct: there was no pipeline to flush.)
         pred_correct = (
@@ -202,9 +175,7 @@ def simulate_fetch_reference(
             metrics.cycles += config.atb_miss_penalty
 
         buffer_hit = False
-        probed_buffer = (
-            buffer is not None and block_scheme == "compressed"
-        )
+        probed_buffer = l0_probes[block_id]
         if probed_buffer:
             buffer_hit = buffer.access(block_id, meta.op_count)
 

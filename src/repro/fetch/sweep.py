@@ -61,7 +61,8 @@ is a one-point call of :func:`simulate_fetch_sweep`.
                + atb_miss_penalty * atb_misses
 
   The bitmaps are Python big-ints (one bit per trace position), so the
-  intersections run at C speed via ``int.bit_count``.
+  intersections run at C speed via
+  :func:`~repro.utils.arith.popcount`.
 
 :func:`simulate_fetch_sweep_multi` extends the sharing across schemes:
 the predictor machine never observes the compressed image (only the
@@ -88,13 +89,19 @@ from collections import Counter, defaultdict
 from itertools import chain, compress, filterfalse
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from repro.compression.registry import fetch_scheme_base
 from repro.compression.schemes import CompressedImage
 from repro.errors import ConfigurationError
 from repro.fetch.atb import att_bytes
 from repro.fetch.branch_predict import BlockMeta
-from repro.fetch.config import CacheGeometry, FetchConfig, penalty_rows
+from repro.fetch.config import (
+    CacheGeometry,
+    FetchConfig,
+    block_families,
+    organization,
+    penalty_rows,
+)
 from repro.fetch.engine import FetchMetrics
+from repro.utils.arith import popcount
 
 __all__ = [
     "BlockCosts",
@@ -219,25 +226,11 @@ def block_costs(
 
     ``span_pairs`` is :func:`block_span_pairs` for the config's cache
     (a block spanning ``n`` lines pays the per-line slope ``n - 1``
-    times).  Raises :class:`ConfigurationError` for a scheme outside
-    the fetch families, or a hybrid image without scheme tags.
+    times).  Raises :class:`ConfigurationError` where
+    :func:`~repro.fetch.config.block_families` does.
     """
-    scheme = config.scheme
-    base_scheme = fetch_scheme_base(scheme)
-    if base_scheme not in ("base", "tailored", "compressed", "hybrid"):
-        raise ConfigurationError(f"unknown fetch scheme {scheme!r}")
     image = compressed.image
-    nblocks = len(image)
-    if base_scheme == "hybrid":
-        families = compressed.block_scheme_tags()
-        if families is None:
-            raise ConfigurationError(
-                "hybrid fetch needs an image with per-block scheme tags"
-            )
-        l0_probe = [family == "compressed" for family in families]
-    else:
-        families = [base_scheme] * nblocks
-        l0_probe = [base_scheme == "compressed"] * nblocks
+    families, l0_probe = block_families(compressed, config.scheme)
     rows = penalty_rows()
     capacity = config.l0_capacity_ops
     l0_fits = []
@@ -604,9 +597,10 @@ def _cache_component(
         bus_beats += count * len(beats_by_block[block_id])
         bus_bytes += count * payload_lens[block_id]
     bus_state = bus_flips = 0
+    count_ones = popcount
     for block_id in compress(trace, miss_bits):
         for beat in beats_by_block[block_id]:
-            bus_flips += (beat ^ bus_state).bit_count()
+            bus_flips += count_ones(beat ^ bus_state)
             bus_state = beat
 
     cache_misses = sum(misses_of.values())
@@ -668,7 +662,7 @@ def _sweep_engine(
 
     for config in configs:
         scheme = config.scheme
-        base_scheme = fetch_scheme_base(scheme)
+        org = organization(scheme)
         compressed = image_for(scheme)
 
         image = compressed.image
@@ -696,7 +690,7 @@ def _sweep_engine(
             delivered_mops, delivered_ops, nblocks, program_token,
         ) = meta
 
-        has_buffer = base_scheme in ("compressed", "hybrid")
+        has_buffer = org.l0
         geometry = config.cache
         geo_key = _geometry_key(geometry)
 
@@ -723,7 +717,7 @@ def _sweep_engine(
         cache_key = (
             id(compressed),
             geo_key,
-            base_scheme,
+            org.name,
             config.l0_capacity_ops if has_buffer else None,
             bus_width,
         )
@@ -747,7 +741,7 @@ def _sweep_engine(
             costs = block_costs(compressed, config, span_pairs)
             l0 = _NO_L0
             if has_buffer:
-                l0_key = (id(compressed), base_scheme, config.l0_capacity_ops)
+                l0_key = (id(compressed), org.name, config.l0_capacity_ops)
                 l0 = l0_memo.get(l0_key)
                 if l0 is None:
                     l0 = _l0_pass(
@@ -765,8 +759,8 @@ def _sweep_engine(
         joint = joint_memo.get(joint_key)
         if joint is None:
             joint = (
-                (pred_mask & comp.miss_mask).bit_count(),
-                (pred_mask & comp.buf_mask).bit_count()
+                popcount(pred_mask & comp.miss_mask),
+                popcount(pred_mask & comp.buf_mask)
                 if has_buffer
                 else 0,
             )

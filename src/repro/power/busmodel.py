@@ -12,6 +12,7 @@ fewer misses (higher effective cache capacity).
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
+from repro.utils.arith import popcount
 
 
 class BusModel:
@@ -41,10 +42,10 @@ class BusModel:
             # padded only to the longer one.
             n, state_n = len(beat_bytes), self._state_bytes
             padded = max(n, state_n)
-            self.bit_flips += (
+            self.bit_flips += popcount(
                 (beat << 8 * (padded - n))
                 ^ (self._state << 8 * (padded - state_n))
-            ).bit_count()
+            )
             self._state, self._state_bytes = beat, n
             self.beats += 1
         self.bytes_transferred += len(payload)

@@ -16,11 +16,16 @@ Environment variables:
     LRU size cap for the store (default 512 MiB).
 ``REPRO_JOBS``
     Default ``--jobs`` for the scheduler (default 1 = in-process).
+``REPRO_STUDY_CACHE_CAP``
+    How many :class:`~repro.core.study.ProgramStudy` objects one process
+    keeps (default 16, at least 1).
 ``REPRO_ANALYZE``
     ``1`` / ``true`` / ``on`` / ``yes`` switches on the post-compile
     static-verification gate (:func:`gate_enabled`; default off).
 
-A boolean switch that is unset or empty takes its default.
+A boolean switch that is unset or empty takes its default.  The CLI
+rejects a malformed value (exit code 2, naming the variable); library
+use warns once and takes the default.
 """
 
 from __future__ import annotations
@@ -38,6 +43,13 @@ _TRUTHY = {"1", "true", "on", "yes"}
 _SWITCHES = {"REPRO_CACHE": True, "REPRO_ANALYZE": False}
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
+
+#: Integer ``REPRO_*`` settings: name -> (minimum, default).
+_INTEGERS = {
+    "REPRO_CACHE_MAX_BYTES": (0, DEFAULT_MAX_BYTES),
+    "REPRO_JOBS": (1, 1),
+    "REPRO_STUDY_CACHE_CAP": (1, 16),
+}
 
 _warned: set = set()
 
@@ -76,18 +88,34 @@ def environment_problems(environ=None) -> List[str]:
                 f"{name}={raw!r} is not a recognised switch "
                 f"(expected one of: {', '.join(choices)})"
             )
-    for name, minimum in (("REPRO_CACHE_MAX_BYTES", 0), ("REPRO_JOBS", 1)):
-        raw = env.get(name)
-        if raw is None:
-            continue
-        try:
-            value = int(raw)
-        except ValueError:
-            problems.append(f"{name}={raw!r} is not an integer")
-            continue
-        if value < minimum:
-            problems.append(f"{name}={raw!r} must be >= {minimum}")
+    problems += filter(None, (
+        _integer_problem(name, env[name]) for name in _INTEGERS if name in env
+    ))
     return problems
+
+
+def _integer_problem(name: str, raw: str) -> Optional[str]:
+    minimum = _INTEGERS[name][0]
+    try:
+        value = int(raw)
+    except ValueError:
+        return f"{name}={raw!r} is not an integer"
+    if value < minimum:
+        return f"{name}={raw!r} must be >= {minimum}"
+    return None
+
+
+def integer_setting(name: str, environ=None) -> int:
+    """One integer ``REPRO_*`` setting; unset gives its default, and a
+    malformed value warns once and gives the default too."""
+    env = os.environ if environ is None else environ
+    raw = env.get(name)
+    if raw is not None:
+        problem = _integer_problem(name, raw)
+        if problem is None:
+            return int(raw)
+        _warn_once(f"{problem}; using the default")
+    return _INTEGERS[name][1]
 
 
 def _switch(env, name: str) -> bool:
@@ -120,18 +148,11 @@ def config_from_env(environ=None) -> RuntimeConfig:
         env.get("REPRO_CACHE_DIR")
         or pathlib.Path.home() / ".cache" / "repro"
     )
-    try:
-        max_bytes = int(env.get("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES))
-        if max_bytes < 0:
-            max_bytes = DEFAULT_MAX_BYTES
-    except ValueError:
-        max_bytes = DEFAULT_MAX_BYTES
-    try:
-        jobs = max(1, int(env.get("REPRO_JOBS", "1")))
-    except ValueError:
-        jobs = 1
     return RuntimeConfig(
-        enabled=enabled, cache_dir=cache_dir, max_bytes=max_bytes, jobs=jobs
+        enabled=enabled,
+        cache_dir=cache_dir,
+        max_bytes=integer_setting("REPRO_CACHE_MAX_BYTES", env),
+        jobs=integer_setting("REPRO_JOBS", env),
     )
 
 

@@ -14,8 +14,11 @@ Dependencies mirror the data flow:
 * ``trace`` needs ``compile``;
 * ``compress`` needs ``compile`` (the scheme re-encodes the image);
 * ``fetch`` needs ``trace`` plus the ``compress`` node of the image it
-  runs on (Base/Tailored/Full-op per the paper's choices; the Ideal
-  organization walks the uncompressed image).  A ``fetch`` node
+  runs on, which :func:`~repro.fetch.config.fetch_image_key` reads from
+  the organization table (Base/Tailored/Full-op per the paper's
+  choices; the Ideal organization walks the uncompressed image).  The
+  organization names and image keys this module accepts are that
+  module's.  A ``fetch`` node
   without configs simulates its organization's standard config; one
   with configs is a chunk of a sharded ``run_sweep`` and publishes
   each of them.
@@ -24,60 +27,17 @@ Dependencies mirror the data flow:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.compression.registry import (
-    hybrid_key,
-    hybrid_profile_source,
-    nearest_scheme_key,
-    parse_hybrid_key,
-)
+from repro.compression.registry import hybrid_profile_source
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.fetch.config import FetchConfig
+from repro.fetch.config import (
+    FetchConfig,
+    fetch_image_key,
+    normalize_fetch_scheme,
+)
 
 STAGES = ("compile", "trace", "compress", "fetch")
-
-#: Which compressed image each fetch organization consumes
-#: ("'Compressed' uses the Full op compression scheme").  Hybrid fetch
-#: organizations (``hybrid``, ``hybrid@T``) are not listed: they replay
-#: their own tagged image, so their image key is the scheme key itself —
-#: resolve through :func:`fetch_image_key`.
-FETCH_IMAGE_KEYS = {
-    "base": "base",
-    "tailored": "tailored",
-    "compressed": "full",
-    "ideal": "base",
-}
-
-
-def normalize_fetch_scheme(scheme: str) -> str:
-    """Canonical key for a fetch organization; raises on unknown ones.
-
-    The error lists the accepted organizations and, for a near-miss
-    (``hybird@0.3``), suggests the closest valid key.
-    """
-    if scheme in FETCH_IMAGE_KEYS:
-        return scheme
-    hotness = parse_hybrid_key(scheme)
-    if hotness is not None:
-        return hybrid_key(hotness, hybrid_profile_source(scheme) or "trace")
-    known = tuple(FETCH_IMAGE_KEYS) + ("hybrid",)
-    message = (
-        f"unknown fetch scheme {scheme!r} (known: {', '.join(known)}; "
-        "hybrid also accepts hybrid@T[:static])"
-    )
-    suggestion = nearest_scheme_key(scheme, known)
-    if suggestion is not None:
-        message += f"; did you mean {suggestion!r}?"
-    raise ConfigurationError(message)
-
-
-def fetch_image_key(scheme: str) -> str:
-    """Compression-image key one fetch organization replays against."""
-    scheme = normalize_fetch_scheme(scheme)
-    return FETCH_IMAGE_KEYS.get(scheme, scheme)
 
 
 @dataclass(frozen=True)
@@ -91,7 +51,7 @@ class TaskSpec:
     scheme: Optional[str] = None  # compression scheme key
     fetch_scheme: Optional[str] = None  # fetch organization
     #: A ``fetch`` node's sweep chunk (empty: the standard config).
-    configs: Tuple["FetchConfig", ...] = ()
+    configs: Tuple[FetchConfig, ...] = ()
     deps: Tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:

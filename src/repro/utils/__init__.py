@@ -2,7 +2,6 @@
 
 from repro.utils.bitstream import (
     BitReader,
-    BitWriter,
     ReferenceBitWriter,
     pack_block,
 )
@@ -18,7 +17,6 @@ from repro.utils.tables import format_table
 
 __all__ = [
     "BitReader",
-    "BitWriter",
     "ReferenceBitWriter",
     "format_table",
     "pack_block",

@@ -1,12 +1,22 @@
-"""Shared 32-bit integer semantics.
+"""Shared integer semantics.
 
 The compiler's constant folder and the emulator must agree exactly on
 arithmetic; both import from here.  Integers are 32-bit two's-complement
 wrapping; shifts mask their amount to 5 bits; division truncates toward
-zero (C semantics).
+zero (C semantics).  :func:`popcount` serves the fetch engines' bitmap
+intersections and the bus model's bit-flip counts.
 """
 
 from __future__ import annotations
+
+if hasattr(int, "bit_count"):
+    #: Number of one bits in ``abs(value)``, at C speed (Python 3.10+).
+    popcount = int.bit_count
+else:  # pragma: no cover - Python 3.9
+
+    def popcount(value: int) -> int:
+        """Number of one bits in ``abs(value)``."""
+        return bin(value).count("1")
 
 
 def wrap32(value: int) -> int:

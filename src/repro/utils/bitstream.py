@@ -13,17 +13,11 @@ Bits are written most-significant-first within the stream, matching the way
 instruction formats are drawn in the paper's Table 2 (bit 0 is the leftmost
 ``T`` bit).
 
-``BitWriter`` packs into a ``bytearray`` behind a small spill register, so a
-stream of n bits costs O(n) total.  The original big-int accumulator — O(n²)
-in stream bits because every ``to_int`` re-shifts the whole prefix — is
-retained as :class:`ReferenceBitWriter`; the differential tests prove the two
-produce byte-identical streams.
-
-The compression encoders use neither writer: a block is short (a few
-hundred bits to a few KB), so :func:`pack_block` shifts its
-``(value, width)`` pairs into one Python int and renders it with a single
-``to_bytes``.  The property tests prove it byte-identical to
-``BitWriter``.
+A block is short (a few hundred bits to a few KB), so :func:`pack_block`
+shifts its ``(value, width)`` pairs into one Python int and renders it
+with a single ``to_bytes``.  The original chunk-list writer is retained
+as :class:`ReferenceBitWriter`, the oracle the property and
+differential tests prove :func:`pack_block` byte-identical to.
 """
 
 from __future__ import annotations
@@ -31,96 +25,12 @@ from __future__ import annotations
 from typing import Iterable
 
 
-class BitWriter:
-    """Accumulates an MSB-first bit stream and renders it to bytes.
-
-    Complete bytes live in ``_buffer``; the last 0–7 bits wait in the
-    ``_acc``/``_nbits`` spill register until a write completes them.
-    """
-
-    __slots__ = ("_buffer", "_acc", "_nbits")
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._acc = 0  # pending bits, right-aligned
-        self._nbits = 0  # number of pending bits, 0..7
-
-    def __len__(self) -> int:
-        """Number of bits written so far."""
-        return len(self._buffer) * 8 + self._nbits
-
-    @property
-    def bit_length(self) -> int:
-        return len(self._buffer) * 8 + self._nbits
-
-    def write(self, value: int, width: int) -> None:
-        """Append ``width`` bits holding ``value`` (big-endian bit order)."""
-        if width < 0:
-            raise ValueError(f"negative width {width}")
-        if value < 0:
-            raise ValueError(f"negative value {value}; encode sign explicitly")
-        if width == 0:
-            if value:
-                raise ValueError("nonzero value with zero width")
-            return
-        if value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        acc = (self._acc << width) | value
-        nbits = self._nbits + width
-        if nbits >= 8:
-            spill = nbits & 7
-            self._buffer += (acc >> spill).to_bytes((nbits - spill) >> 3,
-                                                    "big")
-            acc &= (1 << spill) - 1
-            nbits = spill
-        self._acc = acc
-        self._nbits = nbits
-
-    def write_bits(self, bits: str) -> None:
-        """Append a string of '0'/'1' characters."""
-        for ch in bits:
-            if ch == "0":
-                self.write(0, 1)
-            elif ch == "1":
-                self.write(1, 1)
-            else:
-                raise ValueError(f"invalid bit character {ch!r}")
-
-    def align_to_byte(self) -> int:
-        """Pad with zero bits to the next byte boundary; return pad count."""
-        pad = (-self.bit_length) % 8
-        if pad:
-            self.write(0, pad)
-        return pad
-
-    def to_int(self) -> int:
-        """Return the stream as a single integer (MSB = first bit written)."""
-        return (int.from_bytes(self._buffer, "big") << self._nbits) | self._acc
-
-    def to_bytes(self) -> bytes:
-        """Return the stream as bytes, zero-padded at the end to a byte."""
-        if self._nbits:
-            return bytes(self._buffer) + bytes(
-                ((self._acc << (8 - self._nbits)),)
-            )
-        return bytes(self._buffer)
-
-    def to_bitstring(self) -> str:
-        """Return the stream as a '0'/'1' string (debugging, tests)."""
-        out = "".join(format(b, "08b") for b in self._buffer)
-        if self._nbits:
-            out += format(self._acc, f"0{self._nbits}b")
-        return out
-
-
 class ReferenceBitWriter:
     """The original chunk-list writer (retained as the reference path).
 
     ``to_int`` left-shifts a growing big integer once per chunk, which is
-    O(n²) in total stream bits — exactly the behavior the kernelized
-    :class:`BitWriter` replaces.  Kept so the differential tests and the
-    benchmark harness always have the known-good baseline to compare
-    against.
+    O(n²) in total stream bits.  Kept so the tests always have a
+    known-good writer to compare :func:`pack_block` against.
     """
 
     __slots__ = ("_chunks", "_bit_length")
@@ -210,7 +120,7 @@ def pack_block(pairs: Iterable[tuple[int, int]]) -> tuple[bytes, int]:
 
 
 class BitReader:
-    """Reads an MSB-first bit stream produced by :class:`BitWriter`."""
+    """Reads an MSB-first bit stream produced by :func:`pack_block`."""
 
     __slots__ = ("_data", "_pos", "_bit_length")
 
@@ -225,10 +135,6 @@ class BitReader:
                 f"bit_length {bit_length} exceeds data size {max_bits}"
             )
         self._bit_length = bit_length
-
-    @classmethod
-    def from_writer(cls, writer: BitWriter) -> "BitReader":
-        return cls(writer.to_bytes(), writer.bit_length)
 
     @property
     def position(self) -> int:

@@ -3,18 +3,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.bitstream import BitReader, BitWriter
+from repro.utils.bitstream import BitReader, ReferenceBitWriter
 
 
 class TestBitWriter:
     def test_empty_writer(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         assert len(w) == 0
         assert w.to_bytes() == b""
         assert w.to_int() == 0
 
     def test_single_bits(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         w.write(1, 1)
         w.write(0, 1)
         w.write(1, 1)
@@ -22,33 +22,33 @@ class TestBitWriter:
         assert w.to_bytes() == bytes([0b10100000])
 
     def test_msb_first_order(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         w.write(0b1101, 4)
         w.write(0b0010, 4)
         assert w.to_bytes() == bytes([0b11010010])
 
     def test_value_too_wide_rejected(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         with pytest.raises(ValueError):
             w.write(4, 2)
 
     def test_negative_value_rejected(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         with pytest.raises(ValueError):
             w.write(-1, 4)
 
     def test_zero_width_nonzero_value_rejected(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         with pytest.raises(ValueError):
             w.write(1, 0)
 
     def test_zero_width_zero_value_ok(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         w.write(0, 0)
         assert len(w) == 0
 
     def test_align_to_byte(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         w.write(1, 3)
         pad = w.align_to_byte()
         assert pad == 5
@@ -56,22 +56,22 @@ class TestBitWriter:
         assert w.align_to_byte() == 0
 
     def test_write_bits_string(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         w.write_bits("1100")
         assert w.to_bitstring() == "1100"
 
     def test_write_bits_invalid_char(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         with pytest.raises(ValueError):
             w.write_bits("10x")
 
 
 class TestBitReader:
     def test_round_trip_simple(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         w.write(0b101, 3)
         w.write(0xABC, 12)
-        r = BitReader.from_writer(w)
+        r = BitReader(w.to_bytes(), w.bit_length)
         assert r.read(3) == 0b101
         assert r.read(12) == 0xABC
         assert r.remaining == 0
@@ -87,9 +87,9 @@ class TestBitReader:
             BitReader(b"\x00", bit_length=9)
 
     def test_seek(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         w.write(0b11110000, 8)
-        r = BitReader.from_writer(w)
+        r = BitReader(w.to_bytes(), w.bit_length)
         r.read(8)
         r.seek(4)
         assert r.read(4) == 0b0000
@@ -109,9 +109,9 @@ class TestBitReader:
         assert r.position == 0
 
     def test_cross_byte_read(self):
-        w = BitWriter()
+        w = ReferenceBitWriter()
         w.write(0x1FFFF, 17)
-        r = BitReader.from_writer(w)
+        r = BitReader(w.to_bytes(), w.bit_length)
         assert r.read(17) == 0x1FFFF
 
 
@@ -128,10 +128,10 @@ class TestBitReader:
 )
 def test_roundtrip_property(chunks):
     """Any sequence of (value, width) writes reads back identically."""
-    w = BitWriter()
+    w = ReferenceBitWriter()
     for value, width in chunks:
         w.write(value, width)
-    r = BitReader.from_writer(w)
+    r = BitReader(w.to_bytes(), w.bit_length)
     for value, width in chunks:
         assert r.read(width) == value
     assert r.remaining == 0
@@ -140,9 +140,9 @@ def test_roundtrip_property(chunks):
 @given(st.binary(max_size=64))
 def test_byte_roundtrip_property(data):
     """Writing bytes through 8-bit chunks reproduces them exactly."""
-    w = BitWriter()
+    w = ReferenceBitWriter()
     for byte in data:
         w.write(byte, 8)
     assert w.to_bytes() == data
-    r = BitReader.from_writer(w)
+    r = BitReader(w.to_bytes(), w.bit_length)
     assert bytes(r.read(8) for _ in data) == data

@@ -1,8 +1,8 @@
 """Hypothesis properties for the kernelized bit packing and decoding.
 
 Random variable-width write sequences must render identically through
-``BitWriter``, ``ReferenceBitWriter`` and the encoders' one-integer
-``pack_block``, and read back exactly; random
+the encoders' one-integer ``pack_block`` and the chunk-list
+``ReferenceBitWriter`` it replaced, and read back exactly; random
 frequency tables must decode identically through the canonical-table
 decoder and the per-length reference walk.  These complement the fixed
 workloads in ``tests/test_kernel_differential.py`` with generated ones.
@@ -19,12 +19,7 @@ from repro.compression.huffman import (
     pack_symbols,
 )
 from repro.errors import CompressionError
-from repro.utils.bitstream import (
-    BitReader,
-    BitWriter,
-    ReferenceBitWriter,
-    pack_block,
-)
+from repro.utils.bitstream import BitReader, ReferenceBitWriter, pack_block
 
 #: (value, width) pairs with value guaranteed to fit the width.
 chunks = st.lists(
@@ -39,20 +34,8 @@ chunks = st.lists(
 
 
 @given(chunks)
-def test_writers_render_identical_streams(pairs):
-    fast, reference = BitWriter(), ReferenceBitWriter()
-    for value, width in pairs:
-        fast.write(value, width)
-        reference.write(value, width)
-    assert fast.bit_length == reference.bit_length
-    assert fast.to_int() == reference.to_int()
-    assert fast.to_bytes() == reference.to_bytes()
-    assert fast.to_bitstring() == reference.to_bitstring()
-
-
-@given(chunks)
 def test_pack_block_matches_bit_writer(pairs):
-    writer = BitWriter()
+    writer = ReferenceBitWriter()
     for value, width in pairs:
         writer.write(value, width)
     bits = writer.bit_length
@@ -62,10 +45,7 @@ def test_pack_block_matches_bit_writer(pairs):
 
 @given(chunks)
 def test_reader_round_trips_fast_writer(pairs):
-    writer = BitWriter()
-    for value, width in pairs:
-        writer.write(value, width)
-    reader = BitReader.from_writer(writer)
+    reader = BitReader(*pack_block(pairs))
     assert [reader.read(width) for _, width in pairs] == [
         value for value, _ in pairs
     ]
@@ -74,16 +54,15 @@ def test_reader_round_trips_fast_writer(pairs):
 
 @given(chunks, st.integers(min_value=0, max_value=7))
 def test_alignment_matches_reference(pairs, extra_bits):
-    fast, reference = BitWriter(), ReferenceBitWriter()
-    for writer in (fast, reference):
-        for value, width in pairs:
-            writer.write(value, width)
-        if extra_bits:
-            writer.write(0, extra_bits)
-        writer.align_to_byte()
-    assert fast.bit_length == reference.bit_length
-    assert fast.bit_length % 8 == 0
-    assert fast.to_bytes() == reference.to_bytes()
+    reference = ReferenceBitWriter()
+    for value, width in pairs:
+        reference.write(value, width)
+    if extra_bits:
+        reference.write(0, extra_bits)
+    pad = reference.align_to_byte()
+    payload, bits = pack_block(pairs + [(0, extra_bits)])
+    assert reference.bit_length == bits + pad == 8 * len(payload)
+    assert reference.to_bytes() == payload
 
 
 frequency_tables = st.dictionaries(
@@ -101,10 +80,7 @@ def test_canonical_decoder_matches_reference(frequencies, data):
     symbols = data.draw(
         st.lists(st.sampled_from(sorted(frequencies)), max_size=64)
     )
-    writer = BitWriter()
-    for symbol in symbols:
-        code.encode_symbol(symbol, writer)
-    payload, bits = writer.to_bytes(), writer.bit_length
+    payload, bits = pack_symbols(code.codes, symbols)
 
     decoder = HuffmanDecoder(code)
     kernel_reader = BitReader(payload, bits)
@@ -124,9 +100,9 @@ def test_pack_symbols_matches_encode_symbol(frequencies, data):
     symbols = data.draw(
         st.lists(st.sampled_from(sorted(frequencies)), max_size=64)
     )
-    writer = BitWriter()
+    writer = ReferenceBitWriter()
     for symbol in symbols:
-        code.encode_symbol(symbol, writer)
+        writer.write(*code.codes[symbol])
     bits = writer.bit_length
     writer.align_to_byte()
     assert pack_symbols(code.codes, symbols) == (writer.to_bytes(), bits)

@@ -438,6 +438,22 @@ class TestInvocationValidation:
         assert main(["list"]) == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["list", "study"])
+    def test_malformed_study_cache_cap_rejected(self, tmp_path, command):
+        # A child process: the study cache reads it once per process.
+        env = _child_env(tmp_path / "cache")
+        env["REPRO_STUDY_CACHE_CAP"] = "abc"
+        argv = [command] + (
+            ["compress", "--scale", "2"] if command == "study" else []
+        )
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 2, child.stderr
+        assert "REPRO_STUDY_CACHE_CAP" in child.stderr
+        assert "Traceback" not in child.stderr
+
     def test_malformed_repro_cache_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "maybe")
         assert main(["list"]) == 2
@@ -453,16 +469,23 @@ class TestInvocationValidation:
     def test_library_path_warns_once_and_defaults(self, monkeypatch):
         import warnings
 
-        from repro.runtime.config import config_from_env
+        from repro.runtime.config import config_from_env, integer_setting
 
         config = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             config = config_from_env({"REPRO_JOBS": "many"})
+            cap = integer_setting(
+                "REPRO_STUDY_CACHE_CAP", {"REPRO_STUDY_CACHE_CAP": "0"}
+            )
         assert config.jobs == 1
+        assert cap == 16
         assert any(
             "REPRO_JOBS" in str(w.message) for w in caught
         )
+        assert integer_setting(
+            "REPRO_STUDY_CACHE_CAP", {"REPRO_STUDY_CACHE_CAP": "64"}
+        ) == 64
 
 
 class TestCheckCommand:

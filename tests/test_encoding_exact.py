@@ -21,7 +21,7 @@ from repro.errors import CompressionError, EncodingError
 from repro.isa.fields import Format
 from repro.isa.formats import FORMATS, OP_BITS
 from repro.programs.suite import BENCHMARK_NAMES, compile_benchmark
-from repro.utils.bitstream import BitWriter
+from repro.utils.bitstream import ReferenceBitWriter
 
 
 # ---------------------------------------------------------------- oracles
@@ -31,7 +31,7 @@ def oracle_format_encode(self: Format, values: Mapping[str, int]) -> int:
         raise EncodingError(
             f"format {self.name!r}: unknown fields {sorted(unknown)}"
         )
-    writer = BitWriter()
+    writer = ReferenceBitWriter()
     for f in self.fields:
         value = values.get(f.name, 0)
         if not 0 <= value <= f.max_value:

@@ -10,9 +10,10 @@ from repro.compression.huffman import (
     HuffmanCode,
     canonical_codes,
     code_lengths_from_frequencies,
+    pack_symbols,
 )
 from repro.errors import CompressionError
-from repro.utils.bitstream import BitReader, BitWriter
+from repro.utils.bitstream import BitReader
 
 freq_tables = st.dictionaries(
     keys=st.integers(min_value=0, max_value=10_000),
@@ -91,11 +92,8 @@ def test_huffman_stream_roundtrip(freqs, picks):
     code = HuffmanCode.from_frequencies(freqs)
     symbols = sorted(freqs)
     stream = [symbols[p % len(symbols)] for p in picks]
-    writer = BitWriter()
-    for s in stream:
-        code.encode_symbol(s, writer)
     decoder = code.make_decoder()
-    reader = BitReader.from_writer(writer)
+    reader = BitReader(*pack_symbols(code.codes, stream))
     assert [decoder.decode_symbol(reader) for _ in stream] == stream
 
 
@@ -103,7 +101,7 @@ class TestHuffmanCode:
     def test_unknown_symbol_rejected(self):
         code = HuffmanCode.from_frequencies({1: 1, 2: 1})
         with pytest.raises(CompressionError):
-            code.encode_symbol(99, BitWriter())
+            pack_symbols(code.codes, [99])
 
     def test_decoder_model_parameters(self):
         code = HuffmanCode.from_frequencies({0: 1, 1: 1, 2: 2, 3: 4})

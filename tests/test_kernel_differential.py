@@ -1,12 +1,12 @@
-"""Differential tests: fast paths are bit-identical to the references.
+"""Differential tests: the fetch fast path is bit-identical to its reference.
 
-``simulate_fetch`` (a one-point columnar sweep), the bytearray bit
-writer and the canonical Huffman decoder are *optimizations* of the
-retained reference implementations (``simulate_fetch_reference``,
-``ReferenceBitWriter``, ``decode_symbol_reference``), and every
-observable output — ``FetchMetrics`` fields, encoded bytes, decoded
-symbols — must match exactly.  CI runs this module as part of its
-divergence gate.
+``simulate_fetch`` (a one-point columnar sweep) is an *optimization* of
+the retained ``simulate_fetch_reference``, and every ``FetchMetrics``
+field must match exactly.  The other retained references —
+``ReferenceBitWriter`` behind ``pack_block`` and
+``decode_symbol_reference`` behind the canonical Huffman decoder — are
+compared on generated inputs in ``tests/test_bitstream_properties.py``.
+CI runs both modules as part of its divergence gate.
 """
 
 from __future__ import annotations
