@@ -33,10 +33,14 @@ class TestSramModel:
             )
 
 
-def _metrics(scheme, blocks, buffer_hits, hits, misses, lines, flips):
+def _metrics(
+    scheme, blocks, buffer_hits, hits, misses, lines, flips,
+    buffer_misses=0,
+):
     m = FetchMetrics(scheme=scheme)
     m.blocks_fetched = blocks
     m.buffer_hits = buffer_hits
+    m.buffer_misses = buffer_misses
     m.cache_hits = hits
     m.cache_misses = misses
     m.lines_fetched = lines
@@ -57,7 +61,7 @@ class TestFetchEnergy:
     def test_compressed_probes_l0_every_block(self):
         config = FetchConfig.for_scheme("compressed", scaled=True)
         energy = fetch_energy(
-            _metrics("compressed", 100, 60, 35, 5, 8, 100), config
+            _metrics("compressed", 100, 60, 35, 5, 8, 100, 40), config
         )
         assert energy.l0_energy == pytest.approx(
             100 * sram_access_energy(L0_BYTES)
