@@ -67,15 +67,16 @@ def fetch_energy(
 ) -> FetchEnergy:
     """Evaluate the access-energy model over a simulation's counters.
 
-    * every fetched block probes the L0 (compressed scheme only),
+    * every fetch the L0 sees is one L0 probe (its hits plus misses:
+      every block under Compressed, the cold-tagged blocks under a
+      hybrid organization, none under Base or Tailored),
     * blocks not satisfied by the L0 access the L1 once per fetch,
     * every missing line costs a ROM line read,
     * bus energy follows the bit-flip count (Figure 14's metric).
     """
     l1_access = sram_access_energy(config.cache.capacity_bytes)
     l0_access = sram_access_energy(L0_BYTES)
-    l0_probes = metrics.blocks_fetched if config.scheme == "compressed" \
-        else 0
+    l0_probes = metrics.buffer_hits + metrics.buffer_misses
     l1_accesses = metrics.cache_hits + metrics.cache_misses
     return FetchEnergy(
         scheme=metrics.scheme,

@@ -71,6 +71,31 @@ class TestFetchEnergy:
             40 * sram_access_energy(config.cache.capacity_bytes)
         )
 
+    def test_hybrid_probes_l0_for_cold_blocks_only(self):
+        # 50 of 100 fetches are cold-tagged and probe the L0 (30 hit);
+        # the 20 L0 misses and the 50 hot fetches go to the L1.
+        config = FetchConfig.for_scheme("hybrid", scaled=True)
+        energy = fetch_energy(
+            _metrics("hybrid", 100, 30, 64, 6, 9, 100, 20), config
+        )
+        assert energy.l0_energy == pytest.approx(
+            50 * sram_access_energy(L0_BYTES)
+        )
+        assert energy.l1_energy == pytest.approx(
+            70 * sram_access_energy(config.cache.capacity_bytes)
+        )
+
+    def test_l0_probes_match_a_hybrid_simulation(self, compress_study):
+        metrics = compress_study.fetch_metrics("hybrid")
+        assert metrics.buffer_hits + metrics.buffer_misses > 0
+        energy = fetch_energy(
+            metrics, FetchConfig.for_scheme("hybrid", scaled=True)
+        )
+        assert energy.l0_energy == pytest.approx(
+            (metrics.buffer_hits + metrics.buffer_misses)
+            * sram_access_energy(L0_BYTES)
+        )
+
     def test_total_is_sum(self):
         energy = FetchEnergy("x", 1.0, 2.0, 3.0, 4.0)
         assert energy.total == pytest.approx(10.0)
