@@ -13,10 +13,10 @@ bug even though the hardware resolves it deterministically.
 Two entry points serve the two consumers:
 
 * :func:`needs_buffered_execution` / :func:`has_hazard` — the boolean
-  the threaded-code kernel dispatches on (early exit, no allocation):
+  the generated-code kernel dispatches on (early exit, no allocation):
   a group it flags runs the reference's own
-  :func:`~repro.emulator.machine._execute_mop` instead of the kernel's
-  closures;
+  :func:`~repro.emulator.machine._execute_mop` instead of generated
+  statements;
 * :func:`classify_hazards` — the exhaustive, structured scan the
   verifier turns into diagnostics (op indices, hazard kind, registers).
 

@@ -509,7 +509,7 @@ def _sweep_degenerate_grid(ctx: CheckContext, rec: Recorder) -> None:
 @invariant(
     "emulator-kernel-vs-ref",
     scope="emulator",
-    description="threaded-code emulator matches the interpretive "
+    description="generated-code emulator matches the interpretive "
                 "reference on randomized programs and scales",
 )
 def _emulator_kernel_vs_ref(ctx: CheckContext, rec: Recorder) -> None:

@@ -90,6 +90,17 @@ class RunResult:
         }
 
 
+def block_trace_array(image: ProgramImage) -> array:
+    """An empty block trace in the narrowest typecode for ``image``.
+
+    Ids below 256 fit ``'B'`` (one byte per trace position); every
+    other image fits ``'H'``, since :class:`BasicBlockImage` caps ids
+    below 2**16.  Both emulators build their trace here, so the
+    kernel's and the reference's traces share one typecode.
+    """
+    return array("B" if len(image) <= 256 else "H")
+
+
 class Machine:
     """Registers, data memory and the (abstracted) return-address stack."""
 
@@ -248,7 +259,7 @@ def run_image(
     m = machine or Machine()
     if globals_data:
         m.initialize_globals(globals_data)
-    trace = array("i")
+    trace = block_trace_array(image)
     dynamic_ops = 0
     dynamic_mops = 0
     executed_ops = 0
@@ -287,7 +298,7 @@ def emulate(
     max_mops: int = DEFAULT_MAX_MOPS,
     machine: Optional[Machine] = None,
 ) -> RunResult:
-    """Execute ``image`` on the threaded-code engine.
+    """Execute ``image`` on the generated-code engine.
 
     :func:`~repro.emulator.kernel.run_image_kernel` produces the same
     :class:`RunResult` fields (see :meth:`RunResult.fingerprint`) as

@@ -1,4 +1,4 @@
-"""Differential tests for the threaded-code emulator kernel.
+"""Differential tests for the generated-code emulator kernel.
 
 The kernel (`repro.emulator.kernel`) must be indistinguishable from the
 interpretive reference (`repro.emulator.machine.run_image`) in every
@@ -10,6 +10,9 @@ generates op/state combinations the suite never reaches.
 
 from __future__ import annotations
 
+import gc
+import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.hazards import needs_buffered_execution
 from repro.emulator import Machine, emulate, run_image
-from repro.emulator.kernel import _direct_mop, plan_for, run_image_kernel
+from repro.emulator.kernel import plan_for, run_image_kernel
 from repro.emulator.machine import _execute_mop
 from repro.errors import EmulationError
 from repro.isa import MultiOp, Opcode, Operation
@@ -195,6 +198,20 @@ def test_plan_is_memoized_per_image():
     assert plan_for(compiled.image) is plan_for(compiled.image)
 
 
+def test_plan_does_not_keep_its_image_alive():
+    """The memo is weak: a plan that referenced its image would keep
+    every emulated image (and its generated code) alive."""
+    image = ProgramImage(
+        "short-lived", [BasicBlockImage(0, "only", (_HALT,))]
+    )
+    run_image_kernel(image)
+    assert plan_for(image) is not None
+    alive = weakref.ref(image)
+    del image
+    gc.collect()
+    assert alive() is None
+
+
 # ------------------------------------------------- VLIW group compile
 _HALT = MultiOp.of([Operation(Opcode.HALT)])
 
@@ -203,8 +220,8 @@ def _run_one_block(mops, prepare=lambda machine: None):
     """Run ``mops`` as a one-block image on both engines.
 
     The kernel must match the reference's fingerprint and histogram, or
-    raise its error; returns the kernel's result and final machine, or
-    the error message.
+    raise its error from the same machine state; returns the kernel's
+    result and final machine, or the error message.
     """
     image = ProgramImage("case", [BasicBlockImage(0, "case", tuple(mops))])
     outcomes = []
@@ -214,12 +231,13 @@ def _run_one_block(mops, prepare=lambda machine: None):
         try:
             result = runner(image, machine=machine)
         except EmulationError as exc:
-            outcomes.append(str(exc))
+            outcomes.append((str(exc), machine.state_digest()))
             continue
         outcomes.append(result)
     reference, kernel = outcomes
-    if isinstance(reference, str):
+    if isinstance(reference, tuple):
         assert kernel == reference
+        return kernel[0]
     else:
         assert kernel.fingerprint() == reference.fingerprint()
         assert kernel.opcode_counts == reference.opcode_counts
@@ -268,6 +286,23 @@ class TestCompiledMopSemantics:
         machine = _run_one_block([mop, _HALT], prepare).machine
         assert machine.gpr[3] == 99
         assert machine.load_word(256) == 5
+
+    def test_faulting_store_reports_the_later_fault(self):
+        """The reference evaluates every op before any store, so a
+        group whose store and a later op both fault reports the later
+        op, with no write of the group applied."""
+        def prepare(machine):
+            machine.gpr[1], machine.gpr[2] = -4, 7
+            machine.gpr[3], machine.gpr[4] = 5, 0
+
+        mop = MultiOp.of([
+            Operation(Opcode.ST, src1=gpr(1), src2=gpr(2)),
+            Operation(Opcode.DIV, dest=gpr(3), src1=gpr(2), src2=gpr(4)),
+        ])
+        assert not needs_buffered_execution(mop.ops)
+        assert _run_one_block([mop, _HALT], prepare) == (
+            "integer division by zero"
+        )
 
     def test_predicated_op_counts_dynamically(self):
         def prepare(machine):
@@ -321,9 +356,10 @@ def _arith_cases(draw):
 @given(_arith_cases())
 @settings(max_examples=300, deadline=None)
 def test_compiled_arithmetic_matches_execute_op(case):
-    """A closure-compiled op and `_execute_op` (via `_execute_mop`)
-    leave two machines in identical register state — or raise the
-    identical error — from any 32-bit register file."""
+    """An op's generated code (a one-block image: the op, then HALT)
+    and `_execute_op` (via `_execute_mop`) leave two machines in
+    identical register state — or raise the identical error — from any
+    32-bit register file."""
     op, registers = case
     ref_machine, ker_machine = Machine(), Machine()
     ref_machine.gpr[:] = registers
@@ -331,10 +367,11 @@ def test_compiled_arithmetic_matches_execute_op(case):
     assert all(wrap32(v) == v for v in registers)
 
     mop = MultiOp.of([op])
+    image = ProgramImage("op", [BasicBlockImage(0, "op", (mop, _HALT))])
     outcomes = []
     for machine, execute in (
         (ref_machine, lambda m: _execute_mop(m, mop.ops, Counter())),
-        (ker_machine, lambda m: _direct_mop(mop.ops)(m, [0, Counter()])),
+        (ker_machine, lambda m: run_image_kernel(image, machine=m)),
     ):
         try:
             execute(machine)
@@ -570,4 +607,94 @@ def test_hazardous_groups_match_reference(program):
     assert all(2 <= len(mop) <= 4 for mop in hazardous)
     assert _hazard_outcome(run_image_kernel, image, state) == (
         _hazard_outcome(run_image, image, state)
+    )
+
+
+# -------------------------------- faulting hazard-free groups (hypothesis)
+#: Values that make ops fault: bad or misaligned addresses, zero
+#: divisors (from ``_gpr_value``), and FP values ``int()`` rejects.
+_fault_gpr_value = st.one_of(
+    _gpr_value, st.sampled_from([-4, 258, 1 << 19, (1 << 19) - 2])
+)
+_fault_fpr_value = st.one_of(
+    _fpr_value, st.sampled_from([math.inf, -math.inf, math.nan])
+)
+_f2i_op = st.builds(
+    lambda d, s, guard: Operation(
+        Opcode.F2I, dest=gpr(d), src1=fpr(s), predicate=guard
+    ),
+    _reg, _reg, _guard,
+)
+_div_op = st.builds(
+    lambda opcode, d, a, b, guard: Operation(
+        opcode, dest=gpr(d), src1=gpr(a), src2=gpr(b), predicate=guard
+    ),
+    st.sampled_from((Opcode.DIV, Opcode.MOD)), _reg, _reg, _reg, _guard,
+)
+_fault_op = st.one_of(_filler_op, _f2i_op, _div_op, _store_op())
+
+
+@st.composite
+def _hazard_free_group(draw):
+    """A 1-4 op MultiOp the kernel runs as generated statements.
+
+    Drawn ops that would make the group hazardous, or overflow the
+    memory units, are dropped in order.
+    """
+    ops, memory = [], 0
+    for op in draw(st.lists(_fault_op, min_size=1, max_size=6)):
+        if len(ops) == 4:
+            break
+        if op.opcode.is_memory and memory == MEMORY_UNITS:
+            continue
+        if needs_buffered_execution(ops + [op]):
+            continue
+        ops.append(op)
+        memory += op.opcode.is_memory
+    return MultiOp.of(ops)
+
+
+@st.composite
+def _faulting_programs(draw):
+    """Block 0 holds hazard-free groups and falls through to HALT."""
+    groups = draw(st.lists(_hazard_free_group(), min_size=1, max_size=3))
+    image = ProgramImage("faults", [
+        BasicBlockImage(0, "groups", tuple(groups), fallthrough=1),
+        BasicBlockImage(1, "done", (MultiOp.of([Operation(Opcode.HALT)]),)),
+    ])
+    state = (
+        draw(st.lists(_fault_gpr_value, min_size=_NREGS, max_size=_NREGS)),
+        draw(st.lists(_fault_fpr_value, min_size=_NREGS, max_size=_NREGS)),
+        draw(st.lists(st.booleans(), min_size=4, max_size=4)),
+    )
+    return image, state
+
+
+def _fault_outcome(runner, image, state):
+    """The run's fingerprint and histogram, or its error and machine."""
+    gprs, fprs, preds = state
+    machine = Machine()
+    machine.gpr[:_NREGS] = gprs
+    machine.fpr[:_NREGS] = fprs
+    machine.pr[1:5] = preds
+    try:
+        result = runner(image, max_mops=40, machine=machine)
+    except (EmulationError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc), machine.state_digest()
+    return result.fingerprint(), result.opcode_counts
+
+
+@given(_faulting_programs())
+@settings(max_examples=300, deadline=None)
+def test_faulting_hazard_free_groups_match_reference(program):
+    """Hazard-free groups whose ops fault (bad or misaligned addresses,
+    zero divisors, ``int()`` of an infinity or NaN, a store before a
+    later fault) raise the reference's error type and message, from
+    the reference's machine state, or give its fingerprint."""
+    image, state = program
+    assert not any(
+        needs_buffered_execution(mop.ops) for mop in image.block(0).mops
+    )
+    assert _fault_outcome(run_image_kernel, image, state) == (
+        _fault_outcome(run_image, image, state)
     )
