@@ -57,8 +57,8 @@ type and message — enforced by ``tests/test_emulator_kernel.py`` and the
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from array import array
+from collections import Counter
 from types import FunctionType
 from typing import Callable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
@@ -72,6 +72,7 @@ from repro.emulator.machine import (
     _Control,
     _execute_mop,
     block_trace_array,
+    canonical_float,
 )
 from repro.isa.image import BasicBlockImage, ProgramImage
 from repro.isa.opcodes import Opcode
@@ -126,13 +127,14 @@ def _transfer(
     return call_stack.pop()
 
 
-#: Everything generated code may name besides its factory's arguments.
+#: What generated code names besides the per-run names below.
 _NAMESPACE = {
     "__builtins__": {"abs": abs, "float": float, "int": int, "len": len},
     "EmulationError": EmulationError,
     "_Halt": _Halt,
     "_hazardous": _hazardous,
     "_transfer": _transfer,
+    "_canon": canonical_float,
     "_div": div_trunc,
     "_mod": mod_trunc,
     "_u16": struct.Struct("<H").unpack_from,
@@ -180,9 +182,9 @@ _EXPRESSIONS = {
     Opcode.CMPP_LE: "{a} <= {b}",
     Opcode.CMPP_GT: "{a} > {b}",
     Opcode.CMPP_GE: "{a} >= {b}",
-    Opcode.FADD: "{a} + {b}",
-    Opcode.FSUB: "{a} - {b}",
-    Opcode.FMPY: "{a} * {b}",
+    Opcode.FADD: "_canon({a} + {b})",
+    Opcode.FSUB: "_canon({a} - {b})",
+    Opcode.FMPY: "_canon({a} * {b})",
     Opcode.FABS: "abs({a})",
     Opcode.FMOV: "{a}",
     Opcode.I2F: "float({a})",
@@ -276,7 +278,7 @@ def _value(op: Operation, read: Callable) -> Tuple[List[str], str]:
             f"y = {read(op.src2)}",
             "if y == 0.0: raise EmulationError("
             '"floating-point division by zero")',
-        ], f"{read(op.src1)} / y"
+        ], f"_canon({read(op.src1)} / y)"
     if opcode is Opcode.DIV or opcode is Opcode.MOD:
         fn = "_div" if opcode is Opcode.DIV else "_mod"
         return [
@@ -778,10 +780,12 @@ def _overrun(groups: tuple, m: Machine, left: int, max_mops: int) -> None:
 
     The reference charges the budget per MultiOp *before* executing it,
     so the kernel raises at exactly the same group, with the preceding
-    groups' effects applied by the reference's own executor.  The
-    caller guarantees ``left < len(groups)``.
+    groups' effects applied by the reference's own executor.  ``left``
+    is what the budget had left before the block (at most zero groups
+    run when it is negative); the caller guarantees
+    ``left < len(groups)``.
     """
-    for ops in groups[:left]:
+    for ops in groups[:max(left, 0)]:
         _execute_mop(m, ops, Counter())
     raise MopBudgetError(f"program exceeded {max_mops} dynamic MultiOps")
 

@@ -232,10 +232,26 @@ _CMP = {
     Opcode.CMPP_GE: lambda a, b: a >= b,
 }
 
+#: The one NaN an FP operation leaves in a register.
+CANONICAL_NAN = float("nan")
+
+
+def canonical_float(value: float) -> float:
+    """``value``, or :data:`CANONICAL_NAN` when it is a NaN.
+
+    Which operand's NaN ``a + b`` propagates when both are NaNs depends
+    on whether CPython runs the generic or the specialized float
+    operation, so a NaN's sign would depend on interpreter state.
+    Arithmetic results are canonicalized to keep the emulator
+    deterministic (no suite program computes a NaN).
+    """
+    return value if value == value else CANONICAL_NAN
+
+
 _FP_BINARY = {
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMPY: lambda a, b: a * b,
+    Opcode.FADD: lambda a, b: canonical_float(a + b),
+    Opcode.FSUB: lambda a, b: canonical_float(a - b),
+    Opcode.FMPY: lambda a, b: canonical_float(a * b),
     Opcode.FMIN: min,
     Opcode.FMAX: max,
 }
@@ -406,7 +422,8 @@ def _execute_op(
         if b == 0.0:
             raise EmulationError("floating-point division by zero")
         writes.append(
-            (RegisterBank.FPR, op.dest.index, m.fpr[op.src1.index] / b)
+            (RegisterBank.FPR, op.dest.index,
+             canonical_float(m.fpr[op.src1.index] / b))
         )
         return None
     if opcode is Opcode.FABS:

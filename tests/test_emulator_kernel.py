@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import math
+import struct
 import weakref
 from collections import Counter
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.hazards import needs_buffered_execution
 from repro.emulator import Machine, emulate, run_image
 from repro.emulator.kernel import plan_for, run_image_kernel
-from repro.emulator.machine import _execute_mop
+from repro.emulator.machine import CANONICAL_NAN, _execute_mop
 from repro.errors import EmulationError
 from repro.isa import MultiOp, Opcode, Operation
 from repro.isa.image import BasicBlockImage, ProgramImage
@@ -182,6 +183,21 @@ def test_runaway_aborts_at_identical_point(budget):
     assert outcomes[0][0] == f"program exceeded {budget} dynamic MultiOps"
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_exhausted_budget_aborts_before_the_first_group(budget):
+    compiled = compile_benchmark("compress", _SCALE)
+    outcomes = []
+    for runner in (run_image, run_image_kernel):
+        machine = Machine()
+        with pytest.raises(EmulationError) as err:
+            runner(compiled.image, max_mops=budget, machine=machine)
+        outcomes.append((str(err.value), machine.state_digest()))
+    assert outcomes[0] == outcomes[1] == (
+        f"program exceeded {budget} dynamic MultiOps",
+        Machine().state_digest(),
+    )
+
+
 # --------------------------------------------------------- dispatcher
 def test_emulate_dispatches_to_kernel_by_default(monkeypatch):
     sentinel = object()
@@ -303,6 +319,33 @@ class TestCompiledMopSemantics:
         assert _run_one_block([mop, _HALT], prepare) == (
             "integer division by zero"
         )
+
+    def test_nan_results_are_canonical(self):
+        """Which operand's NaN CPython propagates depends on whether a
+        float operation ran specialized, so every FP result NaN is the
+        one canonical NaN, on both engines and on any interpreter."""
+        def prepare(machine):
+            machine.fpr[0], machine.fpr[1] = math.inf, math.nan
+
+        mops = [
+            MultiOp.of([  # inf/inf: the hardware's negative NaN
+                Operation(Opcode.FDIV, dest=fpr(2), src1=fpr(0), src2=fpr(0)),
+            ]),
+            MultiOp.of([
+                Operation(Opcode.FMPY, dest=fpr(3), src1=fpr(2), src2=fpr(1)),
+                Operation(Opcode.FADD, dest=fpr(4), src1=fpr(1), src2=fpr(2)),
+                Operation(Opcode.FSUB, dest=fpr(5), src1=fpr(0), src2=fpr(0)),
+            ]),
+            _HALT,
+        ]
+        canonical = struct.pack("<d", CANONICAL_NAN)
+        # Repeated runs warm the reference's float operations into their
+        # specialized forms.
+        for _ in range(3):
+            machine = _run_one_block(mops, prepare).machine
+            assert [
+                struct.pack("<d", machine.fpr[i]) for i in (2, 3, 4, 5)
+            ] == [canonical] * 4
 
     def test_predicated_op_counts_dynamically(self):
         def prepare(machine):
