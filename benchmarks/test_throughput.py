@@ -2,9 +2,10 @@
 
 These are classic pytest-benchmark timings (multiple rounds) so
 regressions in the compiler, emulator, compressors or fetch simulator
-show up as numbers, not just green tests.  The sweep-speedup test is a
-plain timing assertion instead: it runs under ``--benchmark-disable``
-too, and lives outside tier-1 so a noisy host cannot break it.
+show up as numbers, not just green tests.  The sweep- and
+emulator-speedup tests are plain timing assertions instead: they run
+under ``--benchmark-disable`` too, and live outside tier-1 so a noisy
+host cannot break them.
 """
 
 import timeit
@@ -15,7 +16,7 @@ from repro.compiler import compile_module
 from repro.compression.schemes import FullOpHuffmanScheme
 from repro.core.study import study_for
 from repro.core.sweep import expand_grid
-from repro.emulator import emulate
+from repro.emulator import emulate, run_image
 from repro.fetch.config import FetchConfig, fetch_image_key
 from repro.fetch.engine import simulate_fetch
 from repro.fetch.sweep import simulate_fetch_sweep_multi
@@ -95,3 +96,30 @@ def test_sweep_beats_sequential_replay():
     speedup = best_of_3[0] / best_of_3[1]
     print(f"sweep: {len(grid)} configs, {speedup:.1f}x over sequential")
     assert speedup >= 3.0, f"sweep speedup collapsed to {speedup:.2f}x"
+
+
+def test_emulator_kernel_beats_reference():
+    """The generated-code kernel, its per-image build included, must
+    stay well ahead of the interpretive reference ``run_image``: a
+    collapse toward 1x is a regression even when every output stays
+    identical."""
+    spec = SUITE["compress"]
+    scale = spec.default_scale
+    globals_data = spec.build(scale).globals
+    # compile_module consumes its IR module, so each image is compiled
+    # from a fresh one.  A fresh image has no memoized plan, so every
+    # kernel run below generates and compiles its code.
+    images = [compile_module(spec.build(scale)).image for _ in range(3)]
+    expected = run_image(images[0], globals_data).fingerprint()
+    kernel_s = []
+    for image in images:
+        start = timeit.default_timer()
+        result = emulate(image, globals_data)
+        kernel_s.append(timeit.default_timer() - start)
+        assert result.fingerprint() == expected
+    reference_s = min(timeit.repeat(
+        lambda: run_image(images[0], globals_data), number=1, repeat=3
+    ))
+    speedup = reference_s / min(kernel_s)
+    print(f"emulator: {speedup:.1f}x over run_image, cold plan")
+    assert speedup >= 5.0, f"emulator speedup collapsed to {speedup:.2f}x"
