@@ -10,25 +10,27 @@ Python, built once per static program:
 
 * **one function per basic block** — each block's MultiOps become
   straight-line statements with register indices, immediates, memory
-  widths and branch targets as literals.  Loads and stores call
-  precompiled :class:`struct.Struct` ``unpack_from``/``pack_into`` after
-  an inline bounds and alignment test; a failing test hands the address
-  to :meth:`Machine._check`, which raises the reference's own message.
-  The function returns the next block id (``-1`` on HALT);
+  widths and branch targets as literals, and register values kept in
+  block-local variables (every write still goes to the machine).
+  Loads and stores call precompiled :class:`struct.Struct`
+  ``unpack_from``/``pack_into`` after one ``&`` against an address
+  mask; a flagged address goes to :meth:`Machine._check`, which raises
+  the reference's own message.  The function appends its block id to
+  the trace and returns the next block id; HALT raises ``_Halt``;
 * **one ``compile()`` per block** — a block's source is compiled on its
   own, never the whole image, so the compiler's peak memory stays that
   of the largest block;
-* **block-granular dispatch** — the run loop appends the block id to
-  the trace, charges the block's MultiOps against the budget and calls
-  the block's function.  Op and MultiOp totals and the ``p0``-guarded
-  ops' opcode histogram are folded in after the run from per-block
-  execution counts; a predicated op bumps its own integer slot, folded
-  into ``opcode_counts`` at the end.
+* **block-granular dispatch** — the run loop calls one block function
+  after another, and charges each block's MultiOps against the budget
+  only once the budget is within reach.  Op and MultiOp totals and the
+  ``p0``-guarded ops' opcode histogram are folded in after the run from
+  per-block execution counts; a predicated op bumps its own integer
+  slot, folded into ``opcode_counts`` at the end.
 
 Only integers and fixed statement templates reach the generated source
-(immediates pass through ``int()``); labels and error messages with
-labels stay in Python.  The plan holds no reference to its image, so the
-``WeakKeyDictionary`` memo drops it with the image.
+(immediates pass through ``int()``); labels are looked up at run time.
+The plan holds no reference to its image, so the ``WeakKeyDictionary``
+memo drops it with the image.
 
 Per-MultiOp VLIW semantics are exact on every path, the raising one
 included.  A hazard-free group (no op reads a register or predicate
@@ -40,7 +42,8 @@ its register writes when an earlier op writes one, and performs its
 stores at the group's end, in order, with each store's address, value
 and guard read at its own position.  So the first fault the reference
 would raise is the one raised, with the machine in the reference's
-state.  Hazardous groups run the reference's own
+state.  FP results that are NaNs are the one canonical NaN, as in the
+reference.  Hazardous groups run the reference's own
 :func:`~repro.emulator.machine._execute_mop`, which counts their ops
 dynamically; the scheduler never emits one (see
 :mod:`repro.analysis.hazards`).  A block that would overrun the MultiOp
