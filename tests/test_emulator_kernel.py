@@ -289,6 +289,74 @@ class TestCompiledMopSemantics:
         assert result.executed_ops == 1
         assert result.opcode_counts == Counter({Opcode.HALT: 1})
 
+    def test_branch_guard_read_before_its_group_rewrites_it(self):
+        """The last group's branch reads p2 before the compare beside it
+        sets it: the branch does not fire, so the block has no
+        successor."""
+        mop = MultiOp.of([
+            Operation(Opcode.BR, target_block=0, predicate=pred(2)),
+            Operation(Opcode.CMPP_EQ, dest=pred(2), src1=gpr(1), src2=gpr(1)),
+        ])
+        assert _run_one_block([mop]) == (
+            "block case has no successor and no control transfer fired"
+        )
+
+    def test_earlier_transfer_wins_when_a_later_one_does_not_fire(self):
+        halt = MultiOp.of([Operation(Opcode.HALT)])
+        branch = MultiOp.of([  # p1 is False
+            Operation(Opcode.BR, target_block=0, predicate=pred(1)),
+        ])
+        result = _run_one_block([halt, branch])
+        assert result.block_trace.tolist() == [0]
+        assert result.opcode_counts == Counter({Opcode.HALT: 1})
+
+    def test_store_guard_read_before_its_group_rewrites_it(self):
+        def prepare(machine):
+            machine.gpr[1], machine.gpr[2] = 256, 7
+
+        mop = MultiOp.of([  # p2 is False when the store reads it
+            Operation(Opcode.ST, src1=gpr(1), src2=gpr(2), predicate=pred(2)),
+            Operation(Opcode.CMPP_EQ, dest=pred(2), src1=gpr(1), src2=gpr(1)),
+        ])
+        assert not needs_buffered_execution(mop.ops)
+        machine = _run_one_block([mop, _HALT], prepare).machine
+        assert machine.load_word(256) == 0
+        assert machine.pr[2]
+
+    def test_store_operands_read_before_its_group_rewrites_them(self):
+        def prepare(machine):
+            machine.gpr[1], machine.gpr[2], machine.gpr[3] = 256, 7, 9
+
+        mop = MultiOp.of([
+            Operation(Opcode.ST, src1=gpr(1), src2=gpr(2)),
+            Operation(Opcode.MOV, dest=gpr(2), src1=gpr(3)),
+            Operation(Opcode.LDI, dest=gpr(1), imm=512),
+        ])
+        assert not needs_buffered_execution(mop.ops)
+        machine = _run_one_block([mop, _HALT], prepare).machine
+        assert (machine.load_word(256), machine.load_word(512)) == (7, 0)
+
+    def test_hazardous_group_writes_reach_later_groups(self):
+        def prepare(machine):
+            machine.gpr[2], machine.gpr[3], machine.gpr[4] = 5, 6, 40
+
+        mops = [
+            MultiOp.of([
+                Operation(Opcode.ADD, dest=gpr(1), src1=gpr(2), src2=gpr(3)),
+            ]),
+            MultiOp.of([  # RAW on r2: the reference's executor runs it
+                Operation(Opcode.MOV, dest=gpr(2), src1=gpr(4)),
+                Operation(Opcode.ADD, dest=gpr(5), src1=gpr(2), src2=gpr(2)),
+            ]),
+            MultiOp.of([
+                Operation(Opcode.ADD, dest=gpr(6), src1=gpr(2), src2=gpr(3)),
+            ]),
+            _HALT,
+        ]
+        assert needs_buffered_execution(mops[1].ops)
+        machine = _run_one_block(mops, prepare).machine
+        assert (machine.gpr[5], machine.gpr[6]) == (10, 46)
+
     def test_store_applied_after_reads(self):
         def prepare(machine):
             machine.gpr[1] = 256
