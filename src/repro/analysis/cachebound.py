@@ -389,16 +389,16 @@ def standard_bounds(study, counts: Sequence[int]):
     """Yield ``(scheme, compressed, report, simulated_cycles)`` for each
     :data:`BOUND_SCHEMES` entry on its standard scaled config.
 
-    ``counts`` is the study's trace heat profile.  ``analyze --bounds``
-    and the ``static-cycle-bounds`` invariant both bracket these; the
-    invariant goes on to randomized geometries with ``compressed``.
+    One config is both simulated and bounded.  ``counts`` is the
+    study's trace heat profile.  ``analyze --bounds`` and the
+    ``static-cycle-bounds`` invariant both bracket these; the invariant
+    goes on to randomized geometries with ``compressed``.
     """
     for scheme in BOUND_SCHEMES:
+        config = FetchConfig.for_scheme(scheme, scaled=True)
         compressed = study.compressed(fetch_image_key(scheme))
-        simulated = study.fetch_metrics(scheme).cycles
-        report = cycle_bounds(
-            compressed, counts, FetchConfig.for_scheme(scheme)
-        )
+        simulated = study.fetch_metrics(scheme, config).cycles
+        report = cycle_bounds(compressed, counts, config)
         yield scheme, compressed, report, simulated
 
 

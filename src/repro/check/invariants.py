@@ -136,9 +136,8 @@ def _att_sizing(ctx: CheckContext, rec: Recorder) -> None:
         study = ctx.study(benchmark)
         for fetch_scheme in CACHED_ORGANIZATIONS:
             compressed = study.compressed(fetch_image_key(fetch_scheme))
-            geometry = FetchConfig.for_scheme(
-                fetch_scheme, scaled=True
-            ).cache
+            config = FetchConfig.for_scheme(fetch_scheme, scaled=True)
+            geometry = config.cache
             subject = f"{benchmark}/{fetch_scheme}"
             entry_bits = att_entry_bits(compressed, geometry)
             blocks = len(compressed.image)
@@ -149,7 +148,7 @@ def _att_sizing(ctx: CheckContext, rec: Recorder) -> None:
                 subject,
                 f"att_bytes for {blocks} blocks x {entry_bits} bits",
             )
-            metrics = study.fetch_metrics(fetch_scheme, scaled=True)
+            metrics = study.fetch_metrics(fetch_scheme, config)
             rec.expect_equal(
                 metrics.att_bytes,
                 att_bytes(compressed, geometry),

@@ -154,7 +154,7 @@ def _cycle_bounds(ctx: CheckContext, rec: Recorder) -> None:
 def _zero_trace(ctx: CheckContext, rec: Recorder) -> None:
     from repro import runtime
     from repro.core.study import ProgramStudy
-    from repro.runtime.tasks import build_study_graph
+    from repro.runtime.tasks import study_chains
 
     for benchmark in ctx.benchmarks:
         # A fresh study (not the shared one — that may have traced
@@ -173,18 +173,14 @@ def _zero_trace(ctx: CheckContext, rec: Recorder) -> None:
             f"hybrid:static compression touched the trace stage "
             f"(stages: {sorted(report.stages)})",
         )
-        graph = build_study_graph(
+        for chain in study_chains(
             [benchmark], scale=ctx.scale, schemes=["hybrid:static"]
-        )
-        compress_nodes = [
-            spec for spec in graph.values() if spec.stage == "compress"
-        ]
-        for spec in compress_nodes:
+        ):
             rec.expect(
-                all(dep.startswith("compile:") for dep in spec.deps),
+                all(r.stage != "trace" for r in chain.requests),
                 benchmark,
-                f"task node {spec.task_id} depends on {spec.deps}, "
-                "expected compile only",
+                f"prewarm chain {chain.task_id} requests "
+                f"{chain.requests}, expected no trace",
             )
 
 

@@ -128,12 +128,12 @@ def _mismatch(names) -> str:
     )
 
 
-def _prewarm(args, benchmarks, **stages) -> None:
-    """Fan the cold artifact chain out across ``--jobs`` processes."""
+def _prewarm(args, benchmarks, **requests) -> None:
+    """Fan one chain per benchmark out across ``--jobs`` processes."""
     if args.jobs > 1 and runtime.runtime_config().enabled:
         from repro.runtime.scheduler import prewarm
 
-        prewarm(benchmarks, scale=args.scale, jobs=args.jobs, **stages)
+        prewarm(benchmarks, scale=args.scale, jobs=args.jobs, **requests)
 
 
 class _Interrupted(BaseException):
@@ -217,7 +217,7 @@ def _cmd_run(args) -> _Result:
 def _cmd_suite(args) -> _Result:
     from repro.core.study import study_for
 
-    _prewarm(args, BENCHMARK_NAMES)
+    _prewarm(args, BENCHMARK_NAMES, trace=True)
     rows = []
     for name in BENCHMARK_NAMES:
         study = study_for(name, args.scale)

@@ -348,6 +348,8 @@ class IRModule:
     functions: dict[str, IRFunction] = field(default_factory=dict)
     globals: dict[str, GlobalData] = field(default_factory=dict)
     entry: str = "main"
+    #: Set by ``compile_module``, which rewrites the module in place.
+    compiled: bool = field(default=False, compare=False)
 
     def function(self, name: str) -> IRFunction:
         try:

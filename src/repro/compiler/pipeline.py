@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.compiler.ir import IRModule
+from repro.errors import CompilerError
 from repro.isa.image import ProgramImage
 
 
@@ -47,6 +48,10 @@ def compile_module(
     treegion-scoped speculative code motion (the compiler's global
     scheduling flavor).  Both default on, matching the paper's
     "optimizing compiler" setting.
+
+    The passes rewrite ``module`` in place, so a module compiles once:
+    a second call raises :class:`CompilerError` instead of returning a
+    broken image.
     """
     from repro.compiler.assemble import assemble
     from repro.compiler.cfg import cleanup
@@ -56,7 +61,13 @@ def compile_module(
     from repro.compiler.schedule import schedule_module
     from repro.compiler.treegion import form_treegions, hoist_into_parents
 
+    if module.compiled:
+        raise CompilerError(
+            f"module {module.name!r} was already compiled; compile_module "
+            "rewrites its module in place, so build a fresh one"
+        )
     module.validate()
+    module.compiled = True
     stats = CompileStats()
     if opt:
         optimize(module)

@@ -301,6 +301,7 @@ def static_rows(
     grid = expand_grid(
         ("hybrid",), hotness_sources=("trace", "static")
     )
+    static_config = next(c for c in grid if c.scheme == "hybrid:static")
     rows = []
     for name in _names(benchmarks):
         study = study_for(name, scale)
@@ -313,10 +314,9 @@ def static_rows(
         counts = heat_profile(
             study.run.block_trace, len(study.compiled.image)
         )
+        # Bound the very config the sweep simulated.
         bounds = cycle_bounds(
-            study.compressed("hybrid:static"),
-            counts,
-            FetchConfig.for_scheme("hybrid:static"),
+            study.compressed("hybrid:static"), counts, static_config
         )
         rows.append(
             [
@@ -356,9 +356,9 @@ _STREAM_KEYS = tuple(cfg.name for cfg in SIX_STREAM_CONFIGS)
 class Experiment:
     """One reproducible artifact of the paper's evaluation.
 
-    ``schemes`` and ``fetch_schemes`` declare the artifact chain the
-    runner touches; the runtime scheduler prewarms exactly those nodes
-    when the CLI runs with ``--jobs``.
+    ``schemes`` and ``fetch_schemes`` declare the artifacts the runner
+    reads; with ``--jobs`` the CLI prewarms exactly those requests, one
+    chain per benchmark.
     """
 
     exp_id: str

@@ -217,11 +217,7 @@ class ProgramStudy:
 
     # ------------------------------------------------------------ fetch
     def fetch_metrics(
-        self,
-        scheme: str,
-        config: Optional[FetchConfig] = None,
-        *,
-        scaled: bool = True,
+        self, scheme: str, config: Optional[FetchConfig] = None
     ) -> FetchMetrics:
         """Fetch simulation for one organization.
 
@@ -229,19 +225,19 @@ class ProgramStudy:
         hybrid keys (``hybrid``, ``hybrid@T``), which replay their own
         tagged image.  The Compressed organization runs on the Full-op
         Huffman image — the paper's choice for its cache study
-        ("'Compressed' uses the Full op compression scheme").
-        ``scaled`` (default) selects the pressure-scaled cache pair that
+        ("'Compressed' uses the Full op compression scheme").  Without
+        a ``config`` it simulates the pressure-scaled cache pair that
         puts these miniature benchmarks under the same cache pressure
-        SPEC put on the paper's 16KB caches; pass ``scaled=False`` for
-        the paper's literal geometry.  ``scaled`` only picks the default
-        ``config``: the result is stored under :func:`fetch_key` of the
+        SPEC put on the paper's 16KB caches; pass
+        ``FetchConfig.for_scheme(scheme)`` for the paper's literal
+        geometry.  The result is stored under :func:`fetch_key` of the
         resolved config.
         """
         scheme = normalize_fetch_scheme(scheme)
         if scheme == "ideal":
             config = None
         elif config is None:
-            config = FetchConfig.for_scheme(scheme, scaled=scaled)
+            config = FetchConfig.for_scheme(scheme, scaled=True)
         memo = (scheme, config)
         if memo in self._fetch:
             return self._fetch[memo]

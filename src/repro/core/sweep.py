@@ -16,13 +16,14 @@ wrapper the CLI, figure studies, and examples call:
   :meth:`ProgramStudy.fetch_metrics` uses too, so sweeps warm the
   figure studies and vice versa; a fully warm sweep is pure store
   reads.
-* **Sharding** — with ``jobs > 1`` the cold configs are split into
-  contiguous single-scheme chunks and run as ``fetch`` nodes of the
-  task graph, each carrying its configs; a worker runs ``run_sweep``
-  on its chunk and publishes through the store like any other stage,
-  and the parent then reads the results back.  Contiguous chunks keep
-  cross-product neighbors (which share predictor or cache components)
-  in the same worker, preserving the engine's sharing.
+* **Sharding** — with ``jobs > 1`` the parent materializes the trace
+  and the images the cold configs run on, then splits the configs into
+  contiguous single-scheme chunks, each an independent one-request
+  task carrying its configs; a worker runs ``run_sweep`` on its chunk
+  and publishes through the store like any other stage, and the parent
+  then reads the results back.  Contiguous chunks keep cross-product
+  neighbors (which share predictor or cache components) in the same
+  worker, preserving the engine's sharing.
 """
 
 from __future__ import annotations
@@ -49,13 +50,7 @@ from repro.fetch.config import (
 from repro.fetch.engine import FetchMetrics
 from repro.fetch.sweep import simulate_fetch_sweep_multi
 from repro.runtime.store import default_store
-from repro.runtime.tasks import (
-    TaskSpec,
-    build_study_graph,
-    compress_id,
-    fetch_id,
-    trace_id,
-)
+from repro.runtime.tasks import Request, TaskSpec, chain_id
 
 __all__ = [
     "expand_grid",
@@ -234,43 +229,35 @@ def _stored(study, key: dict) -> bool:
 def _shard_pending(study, configs: Sequence[FetchConfig], jobs: int) -> None:
     """Publish ``configs`` into the store from the process pool.
 
-    Chunks are contiguous runs within each scheme group, at most
-    ``jobs`` chunks per group, run as ``fetch`` nodes on top of the
-    compile, trace and compress nodes of :func:`build_study_graph`.
+    The parent materializes the trace and each scheme's image first, so
+    every worker reads them from the store.  Chunks are contiguous runs
+    within each scheme group, at most ``jobs`` chunks per group, each
+    an independent one-request task.
     """
-    from repro.runtime.scheduler import execute_graph
+    from repro.runtime.scheduler import execute_chains
 
-    benchmark, scale = study.name, study.scale
     by_scheme: Dict[str, List[FetchConfig]] = {}
     for config in configs:
         scheme = normalize_fetch_scheme(config.scheme)
         by_scheme.setdefault(scheme, []).append(config)
-    graph = build_study_graph(
-        [benchmark],
-        scale=scale,
-        schemes=[fetch_image_key(scheme) for scheme in by_scheme],
-    )
+    study.run
+    for scheme in by_scheme:
+        study.compressed(fetch_image_key(scheme))
     chunk_size = max(1, ceil(len(configs) / jobs))
+    prefix = chain_id(study.name, study.scale)
+    tasks = []
     for scheme, members in by_scheme.items():
-        deps = (
-            trace_id(benchmark, scale),
-            compress_id(benchmark, fetch_image_key(scheme), scale),
-        )
         for start in range(0, len(members), chunk_size):
-            task = (
-                f"{fetch_id(benchmark, scheme, scale)}:"
-                f"{start // chunk_size}"
+            chunk = tuple(members[start : start + chunk_size])
+            tasks.append(
+                TaskSpec(
+                    f"{prefix}:{scheme}:{start // chunk_size}",
+                    study.name,
+                    study.scale,
+                    (Request("fetch", scheme, chunk),),
+                )
             )
-            graph[task] = TaskSpec(
-                task,
-                "fetch",
-                benchmark,
-                scale,
-                fetch_scheme=scheme,
-                configs=tuple(members[start : start + chunk_size]),
-                deps=deps,
-            )
-    execute_graph(graph, jobs=jobs)
+    execute_chains(tasks, jobs=jobs)
 
 
 def run_sweep(

@@ -92,7 +92,17 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from repro.compression.schemes import CompressedImage
 from repro.errors import ConfigurationError
 from repro.fetch.atb import att_bytes
-from repro.fetch.branch_predict import BlockMeta
+from repro.fetch.branch_predict import (
+    KIND_CALL,
+    KIND_COND_BRANCH,
+    KIND_FALLTHROUGH,
+    KIND_HALT,
+    KIND_JUMP,
+    KIND_RET,
+    STRONG_TAKEN,
+    WEAK_TAKEN,
+    BlockMeta,
+)
 from repro.fetch.config import (
     CacheGeometry,
     FetchConfig,
@@ -113,13 +123,6 @@ __all__ = [
     "simulate_fetch_sweep",
     "simulate_fetch_sweep_multi",
 ]
-
-#: BlockMeta terminator kinds, mirrored locally (see branch_predict).
-_FALLTHROUGH, _COND, _JUMP, _CALL, _RET, _HALT = range(6)
-
-#: 2-bit counter thresholds (branch_predict.WEAK_TAKEN / STRONG_TAKEN).
-_WEAK_TAKEN = 2
-_STRONG_TAKEN = 3
 
 
 # ------------------------------------------------------- block columns
@@ -304,7 +307,7 @@ def _predictor_component(
     if use_gshare:
         g_mask = (1 << history_bits) - 1
         g_history = 0
-        g_counters = [_WEAK_TAKEN] * (1 << history_bits)
+        g_counters = [WEAK_TAKEN] * (1 << history_bits)
 
     pred_right = 0
     atb_hits = atb_misses = 0
@@ -320,11 +323,11 @@ def _predictor_component(
     prev_entry = [0, -1]
 
     for position, block_id in enumerate(trace):
-        if prev_kind == _COND:
+        if prev_kind == KIND_COND_BRANCH:
             if use_gshare:
                 index = (prev_block ^ g_history) & g_mask
                 if block_id == targets[prev_block]:
-                    if g_counters[index] < _STRONG_TAKEN:
+                    if g_counters[index] < STRONG_TAKEN:
                         g_counters[index] += 1
                     g_history = ((g_history << 1) | 1) & g_mask
                 else:
@@ -332,13 +335,13 @@ def _predictor_component(
                         g_counters[index] -= 1
                     g_history = (g_history << 1) & g_mask
             elif block_id == targets[prev_block]:
-                if prev_entry[0] < _STRONG_TAKEN:
+                if prev_entry[0] < STRONG_TAKEN:
                     prev_entry[0] += 1
                 prev_entry[1] = block_id
             else:
                 if prev_entry[0] > 0:
                     prev_entry[0] -= 1
-        elif prev_kind == _RET or prev_kind == _CALL:
+        elif prev_kind == KIND_RET or prev_kind == KIND_CALL:
             prev_entry[1] = block_id
 
         if predicted == block_id:
@@ -354,29 +357,29 @@ def _predictor_component(
             atb_misses += 1
             if len(bucket) >= atb_ways:
                 del bucket[next(iter(bucket))]
-            entry = [_WEAK_TAKEN, -1]
+            entry = [WEAK_TAKEN, -1]
             bucket[block_id] = entry
 
         kind = kinds[block_id]
-        if kind == _FALLTHROUGH:
+        if kind == KIND_FALLTHROUGH:
             predicted = falls[block_id]
-        elif kind == _HALT:
+        elif kind == KIND_HALT:
             predicted = -1
-        elif kind == _RET:
+        elif kind == KIND_RET:
             predicted = entry[1]
-        elif kind == _JUMP or kind == _CALL:
+        elif kind == KIND_JUMP or kind == KIND_CALL:
             predicted = targets[block_id]
         elif use_gshare:
             predicted = (
                 targets[block_id]
                 if g_counters[(block_id ^ g_history) & g_mask]
-                >= _WEAK_TAKEN
+                >= WEAK_TAKEN
                 else falls[block_id]
             )
         else:
             predicted = (
                 targets[block_id]
-                if entry[0] >= _WEAK_TAKEN
+                if entry[0] >= WEAK_TAKEN
                 else falls[block_id]
             )
         prev_kind = kind

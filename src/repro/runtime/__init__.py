@@ -12,9 +12,10 @@ This package turns the per-process memoization of
   ``repro`` package, so edits invalidate like a build system;
 * :mod:`repro.runtime.metrics` — per-stage wall-time and hit/miss
   instrumentation rendered by :class:`RuntimeReport`;
-* :mod:`repro.runtime.tasks` / :mod:`repro.runtime.scheduler` — a typed
-  task graph over the study pipeline (compile → trace → compress →
-  fetch-sim) fanned out across a ``ProcessPoolExecutor``.
+* :mod:`repro.runtime.tasks` / :mod:`repro.runtime.scheduler` — one
+  ordered request chain per benchmark over the study pipeline
+  (compile → trace → compress → fetch-sim), the chains fanned out
+  across a ``ProcessPoolExecutor``.
 
 :func:`get_or_compute` is the seam :class:`repro.core.study.ProgramStudy`
 calls through: cache disabled (``REPRO_CACHE=0`` / ``--no-cache``) means

@@ -1,13 +1,14 @@
-"""Dependency-aware scheduler: fan the task graph out across processes.
+"""Run independent request chains across processes.
 
-``jobs <= 1`` executes the graph inline (topological order, zero
+Each :class:`~repro.runtime.tasks.TaskSpec` is one benchmark's ordered
+chain, and its study pulls in every prerequisite itself, so chains
+need no order between them.  ``jobs <= 1`` runs them inline (zero
 overhead, warms the parent's in-memory studies too).  ``jobs > 1``
-drives a ``ProcessPoolExecutor``: a task is submitted the moment its
-dependencies finish, so independent (benchmark, scheme) chains overlap
-freely.  Workers communicate *artifacts* through the persistent store —
-only small :class:`TaskResult` records (timings + metric counters) come
-back over the pipe — which is why parallel execution requires the cache
-to be enabled.
+submits every chain to a ``ProcessPoolExecutor`` at once.  Workers
+communicate *artifacts* through the persistent store — only small
+:class:`TaskResult` records (timings + metric counters) come back over
+the pipe — which is why parallel execution requires the cache to be
+enabled.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SchedulerError
 from repro.runtime.config import (
@@ -25,19 +26,15 @@ from repro.runtime.config import (
     set_runtime_config,
 )
 from repro.runtime.metrics import REPORT, reset_metrics
-from repro.runtime.tasks import (
-    TaskSpec,
-    build_study_graph,
-    execute_task,
-    topological_order,
-)
+from repro.runtime.tasks import TaskSpec, execute_request, study_chains
 
 
 @dataclass
 class TaskResult:
-    """Outcome of one task (small and picklable)."""
+    """Outcome of one chain (small and picklable)."""
 
     task_id: str
+    #: The stage of the last request run: on failure, the failing one.
     stage: str
     seconds: float
     ok: bool = True
@@ -62,74 +59,75 @@ def _worker_init(config: RuntimeConfig) -> None:
     reset_metrics()
 
 
-def _pool_run(spec: TaskSpec) -> TaskResult:
-    """Worker-side task body: execute, then ship the metric deltas home.
+def _run_chain(spec: TaskSpec) -> Tuple[TaskResult, Optional[Exception]]:
+    """Run ``spec``'s requests in order, stopping at the first failure.
 
-    A failing task must never be swallowed into a silent wrong result:
-    the full worker traceback rides home in ``TaskResult.error`` and the
-    parent re-raises it as a :class:`SchedulerError`.  A
+    A failing chain must never be swallowed into a silent wrong result:
+    its full traceback rides in ``TaskResult.error``, and a
     :class:`ConfigurationError` (a bad invocation, not a broken task)
-    also sends its message, so the parent can chain it as the cause.
+    also sends its message, so a parent can chain it as the cause.
     """
-    reset_metrics()
     started = perf_counter()
+    stage = ""
     try:
-        execute_task(spec)
+        for request in spec.requests:
+            stage = request.stage
+            execute_request(spec, request)
     except Exception as exc:
         return TaskResult(
             spec.task_id,
-            spec.stage,
+            stage,
             perf_counter() - started,
             ok=False,
             error=traceback.format_exc(),
             configuration_error=(
                 str(exc) if isinstance(exc, ConfigurationError) else None
             ),
-        )
-    return TaskResult(
-        spec.task_id,
-        spec.stage,
-        perf_counter() - started,
-        report=REPORT.to_json(),
-    )
+        ), exc
+    return TaskResult(spec.task_id, stage, perf_counter() - started), None
+
+
+def _pool_run(spec: TaskSpec) -> TaskResult:
+    """Worker-side task body: run the chain, ship the metric deltas home."""
+    reset_metrics()
+    result, _ = _run_chain(spec)
+    result.report = REPORT.to_json()
+    return result
 
 
 def _inline_run(spec: TaskSpec) -> TaskResult:
-    started = perf_counter()
-    try:
-        execute_task(spec)  # records directly into the global REPORT
-    except Exception as exc:
-        REPORT.record_failure(
-            spec.stage, spec.task_id, traceback.format_exc()
-        )
+    result, exc = _run_chain(spec)  # records directly into REPORT
+    if exc is not None:
+        REPORT.record_failure(result.stage, spec.task_id, result.error)
         raise SchedulerError(
-            f"task {spec.task_id} ({spec.stage}) failed: {exc}"
+            f"task {spec.task_id} ({result.stage}) failed: {exc}"
         ) from exc
-    return TaskResult(spec.task_id, spec.stage, perf_counter() - started)
+    return result
 
 
-def execute_graph(
-    graph: Dict[str, TaskSpec],
+def execute_chains(
+    tasks: Sequence[TaskSpec],
     *,
     jobs: int = 1,
     config: Optional[RuntimeConfig] = None,
 ) -> List[TaskResult]:
-    """Run every task of ``graph``, respecting dependencies.
+    """Run every chain of ``tasks``.
 
-    Raises :class:`SchedulerError` if any task failed (after draining
-    in-flight work), carrying the real worker traceback and recording
-    the failure against the stage in :data:`REPORT`; partial artifacts
-    already persisted stay valid — content addressing makes re-runs pick
-    them up.  The first failing task in topological order is the one
-    reported; when it raised a :class:`ConfigurationError`, the
-    :class:`SchedulerError` is chained from one carrying its message.
-    The pool never holds more workers than the graph has tasks.
+    A chain stops at its first failing request, and the chains not yet
+    started are cancelled.  Raises :class:`SchedulerError` once the
+    running ones have drained, carrying the real worker traceback and
+    recording each failure against its request's stage in
+    :data:`REPORT`; partial artifacts already persisted stay valid —
+    content addressing makes re-runs pick them up.  The first failing
+    chain in ``tasks`` order is the one reported; when it raised a
+    :class:`ConfigurationError`, the :class:`SchedulerError` is chained
+    from one carrying its message.  The pool never holds more workers
+    than there are chains.
     """
     if config is None:
         config = runtime_config()
-    order = topological_order(graph)
-    if jobs <= 1:
-        return [_inline_run(graph[task_id]) for task_id in order]
+    if jobs <= 1 or not tasks:
+        return [_inline_run(spec) for spec in tasks]
     if not config.enabled:
         raise ConfigurationError(
             "parallel execution needs the artifact cache: workers hand "
@@ -137,43 +135,21 @@ def execute_graph(
             "re-enable the cache)"
         )
 
-    remaining: Dict[str, set] = {
-        task_id: set(graph[task_id].deps) for task_id in graph
-    }
-    dependents: Dict[str, List[str]] = {}
-    for task_id, spec in graph.items():
-        for dep in spec.deps:
-            dependents.setdefault(dep, []).append(task_id)
-
-    results: List[TaskResult] = []
-    failed = False
     with ProcessPoolExecutor(
-        max_workers=min(jobs, len(graph)),
+        max_workers=min(jobs, len(tasks)),
         initializer=_worker_init, initargs=(config,)
     ) as pool:
-        futures = {}
-
-        def submit_ready() -> None:
-            for task_id in [t for t, deps in remaining.items() if not deps]:
-                del remaining[task_id]
-                futures[pool.submit(_pool_run, graph[task_id])] = task_id
-
+        futures = [pool.submit(_pool_run, spec) for spec in tasks]
         try:
-            submit_ready()
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
+            pending = set(futures)
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    task_id = futures.pop(future)
                     result = future.result()
-                    results.append(result)
                     REPORT.merge_json(result.report)
                     if not result.ok:
-                        failed = True
-                        continue
-                    for dependent in dependents.get(task_id, ()):
-                        remaining.get(dependent, set()).discard(task_id)
-                if not failed:
-                    submit_ready()
+                        # cancel() succeeds on chains not yet started.
+                        pending = {f for f in pending if not f.cancel()}
         except BaseException:
             # Graceful drain on interruption (SIGTERM/SIGINT mapped to
             # an exception by the CLI, or any parent-side error): cancel
@@ -183,13 +159,14 @@ def execute_graph(
             # addressing makes the next run pick them up.
             pool.shutdown(wait=True, cancel_futures=True)
             raise
-    if failed:
-        errors = [r for r in results if not r.ok]
+    results = [f.result() for f in futures if not f.cancelled()]
+    errors = [r for r in results if not r.ok]
+    if errors:
         for result in errors:
             REPORT.record_failure(
                 result.stage, result.task_id, result.error or ""
             )
-        first = min(errors, key=lambda r: order.index(r.task_id))
+        first = errors[0]
         cause = (
             None
             if first.configuration_error is None
@@ -206,20 +183,23 @@ def prewarm(
     benchmarks: Sequence[str],
     *,
     scale: Optional[int] = None,
+    trace: bool = False,
     schemes: Sequence[str] = (),
     fetch_schemes: Sequence[str] = (),
     jobs: int = 1,
 ) -> List[TaskResult]:
-    """Materialize the artifact chain for ``benchmarks`` into the store.
+    """Materialize the artifacts a caller reads for ``benchmarks``.
 
-    The CLI calls this before rendering figure rows so a ``--jobs N``
-    run fans the expensive stages out and the row generators read back
-    warm artifacts.
+    The CLI calls this before rendering rows so a ``--jobs N`` run fans
+    one chain per benchmark out and the row pass reads back warm
+    artifacts.  ``trace`` asks for the trace itself, which a
+    ``fetch`` request or a trace-profiled hybrid pulls in anyway.
     """
-    graph = build_study_graph(
+    chains = study_chains(
         benchmarks,
         scale=scale,
+        trace=trace,
         schemes=schemes,
         fetch_schemes=fetch_schemes,
     )
-    return execute_graph(graph, jobs=jobs)
+    return execute_chains(chains, jobs=jobs)

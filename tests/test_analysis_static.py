@@ -518,13 +518,30 @@ class TestCycleBounds:
         for scheme in self.SCHEMES:
             compressed = study.compressed(self._image_key(scheme))
             config = FetchConfig.for_scheme(scheme)
-            metrics = study.fetch_metrics(scheme)
+            metrics = study.fetch_metrics(scheme, config)
             report = cycle_bounds(compressed, counts, config)
             assert report.lower <= metrics.cycles <= report.upper
             assert report.bracket(metrics.cycles)
             payload = report.to_json()
             assert payload["lower_cycles"] == report.lower
             assert payload["upper_cycles"] == report.upper
+
+    def test_standard_bounds_bound_the_simulated_config(self, study):
+        """``analyze --bounds`` brackets the simulated cycles with bounds
+        of that same pressure-scaled config, not the literal one."""
+        from repro.analysis.cachebound import standard_bounds
+        from repro.compression.adaptive import heat_profile
+
+        counts = heat_profile(
+            study.run.block_trace, len(study.compiled.image)
+        )
+        for scheme, compressed, report, cycles in standard_bounds(
+            study, counts
+        ):
+            config = FetchConfig.for_scheme(scheme, scaled=True)
+            assert cycles == study.fetch_metrics(scheme, config).cycles
+            expected = cycle_bounds(compressed, counts, config)
+            assert report.to_json() == expected.to_json(), scheme
 
     def test_bounds_bracket_on_a_tiny_geometry(self, study):
         """A cache small enough to actually miss keeps the bracket."""

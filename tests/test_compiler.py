@@ -333,3 +333,16 @@ class TestPipelineStats:
             compile_module(module_b, hoist=False).image, module_b.globals
         )
         assert a.machine.load_word(out) == b.machine.load_word(out)
+
+    def test_recompiling_a_module_is_refused(self):
+        # The passes rewrite the module in place: compiled again,
+        # compress@16's main reserves an 8-byte frame instead of 40 and
+        # the image faults out of range.
+        from repro.programs.suite import SUITE
+
+        module = SUITE["compress"].build(16)
+        first = compile_module(module)
+        with pytest.raises(CompilerError, match=repr(module.name)):
+            compile_module(module)
+        fresh = compile_module(SUITE["compress"].build(16))
+        assert fresh.image.total_ops == first.image.total_ops

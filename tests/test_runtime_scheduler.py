@@ -1,100 +1,94 @@
-"""Tests for the task graph and the parallel scheduler."""
+"""Tests for the per-benchmark request chains and the parallel
+scheduler."""
 
 import pytest
 
 from repro import runtime
+from repro.core.experiments import EXPERIMENTS
 from repro.core.study import clear_caches, study_for
 from repro.errors import ConfigurationError, ReproError, SchedulerError
 from repro.runtime.metrics import REPORT, reset_metrics
-from repro.runtime.scheduler import execute_graph, prewarm
-from repro.runtime.tasks import (
-    TaskSpec,
-    build_study_graph,
-    compile_id,
-    compress_id,
-    fetch_id,
-    topological_order,
-    trace_id,
-)
+from repro.runtime.scheduler import execute_chains, prewarm
+from repro.runtime.tasks import Request, TaskSpec, chain_id, study_chains
+
+
+def _bad(task_id="bad", benchmark="no-such-benchmark", stage="compress"):
+    """A one-request chain on an unknown benchmark, which fails."""
+    key = "full" if stage == "compress" else None
+    return TaskSpec(task_id, benchmark, 2, (Request(stage, key),))
 
 
 class TestGraphConstruction:
-    def test_nodes_per_benchmark(self):
-        graph = build_study_graph(
-            ["compress"], scale=2, schemes=("full",),
+    def test_one_chain_per_benchmark(self):
+        chains = study_chains(
+            ["compress", "go"], scale=2, schemes=("full",),
             fetch_schemes=("compressed",),
         )
-        assert set(graph) == {
-            compile_id("compress", 2),
-            trace_id("compress", 2),
-            compress_id("compress", "full", 2),
-            fetch_id("compress", "compressed", 2),
-        }
+        assert [(c.task_id, c.benchmark) for c in chains] == [
+            (chain_id("compress", 2), "compress"),
+            (chain_id("go", 2), "go"),
+        ]
+        for chain in chains:
+            # Only what the caller reads: the study pulls in the trace
+            # and the images the fetch request runs on.
+            assert chain.requests == (
+                Request("compress", "full"),
+                Request("fetch", "compressed"),
+            )
 
-    def test_fetch_depends_on_trace_and_its_image(self):
-        graph = build_study_graph(
+    def test_fetch_depends_on_trace_and_its_image(self, fresh_cache):
+        (chain,) = study_chains(
             ["go"], scale=2, fetch_schemes=("compressed",)
         )
-        fetch = graph[fetch_id("go", "compressed", 2)]
-        assert trace_id("go", 2) in fetch.deps
+        assert [r.stage for r in chain.requests] == ["fetch"]
+        execute_chains([chain])
+        study = study_for("go", 2)
+        assert study._run is not None
         # "Compressed" runs on the Full-op Huffman image
-        assert compress_id("go", "full", 2) in fetch.deps
+        assert set(study._images) == {"full"}
 
-    def test_ideal_walks_the_uncompressed_image(self):
-        graph = build_study_graph(["go"], scale=2, fetch_schemes=("ideal",))
-        fetch = graph[fetch_id("go", "ideal", 2)]
-        assert compress_id("go", "base", 2) in fetch.deps
-
-    def test_image_nodes_are_added_implicitly_once(self):
-        graph = build_study_graph(
-            ["go"], scale=2, schemes=("full",),
-            fetch_schemes=("compressed",),
+    def test_ideal_walks_the_uncompressed_image(self, fresh_cache):
+        execute_chains(
+            study_chains(["go"], scale=2, fetch_schemes=("ideal",))
         )
-        compress_nodes = [
-            t for t in graph.values() if t.stage == "compress"
-        ]
-        assert len(compress_nodes) == 1  # "full" not duplicated
+        assert set(study_for("go", 2)._images) == {"base"}
+
+    def test_trace_only_on_request(self):
+        fig5 = EXPERIMENTS["fig5"]
+        (chain,) = study_chains(
+            ["go"], schemes=fig5.schemes, fetch_schemes=fig5.fetch_schemes
+        )
+        assert {r.stage for r in chain.requests} == {"compress"}
+        (chain,) = study_chains(["go"], trace=True)
+        assert chain.requests == (Request("trace"),)
+
+    def test_requests_are_deduplicated(self):
+        (chain,) = study_chains(
+            ["go"], schemes=("full", "full"),
+            fetch_schemes=("hybrid", "hybrid@0.3"),
+        )
+        assert chain.requests == (
+            Request("compress", "full"),
+            Request("fetch", "hybrid"),
+        )
+
+    def test_nothing_requested_gives_no_chains(self):
+        assert study_chains(["compress", "go"], scale=2) == []
 
     def test_benchmarks_are_independent(self):
-        graph = build_study_graph(["compress", "go"], scale=2)
-        for spec in graph.values():
-            for dep in spec.deps:
-                assert graph[dep].benchmark == spec.benchmark
+        chains = study_chains(
+            ["compress", "go"], scale=2, trace=True, schemes=("full",)
+        )
+        assert [c.benchmark for c in chains] == ["compress", "go"]
+        assert len({c.task_id for c in chains}) == len(chains)
 
     def test_unknown_fetch_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_study_graph(["go"], fetch_schemes=("warp",))
+            study_chains(["go"], fetch_schemes=("warp",))
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ConfigurationError):
-            TaskSpec("x", "paint", "go")
-
-
-class TestTopologicalOrder:
-    def test_dependencies_come_first(self):
-        graph = build_study_graph(
-            ["compress", "go"], scale=2, schemes=("full", "byte"),
-            fetch_schemes=("compressed", "base"),
-        )
-        order = topological_order(graph)
-        assert sorted(order) == sorted(graph)
-        position = {task_id: i for i, task_id in enumerate(order)}
-        for spec in graph.values():
-            for dep in spec.deps:
-                assert position[dep] < position[spec.task_id]
-
-    def test_missing_dependency_rejected(self):
-        graph = {"a": TaskSpec("a", "compile", "go", deps=("ghost",))}
-        with pytest.raises(ConfigurationError):
-            topological_order(graph)
-
-    def test_cycle_rejected(self):
-        graph = {
-            "a": TaskSpec("a", "compile", "go", deps=("b",)),
-            "b": TaskSpec("b", "trace", "go", deps=("a",)),
-        }
-        with pytest.raises(ConfigurationError):
-            topological_order(graph)
+            Request("paint")
 
 
 @pytest.fixture
@@ -122,7 +116,7 @@ class TestExecution:
             fetch_schemes=("compressed",), jobs=2,
         )
         assert all(r.ok for r in results)
-        assert len(results) == 8  # 2 benchmarks × 4 stages
+        assert [r.task_id for r in results] == ["compress@2", "go@2"]
         # worker metrics were merged into the parent report
         assert runtime.REPORT.total_misses > 0
         # parent can now read everything back without recomputing
@@ -151,34 +145,46 @@ class TestExecution:
 
     def test_parallel_without_cache_is_rejected(self, fresh_cache):
         runtime.configure(enabled=False)
-        graph = build_study_graph(["compress"], scale=2)
+        chains = study_chains(["compress"], scale=2, trace=True)
         with pytest.raises(ConfigurationError):
-            execute_graph(graph, jobs=2)
+            execute_chains(chains, jobs=2)
 
     def test_job_count_beyond_the_graph_is_capped(self, fresh_cache):
         # The pool holds at most one worker per task; sizing it by the
         # requested count overflowed the pool's semaphore.
-        graph = build_study_graph(["compress"], scale=2)
-        results = execute_graph(graph, jobs=99999999999)
-        assert len(results) == len(graph)
+        chains = study_chains(["compress"], scale=2, trace=True)
+        results = execute_chains(chains, jobs=99999999999)
+        assert len(results) == len(chains)
         assert all(r.ok for r in results)
 
+    def test_fig5_prewarm_records_no_trace_stage(self, fresh_cache):
+        # Figure 5 reads compressed images only, so its chains must not
+        # emulate.
+        fig5 = EXPERIMENTS["fig5"]
+        reset_metrics()
+        prewarm(
+            ["compress", "go"], scale=2, schemes=fig5.schemes,
+            fetch_schemes=fig5.fetch_schemes, jobs=2,
+        )
+        assert REPORT.stage("compress").misses > 0
+        assert "trace" not in REPORT.stages
+
     def test_failing_task_raises_with_task_id(self, fresh_cache):
-        graph = {
-            "bad": TaskSpec("bad", "compile", "no-such-benchmark", 2),
-        }
         with pytest.raises(RuntimeError, match="bad"):
-            execute_graph(graph, jobs=2)
+            execute_chains([_bad()], jobs=2)
 
     def test_failure_skips_dependents(self, fresh_cache):
-        graph = {
-            "bad": TaskSpec("bad", "compile", "no-such-benchmark", 2),
-            "child": TaskSpec(
-                "child", "trace", "no-such-benchmark", 2, deps=("bad",)
-            ),
-        }
-        with pytest.raises(RuntimeError):
-            execute_graph(graph, jobs=2)
+        # The chain stops at its failing request: the trace request
+        # after it never runs, though it alone would succeed.
+        reset_metrics()
+        chain = TaskSpec(
+            "bad", "compress", 2,
+            (Request("compress", "no-such-scheme"), Request("trace")),
+        )
+        with pytest.raises(SchedulerError, match="1 task"):
+            execute_chains([chain], jobs=2)
+        assert [f["stage"] for f in REPORT.failures] == ["compress"]
+        assert "trace" not in REPORT.stages
 
 
 class TestFailureSurfacing:
@@ -187,11 +193,8 @@ class TestFailureSurfacing:
 
     def test_pool_failure_surfaces_worker_traceback(self, fresh_cache):
         reset_metrics()
-        graph = {
-            "bad": TaskSpec("bad", "compile", "no-such-benchmark", 2),
-        }
         with pytest.raises(SchedulerError) as excinfo:
-            execute_graph(graph, jobs=2)
+            execute_chains([_bad()], jobs=2)
         message = str(excinfo.value)
         # The worker's formatted traceback rides home in the message.
         assert "Traceback" in message
@@ -199,15 +202,12 @@ class TestFailureSurfacing:
 
     def test_pool_failure_recorded_in_runtime_report(self, fresh_cache):
         reset_metrics()
-        graph = {
-            "bad": TaskSpec("bad", "compile", "no-such-benchmark", 2),
-        }
         with pytest.raises(SchedulerError):
-            execute_graph(graph, jobs=2)
-        assert REPORT.stage("compile").errors == 1
+            execute_chains([_bad()], jobs=2)
+        assert REPORT.stage("compress").errors == 1
         assert REPORT.total_errors == 1
         failure = REPORT.failures[0]
-        assert failure["stage"] == "compile"
+        assert failure["stage"] == "compress"
         assert failure["task_id"] == "bad"
         assert "Traceback" in failure["error"]
         assert REPORT.to_json()["totals"]["errors"] == 1
@@ -216,23 +216,17 @@ class TestFailureSurfacing:
         self, fresh_cache
     ):
         reset_metrics()
-        graph = {
-            "bad": TaskSpec("bad", "compile", "no-such-benchmark", 2),
-        }
         with pytest.raises(SchedulerError) as excinfo:
-            execute_graph(graph, jobs=1)
+            execute_chains([_bad()], jobs=1)
         assert isinstance(excinfo.value.__cause__, ConfigurationError)
-        assert REPORT.stage("compile").errors == 1
+        assert REPORT.stage("compress").errors == 1
         assert "bad" in str(excinfo.value)
 
     def test_pool_failure_chains_a_worker_configuration_error(
         self, fresh_cache
     ):
-        graph = {
-            "bad": TaskSpec("bad", "compile", "no-such-benchmark", 2),
-        }
         with pytest.raises(SchedulerError) as excinfo:
-            execute_graph(graph, jobs=2)
+            execute_chains([_bad()], jobs=2)
         cause = excinfo.value.__cause__
         assert isinstance(cause, ConfigurationError)
         assert "no-such-benchmark" in str(cause)
@@ -245,13 +239,13 @@ class TestFailureSurfacing:
 
     def test_worker_failures_merge_across_processes(self, fresh_cache):
         reset_metrics()
-        graph = {
-            "bad-1": TaskSpec("bad-1", "compile", "no-such-benchmark", 2),
-            "bad-2": TaskSpec("bad-2", "trace", "also-missing", 2),
-        }
+        chains = [
+            _bad("bad-1"),
+            _bad("bad-2", "also-missing", "trace"),
+        ]
         with pytest.raises(SchedulerError, match="2 task"):
-            execute_graph(graph, jobs=2)
+            execute_chains(chains, jobs=2)
         assert REPORT.total_errors == 2
         assert {f["stage"] for f in REPORT.failures} == {
-            "compile", "trace",
+            "compress", "trace",
         }
