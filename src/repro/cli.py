@@ -23,8 +23,9 @@ Examples::
         --jobs 4                               # columnar multi-config sweep
 
 ``run`` and ``suite`` go through the :mod:`repro.runtime` artifact
-cache: a warm invocation recomputes nothing, and ``--jobs N`` fans the
-cold artifact chain out across processes before the rows are rendered.
+cache: a warm invocation recomputes nothing, and ``--jobs N`` first
+runs each benchmark's own share of the work in a worker process, so
+the rows are rendered from a warm store.
 ``--no-cache`` (or ``REPRO_CACHE=0``) restores the direct path.
 
 Every subcommand is one entry of :data:`_COMMANDS`: its help, the
@@ -44,6 +45,7 @@ import json
 import signal
 import sys
 import threading
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from repro import runtime
@@ -128,12 +130,13 @@ def _mismatch(names) -> str:
     )
 
 
-def _prewarm(args, benchmarks, **requests) -> None:
-    """Fan one chain per benchmark out across ``--jobs`` processes."""
-    if args.jobs > 1 and runtime.runtime_config().enabled:
+def _prewarm(args, calls) -> None:
+    """Run each benchmark's picklable zero-argument call of ``calls``
+    across ``--jobs`` processes, so the row pass reads a warm store."""
+    if args.jobs > 1:
         from repro.runtime.scheduler import prewarm
 
-        prewarm(benchmarks, scale=args.scale, jobs=args.jobs, **requests)
+        prewarm(calls, scale=args.scale, jobs=args.jobs)
 
 
 class _Interrupted(BaseException):
@@ -196,9 +199,10 @@ def _cmd_run(args) -> _Result:
         )
     _prewarm(
         args,
-        tuple(args.benchmarks or BENCHMARK_NAMES),
-        schemes=experiment.schemes,
-        fetch_schemes=experiment.fetch_schemes,
+        {
+            name: partial(experiment.runner, (name,), args.scale)
+            for name in args.benchmarks or BENCHMARK_NAMES
+        },
     )
     headers, rows = experiment.runner(args.benchmarks or None, args.scale)
     payload = {
@@ -214,24 +218,29 @@ def _cmd_run(args) -> _Result:
 
 
 # --------------------------------------------------------------- suite
-def _cmd_suite(args) -> _Result:
+def _suite_row(name: str, scale: Optional[int]) -> list:
+    """One benchmark's ``suite`` row (a ``--jobs`` task, too)."""
     from repro.core.study import study_for
 
-    _prewarm(args, BENCHMARK_NAMES, trace=True)
-    rows = []
-    for name in BENCHMARK_NAMES:
-        study = study_for(name, args.scale)
-        image = study.compiled.image
-        ok = study.verify_checksum()
-        rows.append(
-            [
-                name,
-                SUITE[name].description,
-                image.total_ops,
-                study.run.dynamic_mops,
-                "ok" if ok else "MISMATCH",
-            ]
-        )
+    study = study_for(name, scale)
+    return [
+        name,
+        SUITE[name].description,
+        study.compiled.image.total_ops,
+        study.run.dynamic_mops,
+        "ok" if study.verify_checksum() else "MISMATCH",
+    ]
+
+
+def _cmd_suite(args) -> _Result:
+    _prewarm(
+        args,
+        {
+            name: partial(_suite_row, name, args.scale)
+            for name in BENCHMARK_NAMES
+        },
+    )
+    rows = [_suite_row(name, args.scale) for name in BENCHMARK_NAMES]
     failures = [r[0] for r in rows if r[4] != "ok"]
     payload = {
         "benchmarks": [

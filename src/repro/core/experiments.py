@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.compression.alphabets import SIX_STREAM_CONFIGS
 from repro.compression.decoder_cost import scheme_decoder_cost
 from repro.core.study import study_for
 from repro.fetch.atb import att_bytes, att_overhead_percent
@@ -146,9 +145,11 @@ def fig13_cache_rows(
     (one factored trace pass per benchmark, bit-identical to — and
     store-interchangeable with — per-scheme ``fetch_metrics`` calls:
     the default grid's points are the standard configs, stored under
-    the same :func:`~repro.core.study.fetch_key`, so a ``--jobs``
-    prewarm or an earlier Figure 14 run serves them); Ideal has no
-    cache/predictor machinery to factor and stays on the study path.
+    the same :func:`~repro.core.study.fetch_key`, so an earlier Figure
+    14 run serves them, and a ``--jobs`` run's workers, each calling
+    this function on one benchmark, leave them in the store for the
+    parent's row pass); Ideal has no cache/predictor machinery to
+    factor and stays on the study path.
     """
     from repro.core.sweep import expand_grid, run_sweep
 
@@ -348,25 +349,20 @@ def static_rows(
 
 
 # ----------------------------------------------------------- registry
-#: All six stream configurations (the Figure 3 search space).
-_STREAM_KEYS = tuple(cfg.name for cfg in SIX_STREAM_CONFIGS)
-
-
 @dataclass(frozen=True)
 class Experiment:
     """One reproducible artifact of the paper's evaluation.
 
-    ``schemes`` and ``fetch_schemes`` declare the artifacts the runner
-    reads; with ``--jobs`` the CLI prewarms exactly those requests, one
-    chain per benchmark.
+    ``runner(benchmarks, scale)`` is a module-level function, so with
+    ``--jobs`` the CLI ships ``runner((name,), scale)`` to a worker per
+    benchmark: the artifacts a worker leaves in the store are exactly
+    the ones the parent's row pass reads.
     """
 
     exp_id: str
     title: str
     runner: Callable[..., Rows]
     bench: str
-    schemes: tuple = ()
-    fetch_schemes: tuple = ()
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -375,41 +371,30 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment(
             "fig5", "Compression technique comparison (code segment)",
             fig5_compression_rows, "benchmarks/test_fig5_compression.py",
-            schemes=("byte",) + _STREAM_KEYS + ("full", "tailored"),
         ),
         Experiment(
             "fig7", "ATB characteristics / total code size with ATT",
             fig7_att_rows, "benchmarks/test_fig7_att_size.py",
-            schemes=("full",), fetch_schemes=("compressed",),
         ),
         Experiment(
             "fig10", "Huffman decoder complexity",
             fig10_decoder_rows, "benchmarks/test_fig10_decoder_complexity.py",
-            schemes=("byte",) + _STREAM_KEYS + ("full",),
         ),
         Experiment(
             "fig13", "Cache study summary (ops/cycle)",
             fig13_cache_rows, "benchmarks/test_fig13_cache_study.py",
-            schemes=("base", "tailored", "full"),
-            fetch_schemes=("ideal", "base", "compressed", "tailored"),
         ),
         Experiment(
             "adaptive", "Access-pattern-adaptive schemes (hybrid/context)",
             adaptive_rows, "benchmarks/test_adaptive_schemes.py",
-            schemes=("full", "context", "hybrid"),
-            fetch_schemes=("compressed", "hybrid"),
         ),
         Experiment(
             "static", "Profile-free (static-heat) hybrid compression",
             static_rows, "benchmarks/test_static_analysis.py",
-            schemes=("full", "context", "hybrid", "hybrid:static"),
-            fetch_schemes=("hybrid", "hybrid:static"),
         ),
         Experiment(
             "fig14", "Memory-bus bit flips",
             fig14_busflip_rows, "benchmarks/test_fig14_bus_flips.py",
-            schemes=("base", "tailored", "full"),
-            fetch_schemes=("base", "compressed", "tailored"),
         ),
     )
 }

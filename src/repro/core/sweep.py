@@ -18,16 +18,17 @@ wrapper the CLI, figure studies, and examples call:
   reads.
 * **Sharding** — with ``jobs > 1`` the parent materializes the trace
   and the images the cold configs run on, then splits the configs into
-  contiguous single-scheme chunks, each an independent one-request
-  task carrying its configs; a worker runs ``run_sweep`` on its chunk
-  and publishes through the store like any other stage, and the parent
-  then reads the results back.  Contiguous chunks keep cross-product
-  neighbors (which share predictor or cache components) in the same
-  worker, preserving the engine's sharing.
+  contiguous single-scheme chunks, each an independent task calling
+  ``run_sweep`` on its chunk; a worker publishes through the store
+  like any other stage, and the parent then reads the results back.
+  Contiguous chunks keep cross-product neighbors (which share
+  predictor or cache components) in the same worker, preserving the
+  engine's sharing.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,7 +51,7 @@ from repro.fetch.config import (
 from repro.fetch.engine import FetchMetrics
 from repro.fetch.sweep import simulate_fetch_sweep_multi
 from repro.runtime.store import default_store
-from repro.runtime.tasks import Request, TaskSpec, chain_id
+from repro.runtime.tasks import TaskSpec, benchmark_task_id
 
 __all__ = [
     "expand_grid",
@@ -232,9 +233,9 @@ def _shard_pending(study, configs: Sequence[FetchConfig], jobs: int) -> None:
     The parent materializes the trace and each scheme's image first, so
     every worker reads them from the store.  Chunks are contiguous runs
     within each scheme group, at most ``jobs`` chunks per group, each
-    an independent one-request task.
+    an independent task.
     """
-    from repro.runtime.scheduler import execute_chains
+    from repro.runtime.scheduler import execute_tasks
 
     by_scheme: Dict[str, List[FetchConfig]] = {}
     for config in configs:
@@ -244,7 +245,7 @@ def _shard_pending(study, configs: Sequence[FetchConfig], jobs: int) -> None:
     for scheme in by_scheme:
         study.compressed(fetch_image_key(scheme))
     chunk_size = max(1, ceil(len(configs) / jobs))
-    prefix = chain_id(study.name, study.scale)
+    prefix = benchmark_task_id(study.name, study.scale)
     tasks = []
     for scheme, members in by_scheme.items():
         for start in range(0, len(members), chunk_size):
@@ -252,12 +253,10 @@ def _shard_pending(study, configs: Sequence[FetchConfig], jobs: int) -> None:
             tasks.append(
                 TaskSpec(
                     f"{prefix}:{scheme}:{start // chunk_size}",
-                    study.name,
-                    study.scale,
-                    (Request("fetch", scheme, chunk),),
+                    partial(run_sweep, study.name, chunk, scale=study.scale),
                 )
             )
-    execute_chains(tasks, jobs=jobs)
+    execute_tasks(tasks, jobs=jobs)
 
 
 def run_sweep(

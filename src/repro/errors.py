@@ -49,8 +49,10 @@ class ConfigurationError(ReproError):
 class SchedulerError(ReproError, RuntimeError):
     """A task failed inside the scheduler.
 
-    Carries the failing tasks' worker tracebacks in its message and, on
-    the inline path, chains the original exception.  Also a
+    Its message names the failed-task count and the first failing task
+    and carries that task's traceback, inline or pooled.  The inline
+    path chains the original exception, the pool a worker's
+    :class:`ConfigurationError`.  Also a
     :class:`RuntimeError` so callers that predate the dedicated class
     keep working.
     """

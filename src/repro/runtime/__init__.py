@@ -12,10 +12,10 @@ This package turns the per-process memoization of
   ``repro`` package, so edits invalidate like a build system;
 * :mod:`repro.runtime.metrics` — per-stage wall-time and hit/miss
   instrumentation rendered by :class:`RuntimeReport`;
-* :mod:`repro.runtime.tasks` / :mod:`repro.runtime.scheduler` — one
-  ordered request chain per benchmark over the study pipeline
-  (compile → trace → compress → fetch-sim), the chains fanned out
-  across a ``ProcessPoolExecutor``.
+* :mod:`repro.runtime.tasks` / :mod:`repro.runtime.scheduler` — a task
+  is a task id plus a picklable zero-argument call, the caller's own
+  per-benchmark work; the tasks fan out across a
+  ``ProcessPoolExecutor`` (one task runs inline).
 
 :func:`get_or_compute` is the seam :class:`repro.core.study.ProgramStudy`
 calls through: cache disabled (``REPRO_CACHE=0`` / ``--no-cache``) means
@@ -48,7 +48,6 @@ from repro.runtime.metrics import (
     REPORT,
     RuntimeReport,
     StageMetrics,
-    capture,
     reset_metrics,
     stage_clock,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "StageMetrics",
     "StoreStats",
     "artifact_digest",
-    "capture",
     "config_from_env",
     "configure",
     "default_store",

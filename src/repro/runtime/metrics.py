@@ -3,14 +3,9 @@
 Every pass through :func:`repro.runtime.get_or_compute` records into the
 process-global :data:`REPORT`; scheduler workers return their report as
 JSON and the parent merges it, so ``repro run figN --jobs 8`` still ends
-with one coherent :class:`RuntimeReport`.
-
-:func:`capture` additionally tees everything recorded against
-:data:`REPORT` *in the current execution context* into a private report,
-so a caller can see the stage activity of one piece of work while the
-process-global totals keep accumulating.  The tee is a
-:class:`contextvars.ContextVar`, so concurrent threads capture only
-their own stage activity.
+with one coherent :class:`RuntimeReport`.  To see the stage activity of
+one piece of work, reset the metrics before it and read :data:`REPORT`
+after.
 
 Stage seconds are *exclusive*: :func:`stage_clock` subtracts the time
 of every stage nested inside a stage's compute (a fetch simulation that
@@ -27,12 +22,6 @@ from time import perf_counter
 from typing import Dict, List, Tuple
 
 from repro.utils.tables import format_table
-
-#: Reports that the current execution context tees :data:`REPORT`
-#: records into (innermost last); managed only by :func:`capture`.
-_captures: ContextVar[Tuple["RuntimeReport", ...]] = ContextVar(
-    "repro_metric_captures", default=()
-)
 
 #: The stage clocks open in the current execution context (innermost
 #: last); managed only by :func:`stage_clock`.
@@ -51,7 +40,6 @@ class StageMetrics:
     stage: str
     hits: int = 0
     misses: int = 0
-    errors: int = 0
     seconds: float = 0.0
     bytes_read: int = 0
     bytes_written: int = 0
@@ -68,7 +56,6 @@ class StageMetrics:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "errors": self.errors,
             "seconds": self.seconds,
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
@@ -80,20 +67,14 @@ class RuntimeReport:
     """Aggregated stage metrics for one run (mergeable across processes)."""
 
     stages: Dict[str, StageMetrics] = field(default_factory=dict)
-    #: Task failures: ``{"stage", "task_id", "error"}`` per failed task,
-    #: where ``error`` is the worker's formatted traceback.
+    #: Task failures: ``{"task_id", "error"}`` per failed task, where
+    #: ``error`` is the task's formatted traceback.
     failures: List[dict] = field(default_factory=list)
 
     def stage(self, name: str) -> StageMetrics:
         if name not in self.stages:
             self.stages[name] = StageMetrics(name)
         return self.stages[name]
-
-    def _tees(self) -> Tuple["RuntimeReport", ...]:
-        """Capture reports to mirror into (only the global REPORT tees)."""
-        if self is REPORT:
-            return _captures.get()
-        return ()
 
     def record(
         self,
@@ -112,25 +93,10 @@ class RuntimeReport:
         metrics.seconds += seconds
         metrics.bytes_read += bytes_read
         metrics.bytes_written += bytes_written
-        for tee in self._tees():
-            tee.record(
-                stage,
-                hit=hit,
-                seconds=seconds,
-                bytes_read=bytes_read,
-                bytes_written=bytes_written,
-            )
 
-    def record_failure(
-        self, stage: str, task_id: str, error: str
-    ) -> None:
-        """Count a task failure against its stage and keep the traceback."""
-        self.stage(stage).errors += 1
-        self.failures.append(
-            {"stage": stage, "task_id": task_id, "error": error}
-        )
-        for tee in self._tees():
-            tee.record_failure(stage, task_id, error)
+    def record_failure(self, task_id: str, error: str) -> None:
+        """Keep a failed task's id and traceback."""
+        self.failures.append({"task_id": task_id, "error": error})
 
     # ------------------------------------------------------- aggregates
     @property
@@ -143,7 +109,7 @@ class RuntimeReport:
 
     @property
     def total_errors(self) -> int:
-        return sum(m.errors for m in self.stages.values())
+        return len(self.failures)
 
     def _ordered(self):
         known = [s for s in STAGE_ORDER if s in self.stages]
@@ -207,13 +173,10 @@ class RuntimeReport:
 
     def merge_json(self, payload: dict) -> None:
         """Fold a worker's ``to_json()`` output into this report."""
-        for tee in self._tees():
-            tee.merge_json(payload)
         for name, counters in (payload or {}).get("stages", {}).items():
             metrics = self.stage(name)
             metrics.hits += int(counters.get("hits", 0))
             metrics.misses += int(counters.get("misses", 0))
-            metrics.errors += int(counters.get("errors", 0))
             metrics.seconds += float(counters.get("seconds", 0.0))
             metrics.bytes_read += int(counters.get("bytes_read", 0))
             metrics.bytes_written += int(counters.get("bytes_written", 0))
@@ -230,24 +193,6 @@ REPORT = RuntimeReport()
 
 def reset_metrics() -> None:
     REPORT.reset()
-
-
-@contextmanager
-def capture():
-    """Tee everything recorded against :data:`REPORT` into a new report.
-
-    Yields the private :class:`RuntimeReport`; on exit the tee is
-    removed.  Captures nest (inner captures see the same records) and
-    are context-local, so concurrent threads never see each other's
-    stage activity.  The global :data:`REPORT` keeps recording
-    normally — a capture observes, it does not divert.
-    """
-    report = RuntimeReport()
-    token = _captures.set(_captures.get() + (report,))
-    try:
-        yield report
-    finally:
-        _captures.reset(token)
 
 
 class StageClock:
@@ -270,7 +215,7 @@ def stage_clock():
 
     On exit the block's whole wall time is charged as nested time to
     the enclosing clock, if any, so each stage reports only its own
-    work.  Clocks are context-local, like :func:`capture`.
+    work.  Clocks are context-local.
     """
     outer = _open_clocks.get()
     clock = StageClock()

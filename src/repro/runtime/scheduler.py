@@ -1,11 +1,12 @@
-"""Run independent request chains across processes.
+"""Run independent tasks across processes.
 
-Each :class:`~repro.runtime.tasks.TaskSpec` is one benchmark's ordered
-chain, and its study pulls in every prerequisite itself, so chains
-need no order between them.  ``jobs <= 1`` runs them inline (zero
-overhead, warms the parent's in-memory studies too).  ``jobs > 1``
-submits every chain to a ``ProcessPoolExecutor`` at once.  Workers
-communicate *artifacts* through the persistent store — only small
+Each :class:`~repro.runtime.tasks.TaskSpec` is a task id plus a
+picklable zero-argument call, and the study behind the call pulls in
+every prerequisite itself, so tasks need no order between them.  With
+``jobs <= 1`` or at most one task they run inline (no worker start,
+and the parent's in-memory studies warm too).  Otherwise every task is
+submitted to a ``ProcessPoolExecutor`` at once.  Workers communicate
+*artifacts* through the persistent store — only small
 :class:`TaskResult` records (timings + metric counters) come back over
 the pipe — which is why parallel execution requires the cache to be
 enabled.
@@ -17,7 +18,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SchedulerError
 from repro.runtime.config import (
@@ -26,16 +27,14 @@ from repro.runtime.config import (
     set_runtime_config,
 )
 from repro.runtime.metrics import REPORT, reset_metrics
-from repro.runtime.tasks import TaskSpec, execute_request, study_chains
+from repro.runtime.tasks import TaskSpec, benchmark_task_id
 
 
 @dataclass
 class TaskResult:
-    """Outcome of one chain (small and picklable)."""
+    """Outcome of one task (small and picklable)."""
 
     task_id: str
-    #: The stage of the last request run: on failure, the failing one.
-    stage: str
     seconds: float
     ok: bool = True
     error: Optional[str] = None
@@ -59,24 +58,20 @@ def _worker_init(config: RuntimeConfig) -> None:
     reset_metrics()
 
 
-def _run_chain(spec: TaskSpec) -> Tuple[TaskResult, Optional[Exception]]:
-    """Run ``spec``'s requests in order, stopping at the first failure.
+def _run(task: TaskSpec) -> Tuple[TaskResult, Optional[Exception]]:
+    """Call ``task``, catching its failure.
 
-    A failing chain must never be swallowed into a silent wrong result:
+    A failing task must never be swallowed into a silent wrong result:
     its full traceback rides in ``TaskResult.error``, and a
     :class:`ConfigurationError` (a bad invocation, not a broken task)
     also sends its message, so a parent can chain it as the cause.
     """
     started = perf_counter()
-    stage = ""
     try:
-        for request in spec.requests:
-            stage = request.stage
-            execute_request(spec, request)
+        task.call()
     except Exception as exc:
         return TaskResult(
-            spec.task_id,
-            stage,
+            task.task_id,
             perf_counter() - started,
             ok=False,
             error=traceback.format_exc(),
@@ -84,50 +79,60 @@ def _run_chain(spec: TaskSpec) -> Tuple[TaskResult, Optional[Exception]]:
                 str(exc) if isinstance(exc, ConfigurationError) else None
             ),
         ), exc
-    return TaskResult(spec.task_id, stage, perf_counter() - started), None
+    return TaskResult(task.task_id, perf_counter() - started), None
 
 
-def _pool_run(spec: TaskSpec) -> TaskResult:
-    """Worker-side task body: run the chain, ship the metric deltas home."""
+def _pool_run(task: TaskSpec) -> TaskResult:
+    """Worker-side task body: run the task, ship the metric deltas home."""
     reset_metrics()
-    result, _ = _run_chain(spec)
+    result, _ = _run(task)
     result.report = REPORT.to_json()
     return result
 
 
-def _inline_run(spec: TaskSpec) -> TaskResult:
-    result, exc = _run_chain(spec)  # records directly into REPORT
-    if exc is not None:
-        REPORT.record_failure(result.stage, spec.task_id, result.error)
-        raise SchedulerError(
-            f"task {spec.task_id} ({result.stage}) failed: {exc}"
-        ) from exc
-    return result
+def _fail(
+    failures: Sequence[TaskResult], cause: Optional[BaseException]
+) -> NoReturn:
+    """Record ``failures`` in :data:`REPORT` and raise the first one."""
+    for result in failures:
+        REPORT.record_failure(result.task_id, result.error or "")
+    first = failures[0]
+    raise SchedulerError(
+        f"{len(failures)} task(s) failed, first: {first.task_id}\n"
+        f"{first.error or ''}"
+    ) from cause
 
 
-def execute_chains(
+def execute_tasks(
     tasks: Sequence[TaskSpec],
     *,
     jobs: int = 1,
     config: Optional[RuntimeConfig] = None,
 ) -> List[TaskResult]:
-    """Run every chain of ``tasks``.
+    """Run every task of ``tasks``.
 
-    A chain stops at its first failing request, and the chains not yet
-    started are cancelled.  Raises :class:`SchedulerError` once the
-    running ones have drained, carrying the real worker traceback and
-    recording each failure against its request's stage in
-    :data:`REPORT`; partial artifacts already persisted stay valid —
-    content addressing makes re-runs pick them up.  The first failing
-    chain in ``tasks`` order is the one reported; when it raised a
-    :class:`ConfigurationError`, the :class:`SchedulerError` is chained
-    from one carrying its message.  The pool never holds more workers
-    than there are chains.
+    The first failure stops the tasks not yet started (inline: the
+    rest of the list; pooled: every queued future is cancelled).
+    Raises :class:`SchedulerError` once the running ones have drained,
+    naming the failed-task count and the first failing task in
+    ``tasks`` order and carrying its traceback; each failure is
+    recorded in :data:`REPORT`.  Partial artifacts already persisted
+    stay valid — content addressing makes re-runs pick them up.  The
+    error is chained from the original exception inline, and from a
+    :class:`ConfigurationError` carrying a worker's message when the
+    worker raised one.  The pool never holds more workers than there
+    are tasks.
     """
     if config is None:
         config = runtime_config()
-    if jobs <= 1 or not tasks:
-        return [_inline_run(spec) for spec in tasks]
+    if jobs <= 1 or len(tasks) <= 1:
+        results = []
+        for task in tasks:
+            result, exc = _run(task)  # records directly into REPORT
+            if exc is not None:
+                _fail([result], exc)
+            results.append(result)
+        return results
     if not config.enabled:
         raise ConfigurationError(
             "parallel execution needs the artifact cache: workers hand "
@@ -139,7 +144,7 @@ def execute_chains(
         max_workers=min(jobs, len(tasks)),
         initializer=_worker_init, initargs=(config,)
     ) as pool:
-        futures = [pool.submit(_pool_run, spec) for spec in tasks]
+        futures = [pool.submit(_pool_run, task) for task in tasks]
         try:
             pending = set(futures)
             while pending:
@@ -148,7 +153,7 @@ def execute_chains(
                     result = future.result()
                     REPORT.merge_json(result.report)
                     if not result.ok:
-                        # cancel() succeeds on chains not yet started.
+                        # cancel() succeeds on tasks not yet started.
                         pending = {f for f in pending if not f.cancel()}
         except BaseException:
             # Graceful drain on interruption (SIGTERM/SIGINT mapped to
@@ -160,46 +165,33 @@ def execute_chains(
             pool.shutdown(wait=True, cancel_futures=True)
             raise
     results = [f.result() for f in futures if not f.cancelled()]
-    errors = [r for r in results if not r.ok]
-    if errors:
-        for result in errors:
-            REPORT.record_failure(
-                result.stage, result.task_id, result.error or ""
-            )
-        first = errors[0]
-        cause = (
-            None
-            if first.configuration_error is None
-            else ConfigurationError(first.configuration_error)
+    failures = [r for r in results if not r.ok]
+    if failures:
+        message = failures[0].configuration_error
+        _fail(
+            failures,
+            None if message is None else ConfigurationError(message),
         )
-        raise SchedulerError(
-            f"{len(errors)} task(s) failed, first: {first.task_id}\n"
-            f"{first.error or ''}"
-        ) from cause
     return results
 
 
 def prewarm(
-    benchmarks: Sequence[str],
+    calls: Mapping[str, Callable[[], object]],
     *,
     scale: Optional[int] = None,
-    trace: bool = False,
-    schemes: Sequence[str] = (),
-    fetch_schemes: Sequence[str] = (),
     jobs: int = 1,
 ) -> List[TaskResult]:
-    """Materialize the artifacts a caller reads for ``benchmarks``.
+    """Run each benchmark's call of ``calls`` as one task.
 
-    The CLI calls this before rendering rows so a ``--jobs N`` run fans
-    one chain per benchmark out and the row pass reads back warm
-    artifacts.  ``trace`` asks for the trace itself, which a
-    ``fetch`` request or a trace-profiled hybrid pulls in anyway.
+    The CLI hands over its own per-benchmark work (a figure's runner
+    on one benchmark, one suite row) before its row pass, so a
+    ``--jobs N`` run fans the benchmarks out and the row pass reads
+    back warm artifacts — exactly the ones the rows read.
     """
-    chains = study_chains(
-        benchmarks,
-        scale=scale,
-        trace=trace,
-        schemes=schemes,
-        fetch_schemes=fetch_schemes,
+    return execute_tasks(
+        [
+            TaskSpec(benchmark_task_id(name, scale), call)
+            for name, call in calls.items()
+        ],
+        jobs=jobs,
     )
-    return execute_chains(chains, jobs=jobs)

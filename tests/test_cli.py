@@ -104,14 +104,46 @@ def test_second_run_is_all_cache_hits(capsys, fresh_cache):
 def test_parallel_fig13_simulates_each_organization_once(
     capsys, fresh_cache
 ):
-    """The workers simulate Ideal, Base, Compressed and Tailored; the
-    parent's sweep and Ideal lookups read those same four entries."""
+    """Per benchmark, the workers simulate Ideal, Base, Compressed and
+    Tailored; the parent's sweep and Ideal lookups read those same four
+    entries."""
+    assert main(
+        ["run", "fig13", "--jobs", "2", "--benchmarks", "compress", "go",
+         "--scale", "2", "--json"]
+    ) == 0
+    fetch = json.loads(capsys.readouterr().out)["runtime"]["stages"]["fetch"]
+    assert (fetch["misses"], fetch["hits"]) == (8, 8)
+
+
+def test_one_benchmark_with_jobs_runs_inline(
+    capsys, fresh_cache, monkeypatch
+):
+    """A lone benchmark's task runs in the parent, whatever --jobs says:
+    its in-memory study answers the Ideal lookup of the row pass, and
+    only the three swept organizations are read back from the store."""
+    import repro.runtime.scheduler as scheduler
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", no_pool)
     assert main(
         ["run", "fig13", "--jobs", "2", "--benchmarks", "compress",
          "--scale", "2", "--json"]
     ) == 0
     fetch = json.loads(capsys.readouterr().out)["runtime"]["stages"]["fetch"]
-    assert (fetch["misses"], fetch["hits"]) == (4, 4)
+    assert (fetch["misses"], fetch["hits"]) == (4, 3)
+
+
+def test_jobs_without_the_cache_is_one_rule(capsys, fresh_cache):
+    """``run`` refuses --jobs with the cache off, like ``sweep`` does."""
+    assert main(
+        ["run", "fig5", "--benchmarks", "compress", "go", "--scale", "2",
+         "--no-cache", "--jobs", "2"]
+    ) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: parallel execution needs the artifact cache"
+    )
 
 
 def test_warm_study_recomputes_nothing(capsys, fresh_cache):

@@ -32,6 +32,7 @@ from repro.fetch.sweep import (
     simulate_fetch_sweep,
     simulate_fetch_sweep_multi,
 )
+from repro.runtime.metrics import REPORT, reset_metrics
 from repro.runtime.tasks import fetch_image_key
 
 #: The single-image fetch organizations the sweep tests replay.
@@ -452,14 +453,14 @@ def test_default_grid_sweep_warms_the_figure_studies(fresh_store):
     swept = run_sweep("compress", expand_grid(), scale=2)
     clear_caches()
     study = study_for("compress", 2)
-    with runtime.capture() as report:
-        found = [
-            study.fetch_metrics(scheme)
-            for scheme in ("base", "tailored", "compressed")
-        ]
+    reset_metrics()
+    found = [
+        study.fetch_metrics(scheme)
+        for scheme in ("base", "tailored", "compressed")
+    ]
     assert found == swept
-    assert report.stage("fetch").hits == 3
-    assert report.stage("fetch").misses == 0
+    assert REPORT.stage("fetch").hits == 3
+    assert REPORT.stage("fetch").misses == 0
 
 
 # ----------------------------------------------------------- stage seconds
@@ -469,12 +470,12 @@ def test_nested_stages_are_not_counted_twice(fresh_store):
     time of the call."""
     runtime.configure(enabled=False)
     study = study_for("compress", 2)
-    with runtime.capture() as report:
-        started = time.perf_counter()
-        study.fetch_metrics("compressed")
-        wall = time.perf_counter() - started
-    assert {"compile", "trace", "compress", "fetch"} <= set(report.stages)
-    assert sum(m.seconds for m in report.stages.values()) <= wall
+    reset_metrics()
+    started = time.perf_counter()
+    study.fetch_metrics("compressed")
+    wall = time.perf_counter() - started
+    assert {"compile", "trace", "compress", "fetch"} <= set(REPORT.stages)
+    assert sum(m.seconds for m in REPORT.stages.values()) <= wall
 
 
 def test_sweep_misses_charge_the_engine_to_fetch(fresh_store, monkeypatch):
@@ -491,8 +492,8 @@ def test_sweep_misses_charge_the_engine_to_fetch(fresh_store, monkeypatch):
     )
     grid = expand_grid(**DESIGN_GRID)
     study_for("compress", 2).run  # the trace is not the sweep's time
-    with runtime.capture() as report:
-        run_sweep("compress", grid, scale=2)
-    fetch = report.stage("fetch")
+    reset_metrics()
+    run_sweep("compress", grid, scale=2)
+    fetch = REPORT.stage("fetch")
     assert fetch.misses == len(grid)
     assert fetch.seconds >= 0.2
