@@ -455,6 +455,71 @@ def _sweep_vs_kernel(ctx: CheckContext, rec: Recorder) -> None:
 
 
 @invariant(
+    "sweep-warm-replay-state",
+    scope="sweep",
+    description="a study whose replay state a gshare sweep warmed "
+                "fetches every organization as a fresh study and the "
+                "reference do",
+)
+def _sweep_warm_replay_state(ctx: CheckContext, rec: Recorder) -> None:
+    from repro import runtime
+    from repro.core.study import ProgramStudy
+    from repro.core.sweep import _compute_batch, expand_grid
+    from repro.fetch.engine import simulate_fetch_reference
+
+    for benchmark in ctx.benchmarks:
+        shared = ctx.study(benchmark)
+        images = {
+            scheme: shared.compressed(fetch_image_key(scheme))
+            for scheme in CACHED_ORGANIZATIONS
+        }
+        trace = shared.run.block_trace
+
+        def copy() -> ProgramStudy:
+            # The shared artifacts, with no fetch result or replay
+            # state of their own.
+            return ProgramStudy(
+                benchmark, ctx.scale, _compiled=shared.compiled,
+                _run=shared.run, _images=dict(shared._images),
+            )
+
+        warm, fresh = copy(), copy()
+        saved = runtime.runtime_config()
+        runtime.configure(enabled=False)  # every fetch is computed
+        try:
+            # What run_sweep computes for its cold points, against the
+            # warm study's replay state.
+            _compute_batch(warm, expand_grid(
+                CACHED_ORGANIZATIONS,
+                atbs=[(32, 4)],
+                predictors=("gshare",),
+            ))
+            for scheme in CACHED_ORGANIZATIONS:
+                subject = f"{benchmark}/{scheme}/warm"
+                metrics = warm.fetch_metrics(scheme)
+                for what, expected in (
+                    ("a fresh study", fresh.fetch_metrics(scheme)),
+                    ("the reference", simulate_fetch_reference(
+                        images[scheme], trace,
+                        FetchConfig.for_scheme(scheme, scaled=True),
+                    )),
+                ):
+                    diff = _metrics_diff(metrics, expected)
+                    rec.expect(
+                        not diff,
+                        subject,
+                        f"warm-state fetch diverges from {what} on "
+                        "fields: " + ", ".join(diff),
+                    )
+        finally:
+            runtime.set_runtime_config(saved)
+        rec.expect_equal(
+            len(warm.replay.predictions), 2, benchmark,
+            "predictor components on the warm replay state",
+        )
+
+
+@invariant(
     "sweep-degenerate-grid",
     scope="sweep",
     description="a 1-config grid is exactly one reference replay "

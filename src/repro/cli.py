@@ -132,8 +132,12 @@ def _mismatch(names) -> str:
 
 def _prewarm(args, calls) -> None:
     """Run each benchmark's picklable zero-argument call of ``calls``
-    across ``--jobs`` processes, so the row pass reads a warm store."""
-    if args.jobs > 1:
+    across ``--jobs`` processes, so the row pass reads a warm store.
+
+    A lone call is left to the row pass: it would run inline anyway,
+    and the row pass would then walk the same study a second time.
+    """
+    if args.jobs > 1 and len(calls) > 1:
         from repro.runtime.scheduler import prewarm
 
         prewarm(calls, scale=args.scale, jobs=args.jobs)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import runtime
 from repro.compiler.pipeline import CompiledProgram
@@ -50,6 +50,9 @@ from repro.fetch.engine import FetchMetrics, ideal_metrics, simulate_fetch
 from repro.programs.suite import SUITE, compile_benchmark
 from repro.runtime.config import gate_enabled, integer_setting
 
+if TYPE_CHECKING:
+    from repro.fetch.sweep import TraceReplay
+
 #: Scheme presentation order in reports (mirrors Figure 5's legend).
 SCHEME_ORDER = ("byte", "stream", "stream_1", "full", "tailored")
 
@@ -65,6 +68,7 @@ class ProgramStudy:
     _words: Optional[BlockWords] = None
     _images: dict = field(default_factory=dict)
     _fetch: dict = field(default_factory=dict)
+    _replay: Optional["TraceReplay"] = None
 
     # -------------------------------------------------------- artifacts
     @property
@@ -216,6 +220,21 @@ class ProgramStudy:
         return by_decoder, by_size
 
     # ------------------------------------------------------------ fetch
+    @property
+    def replay(self) -> "TraceReplay":
+        """The fetch engine's replay state for this study's trace.
+
+        Made on the first computed fetch or sweep, never on a store
+        hit.  It holds per-block counts and first positions, not
+        per-position lists, plus every predictor outcome computed so
+        far, which the study's later organizations and sweeps reuse.
+        """
+        if self._replay is None:
+            from repro.fetch.sweep import TraceReplay
+
+            self._replay = TraceReplay(self.run.block_trace)
+        return self._replay
+
     def fetch_metrics(
         self, scheme: str, config: Optional[FetchConfig] = None
     ) -> FetchMetrics:
@@ -231,7 +250,9 @@ class ProgramStudy:
         SPEC put on the paper's 16KB caches; pass
         ``FetchConfig.for_scheme(scheme)`` for the paper's literal
         geometry.  The result is stored under :func:`fetch_key` of the
-        resolved config.
+        resolved config.  A computed result replays against the
+        study's :attr:`replay` state, so the organizations of one
+        study, which share one predictor evolution, run it once.
         """
         scheme = normalize_fetch_scheme(scheme)
         if scheme == "ideal":
@@ -247,7 +268,9 @@ class ProgramStudy:
             compressed = self.compressed(fetch_image_key(scheme))
             if config is None:
                 return ideal_metrics(compressed, trace)
-            return simulate_fetch(compressed, trace, config)
+            return simulate_fetch(
+                compressed, trace, config, replay=self.replay
+            )
         metrics = self._stage("fetch", compute, **fetch_key(scheme, config))
         self._fetch[memo] = metrics
         return metrics

@@ -204,14 +204,17 @@ def _compute_batch(
 
     The multi-image entry point resolves each config's scheme to the
     study's per-scheme compressed image, so predictor components are
-    shared across schemes (all images wrap the same program).
+    shared across schemes (all images wrap the same program), and the
+    study's replay state shares them with its earlier fetches.
     """
     trace = study.run.block_trace
     images = {
         scheme: study.compressed(fetch_image_key(scheme))
         for scheme in dict.fromkeys(config.scheme for config in configs)
     }
-    return simulate_fetch_sweep_multi(images, trace, configs)
+    return simulate_fetch_sweep_multi(
+        images, trace, configs, replay=study.replay
+    )
 
 
 def _stored(study, key: dict) -> bool:
@@ -273,8 +276,10 @@ def run_sweep(
     same :func:`~repro.core.study.fetch_key`, but cold configs are
     computed by one columnar engine call (after ``jobs`` worker
     processes have published them, when ``jobs > 1``) instead of one
-    replay per config.  Nothing is memoized in-process: with the store
-    off every point is simulated on every call.
+    replay per config.  Results are not memoized in-process: with the
+    store off every point is simulated on every call.  Predictor
+    outcomes are: the study's replay state keeps each one it computes,
+    so a later sweep or fetch of the study skips that predictor pass.
     """
     from repro.core.study import fetch_key, study_for
 

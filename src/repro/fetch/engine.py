@@ -97,6 +97,8 @@ def simulate_fetch(
     compressed: CompressedImage,
     trace: Sequence[int],
     config: Optional[FetchConfig] = None,
+    *,
+    replay=None,
 ) -> FetchMetrics:
     """Replay ``trace`` against one fetch organization.
 
@@ -108,14 +110,19 @@ def simulate_fetch(
 
     This is a one-point :func:`~repro.fetch.sweep.simulate_fetch_sweep`;
     its result is bit-identical to :func:`simulate_fetch_reference`,
-    which ``tests/test_kernel_differential.py`` enforces.
+    which ``tests/test_kernel_differential.py`` enforces.  ``replay``
+    is an optional :class:`~repro.fetch.sweep.TraceReplay` of
+    ``trace``, which lets calls for several organizations share one
+    predictor pass.
     """
     from repro.fetch.sweep import simulate_fetch_sweep
 
     config = config or FetchConfig.for_scheme(
         image_organization(compressed.scheme_name)
     )
-    return simulate_fetch_sweep(compressed, trace, [config])[0]
+    return simulate_fetch_sweep(
+        compressed, trace, [config], replay=replay
+    )[0]
 
 
 def simulate_fetch_reference(

@@ -7,16 +7,22 @@ machine once more, factored so that a whole grid of
 per independent component; :func:`~repro.fetch.engine.simulate_fetch`
 is a one-point call of :func:`simulate_fetch_sweep`.
 
+* **Trace state** — a :class:`TraceReplay` holds what every replay of
+  one trace shares: each block's occurrence count and first position
+  (one entry per distinct block, filled at C speed) and the predictor
+  components computed so far.  Every call builds its own unless handed
+  one; a :class:`~repro.core.study.ProgramStudy` hands over the one
+  it keeps for its trace, so its organizations and sweeps share them.
 * **Shared columns** — block kinds/targets/fallthroughs and MultiOp/op
   counts come from :func:`block_meta_columns`, and the
-  delivered-ops/MultiOps/blocks totals of a trace are computed once for
-  every configuration.
+  delivered-ops/MultiOps/blocks totals of a trace follow from the
+  counts, once per image.
 * **Predictor components** — the ATB and its resident predictor state
   never observe the cache, so their entire evolution depends only on
   ``(atb_entries, atb_ways, predictor, gshare_history_bits)``.  One
-  trace pass per *distinct* tuple yields the ATB hit/miss counts, the
-  prediction-accuracy counters, and a per-position "was the prediction
-  correct" bitmap.
+  trace pass per *distinct* tuple and program yields the ATB hit/miss
+  counts, the prediction-accuracy counters, and a per-position "was
+  the prediction correct" bitmap, memoized on the trace state.
 * **Cache components** — the L0 buffer, banked L1, and bus never
   observe the predictor, so their evolution depends only on
   ``(geometry, scheme, l0 capacity, bus width)``.  Each distinct tuple
@@ -33,7 +39,9 @@ is a one-point call of :func:`simulate_fetch_sweep`.
     ``ways`` never evicts, so each of its lines misses exactly once, at
     the first access that touches it.  Only the blocks touching an
     *evicting* set are replayed, at their positions minus the L0's
-    buffer hits, and against those sets alone.  Hits and cycles follow
+    buffer hits (a C-speed filter over the trace), and against those
+    sets alone; a block whose replayed lines lie in distinct sets
+    probes and installs each in one step.  Hits and cycles follow
     from each block's occurrence count times its per-block costs plus
     one correction per miss event, and the bus walks the miss events
     in trace order.
@@ -85,9 +93,10 @@ and ``tests/test_fetch_sweep.py``.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from itertools import chain, compress, filterfalse
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from collections import Counter
+from functools import cached_property
+from itertools import compress
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.compression.schemes import CompressedImage
 from repro.errors import ConfigurationError
@@ -115,6 +124,7 @@ from repro.utils.arith import popcount
 
 __all__ = [
     "BlockCosts",
+    "TraceReplay",
     "block_bus_beats",
     "block_costs",
     "block_meta_columns",
@@ -309,8 +319,7 @@ def _predictor_component(
         g_history = 0
         g_counters = [WEAK_TAKEN] * (1 << history_bits)
 
-    pred_right = 0
-    atb_hits = atb_misses = 0
+    atb_misses = 0
     # One byte per position; 0x01 bytes survive int conversion as the
     # position bitmap the combine step intersects at C speed.
     pred_bits = bytearray(len(trace))
@@ -345,14 +354,12 @@ def _predictor_component(
             prev_entry[1] = block_id
 
         if predicted == block_id:
-            pred_right += 1
             pred_bits[position] = 1
 
         bucket = atb_bucket_of[block_id]
         entry = bucket.pop(block_id, None)
         if entry is not None:
             bucket[block_id] = entry
-            atb_hits += 1
         else:
             atb_misses += 1
             if len(bucket) >= atb_ways:
@@ -387,26 +394,81 @@ def _predictor_component(
         prev_entry = entry
 
     return (
-        int.from_bytes(bytes(pred_bits), "big"),
-        pred_right,
-        atb_hits,
+        int.from_bytes(pred_bits, "big"),
+        pred_bits.count(1),
+        len(trace) - atb_misses,
         atb_misses,
     )
 
 
-# ------------------------------------------------------- cache component
-def _block_positions(trace: Sequence[int]) -> Dict[int, List[int]]:
-    """Each block's trace positions, ascending.
+# ---------------------------------------------------------- trace state
+def _per_position(trace: Sequence[int], flags: Sequence[bool]) -> bytes:
+    """``flags[block]`` at every position of ``trace``, one byte each.
 
-    Keys run in order of first occurrence, so ``positions[b][0]`` is
-    block ``b``'s first position and ``len(positions[b])`` its count.
+    A ``'B'`` array (the emulators' trace of any image of at most 256
+    blocks) is translated at C speed; any other sequence is mapped.
     """
-    positions: Dict[int, List[int]] = defaultdict(list)
-    for position, block_id in enumerate(trace):
-        positions[block_id].append(position)
-    return dict(positions)
+    if getattr(trace, "typecode", None) == "B":
+        table = bytes(flags[:256]).ljust(256, b"\0")
+        return bytes(trace).translate(table)
+    return bytes(map(bytes(flags).__getitem__, trace))
 
 
+class TraceReplay:
+    """What every fetch replay of one block trace shares.
+
+    ``counts`` maps each block in the trace to its occurrence count and
+    ``first_at`` to its first position, keys in order of first
+    occurrence; both are filled at C speed on first use and hold one
+    entry per distinct block, never one per position.  ``predictions``
+    memoizes predictor components by ``(program token, ATB entries,
+    ATB ways, predictor, gshare bits)``, and ``program_tokens`` numbers
+    the distinct block-metadata columns the tokens stand for: the ATB
+    and predictor never observe the cache or the compressed payload,
+    so every organization of one program replays the same predictor
+    evolution.  A :class:`~repro.core.study.ProgramStudy` holds one for
+    its trace, so its organizations and sweeps run each predictor pass
+    once; the engine's other memos are keyed by ``id()`` and stay per
+    call, because an id may be reused once an image is freed.
+    """
+
+    def __init__(self, trace: Sequence[int]) -> None:
+        self.trace = trace
+        self.program_tokens: Dict[tuple, int] = {}
+        self.predictions: Dict[tuple, tuple] = {}
+
+    @cached_property
+    def counts(self) -> Counter:
+        return Counter(self.trace)
+
+    @cached_property
+    def first_at(self) -> Dict[int, int]:
+        trace = self.trace
+        # array.index takes no start before Python 3.10; these do.
+        if getattr(trace, "typecode", None) == "B":
+            trace = bytes(trace)
+        else:
+            trace = list(trace)
+        # Blocks run in order of first occurrence, so each search starts
+        # where the previous one stopped: one scan of the trace in all.
+        first_at = {}
+        position = 0
+        for block_id in self.counts:
+            position = trace.index(block_id, position)
+            first_at[block_id] = position
+        return first_at
+
+
+def _replay_of(trace: Sequence[int], replay) -> TraceReplay:
+    """``replay`` checked against ``trace``, or a fresh state for it."""
+    if replay is None:
+        return TraceReplay(trace)
+    if replay.trace is not trace:
+        raise ValueError("the replay state belongs to another trace")
+    return replay
+
+
+# ------------------------------------------------------- cache component
 class _L0Pass(NamedTuple):
     """What the L0 buffer did over one trace.
 
@@ -429,8 +491,7 @@ _NO_L0 = _L0Pass(b"", 0, 0, 0, 0, Counter())
 
 
 def _l0_pass(
-    trace: Sequence[int],
-    positions: Dict[int, List[int]],
+    replay: TraceReplay,
     costs: BlockCosts,
     op_counts: Sequence[int],
     capacity: int,
@@ -443,12 +504,12 @@ def _l0_pass(
     a probing block larger than the buffer always misses and never
     changes the buffer's contents.
     """
-    l0_fits = costs.l0_fits
+    trace = replay.trace
     hit_bits = bytearray(len(trace))
     l0: Dict[int, int] = {}
     used = 0
     for position, block_id in compress(
-        enumerate(trace), map(l0_fits.__getitem__, trace)
+        enumerate(trace), _per_position(trace, costs.l0_fits)
     ):
         resident = l0.pop(block_id, None)
         if resident is not None:
@@ -464,7 +525,9 @@ def _l0_pass(
     hits = sum(hits_by_block.values())
     l0_probe = costs.l0_probe
     probes = sum(
-        len(at) for block_id, at in positions.items() if l0_probe[block_id]
+        count
+        for block_id, count in replay.counts.items()
+        if l0_probe[block_id]
     )
     buffer = costs.buffer
     cycles = sum(
@@ -499,8 +562,7 @@ class _CacheComponent(NamedTuple):
 
 
 def _cache_component(
-    trace: Sequence[int],
-    positions: Dict[int, List[int]],
+    replay: TraceReplay,
     span_pairs: Sequence[tuple],
     ways: int,
     costs: BlockCosts,
@@ -517,8 +579,10 @@ def _cache_component(
     the blocks touching an evicting set are replayed, and only against
     those sets (the module docstring says why this is exact).
     """
+    trace = replay.trace
+    first_at = replay.first_at
     lines_of_set: Dict[int, set] = {}
-    for block_id in positions:
+    for block_id in first_at:
         for set_index, line in span_pairs[block_id]:
             lines_of_set.setdefault(set_index, set()).add(line)
     buckets: Dict[int, Dict[int, bool]] = {
@@ -531,34 +595,46 @@ def _cache_component(
     # touches of lines in never-evicting sets, then the replay's misses.
     miss_bits = bytearray(len(trace))
     touched = set()
-    replayed = []
-    single_span: List[tuple] = [None] * len(span_pairs)
-    multi_span: List[tuple] = [None] * len(span_pairs)
-    for block_id, at in positions.items():
+    replayed = [False] * len(span_pairs)
+    # A block's replayed (bucket, line) pairs: in ``single`` when there
+    # is one, in ``spread`` when each lies in its own set, in
+    # ``coupled`` when two share one.
+    single: List[tuple] = [None] * len(span_pairs)
+    spread: List[tuple] = [None] * len(span_pairs)
+    coupled: List[tuple] = [None] * len(span_pairs)
+    for block_id, first in first_at.items():
         spans = []
+        sets = set()
         for set_index, line in span_pairs[block_id]:
             bucket = buckets.get(set_index)
             if bucket is not None:
                 spans.append((bucket, line))
+                sets.add(set_index)
             elif line not in touched:
                 touched.add(line)
-                miss_bits[at[0]] = 1
+                miss_bits[first] = 1
         if spans:
-            replayed.append(at)
+            replayed[block_id] = True
             if len(spans) == 1:
-                single_span[block_id] = spans[0]
+                single[block_id] = spans[0]
+            elif len(sets) == len(spans):
+                spread[block_id] = tuple(spans)
             else:
-                multi_span[block_id] = tuple(spans)
+                coupled[block_id] = tuple(spans)
 
     lines_fetched = len(touched)
-    order = sorted(chain.from_iterable(replayed))
-    if l0.hit_bits:
-        order = filterfalse(l0.hit_bits.__getitem__, order)
-    for position in order:
-        block_id = trace[position]
-        single = single_span[block_id]
-        if single is not None:
-            bucket, line = single
+    order = ()
+    if any(replayed):
+        selected = _per_position(trace, replayed)
+        if l0.hit_mask:
+            selected = (
+                int.from_bytes(selected, "big") & ~l0.hit_mask
+            ).to_bytes(len(trace), "big")
+        order = compress(enumerate(trace), selected)
+    for position, block_id in order:
+        one = single[block_id]
+        if one is not None:
+            bucket, line = one
             if bucket.pop(line, False):
                 bucket[line] = True
                 continue
@@ -567,20 +643,33 @@ def _cache_component(
                 del bucket[next(iter(bucket))]
             bucket[line] = True
         else:
-            # Two phases, like BankedCache.access_block: probe every
-            # line before touching any, so an install cannot evict a
-            # sibling line that should have counted as resident.
-            spans = multi_span[block_id]
+            spans = spread[block_id]
             missing = 0
-            for bucket, line in spans:
-                if line not in bucket:
+            if spans is not None:
+                # Lines in distinct sets cannot evict one another, so
+                # each is probed and installed in one step.
+                for bucket, line in spans:
+                    if bucket.pop(line, False):
+                        bucket[line] = True
+                        continue
                     missing += 1
-            for bucket, line in spans:
-                if line in bucket:
-                    del bucket[line]
-                elif len(bucket) >= ways:
-                    del bucket[next(iter(bucket))]
-                bucket[line] = True
+                    if len(bucket) >= ways:
+                        del bucket[next(iter(bucket))]
+                    bucket[line] = True
+            else:
+                # Two phases, like BankedCache.access_block: probe every
+                # line before touching any, so an install cannot evict
+                # a sibling line that should have counted as resident.
+                spans = coupled[block_id]
+                for bucket, line in spans:
+                    if line not in bucket:
+                        missing += 1
+                for bucket, line in spans:
+                    if line in bucket:
+                        del bucket[line]
+                    elif len(bucket) >= ways:
+                        del bucket[next(iter(bucket))]
+                    bucket[line] = True
             if not missing:
                 continue
         miss_bits[position] = 1
@@ -590,8 +679,8 @@ def _cache_component(
     miss_cost_f = costs.miss_f
     buffer_hits_of = l0.hits_by_block
     cycles_f = l0.cycles + sum(
-        (len(at) - buffer_hits_of[block_id]) * hit_cost_f[block_id]
-        for block_id, at in positions.items()
+        (count - buffer_hits_of[block_id]) * hit_cost_f[block_id]
+        for block_id, count in replay.counts.items()
     )
     misses_of = Counter(compress(trace, miss_bits))
     bus_beats = bus_bytes = 0
@@ -621,6 +710,7 @@ def _cache_component(
         bus_flips=bus_flips,
     )
 
+
 # -------------------------------------------------------------- the sweep
 def _geometry_key(geometry: CacheGeometry) -> tuple:
     """Behavioral identity of a geometry (the name is presentation)."""
@@ -629,7 +719,7 @@ def _geometry_key(geometry: CacheGeometry) -> tuple:
 
 def _sweep_engine(
     image_for,
-    trace: Sequence[int],
+    replay: TraceReplay,
     configs: Sequence[FetchConfig],
 ) -> List[FetchMetrics]:
     """Shared body of the two public sweep entry points.
@@ -641,21 +731,25 @@ def _sweep_engine(
     from the underlying *program* (block metadata, predictor
     components, delivered-op totals) is shared across images of the
     same program — a mixed-scheme grid pays for each distinct predictor
-    once.  The trace's per-block positions are gathered once per call.
+    once.  The trace facts and the predictor components live on
+    ``replay``, so they also outlive the call; every ``id()``-keyed
+    memo stays per call, since an id may be reused once its image is
+    freed.
     """
     rows = penalty_rows()
     results: List[FetchMetrics] = []
+    trace = replay.trace
     blocks_fetched = len(trace)
-    positions = _block_positions(trace)
 
     # ----------------------------------------------------- memo tables
     meta_memo: Dict[int, tuple] = {}        # id(program image)
     # Distinct ProgramImage objects with identical block metadata (the
     # per-scheme images of one study round-trip the store as separate
-    # copies) share one predictor token, so mixed-scheme grids compute
-    # each predictor component once, not once per scheme.
-    pred_tokens: Dict[tuple, int] = {}      # meta columns -> token
-    pred_comps: Dict[tuple, tuple] = {}     # (program token, pred key)
+    # copies) share one predictor token, so mixed-scheme grids, and
+    # every call handed the same replay state, compute each predictor
+    # component once, not once per scheme.
+    pred_tokens = replay.program_tokens     # meta columns -> token
+    pred_comps = replay.predictions         # (program token, pred key)
     cache_comps: Dict[tuple, _CacheComponent] = {}
     l0_memo: Dict[tuple, _L0Pass] = {}      # (id(image), family, L0)
     span_memo: Dict[tuple, list] = {}       # (id(image), line, sets)
@@ -675,9 +769,9 @@ def _sweep_engine(
                 block_meta_columns(image)
             )
             delivered_mops = delivered_ops = 0
-            for block_id, at in positions.items():
-                delivered_mops += len(at) * mop_counts[block_id]
-                delivered_ops += len(at) * op_counts[block_id]
+            for block_id, count in replay.counts.items():
+                delivered_mops += count * mop_counts[block_id]
+                delivered_ops += count * op_counts[block_id]
             columns = (tuple(kinds), tuple(targets), tuple(falls))
             program_token = pred_tokens.setdefault(
                 columns, len(pred_tokens)
@@ -748,12 +842,11 @@ def _sweep_engine(
                 l0 = l0_memo.get(l0_key)
                 if l0 is None:
                     l0 = _l0_pass(
-                        trace, positions, costs, op_counts,
-                        config.l0_capacity_ops,
+                        replay, costs, op_counts, config.l0_capacity_ops
                     )
                     l0_memo[l0_key] = l0
             comp = _cache_component(
-                trace, positions, span_pairs, geometry.ways, costs, l0,
+                replay, span_pairs, geometry.ways, costs, l0,
                 beats_by_block, payload_lens,
             )
             cache_comps[cache_key] = comp
@@ -811,20 +904,29 @@ def simulate_fetch_sweep(
     compressed: CompressedImage,
     trace: Sequence[int],
     configs: Sequence[FetchConfig],
+    *,
+    replay: Optional[TraceReplay] = None,
 ) -> List[FetchMetrics]:
     """Replay ``trace`` once for many configurations at once.
 
     Returns one :class:`~repro.fetch.engine.FetchMetrics` per entry of
     ``configs``, in order, each bit-identical to
-    ``simulate_fetch_reference(compressed, trace, config)``.
+    ``simulate_fetch_reference(compressed, trace, config)``.  ``replay``
+    is a :class:`TraceReplay` of this same ``trace`` whose predictor
+    outcomes the call reads and extends; without it the call builds
+    its own.
     """
-    return _sweep_engine(lambda scheme: compressed, trace, configs)
+    return _sweep_engine(
+        lambda scheme: compressed, _replay_of(trace, replay), configs
+    )
 
 
 def simulate_fetch_sweep_multi(
     images: Dict[str, CompressedImage],
     trace: Sequence[int],
     configs: Sequence[FetchConfig],
+    *,
+    replay: Optional[TraceReplay] = None,
 ) -> List[FetchMetrics]:
     """Sweep a mixed-scheme grid, one image per scheme.
 
@@ -834,7 +936,7 @@ def simulate_fetch_sweep_multi(
     to concatenating per-scheme :func:`simulate_fetch_sweep` calls,
     except predictor components — which depend only on the underlying
     program — are shared across schemes whose images wrap the same
-    program.
+    program.  ``replay`` is as for :func:`simulate_fetch_sweep`.
     """
 
     def image_for(scheme: str) -> CompressedImage:
@@ -845,4 +947,4 @@ def simulate_fetch_sweep_multi(
                 f"no compressed image supplied for scheme {scheme!r}"
             ) from None
 
-    return _sweep_engine(image_for, trace, configs)
+    return _sweep_engine(image_for, _replay_of(trace, replay), configs)

@@ -118,9 +118,9 @@ def test_parallel_fig13_simulates_each_organization_once(
 def test_one_benchmark_with_jobs_runs_inline(
     capsys, fresh_cache, monkeypatch
 ):
-    """A lone benchmark's task runs in the parent, whatever --jobs says:
-    its in-memory study answers the Ideal lookup of the row pass, and
-    only the three swept organizations are read back from the store."""
+    """A lone benchmark runs in the parent, whatever --jobs says, and
+    only once: the row pass simulates every organization itself, as a
+    --jobs 1 run does, and reads nothing back from the store."""
     import repro.runtime.scheduler as scheduler
 
     def no_pool(*args, **kwargs):
@@ -132,7 +132,7 @@ def test_one_benchmark_with_jobs_runs_inline(
          "--scale", "2", "--json"]
     ) == 0
     fetch = json.loads(capsys.readouterr().out)["runtime"]["stages"]["fetch"]
-    assert (fetch["misses"], fetch["hits"]) == (4, 3)
+    assert (fetch["misses"], fetch["hits"]) == (4, 0)
 
 
 def test_jobs_without_the_cache_is_one_rule(capsys, fresh_cache):

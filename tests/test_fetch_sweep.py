@@ -8,12 +8,14 @@ reference engine ``simulate_fetch_reference``.  Hypothesis drives
 randomized grids over geometry, scheme, predictor, ATB shape, L0
 capacity and bus width; the unit tests cover the degenerate shapes,
 the cache component's split into never-evicting and replayed sets on
-hand-laid images, and the store-backed ``run_sweep`` wrapper.
+hand-laid images, the trace-level replay state a study shares across
+its fetches, and the store-backed ``run_sweep`` wrapper.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -28,6 +30,7 @@ from repro.errors import ConfigurationError
 from repro.fetch.config import CacheGeometry, FetchConfig
 from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 from repro.fetch.sweep import (
+    TraceReplay,
     block_span_pairs,
     simulate_fetch_sweep,
     simulate_fetch_sweep_multi,
@@ -461,6 +464,108 @@ def test_default_grid_sweep_warms_the_figure_studies(fresh_store):
     assert found == swept
     assert REPORT.stage("fetch").hits == 3
     assert REPORT.stage("fetch").misses == 0
+
+
+# ---------------------------------------------------------- replay state
+@pytest.mark.parametrize("kind", ["list", "B", "H"])
+def test_replay_state_counts_and_first_positions(kind):
+    blocks = [3, 1, 3, 0, 1, 1, 4, 3]
+    trace = list(blocks) if kind == "list" else array(kind, blocks)
+    replay = TraceReplay(trace)
+    assert replay.counts == {3: 3, 1: 3, 0: 1, 4: 1}
+    assert list(replay.first_at.items()) == [(3, 0), (1, 1), (0, 3), (4, 6)]
+
+
+def test_replay_state_of_another_trace_is_refused(sweep_images):
+    config = FetchConfig.for_scheme("base", scaled=True)
+    with pytest.raises(ValueError, match="another trace"):
+        simulate_fetch(
+            sweep_images["base"], [0, 1], config,
+            replay=TraceReplay([0, 1]),
+        )
+
+
+@pytest.fixture
+def counted_predictor(monkeypatch):
+    """Count the engine's predictor passes."""
+    import repro.fetch.sweep as sweep_module
+
+    calls = []
+    component = sweep_module._predictor_component
+
+    def counting(*args, **kwargs):
+        calls.append(args[-2])  # the predictor name
+        return component(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "_predictor_component", counting)
+    return calls
+
+
+@pytest.fixture
+def no_store():
+    """No store and no in-process study state: every fetch computes."""
+    saved = runtime.runtime_config()
+    clear_caches()
+    runtime.configure(enabled=False)
+    yield
+    clear_caches()
+    runtime.set_runtime_config(saved)
+
+
+def test_study_organizations_share_one_predictor_pass(
+    no_store, counted_predictor
+):
+    study = study_for("compress", 2)
+    found = {scheme: study.fetch_metrics(scheme) for scheme in SCHEMES}
+    assert counted_predictor == ["block"]
+    trace = study.run.block_trace
+    for scheme, metrics in found.items():
+        assert metrics == simulate_fetch(
+            study.compressed(fetch_image_key(scheme)), trace,
+            FetchConfig.for_scheme(scheme, scaled=True),
+        )
+
+
+def test_sweep_on_a_warmed_study_runs_no_predictor_pass(
+    no_store, counted_predictor
+):
+    grid = expand_grid(**DESIGN_GRID)
+    first = run_sweep("compress", grid, scale=2)
+    assert sorted(counted_predictor) == ["block", "gshare"]
+    counted_predictor.clear()
+    assert run_sweep("compress", grid, scale=2) == first
+    assert counted_predictor == []
+
+
+def test_warm_store_fetch_builds_no_replay_state(fresh_store):
+    study_for("compress", 2).fetch_metrics("base")
+    clear_caches()
+    study = study_for("compress", 2)
+    reset_metrics()
+    study.fetch_metrics("base")
+    assert REPORT.stage("fetch").hits == 1
+    assert study._replay is None
+    # A computed fetch makes it.
+    study.fetch_metrics("base", FetchConfig.for_scheme("base"))
+    assert study._replay is not None
+
+
+def test_replay_state_holds_nothing_per_position(no_store):
+    study = study_for("compress", 2)
+    for scheme in SCHEMES:
+        study.fetch_metrics(scheme)
+    run_sweep("compress", expand_grid(**DESIGN_GRID), scale=2)
+    nblocks = len(study.compiled.image)
+    replay = study.replay
+    assert len(study.run.block_trace) > nblocks
+    assert replay.trace is study.run.block_trace
+    containers = {
+        name: value for name, value in vars(replay).items()
+        if name != "trace"
+    }
+    assert {"counts", "first_at", "predictions"} <= set(containers)
+    for name, value in containers.items():
+        assert len(value) <= nblocks, name
 
 
 # ----------------------------------------------------------- stage seconds
