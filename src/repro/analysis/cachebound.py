@@ -27,7 +27,7 @@ age ``a`` (``ways`` if absent) and ages every line of its set below a
 threshold — ``a`` in the must domain, ``min(a + 1, ways)`` in the may
 domain — by shifting ``le[k - 1]`` into ``le[k]`` within ``set_mask``
 (eviction falls out at ``k = ways - 1``), then sets the line's bit at
-every age.  The solver visits blocks in reverse postorder.
+every age.  Each domain's solver visits blocks in reverse postorder.
 
 :func:`cycle_bounds` combines the classification with the fetch
 machine's own per-block cost columns
@@ -45,7 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import and_, or_
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.dataflow import predecessors, reverse_postorder
 from repro.analysis.imagecfg import interprocedural_cfg
@@ -122,61 +130,100 @@ def _line_accesses(
 
 
 # ------------------------------------------------------------------ solver
-def _solve(
-    cfg: Dict[int, Sequence[int]],
-    entry: int,
+class _Graph(NamedTuple):
+    """A CFG numbered in reverse postorder from its entry.
+
+    ``order[i]`` is the block of rank ``i`` (the entry has rank 0), and
+    ``preds[i]``/``succs[i]`` list the ranks of its reachable
+    predecessors and successors in the CFG's own list order.  One
+    numbering serves every structure solved over the same image.
+    """
+
+    order: List[int]
+    preds: List[List[int]]
+    succs: List[List[int]]
+
+
+def _graph(cfg: Dict[int, Sequence[int]], entry: int) -> _Graph:
+    order = reverse_postorder(cfg, entry)
+    rank = {node: index for index, node in enumerate(order)}
+    preds = predecessors(cfg)
+    return _Graph(
+        order,
+        [[rank[p] for p in preds[node] if p in rank] for node in order],
+        [[rank[s] for s in cfg[node]] for node in order],
+    )
+
+
+def _fixpoint(
+    graph: _Graph,
     accesses: Sequence[Tuple[Access, ...]],
     skippable: Sequence[bool],
     ways: int,
-) -> Tuple[Dict[int, State], Dict[int, State]]:
-    """Fixpoint in-states (must, may) per reachable block.
+    must: bool,
+) -> Dict[int, State]:
+    """Fixpoint in-state per reachable block of one domain.
 
-    The boundary at ``entry`` is the cold cache — empty must (nothing
-    guaranteed resident) *and* empty may (nothing possibly resident):
-    the simulator builds its structures empty, so this is both sound
-    and precise (first touches classify as compulsory misses).  The
-    worklist is optimistic: a node joins only predecessors already
+    The worklist is optimistic: a node joins only predecessors already
     computed; monotone transfers over the finite age lattice guarantee
     convergence.  It always pops the queued block earliest in reverse
     postorder, which changes how many transfers run, never the
     fixpoint.  A block is re-queued whenever a predecessor's out-state
     changes, so the in-state of its last visit is final.
     """
-    order = reverse_postorder(cfg, entry)
-    rank = {node: index for index, node in enumerate(order)}
-    preds = predecessors(cfg)
-    cold: State = (0,) * ways
-    out_must: Dict[int, State] = {}
-    out_may: Dict[int, State] = {}
-    in_must: Dict[int, State] = {}
-    in_may: Dict[int, State] = {}
+    order, preds, succs = graph
+    out: List[Optional[State]] = [None] * len(order)
+    in_states: List[Optional[State]] = [None] * len(order)
+    queued = [False] * len(order)
+    queued[0] = True
     work = [0]
-    queued = {0}
+    cold: State = (0,) * ways
     while work:
         index = heappop(work)
-        queued.discard(index)
+        queued[index] = False
+        state = cold if index == 0 else None
+        for pred in preds[index]:
+            pred_out = out[pred]
+            if pred_out is not None:
+                state = (
+                    pred_out
+                    if state is None
+                    else _join(state, pred_out, must)
+                )
+        in_states[index] = state
         node = order[index]
-        must = may = cold if node == entry else None
-        for pred in preds[node]:
-            if pred in out_must:
-                if must is None:
-                    must, may = out_must[pred], out_may[pred]
-                else:
-                    must = _join(must, out_must[pred], True)
-                    may = _join(may, out_may[pred], False)
-        in_must[node] = must
-        in_may[node] = may
-        new_must = _transfer(must, accesses[node], skippable[node], True)
-        new_may = _transfer(may, accesses[node], skippable[node], False)
-        if out_must.get(node) != new_must or out_may.get(node) != new_may:
-            out_must[node] = new_must
-            out_may[node] = new_may
-            for succ in cfg[node]:
-                succ_index = rank[succ]
-                if succ_index not in queued:
-                    queued.add(succ_index)
-                    heappush(work, succ_index)
-    return in_must, in_may
+        new = _transfer(state, accesses[node], skippable[node], must)
+        if new != out[index]:
+            out[index] = new
+            for succ in succs[index]:
+                if not queued[succ]:
+                    queued[succ] = True
+                    heappush(work, succ)
+    return dict(zip(order, in_states))
+
+
+def _solve(
+    graph: _Graph,
+    accesses: Sequence[Tuple[Access, ...]],
+    skippable: Sequence[bool],
+    ways: int,
+) -> Tuple[Dict[int, State], Dict[int, State]]:
+    """Fixpoint in-states (must, may) per reachable block.
+
+    The boundary at the entry is the cold cache — empty must (nothing
+    guaranteed resident) *and* empty may (nothing possibly resident):
+    the simulator builds its structures empty, so this is both sound
+    and precise (first touches classify as compulsory misses).  The
+    two domains share no state, so each runs on its own worklist
+    (:func:`_fixpoint`) and re-queues successors only when its own
+    out-state changes; any chaotic iteration of a monotone framework
+    reaches the same fixpoint, so the in-states equal those of one
+    joint worklist running both transfers per visit.
+    """
+    return (
+        _fixpoint(graph, accesses, skippable, ways, True),
+        _fixpoint(graph, accesses, skippable, ways, False),
+    )
 
 
 # ----------------------------------------------------------- classification
@@ -202,15 +249,14 @@ class FetchClassification:
 
 
 def _classify_structure(
-    cfg: Dict[int, Sequence[int]],
-    entry: int,
+    graph: _Graph,
     pairs_by_block: Sequence[Sequence[Tuple[int, int]]],
     skippable: Sequence[bool],
     ways: int,
 ) -> Classification:
     """Classify each reachable block's ``(set, line)`` accesses."""
     accesses = _line_accesses(pairs_by_block)
-    must_in, may_in = _solve(cfg, entry, accesses, skippable, ways)
+    must_in, may_in = _solve(graph, accesses, skippable, ways)
     always_hit = set()
     always_miss = set()
     for bid, must in must_in.items():
@@ -235,17 +281,15 @@ def _classify(
     l0_possible: Sequence[bool],
 ) -> FetchClassification:
     image = compressed.image
-    cfg = interprocedural_cfg(image)
-    entry = image.entry_block
+    graph = _graph(interprocedural_cfg(image), image.entry_block)
     nblocks = len(image)
     atb_mask = config.atb_entries // config.atb_ways - 1
     return FetchClassification(
         cache=_classify_structure(
-            cfg, entry, span_pairs, l0_possible, config.cache.ways
+            graph, span_pairs, l0_possible, config.cache.ways
         ),
         atb=_classify_structure(
-            cfg,
-            entry,
+            graph,
             [((bid & atb_mask, bid),) for bid in range(nblocks)],
             [False] * nblocks,
             config.atb_ways,

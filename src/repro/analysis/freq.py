@@ -94,27 +94,46 @@ def block_frequencies(
     reducible loop nest converges geometrically.  Stops at
     :data:`EPSILON` stability or :data:`MAX_ITERATIONS`, clamping at
     :data:`FREQUENCY_CLAMP` so infinite loops stay finite.
+
+    Each reachable block's inflow row — ``(reverse-postorder index of
+    pred, probability)`` in predecessor-list order, for every reachable
+    predecessor whose edge has a probability — is built once, and the
+    sweeps run over a flat list of frequencies.  A block's update adds
+    its inflows to its base value (1.0 at the entry) one at a time in
+    that order, then clamps, so every frequency is the same float the
+    per-edge dictionary lookups produced.
     """
     if probabilities is None:
         probabilities = branch_probabilities(cfg, entry)
     order = reverse_postorder(cfg, entry)
+    rank = {block: index for index, block in enumerate(order)}
     preds = predecessors(cfg)
-    freq = {block: 0.0 for block in order}
-    freq[entry] = 1.0
+    rows = []
+    for block in order:
+        row = []
+        for pred in preds.get(block, ()):
+            prob = probabilities.get((pred, block))
+            if prob is not None and pred in rank:
+                row.append((rank[pred], prob))
+        rows.append((1.0 if block == entry else 0.0, row))
+    values = [0.0] * len(order)
+    values[rank[entry]] = 1.0
     for _ in range(MAX_ITERATIONS):
         delta = 0.0
-        for block in order:
-            inflow = 1.0 if block == entry else 0.0
-            for pred in preds.get(block, ()):
-                prob = probabilities.get((pred, block))
-                if prob is not None and pred in freq:
-                    inflow += freq[pred] * prob
-            inflow = min(inflow, FREQUENCY_CLAMP)
-            delta = max(delta, abs(inflow - freq[block]))
-            freq[block] = inflow
+        for index, (inflow, row) in enumerate(rows):
+            for pred_index, prob in row:
+                inflow += values[pred_index] * prob
+            if inflow > FREQUENCY_CLAMP:
+                inflow = FREQUENCY_CLAMP
+            change = inflow - values[index]
+            if change < 0.0:
+                change = -change
+            if change > delta:
+                delta = change
+            values[index] = inflow
         if delta <= EPSILON:
             break
-    return freq
+    return dict(zip(order, values))
 
 
 def static_heat_profile(image) -> Tuple[int, ...]:

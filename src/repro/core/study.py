@@ -267,7 +267,7 @@ class ProgramStudy:
             trace = self.run.block_trace
             compressed = self.compressed(fetch_image_key(scheme))
             if config is None:
-                return ideal_metrics(compressed, trace)
+                return ideal_metrics(compressed, trace, replay=self.replay)
             return simulate_fetch(
                 compressed, trace, config, replay=self.replay
             )

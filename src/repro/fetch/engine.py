@@ -78,18 +78,24 @@ class FetchMetrics:
 
 
 def ideal_metrics(
-    compressed: CompressedImage, trace: Sequence[int]
+    compressed: CompressedImage, trace: Sequence[int], *, replay=None
 ) -> FetchMetrics:
-    """The paper's "Ideal": perfect cache and predictor, 1 MultiOp/cycle."""
+    """The paper's "Ideal": perfect cache and predictor, 1 MultiOp/cycle.
+
+    The totals are one term per distinct block of the trace, taken from
+    ``replay`` (a :class:`~repro.fetch.sweep.TraceReplay` of ``trace``)
+    when one is given, else from a fresh count of the trace.
+    """
+    from repro.fetch.sweep import _replay_of
+
     image = compressed.image
-    mop_counts = [b.mop_count for b in image]
-    op_counts = [b.op_count for b in image]
     metrics = FetchMetrics(scheme="ideal")
-    for block_id in trace:
-        metrics.cycles += mop_counts[block_id]
-        metrics.delivered_mops += mop_counts[block_id]
-        metrics.delivered_ops += op_counts[block_id]
-        metrics.blocks_fetched += 1
+    for block_id, count in _replay_of(trace, replay).counts.items():
+        block = image.block(block_id)
+        metrics.delivered_mops += block.mop_count * count
+        metrics.delivered_ops += block.op_count * count
+        metrics.blocks_fetched += count
+    metrics.cycles = metrics.delivered_mops
     return metrics
 
 

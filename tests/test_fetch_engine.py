@@ -1,5 +1,7 @@
 """Tests for the fetch engine's cycle accounting against Table 1."""
 
+from array import array
+
 import pytest
 
 from repro.compression.registry import known_scheme_keys
@@ -15,7 +17,10 @@ from repro.fetch.config import (
     CacheGeometry,
     FetchConfig,
 )
+from repro.core.study import study_for
 from repro.fetch.engine import FetchMetrics, ideal_metrics, simulate_fetch
+from repro.fetch.sweep import TraceReplay
+from repro.programs.suite import BENCHMARK_NAMES
 from repro.tailored.encoding import TailoredScheme
 
 
@@ -39,6 +44,47 @@ class TestIdeal:
             image.block(b).op_count for b in trace
         )
         assert 1.0 <= metrics.ipc <= 6.0
+
+
+def oracle_ideal_metrics(compressed, trace):
+    """The per-position walk ``ideal_metrics`` replaced, kept verbatim."""
+    image = compressed.image
+    mop_counts = [b.mop_count for b in image]
+    op_counts = [b.op_count for b in image]
+    metrics = FetchMetrics(scheme="ideal")
+    for block_id in trace:
+        metrics.cycles += mop_counts[block_id]
+        metrics.delivered_mops += mop_counts[block_id]
+        metrics.delivered_ops += op_counts[block_id]
+        metrics.blocks_fetched += 1
+    return metrics
+
+
+@pytest.mark.parametrize("typecode", ["list", "B", "H"])
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_ideal_totals_equal_the_trace_walk(name, typecode):
+    study = study_for(name, 1)
+    trace = study.run.block_trace
+    trace = list(trace) if typecode == "list" else array(typecode, trace)
+    compressed = study.compressed("base")
+    expected = oracle_ideal_metrics(compressed, trace)
+    assert ideal_metrics(compressed, trace) == expected
+    assert ideal_metrics(
+        compressed, trace, replay=TraceReplay(trace)
+    ) == expected
+    assert study.fetch_metrics("ideal") == oracle_ideal_metrics(
+        compressed, study.run.block_trace
+    )
+
+
+def test_ideal_refuses_another_traces_replay(artifacts):
+    image, trace = artifacts
+    with pytest.raises(ValueError, match="another trace"):
+        ideal_metrics(
+            BaselineScheme().compress(image),
+            trace,
+            replay=TraceReplay(list(trace)),
+        )
 
 
 class TestEngineBasics:
