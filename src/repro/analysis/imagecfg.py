@@ -12,7 +12,7 @@ intra-procedural liveness.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.isa.image import BasicBlockImage, ProgramImage
 from repro.isa.opcodes import Opcode
@@ -92,11 +92,51 @@ def interprocedural_cfg(image: ProgramImage) -> Dict[int, List[int]]:
     graph (machine-checked by the ``static-trace-edges`` invariant), so
     forward dataflow over it is sound for the static frequency and
     cache-bound analyses.
+
+    One walk over each block's MultiOps collects its branch and call
+    targets, its call continuations and whether it returns; keys and
+    successors come out in the order :func:`image_cfg` followed by
+    :func:`return_continuations`' edges would give them.
     """
-    cfg = image_cfg(image)
-    for ret_block, conts in return_continuations(image).items():
-        succs = cfg[ret_block]
-        for cont in conts:
+    # Enum members read as locals: ``Opcode.RET`` is a descriptor call.
+    br, call, ret = Opcode.BR, Opcode.CALL, Opcode.RET
+    n = len(image)
+    cfg: Dict[int, List[int]] = {}
+    calls: List[Tuple[int, int]] = []  # (callee block, continuation)
+    returns: List[BasicBlockImage] = []
+    for block in image:
+        ft = block.fallthrough
+        if ft is not None and not 0 <= ft < n:
+            ft = None
+        succs: List[int] = []
+        returns_here = False
+        for mop in block.mops:
+            for op in mop.ops:
+                opcode = op.opcode
+                if opcode is ret:
+                    returns_here = True
+                elif opcode is br or opcode is call:
+                    target = op.target_block
+                    if target is None or not 0 <= target < n:
+                        continue
+                    if target not in succs:
+                        succs.append(target)
+                    if opcode is call and ft is not None:
+                        calls.append((target, ft))
+        if ft is not None and ft not in succs:
+            succs.append(ft)
+        cfg[block.block_id] = succs
+        if returns_here:
+            returns.append(block)
+    owner = {block.block_id: block.function for block in image}
+    continuations: Dict[str, List[int]] = {}
+    for target, ft in calls:
+        conts = continuations.setdefault(owner[target], [])
+        if ft not in conts:
+            conts.append(ft)
+    for block in returns:
+        succs = cfg[block.block_id]
+        for cont in continuations.get(block.function, ()):
             if cont not in succs:
                 succs.append(cont)
     return cfg

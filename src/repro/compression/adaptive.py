@@ -10,7 +10,9 @@ image:
   context-modeled full-op Huffman and keep the size win (Ozturk et al.,
   "Access Pattern-Based Code Compression").  The cold dictionaries are
   built from the cold blocks alone, so what the hot set gives up in
-  size the sharper cold model buys back.  The resulting
+  size the sharper cold model buys back.  Both halves read the image's
+  op words: the tailored ISA is derived from every block's words, and
+  a hot block packs one ``(bits, width)`` pair per word.  The resulting
   :class:`HybridImage` carries per-block scheme tags that the ATT
   stores (one bit per entry) and the reference fetch engine and the
   sweep columns honor for decompression-penalty and L0-buffer accounting.
@@ -32,7 +34,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.compression.huffman import HuffmanCode, unknown_symbol
+from repro.compression.huffman import (
+    HuffmanCode,
+    pack_symbols,
+    unknown_symbol,
+)
 from repro.compression.registry import HYBRID_DEFAULT_HOTNESS, hybrid_key
 from repro.compression.schemes import (
     BlockWords,
@@ -42,7 +48,11 @@ from repro.compression.schemes import (
     StreamTable,
 )
 from repro.errors import CompressionError, ConfigurationError
-from repro.isa.formats import OP_BITS
+from repro.isa.formats import (
+    OP_BITS,
+    OPCODE_PREFIX_MASK,
+    OPCODE_PREFIX_SHIFT,
+)
 from repro.isa.image import ProgramImage
 from repro.utils.bitstream import pack_block
 
@@ -95,15 +105,10 @@ def hot_block_ids(
 #: history, which keeps blocks independently addressable.
 BLOCK_START_CONTEXT = -1
 
-#: The context class is the previous op's (opt, opcode) prefix — 7 bits
-#: shared by every TEPIC format directly below the t/s flags.
-_CONTEXT_SHIFT = OP_BITS - 9
-_CONTEXT_MASK = 0x7F
-
-
 def context_of(word: int) -> int:
-    """Symbol class a 40-bit op word contributes as left-context."""
-    return (word >> _CONTEXT_SHIFT) & _CONTEXT_MASK
+    """Symbol class a 40-bit op word contributes as left-context: its
+    (opt, opcode) prefix, shared by every TEPIC format."""
+    return (word >> OPCODE_PREFIX_SHIFT) & OPCODE_PREFIX_MASK
 
 
 def _context_codes(
@@ -118,8 +123,11 @@ def _context_codes(
     for words in all_words:
         ctx = BLOCK_START_CONTEXT
         for word in words:
-            histograms.setdefault(ctx, Counter())[word] += 1
-            ctx = context_of(word)
+            histogram = histograms.get(ctx)
+            if histogram is None:
+                histogram = histograms[ctx] = Counter()
+            histogram[word] += 1
+            ctx = (word >> OPCODE_PREFIX_SHIFT) & OPCODE_PREFIX_MASK
     return {ctx: build_code(h) for ctx, h in histograms.items()}
 
 
@@ -132,7 +140,7 @@ def _pack_in_context(
     try:
         for word in words:
             pairs.append(tables[ctx][word])
-            ctx = (word >> _CONTEXT_SHIFT) & _CONTEXT_MASK
+            ctx = (word >> OPCODE_PREFIX_SHIFT) & OPCODE_PREFIX_MASK
     except KeyError:
         raise unknown_symbol(word) from None
     return pack_block(pairs)
@@ -187,6 +195,9 @@ class HybridScheme(CompressionScheme):
     estimate of :func:`repro.analysis.freq.static_heat_profile`.  The
     scheme itself is agnostic to where the counts came from; ``source``
     only selects the provider and keeps the key/name canonical.
+
+    Hot and cold blocks alike are encoded from the op words, so a
+    caller that attaches none pays one encode of every block.
     """
 
     def __init__(
@@ -220,21 +231,11 @@ class HybridScheme(CompressionScheme):
             )
         return hot_block_ids(self._profile, self.hotness)
 
-    def _own_words(self, image: ProgramImage) -> list:
-        # Hot blocks are tailored-encoded from their fields, so only cold
-        # blocks need op words.
-        hot = self._hot_blocks(image)
-        return [
-            None if block.block_id in hot
-            else tuple([op.encode() for op in block.ops])
-            for block in image
-        ]
-
     def _compress(
         self, image: ProgramImage, words: BlockWords
     ) -> HybridImage:
-        from repro.tailored.analysis import analyze_image
-        from repro.tailored.encoding import op_encoder
+        from repro.tailored.analysis import analyze_words
+        from repro.tailored.encoding import word_codes
 
         hot = self._hot_blocks(image)
         tags = [
@@ -249,17 +250,18 @@ class HybridScheme(CompressionScheme):
             self._build_code,
         )
         tables = {ctx: code.codes for ctx, code in codes.items()}
-        spec = analyze_image(image)
-        encode_hot = op_encoder(spec)
+        # The tailored ISA fits every block's words, cold ones included.
+        spec = analyze_words(words, image.name)
+        hot_codes = word_codes(
+            spec, set().union(*(words[block_id] for block_id in hot))
+        )
         payloads = []
         bit_lengths = []
-        for block in image:
-            if tags[block.block_id] == HOT_TAG:
-                payload, bits = pack_block(map(encode_hot, block.ops))
+        for block, tag in zip(words, tags):
+            if tag == HOT_TAG:
+                payload, bits = pack_symbols(hot_codes, block)
             else:
-                payload, bits = _pack_in_context(
-                    tables, words[block.block_id]
-                )
+                payload, bits = _pack_in_context(tables, block)
             payloads.append(payload)
             bit_lengths.append(bits)
         context_ids = tuple(sorted(codes))

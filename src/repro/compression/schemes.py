@@ -20,8 +20,9 @@ block or an image.
 
 Every encoder packs a block as one integer
 (:func:`~repro.utils.bitstream.pack_block`) from ``(code, length)`` pairs.
-The byte, stream and full-op codes give each distinct word one pair, its
-symbols' code words concatenated, so a block is one table lookup per op.
+The byte, stream, full-op and tailored codes give each distinct word one
+pair (its symbols' code words concatenated, or its tailored fields), so a
+block is one table lookup per op (:func:`pack_words`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ BlockWords = tuple[tuple[int, ...], ...]
 
 def block_words(image: ProgramImage) -> BlockWords:
     """Every block's baseline 40-bit op words, encoded once, in order."""
-    return tuple(tuple([op.encode() for op in block.ops]) for block in image)
+    return tuple(
+        tuple([op.encode() for mop in block.mops for op in mop.ops])
+        for block in image
+    )
 
 
 def baseline_bytes(words: Sequence[int]) -> bytes:
@@ -325,7 +329,7 @@ class ByteHuffmanScheme(CompressionScheme):
              for word in block},
             tables,
         )
-        payloads, bit_lengths = _pack_words(words, word_codes)
+        payloads, bit_lengths = pack_words(words, word_codes)
         streams = (StreamTable(code, symbol_bits=8),)
         return CompressedImage(self, image, payloads, bit_lengths, streams)
 
@@ -379,7 +383,7 @@ class StreamHuffmanScheme(CompressionScheme):
                 histogram[symbol] += count
         codes = [self._build_code(h) for h in histograms]
         word_codes = _word_codes(rows, [code.codes for code in codes])
-        payloads, bit_lengths = _pack_words(words, word_codes)
+        payloads, bit_lengths = pack_words(words, word_codes)
         streams = tuple(
             StreamTable(code, symbol_bits=width)
             for code, width in zip(codes, self.config.widths)
@@ -424,7 +428,7 @@ class FullOpHuffmanScheme(CompressionScheme):
         for block in words:
             histogram.update(block)
         code = self._build_code(histogram)
-        payloads, bit_lengths = _pack_words(words, code.codes)
+        payloads, bit_lengths = pack_words(words, code.codes)
         streams = (StreamTable(code, symbol_bits=OP_BITS),)
         return CompressedImage(self, image, payloads, bit_lengths, streams)
 
@@ -460,7 +464,7 @@ def _word_codes(
     return word_codes
 
 
-def _pack_words(
+def pack_words(
     words: BlockWords, word_codes: dict[int, tuple[int, int]]
 ) -> tuple[list[bytes], list[int]]:
     """Pack every block as one ``word_codes`` pair per op."""

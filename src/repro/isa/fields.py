@@ -63,7 +63,7 @@ class Format:
             layout.append((f.name, total_bits - pos, f.max_value))
         self._offsets = offsets
         #: ``(name, shift, max_value)`` per field, MSB first.
-        self._layout = tuple(layout)
+        self.layout = tuple(layout)
 
     def __repr__(self) -> str:
         return f"Format({self.name!r}, {self.total_bits} bits)"
@@ -90,6 +90,10 @@ class Format:
         """Bit offset of a field from the front (MSB side) of the word."""
         return self._offsets[name]
 
+    def shift_of(self, name: str) -> int:
+        """Right shift that brings a field down to bit 0 of the word."""
+        return self.total_bits - self._offsets[name] - self.field(name).width
+
     def encode(self, values: Mapping[str, int]) -> int:
         """Pack field ``values`` into the format's word.
 
@@ -104,7 +108,7 @@ class Format:
             )
         word = 0
         get = values.get
-        for name, shift, max_value in self._layout:
+        for name, shift, max_value in self.layout:
             value = get(name, 0)
             if not 0 <= value <= max_value:
                 raise EncodingError(

@@ -146,3 +146,13 @@ FORMATS: dict[FormatName, Format] = {
 
 #: Fields shared by every format, in the shared fixed prefix order.
 COMMON_PREFIX = ("t", "s", "opt", "opcode")
+
+#: Shifts of the T (tail) and S (speculative) bits that open every format.
+T_SHIFT = OP_BITS - 1
+S_SHIFT = OP_BITS - 2
+
+#: The 7-bit (opt, opcode) prefix below the T and S bits:
+#: ``word >> OPCODE_PREFIX_SHIFT & OPCODE_PREFIX_MASK`` names an op
+#: word's opcode, and hence its format.
+OPCODE_PREFIX_SHIFT = OP_BITS - 9
+OPCODE_PREFIX_MASK = 0x7F

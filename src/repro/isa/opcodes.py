@@ -94,6 +94,9 @@ class Opcode(enum.Enum):
     RET = (OpType.BRANCH, 2, FormatName.BRANCH)
     HALT = (OpType.BRANCH, 3, FormatName.BRANCH)  # emulator stop
 
+    # Singletons compared by identity; Enum's hash is a slow Python call.
+    __hash__ = object.__hash__
+
     def __init__(
         self, optype: OpType, code: int, format_name: FormatName
     ) -> None:

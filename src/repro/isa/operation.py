@@ -4,18 +4,18 @@ An :class:`Operation` carries both the *semantic* content the compiler and
 emulator work with (opcode, registers, immediate, branch-target block) and
 enough format knowledge to produce/consume the exact Table 2 bit pattern.
 The compression and tailored-encoding subsystems consume operations through
-:meth:`Operation.encode` (whole-word view) and
+:meth:`Operation.encode` (whole-word view); the encoding checks read
 :meth:`Operation.field_values` (per-field view).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from repro.errors import DecodingError, EncodingError
 from repro.isa.fields import Format
-from repro.isa.formats import FORMATS, OP_BITS
+from repro.isa.formats import FORMATS, OP_BITS, S_SHIFT, T_SHIFT
 from repro.isa.opcodes import FormatName, Opcode, OpType, lookup
 from repro.isa.registers import Register, RegisterBank, TRUE_PREDICATE, pred
 
@@ -111,6 +111,43 @@ def _operand_fields(fmt: Format) -> tuple:
 #: Per-format operand field table, built once from :data:`FORMATS`.
 _OPERAND_FIELDS: dict[FormatName, tuple] = {
     name: _operand_fields(fmt) for name, fmt in FORMATS.items()
+}
+
+#: The predicate field's maximum.  It is the last field, so its shift
+#: is 0.  The same in every Table 2 format (the plans below check it,
+#: with the T and S shifts).
+_PRED_MAX = 31
+
+
+def _encode_plan(opcode: Opcode) -> tuple:
+    """``(fixed, operands)``: how :meth:`Operation.encode` packs ``opcode``.
+
+    ``fixed`` is the word with only the OPT and OPCODE bits set.
+    ``operands`` is ``(getter, shift, max_value)`` per operand field of
+    the format, in layout order; the fields this study leaves at zero
+    and the reserved fields add no bits and are left out.
+    """
+    fmt = FORMATS[opcode.format_name]
+    layout = {name: (shift, top) for name, shift, top in fmt.layout}
+    if (
+        layout["t"] != (T_SHIFT, 1)
+        or layout["s"] != (S_SHIFT, 1)
+        or layout["pred"] != (0, _PRED_MAX)
+    ):
+        raise ValueError(f"format {fmt.name!r} moves the T, S or pred field")
+    fixed = fmt.encode({"opt": opcode.optype.value, "opcode": opcode.code})
+    getters = {name: get for name, get in _OPERAND_FIELDS[opcode.format_name]}
+    operands = tuple(
+        (getters[name], shift, max_value)
+        for name, shift, max_value in fmt.layout
+        if getters.get(name) is not None
+    )
+    return fixed, operands
+
+
+#: One encode plan per opcode, built once.
+_ENCODE_PLANS: dict[Opcode, tuple] = {
+    opcode: _encode_plan(opcode) for opcode in Opcode
 }
 
 
@@ -267,7 +304,29 @@ class Operation:
         return values
 
     def encode(self) -> int:
-        """Encode to the baseline 40-bit word."""
+        """Encode to the baseline 40-bit word.
+
+        Packs the fields from the opcode's plan.  A field out of range
+        falls back to ``Format.encode`` of :meth:`field_values`, which
+        raises the same error the plain path would.
+        """
+        word, operands = _ENCODE_PLANS[self.opcode]
+        tail = int(self.tail)
+        speculative = int(self.speculative)
+        index = self.predicate.index
+        if (
+            0 <= tail <= 1
+            and 0 <= speculative <= 1
+            and 0 <= index <= _PRED_MAX
+        ):
+            word |= tail << T_SHIFT | speculative << S_SHIFT | index
+            for get, shift, max_value in operands:
+                value = get(self)
+                if not 0 <= value <= max_value:
+                    break
+                word |= value << shift
+            else:
+                return word
         return self.format.encode(self.field_values())
 
     def encode_bytes(self) -> bytes:
@@ -344,10 +403,20 @@ class Operation:
 
     # ------------------------------------------------------------- helpers
     def with_tail(self, tail: bool) -> "Operation":
-        """Copy of this op with the tail bit set/cleared."""
+        """Copy of this op with the tail bit set/cleared.
+
+        The copy skips ``__post_init__``: it differs from a validated op
+        only in ``tail``, which no rule checks.
+        """
         if tail == self.tail:
             return self
-        return replace(self, tail=tail)
+        copy = object.__new__(type(self))
+        # Field by field, in declaration order: filling ``__dict__``
+        # instead would give each copy its own dict, 128 bytes more.
+        for name in _FIELD_NAMES:
+            setattr(copy, name, getattr(self, name))
+        copy.tail = tail
+        return copy
 
     def __str__(self) -> str:
         parts = [self.opcode.name.lower()]
@@ -368,6 +437,10 @@ class Operation:
         if self.tail:
             text += " ;;"
         return text
+
+
+#: :class:`Operation`'s fields in declaration order (see ``with_tail``).
+_FIELD_NAMES = tuple(f.name for f in fields(Operation))
 
 
 __all__ = [

@@ -1,11 +1,13 @@
 """Field-usage analysis for tailored-ISA synthesis.
 
-Walks a program image recording, per Table 2 format, the value range
-every architectural field actually takes ("If the program uses less than
-eight floating-point operations, the FP OpCode field only needs three
-bits.  Similarly, after register allocation, if no more than four
-registers ... it needs only two bits").  The resulting
-:class:`TailoredSpec` fixes:
+Reads a program's baseline op words recording, per Table 2 format, the
+value range every architectural field actually takes ("If the program
+uses less than eight floating-point operations, the FP OpCode field only
+needs three bits.  Similarly, after register allocation, if no more than
+four registers ... it needs only two bits").  Every field is a fixed bit
+slice of the 40-bit word, so the ranges come from the distinct words
+grouped by their 7-bit (opt, opcode) prefix, one shift and mask per
+field and group.  The resulting :class:`TailoredSpec` fixes:
 
 * a 1-bit tail flag and a fixed-width opcode selector at the front of
   every op (the fixed-position decode guarantee of Section 2.3),
@@ -17,12 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.compression.schemes import BlockWords, block_words
 from repro.errors import EncodingError
 from repro.isa.fields import Format
-from repro.isa.formats import FORMATS
+from repro.isa.formats import (
+    FORMATS,
+    OPCODE_PREFIX_MASK,
+    OPCODE_PREFIX_SHIFT,
+    S_SHIFT,
+)
 from repro.isa.image import ProgramImage
-from repro.isa.opcodes import FormatName, Opcode
-from repro.isa.operation import Operation
+from repro.isa.opcodes import FormatName, Opcode, lookup
 
 #: Fields that move into the fixed tailored header.
 HEADER_FIELDS = ("t", "opt", "opcode")
@@ -134,42 +141,58 @@ class TailoredSpec:
         return "\n".join(lines)
 
 
-def _imm_signed_value(op: Operation) -> int:
-    return op.imm or 0
+def prefix_opcode(prefix: int) -> Opcode:
+    """The opcode a 7-bit (opt, opcode) prefix names."""
+    return lookup(prefix >> 5, prefix & 0x1F)
+
+
+def analyze_words(words: BlockWords, program: str) -> TailoredSpec:
+    """Build the tailored encoding spec from a program's op words.
+
+    The selector numbers the opcodes used in (opt, opcode) order, which
+    is the order of their prefixes.
+    """
+    groups: dict[int, list[int]] = {}
+    for word in set().union(*words):
+        prefix = word >> OPCODE_PREFIX_SHIFT & OPCODE_PREFIX_MASK
+        groups.setdefault(prefix, []).append(word)
+    if not groups:
+        raise EncodingError("cannot tailor an empty program")
+    selector: dict[Opcode, int] = {}
+    formats: dict[FormatName, TailoredFormat] = {}
+    speculative_used = False
+    for prefix in sorted(groups):
+        opcode = prefix_opcode(prefix)
+        selector[opcode] = len(selector)
+        name = opcode.format_name
+        fmt = FORMATS[name]
+        if name not in formats:
+            formats[name] = _empty_format(name, fmt)
+        group = groups[prefix]
+        speculative_used = speculative_used or any(
+            word >> S_SHIFT & 1 for word in group
+        )
+        for fu in formats[name].fields:
+            shift = fmt.shift_of(fu.name)
+            mask = fmt.field(fu.name).max_value
+            values = [word >> shift & mask for word in group]
+            if fu.signed:
+                top = 1 << (fu.baseline_width - 1)
+                values = [(value ^ top) - top for value in values]
+            fu.observe(min(values))
+            fu.observe(max(values))
+    return TailoredSpec(
+        program=program,
+        opcode_selector=selector,
+        selector_width=max(1, (len(selector) - 1).bit_length()),
+        formats=formats,
+        speculative_used=speculative_used,
+    )
 
 
 def analyze_image(image: ProgramImage) -> TailoredSpec:
     """Build the tailored encoding spec from a program's static code."""
-    opcodes_used = sorted(
-        {op.opcode for op in image.all_operations()},
-        key=lambda o: (o.optype.value, o.code),
-    )
-    if not opcodes_used:
-        raise EncodingError("cannot tailor an empty program")
-    selector = {opcode: i for i, opcode in enumerate(opcodes_used)}
-    selector_width = max(1, (len(opcodes_used) - 1).bit_length())
-    formats: dict[FormatName, TailoredFormat] = {}
-    for opcode in opcodes_used:
-        name = opcode.format_name
-        if name not in formats:
-            formats[name] = _empty_format(name, FORMATS[name])
-    speculative_used = False
-    for op in image.all_operations():
-        speculative_used |= op.speculative
-        tf = formats[op.opcode.format_name]
-        values = op.field_values()
-        for fu in tf.fields:
-            if fu.signed:
-                fu.observe(_imm_signed_value(op))
-            else:
-                fu.observe(values[fu.name])
-    return TailoredSpec(
-        program=image.name,
-        opcode_selector=selector,
-        selector_width=selector_width,
-        formats=formats,
-        speculative_used=speculative_used,
-    )
+    return analyze_words(block_words(image), image.name)
 
 
 def _empty_format(name: FormatName, fmt: Format) -> TailoredFormat:

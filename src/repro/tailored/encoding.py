@@ -8,64 +8,80 @@ it performs *no entropy coding*: each op is its fixed tailored width
 :mod:`repro.tailored.verilog`), which is the paper's argument for the
 scheme's low hardware cost.
 
-Encoding resolves each format's tailored body layout once per spec
-(:func:`op_encoder`) rather than re-deriving every field's width per op,
-and turns each op into one ``(bits, width)`` pair, so a block packs with
-:func:`~repro.utils.bitstream.pack_block` like every other encoding.
-The encoding reads each op's fields, not its baseline word, so the
-scheme ignores the study's op words.
+The encoding reads the baseline op words, like every other scheme.  Each
+tailored field is a bit slice of the baseline word, so
+:func:`word_codes` gives each distinct word one ``(bits, width)`` pair,
+resolving each opcode's selector and body layout once, and a block
+packs with :func:`~repro.compression.schemes.pack_words` like the
+byte, stream and full-op codes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Iterable
 
-from repro.compression.schemes import CompressedImage, CompressionScheme
+from repro.compression.schemes import (
+    BlockWords,
+    CompressedImage,
+    CompressionScheme,
+    pack_words,
+)
 from repro.errors import CompressionError
-from repro.isa.formats import FORMATS
+from repro.isa.formats import (
+    FORMATS,
+    OPCODE_PREFIX_MASK,
+    OPCODE_PREFIX_SHIFT,
+    S_SHIFT,
+    T_SHIFT,
+)
 from repro.isa.image import ProgramImage
-from repro.isa.operation import Operation
-from repro.tailored.analysis import TailoredSpec, analyze_image
-from repro.utils.bitstream import BitReader, pack_block
+from repro.tailored.analysis import (
+    TailoredSpec,
+    analyze_words,
+    prefix_opcode,
+)
+from repro.utils.bitstream import BitReader
 
 
-def op_encoder(spec: TailoredSpec) -> Callable[[Operation], tuple[int, int]]:
-    """An encoder giving one op's ``(bits, width)`` in ``spec``'s ISA.
+def word_codes(
+    spec: TailoredSpec, words: Iterable[int]
+) -> dict[int, tuple[int, int]]:
+    """Each distinct word's ``(bits, width)`` in ``spec``'s ISA.
 
-    Each format's body layout — ``(name, width, signed)`` per field of
-    non-zero tailored width — is resolved once here, not once per op.
+    The header is the tail bit, the speculative bit when the spec keeps
+    one, and the opcode's selector.  Each opcode's selector and body
+    layout — ``(shift, width)`` per field of non-zero tailored width —
+    are resolved once, not once per word.
     """
-    layouts = {}
-    for name, tf in spec.formats.items():
-        layout = []
-        for fu in tf.fields:
-            width = fu.tailored_width
-            if width:
-                layout.append((fu.name, width, fu.signed))
-        layouts[name] = tuple(layout)
-    selector = spec.opcode_selector
-    selector_width = spec.selector_width
     speculative_used = spec.speculative_used
-
-    def encode_op(op: Operation) -> tuple[int, int]:
-        bits = int(op.tail)
-        width = 1
+    selector_width = spec.selector_width
+    plans: dict[int, tuple] = {}
+    codes: dict[int, tuple[int, int]] = {}
+    for word in words:
+        prefix = word >> OPCODE_PREFIX_SHIFT & OPCODE_PREFIX_MASK
+        plan = plans.get(prefix)
+        if plan is None:
+            opcode = prefix_opcode(prefix)
+            fmt = FORMATS[opcode.format_name]
+            body = tuple(
+                (fmt.shift_of(fu.name), fu.tailored_width)
+                for fu in spec.formats[opcode.format_name].fields
+                if fu.tailored_width
+            )
+            plan = plans[prefix] = (
+                spec.opcode_selector[opcode], body, spec.op_width(opcode)
+            )
+        selector, body, width = plan
+        bits = word >> T_SHIFT
         if speculative_used:
-            bits = (bits << 1) | op.speculative
-            width = 2
-        bits = (bits << selector_width) | selector[op.opcode]
-        width += selector_width
-        values = op.field_values()
-        for name, field_width, signed in layouts[op.opcode.format_name]:
-            if signed:
-                raw = (op.imm or 0) & ((1 << field_width) - 1)
-            else:
-                raw = values[name]
-            bits = (bits << field_width) | raw
-            width += field_width
-        return bits, width
-
-    return encode_op
+            bits = bits << 1 | word >> S_SHIFT & 1
+        bits = bits << selector_width | selector
+        for shift, field_width in body:
+            bits = bits << field_width | (
+                word >> shift & ((1 << field_width) - 1)
+            )
+        codes[word] = (bits, width)
+    return codes
 
 
 class TailoredImage(CompressedImage):
@@ -85,21 +101,13 @@ class TailoredScheme(CompressionScheme):
         super().__init__(max_code_length=None)
 
     # ------------------------------------------------------------ encode
-    def _own_words(self, image: ProgramImage) -> None:
-        # The encoding reads fields, so a caller with no words costs none.
-        return None
-
     def _compress(
-        self, image: ProgramImage, words: Sequence
+        self, image: ProgramImage, words: BlockWords
     ) -> TailoredImage:
-        spec = analyze_image(image)
-        encode_op = op_encoder(spec)
-        payloads = []
-        bit_lengths = []
-        for block in image:
-            payload, bits = pack_block(map(encode_op, block.ops))
-            payloads.append(payload)
-            bit_lengths.append(bits)
+        spec = analyze_words(words, image.name)
+        payloads, bit_lengths = pack_words(
+            words, word_codes(spec, set().union(*words))
+        )
         return TailoredImage(
             spec, self, image, payloads, bit_lengths, streams=()
         )

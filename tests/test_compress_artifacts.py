@@ -91,22 +91,15 @@ def _count_encodes(monkeypatch) -> list:
     return calls
 
 
-def test_hybrid_without_words_encodes_only_cold_blocks(
+def test_tailored_and_hybrid_without_words_encode_every_op_once(
     compress_study, monkeypatch
 ):
-    from repro.compression.adaptive import COLD_TAG
-
     image = compress_study.compiled.image
-    scheme = _scheme("hybrid", compress_study)
-    calls = _count_encodes(monkeypatch)
-    compressed = scheme.compress(image)
-    cold = [
-        block_id
-        for block_id, tag in enumerate(compressed.block_tags)
-        if tag == COLD_TAG
-    ]
-    assert 0 < len(cold) < len(image)
-    assert len(calls) == sum(image.block(b).op_count for b in cold)
+    for key in ("tailored", "hybrid"):
+        scheme = _scheme(key, compress_study)
+        calls = _count_encodes(monkeypatch)
+        scheme.compress(image)
+        assert len(calls) == image.total_ops, key
 
 
 def test_words_for_another_image_are_rejected(compress_study):
@@ -155,6 +148,18 @@ def test_study_encodes_each_op_once(private_store, monkeypatch):
     ):
         study.compressed(key)
     assert len(calls) == image.total_ops
+
+
+def test_tailored_and_hybrid_read_the_study_words(
+    private_store, monkeypatch
+):
+    study = study_for("compress", 2)
+    study.run
+    study.op_words
+    calls = _count_encodes(monkeypatch)
+    study.compressed("tailored")
+    study.compressed("hybrid")
+    assert calls == []
 
 
 class _ClassRecorder(pickle.Unpickler):

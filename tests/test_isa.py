@@ -192,6 +192,15 @@ class TestOperation:
         assert tailed.tail and not op.tail
         assert tailed.with_tail(True) is tailed
 
+    def test_with_tail_copies_every_other_field(self):
+        op = Operation(Opcode.LD, dest=gpr(4), src1=gpr(5), lat=7,
+                       speculative=True, note="x[i]")
+        tailed = op.with_tail(True)
+        assert type(tailed) is Operation and tailed is not op
+        assert vars(tailed) == dict(vars(op), tail=True)
+        assert tailed.with_tail(False) == op
+        assert not op.tail
+
     def test_reads_writes(self):
         op = Operation(Opcode.ADD, dest=gpr(3), src1=gpr(1), src2=gpr(2))
         assert op.reads == (gpr(1), gpr(2))

@@ -1,19 +1,21 @@
-"""Exactness oracles for the static-bounds fixpoints.
+"""Exactness oracles for the static-bounds fixpoints and their CFG.
 
 ``block_frequencies`` runs its Gauss–Seidel sweeps over inflow rows
 built once per call, and the cache-bound solver runs the must and the
 may problem on two worklists of one shared reverse-postorder
-numbering.  Each is compared here against the implementation it
-replaced, copied verbatim below as an oracle: frequencies must be
-``float.hex``-equal with equal keys in equal order, and the solver's
-``(in_must, in_may)`` states equal.
+numbering.  ``interprocedural_cfg`` builds the graph both walk in one
+pass over each block's ops.  Each is compared here against the
+implementation it replaced, copied verbatim below as an oracle:
+frequencies must be ``float.hex``-equal with equal keys in equal order,
+the solver's ``(in_must, in_may)`` states equal, and the CFGs equal
+with equal key and successor order.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import pytest
@@ -37,11 +39,21 @@ from repro.analysis.freq import (
     block_frequencies,
     branch_probabilities,
 )
-from repro.analysis.imagecfg import interprocedural_cfg
+from repro.analysis.imagecfg import (
+    image_cfg,
+    interprocedural_cfg,
+    return_continuations,
+)
 from repro.analysis.loops import irreducible_edges
+from repro.analysis.verifier import corrupt_branch_target
 from repro.core.study import study_for
 from repro.fetch.config import FetchConfig, fetch_image_key
 from repro.fetch.sweep import block_costs, block_span_pairs
+from repro.isa.image import BasicBlockImage, ProgramImage
+from repro.isa.multiop import MultiOp
+from repro.isa.opcodes import Opcode
+from repro.isa.operation import Operation
+from repro.isa.registers import gpr
 from repro.programs.suite import BENCHMARK_NAMES
 
 Cfg = Dict[int, Sequence[int]]
@@ -118,6 +130,16 @@ def oracle_solve(
                     queued.add(succ_index)
                     heappush(work, succ_index)
     return in_must, in_may
+
+
+def oracle_interprocedural_cfg(image: ProgramImage) -> Dict[int, List[int]]:
+    cfg = image_cfg(image)
+    for ret_block, conts in return_continuations(image).items():
+        succs = cfg[ret_block]
+        for cont in conts:
+            if cont not in succs:
+                succs.append(cont)
+    return cfg
 
 
 # ---------------------------------------------------------------- helpers
@@ -306,3 +328,68 @@ def test_random_graphs_solve_exactly(cfg, ways, data):
     ]
     skippable = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     assert_solve_exact(cfg, 0, _line_accesses(pairs), skippable, ways)
+
+
+# -------------------------------------------------------------------- CFG
+def assert_cfg_exact(image):
+    cfg = interprocedural_cfg(image)
+    expected = oracle_interprocedural_cfg(image)
+    assert list(cfg.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_suite_cfgs_match_the_old_composition(name):
+    image = study_for(name, 1).compiled.image
+    assert_cfg_exact(image)
+    assert_cfg_exact(corrupt_branch_target(image))
+
+
+@st.composite
+def images(draw, max_blocks=8):
+    """Small images of branches, calls, returns and plain ops over three
+    functions.  After construction some targets and fallthroughs are
+    moved off the map, as ``corrupt_branch_target`` does."""
+    n = draw(st.integers(1, max_blocks))
+    target = st.integers(0, n - 1)
+    op = st.one_of(
+        st.builds(lambda t: Operation(Opcode.BR, target_block=t), target),
+        st.builds(lambda t: Operation(Opcode.CALL, target_block=t), target),
+        st.just(Operation(Opcode.RET)),
+        st.just(Operation(Opcode.MOV, dest=gpr(1), src1=gpr(2))),
+    )
+    blocks = []
+    for block_id in range(n):
+        mops = draw(
+            st.lists(
+                st.lists(op, min_size=1, max_size=3).map(MultiOp.of),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        blocks.append(
+            BasicBlockImage(
+                block_id,
+                f"b{block_id}",
+                tuple(mops),
+                fallthrough=draw(st.one_of(st.none(), target)),
+                function=draw(st.sampled_from("fgh")),
+            )
+        )
+    image = ProgramImage("random", blocks)
+    off_map = st.sampled_from([n, n + 3, -1])
+    for block in image:
+        if draw(st.integers(0, 5)) == 0:
+            block.fallthrough = draw(off_map)
+        for mop in block.mops:
+            for branch in mop.ops:
+                if branch.target_block is not None and not draw(
+                    st.integers(0, 5)
+                ):
+                    branch.target_block = draw(st.one_of(st.none(), off_map))
+    return image
+
+
+@settings(max_examples=300, deadline=None)
+@given(image=images())
+def test_random_images_match_the_old_composition(image):
+    assert_cfg_exact(image)
