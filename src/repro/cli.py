@@ -5,7 +5,7 @@ Examples::
     python -m repro list
     python -m repro run fig5
     python -m repro run fig13 --benchmarks compress go --scale 4
-    python -m repro run fig13 --jobs 8          # parallel prewarm
+    python -m repro run fig13 --jobs 8          # one worker per benchmark
     python -m repro run fig5 --json             # machine-readable rows
     python -m repro suite
     python -m repro check --quick             # invariant + fault sweep
@@ -23,10 +23,10 @@ Examples::
         --jobs 4                               # columnar multi-config sweep
 
 ``run`` and ``suite`` go through the :mod:`repro.runtime` artifact
-cache: a warm invocation recomputes nothing, and ``--jobs N`` first
-runs each benchmark's own share of the work in a worker process, so
-the rows are rendered from a warm store.
-``--no-cache`` (or ``REPRO_CACHE=0``) restores the direct path.
+cache: a warm invocation recomputes nothing, and ``--jobs N`` computes
+each benchmark's row in a worker process, which hands the row back.
+``--no-cache`` (or ``REPRO_CACHE=0``) restores the direct path, with
+or without ``--jobs``.
 
 Every subcommand is one entry of :data:`_COMMANDS`: its help, the
 shared flags it takes (each declared once, as an argparse parent
@@ -45,7 +45,6 @@ import json
 import signal
 import sys
 import threading
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from repro import runtime
@@ -130,19 +129,6 @@ def _mismatch(names) -> str:
     )
 
 
-def _prewarm(args, calls) -> None:
-    """Run each benchmark's picklable zero-argument call of ``calls``
-    across ``--jobs`` processes, so the row pass reads a warm store.
-
-    A lone call is left to the row pass: it would run inline anyway,
-    and the row pass would then walk the same study a second time.
-    """
-    if args.jobs > 1 and len(calls) > 1:
-        from repro.runtime.scheduler import prewarm
-
-        prewarm(calls, scale=args.scale, jobs=args.jobs)
-
-
 class _Interrupted(BaseException):
     """SIGTERM arrived; unwind through the drain paths and exit."""
 
@@ -201,14 +187,9 @@ def _cmd_run(args) -> _Result:
             f"unknown experiment {args.experiment!r}; "
             f"try: {', '.join(EXPERIMENTS)}"
         )
-    _prewarm(
-        args,
-        {
-            name: partial(experiment.runner, (name,), args.scale)
-            for name in args.benchmarks or BENCHMARK_NAMES
-        },
+    headers, rows = experiment.runner(
+        args.benchmarks, args.scale, jobs=args.jobs
     )
-    headers, rows = experiment.runner(args.benchmarks or None, args.scale)
     payload = {
         "experiment": experiment.exp_id,
         "title": experiment.title,
@@ -223,7 +204,7 @@ def _cmd_run(args) -> _Result:
 
 # --------------------------------------------------------------- suite
 def _suite_row(name: str, scale: Optional[int]) -> list:
-    """One benchmark's ``suite`` row (a ``--jobs`` task, too)."""
+    """One benchmark's ``suite`` row (one task of the suite)."""
     from repro.core.study import study_for
 
     study = study_for(name, scale)
@@ -237,14 +218,11 @@ def _suite_row(name: str, scale: Optional[int]) -> list:
 
 
 def _cmd_suite(args) -> _Result:
-    _prewarm(
-        args,
-        {
-            name: partial(_suite_row, name, args.scale)
-            for name in BENCHMARK_NAMES
-        },
+    from repro.runtime.scheduler import map_benchmarks
+
+    rows = map_benchmarks(
+        _suite_row, BENCHMARK_NAMES, args.scale, jobs=args.jobs
     )
-    rows = [_suite_row(name, args.scale) for name in BENCHMARK_NAMES]
     failures = [r[0] for r in rows if r[4] != "ok"]
     payload = {
         "benchmarks": [

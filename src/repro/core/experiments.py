@@ -1,144 +1,97 @@
-"""Every table and figure of the paper's evaluation, as row generators.
+"""Every table and figure of the paper's evaluation, declared as data.
 
-Each ``figN_*_rows`` function returns ``(headers, rows)`` ready for
-:func:`repro.utils.tables.format_table`; the benches under
-``benchmarks/`` print and sanity-check them.  The ``EXPERIMENTS``
-registry is the per-experiment index DESIGN.md refers to.
+Each figure is a table with one row per benchmark plus summary rows.
+An :class:`Experiment` declares the table's headers, a module-level
+``row(name, scale)`` that computes one benchmark's row, and its summary
+rows, each a label plus one reducer per column.  One generic
+:meth:`Experiment.runner` builds the benchmark rows (inline, or one task
+per benchmark under ``jobs``, each row coming back from its worker),
+keeps benchmark order and appends the summary rows.
+
+``figN_*_rows`` (and ``adaptive_rows``, ``static_rows``) are the
+runners of the :data:`EXPERIMENTS` registry: each returns ``(headers,
+rows)`` ready for :func:`repro.utils.tables.format_table`; the benches
+under ``benchmarks/`` print and sanity-check them.  The registry is the
+per-experiment index DESIGN.md refers to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.compression.decoder_cost import scheme_decoder_cost
 from repro.core.study import study_for
 from repro.fetch.atb import att_bytes, att_overhead_percent
 from repro.fetch.config import FetchConfig
 from repro.programs.suite import BENCHMARK_NAMES
+from repro.runtime.scheduler import map_benchmarks
 from repro.utils.stats import mean, median
 
 Rows = tuple[Sequence[str], list[list]]
 
+#: Reduces one column of the benchmark rows to a summary cell.
+Reducer = Callable[[Sequence], object]
 
-def _names(subset: Optional[Sequence[str]]) -> Sequence[str]:
-    return tuple(subset) if subset else BENCHMARK_NAMES
+
+def int_mean(values: Sequence) -> int:
+    """The mean, truncated to an int (count columns)."""
+    return int(mean(values))
 
 
 # ----------------------------------------------------------- Figure 5
-def fig5_compression_rows(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: Optional[int] = None,
-) -> Rows:
+def fig5_compression_row(name: str, scale: Optional[int]) -> list:
     """Code-segment size as % of original, per scheme (Figure 5).
 
     ``stream`` is the smallest-decoder configuration and ``stream_1``
     the smallest-size one, chosen from the six searched configurations —
     the paper's selection rule.
     """
-    headers = [
-        "benchmark", "ops", "byte%", "stream%", "stream_1%", "full%",
-        "tailored%",
+    study = study_for(name, scale)
+    by_decoder, by_size = study.best_stream_keys()
+    return [
+        name,
+        study.compiled.image.total_ops,
+        study.compressed("byte").ratio_percent(),
+        study.compressed(by_decoder).ratio_percent(),
+        study.compressed(by_size).ratio_percent(),
+        study.compressed("full").ratio_percent(),
+        study.compressed("tailored").ratio_percent(),
     ]
-    rows = []
-    for name in _names(benchmarks):
-        study = study_for(name, scale)
-        by_decoder, by_size = study.best_stream_keys()
-        rows.append(
-            [
-                name,
-                study.compiled.image.total_ops,
-                study.compressed("byte").ratio_percent(),
-                study.compressed(by_decoder).ratio_percent(),
-                study.compressed(by_size).ratio_percent(),
-                study.compressed("full").ratio_percent(),
-                study.compressed("tailored").ratio_percent(),
-            ]
-        )
-    averages = ["average", sum(r[1] for r in rows)]
-    for col in range(2, len(headers)):
-        averages.append(mean(r[col] for r in rows))
-    rows.append(averages)
-    return headers, rows
 
 
 # ----------------------------------------------------------- Figure 7
-def fig7_att_rows(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: Optional[int] = None,
-) -> Rows:
+def fig7_att_row(name: str, scale: Optional[int]) -> list:
     """ATB characteristics and total code size with the ATT (Figure 7)."""
-    headers = [
-        "benchmark", "blocks", "att_bytes", "att_overhead%",
-        "total_w_att%", "atb_hit%",
+    study = study_for(name, scale)
+    full = study.compressed("full")
+    geometry = FetchConfig.for_scheme("compressed").cache
+    metrics = study.fetch_metrics("compressed")
+    baseline_bytes = study.compiled.image.baseline_code_bytes
+    total = full.total_code_bytes + att_bytes(full, geometry)
+    return [
+        name,
+        len(study.compiled.image),
+        att_bytes(full, geometry),
+        att_overhead_percent(full, geometry),
+        100.0 * total / baseline_bytes,
+        100.0 * metrics.atb_hit_rate,
     ]
-    rows = []
-    for name in _names(benchmarks):
-        study = study_for(name, scale)
-        full = study.compressed("full")
-        config = FetchConfig.for_scheme("compressed")
-        geometry = config.cache
-        metrics = study.fetch_metrics("compressed")
-        baseline_bytes = study.compiled.image.baseline_code_bytes
-        total = full.total_code_bytes + att_bytes(full, geometry)
-        rows.append(
-            [
-                name,
-                len(study.compiled.image),
-                att_bytes(full, geometry),
-                att_overhead_percent(full, geometry),
-                100.0 * total / baseline_bytes,
-                100.0 * metrics.atb_hit_rate,
-            ]
-        )
-    rows.append(
-        [
-            "average",
-            sum(r[1] for r in rows),
-            sum(r[2] for r in rows),
-            mean(r[3] for r in rows),
-            mean(r[4] for r in rows),
-            mean(r[5] for r in rows),
-        ]
-    )
-    return headers, rows
 
 
 # ---------------------------------------------------------- Figure 10
-def fig10_decoder_rows(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: Optional[int] = None,
-) -> Rows:
+def fig10_decoder_row(name: str, scale: Optional[int]) -> list:
     """Huffman decoder complexity (transistors) per scheme (Figure 10)."""
-    headers = ["benchmark", "byte", "stream", "stream_1", "full"]
-    rows = []
-    for name in _names(benchmarks):
-        study = study_for(name, scale)
-        by_decoder, by_size = study.best_stream_keys()
-        rows.append(
-            [
-                name,
-                scheme_decoder_cost(study.compressed("byte")).transistors,
-                scheme_decoder_cost(
-                    study.compressed(by_decoder)
-                ).transistors,
-                scheme_decoder_cost(study.compressed(by_size)).transistors,
-                scheme_decoder_cost(study.compressed("full")).transistors,
-            ]
-        )
-    rows.append(
-        ["average"] + [
-            int(mean(r[col] for r in rows)) for col in range(1, 5)
-        ]
-    )
-    return headers, rows
+    study = study_for(name, scale)
+    by_decoder, by_size = study.best_stream_keys()
+    return [name] + [
+        scheme_decoder_cost(study.compressed(key)).transistors
+        for key in ("byte", by_decoder, by_size, "full")
+    ]
 
 
 # ---------------------------------------------------------- Figure 13
-def fig13_cache_rows(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: Optional[int] = None,
-) -> Rows:
+def fig13_cache_row(name: str, scale: Optional[int]) -> list:
     """Ops delivered per cycle: Ideal / Base / Compressed / Tailored.
 
     The three real organizations go through the columnar sweep engine
@@ -146,80 +99,43 @@ def fig13_cache_rows(
     store-interchangeable with — per-scheme ``fetch_metrics`` calls:
     the default grid's points are the standard configs, stored under
     the same :func:`~repro.core.study.fetch_key`, so an earlier Figure
-    14 run serves them, and a ``--jobs`` run's workers, each calling
-    this function on one benchmark, leave them in the store for the
-    parent's row pass); Ideal has no cache/predictor machinery to
+    14 run serves them); Ideal has no cache/predictor machinery to
     factor and stays on the study path.
     """
     from repro.core.sweep import expand_grid, run_sweep
 
-    headers = ["benchmark", "ideal", "base", "compressed", "tailored"]
     grid = expand_grid(("base", "compressed", "tailored"))
-    rows = []
-    for name in _names(benchmarks):
-        study = study_for(name, scale)
-        ipc = {
-            metrics.scheme: metrics.ipc
-            for metrics in run_sweep(name, grid, scale=scale)
-        }
-        rows.append(
-            [
-                name,
-                study.fetch_metrics("ideal").ipc,
-                ipc["base"],
-                ipc["compressed"],
-                ipc["tailored"],
-            ]
-        )
-    rows.append(
-        ["average"] + [mean(r[col] for r in rows) for col in range(1, 5)]
-    )
-    rows.append(
-        ["median"] + [median(r[col] for r in rows[:-1]) for col in range(1, 5)]
-    )
-    return headers, rows
+    ipc = {
+        metrics.scheme: metrics.ipc
+        for metrics in run_sweep(name, grid, scale=scale)
+    }
+    return [
+        name,
+        study_for(name, scale).fetch_metrics("ideal").ipc,
+        ipc["base"],
+        ipc["compressed"],
+        ipc["tailored"],
+    ]
 
 
 # ---------------------------------------------------------- Figure 14
-def fig14_busflip_rows(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: Optional[int] = None,
-) -> Rows:
+def fig14_busflip_row(name: str, scale: Optional[int]) -> list:
     """Memory-bus bit flips, normalized to Base = 100 (Figure 14)."""
-    headers = [
-        "benchmark", "base_flips", "tailored%of_base", "compressed%of_base",
+    study = study_for(name, scale)
+    base = study.fetch_metrics("base").bus_bit_flips
+    tailored = study.fetch_metrics("tailored").bus_bit_flips
+    compressed = study.fetch_metrics("compressed").bus_bit_flips
+    denom = max(1, base)
+    return [
+        name,
+        base,
+        100.0 * tailored / denom,
+        100.0 * compressed / denom,
     ]
-    rows = []
-    for name in _names(benchmarks):
-        study = study_for(name, scale)
-        base = study.fetch_metrics("base").bus_bit_flips
-        tailored = study.fetch_metrics("tailored").bus_bit_flips
-        compressed = study.fetch_metrics("compressed").bus_bit_flips
-        denom = max(1, base)
-        rows.append(
-            [
-                name,
-                base,
-                100.0 * tailored / denom,
-                100.0 * compressed / denom,
-            ]
-        )
-    rows.append(
-        [
-            "average",
-            int(mean(r[1] for r in rows)),
-            mean(r[2] for r in rows),
-            mean(r[3] for r in rows),
-        ]
-    )
-    return headers, rows
 
 
 # ------------------------------------------------- adaptive extension
-def adaptive_rows(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: Optional[int] = None,
-) -> Rows:
+def adaptive_row(name: str, scale: Optional[int]) -> list:
     """The access-pattern-adaptive schemes against their parents.
 
     Size columns are ratio-percent (lower is better): ``context%``
@@ -232,52 +148,28 @@ def adaptive_rows(
     """
     from repro.core.sweep import expand_grid, run_sweep
 
-    headers = [
-        "benchmark", "full%", "context%", "hybrid%",
-        "compressed_cycles", "hybrid_cycles", "hybrid_flips%of_compr",
-    ]
-    grid = expand_grid(("compressed", "hybrid"))
-    rows = []
-    for name in _names(benchmarks):
-        study = study_for(name, scale)
-        by_scheme = {
-            metrics.scheme: metrics
-            for metrics in run_sweep(name, grid, scale=scale)
-        }
-        compressed = by_scheme["compressed"]
-        hybrid = by_scheme["hybrid"]
-        rows.append(
-            [
-                name,
-                study.compressed("full").ratio_percent(),
-                study.compressed("context").ratio_percent(),
-                study.compressed("hybrid").ratio_percent(),
-                compressed.cycles,
-                hybrid.cycles,
-                100.0
-                * hybrid.bus_bit_flips
-                / max(1, compressed.bus_bit_flips),
-            ]
+    study = study_for(name, scale)
+    by_scheme = {
+        metrics.scheme: metrics
+        for metrics in run_sweep(
+            name, expand_grid(("compressed", "hybrid")), scale=scale
         )
-    rows.append(
-        [
-            "average",
-            mean(r[1] for r in rows),
-            mean(r[2] for r in rows),
-            mean(r[3] for r in rows),
-            int(mean(r[4] for r in rows)),
-            int(mean(r[5] for r in rows)),
-            mean(r[6] for r in rows),
-        ]
-    )
-    return headers, rows
+    }
+    compressed = by_scheme["compressed"]
+    hybrid = by_scheme["hybrid"]
+    return [
+        name,
+        study.compressed("full").ratio_percent(),
+        study.compressed("context").ratio_percent(),
+        study.compressed("hybrid").ratio_percent(),
+        compressed.cycles,
+        hybrid.cycles,
+        100.0 * hybrid.bus_bit_flips / max(1, compressed.bus_bit_flips),
+    ]
 
 
 # -------------------------------------------- static-profile extension
-def static_rows(
-    benchmarks: Optional[Sequence[str]] = None,
-    scale: Optional[int] = None,
-) -> Rows:
+def static_row(name: str, scale: Optional[int]) -> list:
     """Profile-free hybrid vs the trace-profiled one, per benchmark.
 
     ``hybrid:static`` picks its hot set from the compile-time heat
@@ -295,57 +187,31 @@ def static_rows(
     from repro.core.sweep import expand_grid, run_sweep
     from repro.utils.stats import spearman
 
-    headers = [
-        "benchmark", "trace_cycles", "static_cycles", "gap%",
-        "rank_corr", "bound_lo", "bound_hi",
-    ]
-    grid = expand_grid(
-        ("hybrid",), hotness_sources=("trace", "static")
-    )
+    grid = expand_grid(("hybrid",), hotness_sources=("trace", "static"))
     static_config = next(c for c in grid if c.scheme == "hybrid:static")
-    rows = []
-    for name in _names(benchmarks):
-        study = study_for(name, scale)
-        by_scheme = {
-            metrics.scheme: metrics
-            for metrics in run_sweep(name, grid, scale=scale)
-        }
-        trace_hybrid = by_scheme["hybrid"]
-        static_hybrid = by_scheme["hybrid:static"]
-        counts = heat_profile(
-            study.run.block_trace, len(study.compiled.image)
-        )
-        # Bound the very config the sweep simulated.
-        bounds = cycle_bounds(
-            study.compressed("hybrid:static"), counts, static_config
-        )
-        rows.append(
-            [
-                name,
-                trace_hybrid.cycles,
-                static_hybrid.cycles,
-                100.0
-                * (static_hybrid.cycles - trace_hybrid.cycles)
-                / max(1, trace_hybrid.cycles),
-                spearman(
-                    static_heat_profile(study.compiled.image), counts
-                ),
-                bounds.lower,
-                bounds.upper,
-            ]
-        )
-    rows.append(
-        [
-            "average",
-            int(mean(r[1] for r in rows)),
-            int(mean(r[2] for r in rows)),
-            mean(r[3] for r in rows),
-            mean(r[4] for r in rows),
-            int(mean(r[5] for r in rows)),
-            int(mean(r[6] for r in rows)),
-        ]
+    study = study_for(name, scale)
+    by_scheme = {
+        metrics.scheme: metrics
+        for metrics in run_sweep(name, grid, scale=scale)
+    }
+    trace_hybrid = by_scheme["hybrid"]
+    static_hybrid = by_scheme["hybrid:static"]
+    counts = heat_profile(study.run.block_trace, len(study.compiled.image))
+    # Bound the very config the sweep simulated.
+    bounds = cycle_bounds(
+        study.compressed("hybrid:static"), counts, static_config
     )
-    return headers, rows
+    return [
+        name,
+        trace_hybrid.cycles,
+        static_hybrid.cycles,
+        100.0
+        * (static_hybrid.cycles - trace_hybrid.cycles)
+        / max(1, trace_hybrid.cycles),
+        spearman(static_heat_profile(study.compiled.image), counts),
+        bounds.lower,
+        bounds.upper,
+    ]
 
 
 # ----------------------------------------------------------- registry
@@ -353,16 +219,39 @@ def static_rows(
 class Experiment:
     """One reproducible artifact of the paper's evaluation.
 
-    ``runner(benchmarks, scale)`` is a module-level function, so with
-    ``--jobs`` the CLI ships ``runner((name,), scale)`` to a worker per
-    benchmark: the artifacts a worker leaves in the store are exactly
-    the ones the parent's row pass reads.
+    ``row(name, scale)`` is a module-level function, so with ``jobs``
+    the runner ships one call per benchmark to a worker and the row
+    itself comes back.  Each of ``summaries`` is a label plus one
+    reducer per column after the first, applied to the benchmark rows
+    only.
     """
 
     exp_id: str
     title: str
-    runner: Callable[..., Rows]
+    headers: Tuple[str, ...]
+    row: Callable[[str, Optional[int]], list]
+    summaries: Tuple[Tuple[str, Tuple[Reducer, ...]], ...]
     bench: str
+
+    def runner(
+        self,
+        benchmarks: Optional[Sequence[str]] = None,
+        scale: Optional[int] = None,
+        *,
+        jobs: int = 1,
+    ) -> Rows:
+        """``(headers, rows)``: one row per benchmark (all of the suite
+        when ``benchmarks`` is empty), in order, then the summary rows."""
+        rows = map_benchmarks(
+            self.row, tuple(benchmarks or BENCHMARK_NAMES), scale, jobs=jobs
+        )
+        columns = list(zip(*rows))[1:]
+        for label, reducers in self.summaries:
+            rows.append(
+                [label]
+                + [reduce(column) for reduce, column in zip(reducers, columns)]
+            )
+        return list(self.headers), rows
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -370,31 +259,66 @@ EXPERIMENTS: dict[str, Experiment] = {
     for e in (
         Experiment(
             "fig5", "Compression technique comparison (code segment)",
-            fig5_compression_rows, "benchmarks/test_fig5_compression.py",
+            ("benchmark", "ops", "byte%", "stream%", "stream_1%", "full%",
+             "tailored%"),
+            fig5_compression_row,
+            (("average", (sum,) + (mean,) * 5),),
+            "benchmarks/test_fig5_compression.py",
         ),
         Experiment(
             "fig7", "ATB characteristics / total code size with ATT",
-            fig7_att_rows, "benchmarks/test_fig7_att_size.py",
+            ("benchmark", "blocks", "att_bytes", "att_overhead%",
+             "total_w_att%", "atb_hit%"),
+            fig7_att_row,
+            (("average", (sum, sum, mean, mean, mean)),),
+            "benchmarks/test_fig7_att_size.py",
         ),
         Experiment(
             "fig10", "Huffman decoder complexity",
-            fig10_decoder_rows, "benchmarks/test_fig10_decoder_complexity.py",
+            ("benchmark", "byte", "stream", "stream_1", "full"),
+            fig10_decoder_row,
+            (("average", (int_mean,) * 4),),
+            "benchmarks/test_fig10_decoder_complexity.py",
         ),
         Experiment(
             "fig13", "Cache study summary (ops/cycle)",
-            fig13_cache_rows, "benchmarks/test_fig13_cache_study.py",
+            ("benchmark", "ideal", "base", "compressed", "tailored"),
+            fig13_cache_row,
+            (("average", (mean,) * 4), ("median", (median,) * 4)),
+            "benchmarks/test_fig13_cache_study.py",
         ),
         Experiment(
             "adaptive", "Access-pattern-adaptive schemes (hybrid/context)",
-            adaptive_rows, "benchmarks/test_adaptive_schemes.py",
+            ("benchmark", "full%", "context%", "hybrid%",
+             "compressed_cycles", "hybrid_cycles", "hybrid_flips%of_compr"),
+            adaptive_row,
+            (("average", (mean, mean, mean, int_mean, int_mean, mean)),),
+            "benchmarks/test_adaptive_schemes.py",
         ),
         Experiment(
             "static", "Profile-free (static-heat) hybrid compression",
-            static_rows, "benchmarks/test_static_analysis.py",
+            ("benchmark", "trace_cycles", "static_cycles", "gap%",
+             "rank_corr", "bound_lo", "bound_hi"),
+            static_row,
+            (("average",
+              (int_mean, int_mean, mean, mean, int_mean, int_mean)),),
+            "benchmarks/test_static_analysis.py",
         ),
         Experiment(
             "fig14", "Memory-bus bit flips",
-            fig14_busflip_rows, "benchmarks/test_fig14_bus_flips.py",
+            ("benchmark", "base_flips", "tailored%of_base",
+             "compressed%of_base"),
+            fig14_busflip_row,
+            (("average", (int_mean, mean, mean)),),
+            "benchmarks/test_fig14_bus_flips.py",
         ),
     )
 }
+
+fig5_compression_rows = EXPERIMENTS["fig5"].runner
+fig7_att_rows = EXPERIMENTS["fig7"].runner
+fig10_decoder_rows = EXPERIMENTS["fig10"].runner
+fig13_cache_rows = EXPERIMENTS["fig13"].runner
+fig14_busflip_rows = EXPERIMENTS["fig14"].runner
+adaptive_rows = EXPERIMENTS["adaptive"].runner
+static_rows = EXPERIMENTS["static"].runner

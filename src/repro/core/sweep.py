@@ -16,14 +16,12 @@ wrapper the CLI, figure studies, and examples call:
   :meth:`ProgramStudy.fetch_metrics` uses too, so sweeps warm the
   figure studies and vice versa; a fully warm sweep is pure store
   reads.
-* **Sharding** — with ``jobs > 1`` the parent materializes the trace
-  and the images the cold configs run on, then splits the configs into
-  contiguous single-scheme chunks, each an independent task calling
-  ``run_sweep`` on its chunk; a worker publishes through the store
-  like any other stage, and the parent then reads the results back.
-  Contiguous chunks keep cross-product neighbors (which share
-  predictor or cache components) in the same worker, preserving the
-  engine's sharing.
+* **Sharding** — with ``jobs > 1`` the configs the store lacks are
+  split into contiguous single-scheme chunks, each an independent task
+  whose worker runs the engine on its chunk and returns the metrics;
+  the parent stores each result once.  Contiguous chunks keep
+  cross-product neighbors (which share predictor or cache components)
+  in the same worker, preserving the engine's sharing.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from repro.fetch.config import (
 )
 from repro.fetch.engine import FetchMetrics
 from repro.fetch.sweep import simulate_fetch_sweep_multi
-from repro.runtime.store import default_store
 from repro.runtime.tasks import TaskSpec, benchmark_task_id
 
 __all__ = [
@@ -217,49 +214,59 @@ def _compute_batch(
     )
 
 
-def _stored(study, key: dict) -> bool:
-    """Does the store already hold the fetch result at ``key``?"""
-    if not runtime.runtime_config().enabled:
-        return False
-    digest = runtime.artifact_digest(
-        "fetch",
-        benchmark=study.name,
-        scale=study.effective_scale,
-        **key,
-    )
-    return default_store().size_of(digest) > 0
+def _study_batch(
+    benchmark: str, scale: Optional[int], configs: Sequence[FetchConfig]
+) -> List[FetchMetrics]:
+    """:func:`_compute_batch` on ``benchmark``'s study: one shard's task."""
+    from repro.core.study import study_for
+
+    return _compute_batch(study_for(benchmark, scale), configs)
 
 
-def _shard_pending(study, configs: Sequence[FetchConfig], jobs: int) -> None:
-    """Publish ``configs`` into the store from the process pool.
+def _compute_sharded(
+    study, configs: Sequence[FetchConfig], jobs: int
+) -> List[FetchMetrics]:
+    """:func:`_compute_batch` over ``configs``, fanned out to ``jobs``
+    processes; each worker returns its chunk's metrics.
 
-    The parent materializes the trace and each scheme's image first, so
-    every worker reads them from the store.  Chunks are contiguous runs
-    within each scheme group, at most ``jobs`` chunks per group, each
-    an independent task.
+    Chunks are contiguous runs within each scheme group, at most
+    ``jobs`` chunks per group, each an independent task.  With the store
+    on, the parent materializes the trace and each scheme's image first,
+    so every worker reads them instead of computing them again.
     """
     from repro.runtime.scheduler import execute_tasks
 
-    by_scheme: Dict[str, List[FetchConfig]] = {}
-    for config in configs:
+    by_scheme: Dict[str, List[int]] = {}
+    for index, config in enumerate(configs):
         scheme = normalize_fetch_scheme(config.scheme)
-        by_scheme.setdefault(scheme, []).append(config)
-    study.run
-    for scheme in by_scheme:
-        study.compressed(fetch_image_key(scheme))
+        by_scheme.setdefault(scheme, []).append(index)
+    if runtime.runtime_config().enabled:
+        study.run
+        for scheme in by_scheme:
+            study.compressed(fetch_image_key(scheme))
     chunk_size = max(1, ceil(len(configs) / jobs))
     prefix = benchmark_task_id(study.name, study.scale)
-    tasks = []
+    chunks, tasks = [], []
     for scheme, members in by_scheme.items():
         for start in range(0, len(members), chunk_size):
-            chunk = tuple(members[start : start + chunk_size])
+            chunk = members[start : start + chunk_size]
+            chunks.append(chunk)
             tasks.append(
                 TaskSpec(
                     f"{prefix}:{scheme}:{start // chunk_size}",
-                    partial(run_sweep, study.name, chunk, scale=study.scale),
+                    partial(
+                        _study_batch,
+                        study.name,
+                        study.scale,
+                        tuple(configs[i] for i in chunk),
+                    ),
                 )
             )
-    execute_tasks(tasks, jobs=jobs)
+    values: List[FetchMetrics] = [None] * len(configs)
+    for chunk, result in zip(chunks, execute_tasks(tasks, jobs=jobs)):
+        for index, metrics in zip(chunk, result.value):
+            values[index] = metrics
+    return values
 
 
 def run_sweep(
@@ -274,9 +281,9 @@ def run_sweep(
     Each returned element is bit-identical to
     ``study.fetch_metrics(config.scheme, config)`` and stored under the
     same :func:`~repro.core.study.fetch_key`, but cold configs are
-    computed by one columnar engine call (after ``jobs`` worker
-    processes have published them, when ``jobs > 1``) instead of one
-    replay per config.  Results are not memoized in-process: with the
+    computed by one columnar engine call (one per chunk across ``jobs``
+    worker processes, when ``jobs > 1``) instead of one replay per
+    config.  Results are not memoized in-process: with the
     store off every point is simulated on every call.  Predictor
     outcomes are: the study's replay state keeps each one it computes,
     so a later sweep or fetch of the study skips that predictor pass.
@@ -294,19 +301,15 @@ def run_sweep(
     unique = list(first_of.values())
     keys = [fetch_key(schemes[i], configs[i]) for i in unique]
 
-    if jobs > 1:
-        cold = [
-            configs[i] for i, key in zip(unique, keys)
-            if not _stored(study, key)
-        ]
-        if len(cold) > 1:
-            _shard_pending(study, cold, jobs)
+    def compute(missing: List[int]) -> List[FetchMetrics]:
+        batch = [configs[unique[i]] for i in missing]
+        if jobs > 1 and len(batch) > 1:
+            return _compute_sharded(study, batch, jobs)
+        return _compute_batch(study, batch)
 
     values = runtime.get_or_compute_many(
         "fetch",
-        lambda missing: _compute_batch(
-            study, [configs[unique[i]] for i in missing]
-        ),
+        compute,
         keys,
         benchmark=study.name,
         scale=study.effective_scale,

@@ -15,7 +15,8 @@ This package turns the per-process memoization of
 * :mod:`repro.runtime.tasks` / :mod:`repro.runtime.scheduler` — a task
   is a task id plus a picklable zero-argument call, the caller's own
   per-benchmark work; the tasks fan out across a
-  ``ProcessPoolExecutor`` (one task runs inline).
+  ``ProcessPoolExecutor`` (one task runs inline) and each call's value
+  comes back to the caller.
 
 :func:`get_or_compute` is the seam :class:`repro.core.study.ProgramStudy`
 calls through: cache disabled (``REPRO_CACHE=0`` / ``--no-cache``) means

@@ -1,24 +1,25 @@
-"""Run independent tasks across processes.
+"""Run independent tasks across processes and return their values.
 
 Each :class:`~repro.runtime.tasks.TaskSpec` is a task id plus a
 picklable zero-argument call, and the study behind the call pulls in
 every prerequisite itself, so tasks need no order between them.  With
-``jobs <= 1`` or at most one task they run inline (no worker start,
-and the parent's in-memory studies warm too).  Otherwise every task is
-submitted to a ``ProcessPoolExecutor`` at once.  Workers communicate
-*artifacts* through the persistent store — only small
-:class:`TaskResult` records (timings + metric counters) come back over
-the pipe — which is why parallel execution requires the cache to be
-enabled.
+``jobs <= 1`` or at most one task they run inline (no worker start, no
+pool import, and the parent's in-memory studies warm too).  Otherwise a
+``ProcessPoolExecutor`` runs them with at most one task in flight per
+worker, so a failure leaves nothing queued behind it.  Either way each
+call's return value comes back in its :class:`TaskResult` (over the
+pipe from a worker, where pickling keeps floats exact), next to its
+timings and metric counters.  The artifact store is a cache the tasks
+may share, never the channel their results travel through.
 """
 
 from __future__ import annotations
 
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from time import perf_counter
-from typing import Callable, List, Mapping, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SchedulerError
 from repro.runtime.config import (
@@ -41,15 +42,17 @@ class TaskResult:
     #: The message of a :class:`ConfigurationError` the task raised.
     configuration_error: Optional[str] = None
     report: dict = field(default_factory=dict)
+    #: What the task's call returned (``None`` when it failed).
+    value: object = None
 
 
 def _worker_init(config: RuntimeConfig) -> None:
     """Run in each pool worker: inherit the parent's runtime overrides.
 
-    Also drops in-memory study state the worker may have inherited via
-    ``fork`` — a pre-populated study would satisfy stages without ever
-    writing the store, and the store is the only channel back to the
-    parent.
+    Also drops any in-memory study state the worker inherited via
+    ``fork``: a worker computes from its own inputs, so what it computes
+    and the :data:`REPORT` counters it ships home are the same whether
+    the pool forks or spawns its workers.
     """
     from repro.core.study import clear_caches
 
@@ -68,8 +71,10 @@ def _run(task: TaskSpec) -> Tuple[TaskResult, Optional[Exception]]:
     """
     started = perf_counter()
     try:
-        task.call()
+        value = task.call()
     except Exception as exc:
+        import traceback  # only a failure pays for it
+
         return TaskResult(
             task.task_id,
             perf_counter() - started,
@@ -79,7 +84,8 @@ def _run(task: TaskSpec) -> Tuple[TaskResult, Optional[Exception]]:
                 str(exc) if isinstance(exc, ConfigurationError) else None
             ),
         ), exc
-    return TaskResult(task.task_id, perf_counter() - started), None
+    seconds = perf_counter() - started
+    return TaskResult(task.task_id, seconds, value=value), None
 
 
 def _pool_run(task: TaskSpec) -> TaskResult:
@@ -109,19 +115,19 @@ def execute_tasks(
     jobs: int = 1,
     config: Optional[RuntimeConfig] = None,
 ) -> List[TaskResult]:
-    """Run every task of ``tasks``.
+    """Run every task of ``tasks``; one :class:`TaskResult` each, in
+    ``tasks`` order, its ``value`` what the task's call returned.
 
-    The first failure stops the tasks not yet started (inline: the
-    rest of the list; pooled: every queued future is cancelled).
-    Raises :class:`SchedulerError` once the running ones have drained,
-    naming the failed-task count and the first failing task in
-    ``tasks`` order and carrying its traceback; each failure is
-    recorded in :data:`REPORT`.  Partial artifacts already persisted
-    stay valid — content addressing makes re-runs pick them up.  The
-    error is chained from the original exception inline, and from a
-    :class:`ConfigurationError` carrying a worker's message when the
-    worker raised one.  The pool never holds more workers than there
-    are tasks.
+    The pool never holds more workers than there are tasks, and never
+    more tasks than workers: the next task is submitted when one
+    completes.  The first failure stops the tasks not yet started
+    (inline: the rest of the list; pooled: no task is submitted after
+    it).  Raises :class:`SchedulerError` once the running ones have
+    drained, naming the failed-task count and the first failing task in
+    ``tasks`` order and carrying its traceback; each failure is recorded
+    in :data:`REPORT`.  The error is chained from the original exception
+    inline, and from a :class:`ConfigurationError` carrying a worker's
+    message when the worker raised one.
     """
     if config is None:
         config = runtime_config()
@@ -133,39 +139,41 @@ def execute_tasks(
                 _fail([result], exc)
             results.append(result)
         return results
-    if not config.enabled:
-        raise ConfigurationError(
-            "parallel execution needs the artifact cache: workers hand "
-            "artifacts to the parent through the store (drop --jobs or "
-            "re-enable the cache)"
-        )
 
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    workers = min(jobs, len(tasks))
+    results: List[Optional[TaskResult]] = [None] * len(tasks)
+    queue = enumerate(tasks)
     with ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
-        initializer=_worker_init, initargs=(config,)
+        max_workers=workers, initializer=_worker_init, initargs=(config,)
     ) as pool:
-        futures = [pool.submit(_pool_run, task) for task in tasks]
         try:
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            in_flight = {
+                pool.submit(_pool_run, task): index
+                for index, task in islice(queue, workers)
+            }
+            failed = False
+            while in_flight:
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
                     result = future.result()
+                    results[in_flight.pop(future)] = result
                     REPORT.merge_json(result.report)
-                    if not result.ok:
-                        # cancel() succeeds on tasks not yet started.
-                        pending = {f for f in pending if not f.cancel()}
+                    failed = failed or not result.ok
+                if not failed:
+                    for index, task in islice(queue, len(done)):
+                        in_flight[pool.submit(_pool_run, task)] = index
         except BaseException:
             # Graceful drain on interruption (SIGTERM/SIGINT mapped to
-            # an exception by the CLI, or any parent-side error): cancel
-            # everything still queued but let the tasks already running
-            # finish their atomic store writes before the pool goes
-            # away.  Artifacts persisted so far stay valid — content
-            # addressing makes the next run pick them up.
+            # an exception by the CLI, or any parent-side error): let
+            # the tasks already running finish their atomic store writes
+            # before the pool goes away.  Artifacts persisted so far
+            # stay valid — content addressing makes the next run pick
+            # them up.
             pool.shutdown(wait=True, cancel_futures=True)
             raise
-    results = [f.result() for f in futures if not f.cancelled()]
-    failures = [r for r in results if not r.ok]
+    failures = [r for r in results if r is not None and not r.ok]
     if failures:
         message = failures[0].configuration_error
         _fail(
@@ -175,23 +183,22 @@ def execute_tasks(
     return results
 
 
-def prewarm(
-    calls: Mapping[str, Callable[[], object]],
-    *,
+def map_benchmarks(
+    call: Callable[[str, Optional[int]], object],
+    benchmarks: Sequence[str],
     scale: Optional[int] = None,
+    *,
     jobs: int = 1,
-) -> List[TaskResult]:
-    """Run each benchmark's call of ``calls`` as one task.
-
-    The CLI hands over its own per-benchmark work (a figure's runner
-    on one benchmark, one suite row) before its row pass, so a
-    ``--jobs N`` run fans the benchmarks out and the row pass reads
-    back warm artifacts — exactly the ones the rows read.
-    """
-    return execute_tasks(
+) -> list:
+    """``call(name, scale)`` for each of ``benchmarks``, one task each
+    (``call`` module-level, so it pickles); the values in order."""
+    results = execute_tasks(
         [
-            TaskSpec(benchmark_task_id(name, scale), call)
-            for name, call in calls.items()
+            TaskSpec(
+                benchmark_task_id(name, scale), partial(call, name, scale)
+            )
+            for name in benchmarks
         ],
         jobs=jobs,
     )
+    return [result.value for result in results]

@@ -5,15 +5,15 @@ figure.  :class:`~repro.core.study.ProgramStudy` already encodes that
 chain — compile → emulate (trace) → compress per scheme →
 fetch-simulate per organization — and pulls in every prerequisite of
 whatever it is asked for.  So a task states no artifact and no
-dependency: it is its caller's own per-benchmark work (a figure's
-runner on one benchmark, one suite row, one chunk of a sharded sweep),
-and whatever that work reads is what the task materializes.
+dependency: it is its caller's own per-benchmark work (one figure
+row, one suite row, one chunk of a sharded sweep), and whatever that
+work reads is what the task materializes.
 
 The call must pickle, so the scheduler can ship it to a worker
 process: a :func:`functools.partial` of a module-level function over
-plain arguments.  Everything it computes routes through the study and
-therefore through the artifact store, which is how a worker's output
-becomes visible to its parent.
+plain arguments.  Its return value must pickle too: the scheduler hands
+it back to the caller, from a worker over the pipe.  The artifact store
+only caches what a call computes; it carries nothing back.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.fetch.config import fetch_image_key  # noqa: F401 - re-exported
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One unit of parallel work; ``call()``'s return value is dropped."""
+    """One unit of parallel work; ``call()`` returns the task's value."""
 
     task_id: str
     call: Callable[[], object]

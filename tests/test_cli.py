@@ -104,29 +104,29 @@ def test_second_run_is_all_cache_hits(capsys, fresh_cache):
 def test_parallel_fig13_simulates_each_organization_once(
     capsys, fresh_cache
 ):
-    """Per benchmark, the workers simulate Ideal, Base, Compressed and
-    Tailored; the parent's sweep and Ideal lookups read those same four
-    entries."""
+    """Per benchmark, a worker simulates Ideal, Base, Compressed and
+    Tailored and hands its row back; the parent reads nothing back from
+    the store."""
     assert main(
         ["run", "fig13", "--jobs", "2", "--benchmarks", "compress", "go",
          "--scale", "2", "--json"]
     ) == 0
     fetch = json.loads(capsys.readouterr().out)["runtime"]["stages"]["fetch"]
-    assert (fetch["misses"], fetch["hits"]) == (8, 8)
+    assert (fetch["misses"], fetch["hits"]) == (8, 0)
 
 
 def test_one_benchmark_with_jobs_runs_inline(
     capsys, fresh_cache, monkeypatch
 ):
     """A lone benchmark runs in the parent, whatever --jobs says, and
-    only once: the row pass simulates every organization itself, as a
+    only once: the row simulates every organization itself, as a
     --jobs 1 run does, and reads nothing back from the store."""
-    import repro.runtime.scheduler as scheduler
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(
         ["run", "fig13", "--jobs", "2", "--benchmarks", "compress",
          "--scale", "2", "--json"]
@@ -136,14 +136,67 @@ def test_one_benchmark_with_jobs_runs_inline(
 
 
 def test_jobs_without_the_cache_is_one_rule(capsys, fresh_cache):
-    """``run`` refuses --jobs with the cache off, like ``sweep`` does."""
+    """``run --no-cache --jobs 2`` runs: the workers hand their rows
+    back, so the rows equal those of ``--jobs 1``."""
+    args = ["run", "fig5", "--benchmarks", "compress", "go", "--scale", "2",
+            "--no-cache", "--json"]
+    assert main(args + ["--jobs", "2"]) == 0
+    pooled = json.loads(capsys.readouterr().out)
+    clear_caches()
+    assert main(args + ["--jobs", "1"]) == 0
+    inline = json.loads(capsys.readouterr().out)
+    assert pooled["rows"] == inline["rows"]
+    assert pooled["runtime"]["totals"]["hits"] == 0
+    assert runtime.default_store().stats().entries == 0
+
+
+@pytest.mark.parametrize("jobs, parent_calls", [("1", 2), ("2", 0)])
+def test_parallel_run_derives_nothing_in_the_parent(
+    capsys, fresh_cache, monkeypatch, jobs, parent_calls
+):
+    """Under --jobs each worker computes its benchmark's whole row, the
+    static bounds included, so the parent never bounds a benchmark."""
+    from repro.analysis import cachebound
+
+    calls = []
+    bounds = cachebound.cycle_bounds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bounds(*args, **kwargs)
+
+    monkeypatch.setattr(cachebound, "cycle_bounds", counting)
     assert main(
-        ["run", "fig5", "--benchmarks", "compress", "go", "--scale", "2",
-         "--no-cache", "--jobs", "2"]
-    ) == 2
-    assert capsys.readouterr().err.startswith(
-        "configuration error: parallel execution needs the artifact cache"
+        ["run", "static", "--benchmarks", "compress", "go", "--scale", "2",
+         "--jobs", jobs, "--json"]
+    ) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row[0] for row in rows] == ["compress", "go", "average"]
+    assert len(calls) == parent_calls
+
+
+def test_inline_run_imports_no_process_pool(fresh_cache):
+    """A one-benchmark ``run`` computes its row inline, so it never
+    imports the pool machinery."""
+    argv = ["run", "fig7", "--benchmarks", "compress", "--scale", "2",
+            "--no-cache", "--json"]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
     )
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_child_env(runtime.runtime_config().cache_dir),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    assert result["code"] == 0
+    assert "concurrent.futures.process" not in result["modules"]
+    assert "multiprocessing" not in result["modules"]
 
 
 def test_warm_study_recomputes_nothing(capsys, fresh_cache):
@@ -342,15 +395,25 @@ def test_cache_stats_and_clear(capsys, fresh_cache):
     assert runtime.default_store().stats().entries == 0
 
 
-def test_run_with_jobs_prewarms_in_parallel(capsys, fresh_cache):
-    assert main(
-        ["run", "fig10", "--benchmarks", "compress", "go", "--scale", "2",
-         "--jobs", "2", "--json"]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["rows"][0][0] == "compress"
-    # prewarm computed in workers; the row pass read everything back
-    assert payload["runtime"]["totals"]["hits"] > 0
+def test_run_with_jobs_prewarms_in_parallel(capsys, fresh_cache, tmp_path):
+    """On a cold store, ``--jobs 2`` computes exactly what ``--jobs 1``
+    does, in the workers, and reads nothing back."""
+    args = ["run", "fig10", "--benchmarks", "compress", "go", "--scale",
+            "2", "--json"]
+    assert main(args + ["--jobs", "2"]) == 0
+    pooled = json.loads(capsys.readouterr().out)
+    assert pooled["rows"][0][0] == "compress"
+    clear_caches()
+    runtime.configure(cache_dir=tmp_path / "cold")
+    assert main(args + ["--jobs", "1"]) == 0
+    inline = json.loads(capsys.readouterr().out)
+    assert pooled["rows"] == inline["rows"]
+    assert pooled["runtime"]["totals"]["hits"] == 0
+    assert (
+        pooled["runtime"]["totals"]["misses"]
+        == inline["runtime"]["totals"]["misses"]
+        > 0
+    )
 
 
 class TestInvocationValidation:

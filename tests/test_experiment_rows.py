@@ -76,6 +76,29 @@ def test_runner_rows_match_golden(golden, tables, exp_id):
     assert tables[exp_id] == golden[exp_id]
 
 
+@pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+def test_parallel_uncached_run_matches_golden(capsys, golden, exp_id):
+    """Rows computed in workers with the store off come back exact."""
+    from repro.cli import main
+
+    names = ("compress", "go")
+    saved = runtime.runtime_config()
+    try:
+        assert main(
+            ["run", exp_id, "--benchmarks", *names, "--scale", str(SCALE),
+             "--no-cache", "--jobs", "2", "--json"]
+        ) == 0
+    finally:
+        runtime.set_runtime_config(saved)
+    expected = [row for row in golden[exp_id]["rows"] if row[0] in names]
+    columns = list(zip(*expected))[1:]
+    for label, reducers in EXPERIMENTS[exp_id].summaries:
+        expected.append(
+            [label] + [reduce(col) for reduce, col in zip(reducers, columns)]
+        )
+    assert json.loads(capsys.readouterr().out)["rows"] == expected
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(render(all_tables()))
     print(f"wrote {GOLDEN}")

@@ -1,25 +1,27 @@
 """Tests for the task scheduler: a task is a task id plus a picklable
-zero-argument call."""
+zero-argument call, and its value comes back to the caller."""
 
+import concurrent.futures
+import time
 from functools import partial
 
 import pytest
 
-import repro.runtime.scheduler as scheduler
 from repro import runtime
 from repro.cli import _suite_row
 from repro.core import study as study_module
 from repro.core.experiments import (
-    fig5_compression_rows,
-    fig7_att_rows,
-    fig10_decoder_rows,
+    fig5_compression_row,
+    fig7_att_row,
+    fig10_decoder_row,
+    fig14_busflip_row,
     fig14_busflip_rows,
 )
 from repro.core.study import clear_caches, study_for
 from repro.core.sweep import expand_grid
 from repro.errors import ConfigurationError, ReproError, SchedulerError
 from repro.runtime.metrics import REPORT, reset_metrics
-from repro.runtime.scheduler import execute_tasks, prewarm
+from repro.runtime.scheduler import execute_tasks, map_benchmarks
 from repro.runtime.tasks import TaskSpec, benchmark_task_id
 
 
@@ -37,14 +39,27 @@ def _fetch(benchmark, scheme):
     study_for(benchmark, 2).fetch_metrics(scheme)
 
 
-def _rows(runner, *benchmarks):
-    """One task per benchmark calling ``runner`` on it at scale 2."""
-    return {name: partial(runner, (name,), 2) for name in benchmarks}
+def _name(benchmark, scale):
+    """A study's name: a value computed without any artifact."""
+    return study_for(benchmark, scale).name
+
+
+def _touch(path, seconds=0.0):
+    """Sleep ``seconds``, then leave a marker file at ``path``."""
+    time.sleep(seconds)
+    path.write_text("ran")
+    return path.name
 
 
 class _NoPool:
     def __init__(self, *args, **kwargs):
         raise AssertionError("a process pool was started")
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a process pool is started."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
 
 
 @pytest.fixture
@@ -58,15 +73,15 @@ def fresh_cache(tmp_path):
 
 
 class TestGraphConstruction:
-    def test_one_chain_per_benchmark(self, monkeypatch):
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _NoPool)
-        results = prewarm(
-            {"compress": _cheap().call, "go": _cheap().call}, scale=2
+    def test_one_chain_per_benchmark(self, no_pool):
+        results = execute_tasks(
+            [
+                TaskSpec(benchmark_task_id(name, 2), partial(_name, name, 2))
+                for name in ("compress", "go")
+            ]
         )
-        assert [r.task_id for r in results] == [
-            benchmark_task_id("compress", 2),
-            benchmark_task_id("go", 2),
-        ]
+        assert [r.task_id for r in results] == ["compress@2", "go@2"]
+        assert [r.value for r in results] == ["compress", "go"]
         assert benchmark_task_id("go") == "go@d"
 
     def test_fetch_depends_on_trace_and_its_image(self, fresh_cache):
@@ -86,18 +101,20 @@ class TestGraphConstruction:
         # A task materializes what its call reads: Figure 10 reads
         # images only, a suite row reads the checksum of the run.
         reset_metrics()
-        prewarm(_rows(fig10_decoder_rows, "go"), scale=2)
+        [row] = map_benchmarks(fig10_decoder_row, ["go"], 2)
+        assert row[0] == "go" and len(row) == 5
         assert "trace" not in REPORT.stages
-        prewarm({"go": partial(_suite_row, "go", 2)}, scale=2)
+        [row] = map_benchmarks(_suite_row, ["go"], 2)
+        assert (row[0], row[4]) == ("go", "ok")
         assert REPORT.stage("trace").misses == 1
 
-    def test_nothing_requested_gives_no_chains(self, monkeypatch):
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _NoPool)
+    def test_nothing_requested_gives_no_chains(self, no_pool):
         assert execute_tasks([], jobs=2) == []
-        assert prewarm({}, jobs=2) == []
+        assert map_benchmarks(_name, [], jobs=2) == []
 
     def test_benchmarks_are_independent(self, fresh_cache):
-        prewarm(_rows(fig7_att_rows, "go"), scale=2)
+        [row] = map_benchmarks(fig7_att_row, ["go"], 2)
+        assert row[0] == "go"
         assert ("go", 2) in study_module._studies
         assert ("compress", 2) not in study_module._studies
 
@@ -110,54 +127,58 @@ class TestGraphConstruction:
 
 class TestExecution:
     def test_inline_execution_warms_the_store(self, fresh_cache):
-        results = prewarm(_rows(fig7_att_rows, "compress"), scale=2, jobs=1)
-        assert all(r.ok for r in results)
+        [row] = map_benchmarks(fig7_att_row, ["compress"], 2, jobs=1)
+        assert row[0] == "compress"
         assert runtime.default_store().stats().entries >= 4
 
-    def test_one_task_runs_inline(self, fresh_cache, monkeypatch):
+    def test_one_task_runs_inline(self, fresh_cache, no_pool):
         # Nothing overlaps a lone task, so no worker is started for it,
-        # and it needs no cache to hand its artifacts back.
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _NoPool)
+        # and its value comes straight back, cache or no cache.
         (result,) = execute_tasks([_cheap()], jobs=2)
-        assert result.ok
+        assert result.ok and result.value is study_for("compress", 2)
         runtime.configure(enabled=False)
-        (result,) = prewarm(
-            _rows(fig7_att_rows, "compress"), scale=2, jobs=2
+        (result,) = execute_tasks(
+            [TaskSpec("compress@2", partial(fig7_att_row, "compress", 2))],
+            jobs=2,
         )
         assert result.ok and result.task_id == "compress@2"
+        assert result.value[0] == "compress"
 
     def test_parallel_execution_fans_out(self, fresh_cache):
-        results = prewarm(
-            _rows(fig7_att_rows, "compress", "go"), scale=2, jobs=2
+        results = execute_tasks(
+            [
+                TaskSpec(benchmark_task_id(name, 2),
+                         partial(fig7_att_row, name, 2))
+                for name in ("compress", "go")
+            ],
+            jobs=2,
         )
         assert all(r.ok for r in results)
         assert [r.task_id for r in results] == ["compress@2", "go@2"]
+        assert [r.value[0] for r in results] == ["compress", "go"]
         # worker metrics were merged into the parent report
         assert runtime.REPORT.total_misses > 0
-        # parent can now read everything back without recomputing
+        # the store the workers shared is a warm cache for later runs
         clear_caches()
         study = study_for("compress", 2)
         study.compressed("full")
         study.fetch_metrics("compressed")
         assert runtime.REPORT.total_misses == 0
 
-    def test_parallel_matches_inline(self, fresh_cache, tmp_path):
-        results = prewarm(
-            _rows(fig14_busflip_rows, "compress", "go"), scale=2, jobs=2
+    def test_parallel_matches_inline(self, fresh_cache):
+        pooled = map_benchmarks(
+            fig14_busflip_row, ["compress", "go"], 2, jobs=2
         )
-        assert all(r.ok for r in results)
-        clear_caches()
-        pooled = fig14_busflip_rows(("compress", "go"), 2)
-        assert runtime.REPORT.total_misses == 0
-
         clear_caches()
         runtime.configure(enabled=False)
-        assert fig14_busflip_rows(("compress", "go"), 2) == pooled
+        _, rows = fig14_busflip_rows(("compress", "go"), 2)
+        assert pooled == rows[:2]
 
-    def test_parallel_without_cache_is_rejected(self, fresh_cache):
+    def test_parallel_without_cache_returns_values(self, fresh_cache):
         runtime.configure(enabled=False)
-        with pytest.raises(ConfigurationError, match="artifact cache"):
-            execute_tasks([_cheap("a"), _cheap("b")], jobs=2)
+        pooled = map_benchmarks(fig7_att_row, ["compress", "go"], 2, jobs=2)
+        assert pooled == map_benchmarks(fig7_att_row, ["compress", "go"], 2)
+        assert runtime.default_store().stats().entries == 0
 
     def test_job_count_beyond_the_graph_is_capped(self, fresh_cache):
         # The pool holds at most one worker per task; sizing it by the
@@ -171,8 +192,10 @@ class TestExecution:
         # Figure 5 reads compressed images only, so its tasks must not
         # emulate.
         reset_metrics()
-        prewarm(_rows(fig5_compression_rows, "compress", "go"), scale=2,
-                jobs=2)
+        rows = map_benchmarks(
+            fig5_compression_row, ["compress", "go"], 2, jobs=2
+        )
+        assert [row[0] for row in rows] == ["compress", "go"]
         assert REPORT.stage("compress").misses > 0
         assert "trace" not in REPORT.stages
 
@@ -189,6 +212,32 @@ class TestExecution:
             execute_tasks([_bad(), later], jobs=1)
         assert [f["task_id"] for f in REPORT.failures] == ["bad"]
         assert "trace" not in REPORT.stages
+
+    def test_pooled_failure_submits_nothing_more(self, fresh_cache, tmp_path):
+        # At most one task per worker is in flight, so after ``bad``
+        # fails only the task already running (``slow``) finishes.
+        slow, c, d = (tmp_path / name for name in ("slow", "c", "d"))
+        tasks = [
+            _bad(),
+            TaskSpec("slow", partial(_touch, slow, 1.0)),
+            TaskSpec("c", partial(_touch, c)),
+            TaskSpec("d", partial(_touch, d)),
+        ]
+        with pytest.raises(SchedulerError, match="1 task"):
+            execute_tasks(tasks, jobs=2)
+        assert slow.exists()
+        assert not c.exists() and not d.exists()
+
+    def test_pooled_values_come_back_in_task_order(self, tmp_path):
+        # ``first`` finishes last; the results still follow the tasks.
+        tasks = [
+            TaskSpec("first", partial(_touch, tmp_path / "first", 0.5)),
+            TaskSpec("second", partial(_touch, tmp_path / "second")),
+            TaskSpec("third", partial(_touch, tmp_path / "third")),
+        ]
+        results = execute_tasks(tasks, jobs=2)
+        assert [r.task_id for r in results] == ["first", "second", "third"]
+        assert [r.value for r in results] == ["first", "second", "third"]
 
 
 class TestFailureSurfacing:
