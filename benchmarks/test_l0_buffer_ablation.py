@@ -7,7 +7,7 @@ near-Base IPC under Compressed thanks to L0 hits, and (b) sweeps the
 buffer capacity (8/16/32/64 ops) on a general benchmark.
 """
 
-from repro.compiler import compile_module
+from repro.compiler.pipeline import compile_module
 from repro.compression.schemes import BaselineScheme, FullOpHuffmanScheme
 from repro.core.sweep import run_sweep
 from repro.emulator import run_image

@@ -14,7 +14,8 @@ correctness").  Two results:
    and prediction events.
 """
 
-from repro.compiler import ModuleBuilder, compile_module
+from repro.compiler.builder import ModuleBuilder
+from repro.compiler.pipeline import compile_module
 from repro.compression.schemes import BaselineScheme
 from repro.core.study import study_for
 from repro.emulator import run_image

@@ -12,7 +12,7 @@ import timeit
 
 import pytest
 
-from repro.compiler import compile_module
+from repro.compiler.pipeline import compile_module
 from repro.compression.schemes import FullOpHuffmanScheme
 from repro.core.study import study_for
 from repro.core.sweep import expand_grid

@@ -11,7 +11,7 @@ size, while the L0 buffer keeps the delivered IPC at parity.
 Run:  python examples/dsp_filter.py
 """
 
-from repro.compiler import compile_module
+from repro.compiler.pipeline import compile_module
 from repro.compression.schemes import BaselineScheme, FullOpHuffmanScheme
 from repro.emulator import run_image
 from repro.fetch.config import FetchConfig

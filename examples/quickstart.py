@@ -12,7 +12,8 @@ Walks the whole toolchain on a small checksum kernel:
 Run:  python examples/quickstart.py
 """
 
-from repro.compiler import ModuleBuilder, compile_module
+from repro.compiler.builder import ModuleBuilder
+from repro.compiler.pipeline import compile_module
 from repro.compression.alphabets import SIX_STREAM_CONFIGS
 from repro.compression.decoder_cost import scheme_decoder_cost
 from repro.compression.schemes import (

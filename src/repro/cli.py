@@ -34,7 +34,9 @@ parser), its own arguments and its handler.  A handler returns a
 :class:`_Result`; ``main`` alone validates the invocation, applies the
 runtime flags, prints the result and maps errors to exit codes.  Each
 handler imports the layers it runs, so a warm ``study`` loads neither
-the compiler's passes nor the experiment table.
+the compiler's passes nor the experiment table, and a warm ``run``,
+which reads one stored row per benchmark, loads no pipeline layer at
+all.  ``main`` adds only its own command's arguments to the parser.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from repro.errors import (
     ReproError,
     SchedulerError,
 )
-from repro.programs.suite import BENCHMARK_NAMES, SUITE
+from repro.programs.specs import BENCHMARK_NAMES, SUITE
 from repro.runtime.config import environment_problems
 from repro.utils.tables import format_table  # loaded by repro.runtime too
 
@@ -735,8 +737,13 @@ def _shared_flags() -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``repro`` parser: one subparser per :data:`_COMMANDS` entry."""
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser: one subparser per :data:`_COMMANDS` entry.
+
+    Given ``only``, a command name, only that subparser gets its own
+    arguments (``check``'s choices import the invariant registry); the
+    others still parse their shared flags.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce Larin & Conte (MICRO 1999) experiments.",
@@ -749,13 +756,16 @@ def build_parser() -> argparse.ArgumentParser:
             help=command.help,
             parents=[shared[flag] for flag in command.flags],
         )
-        if command.arguments is not None:
+        if command.arguments is not None and only in (None, name):
             command.arguments(subparser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(named).parse_args(argv)
     command = _COMMANDS[args.command]
     try:
         _validate_invocation(args)

@@ -20,17 +20,7 @@ into 6-issue zero-NOP MultiOps, and emit a laid-out
    (:mod:`repro.compiler.assemble`).
 
 :func:`repro.compiler.pipeline.compile_module` drives the whole thing.
+This package imports nothing; import from the defining submodule
+(:mod:`~repro.compiler.builder`, :mod:`~repro.compiler.ir`,
+:mod:`~repro.compiler.pipeline`).
 """
-
-from repro.compiler.builder import FunctionBuilder, ModuleBuilder
-from repro.compiler.ir import IRFunction, IRModule
-from repro.compiler.pipeline import CompiledProgram, compile_module
-
-__all__ = [
-    "CompiledProgram",
-    "FunctionBuilder",
-    "IRFunction",
-    "IRModule",
-    "ModuleBuilder",
-    "compile_module",
-]

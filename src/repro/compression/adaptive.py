@@ -278,7 +278,7 @@ class HybridScheme(CompressionScheme):
     def decode_block(
         self, compressed: CompressedImage, block_id: int
     ) -> list[int]:
-        from repro.tailored.encoding import TailoredScheme
+        from repro.tailored.encoding import decode_ops
         from repro.utils.bitstream import BitReader
 
         if not isinstance(compressed, HybridImage):
@@ -286,12 +286,7 @@ class HybridScheme(CompressionScheme):
         reader = BitReader(compressed.block_bytes(block_id))
         op_count = compressed.image.block(block_id).op_count
         if compressed.block_tags[block_id] == HOT_TAG:
-            tailored = TailoredScheme()
-            spec = compressed.spec
-            return [
-                tailored._decode_op(spec, reader)
-                for _ in range(op_count)
-            ]
+            return decode_ops(compressed.spec, reader, op_count)
         decoders = [s.code.make_decoder() for s in compressed.streams]
         words = []
         ctx = BLOCK_START_CONTEXT

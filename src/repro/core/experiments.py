@@ -8,6 +8,13 @@ rows, each a label plus one reducer per column.  One generic
 per benchmark under ``jobs``, each row coming back from its worker),
 keeps benchmark order and appends the summary rows.
 
+Each benchmark row is an artifact of its own: :func:`stored_row` sends
+it through the store's ``row`` stage, keyed by the experiment, so a warm
+run reads one small entry per benchmark and rebuilds nothing.  The row
+functions import the study, the fetch layer and the decoder cost model
+when called, so this module (and a warm ``repro run``) loads no pipeline
+layer.
+
 ``figN_*_rows`` (and ``adaptive_rows``, ``static_rows``) are the
 runners of the :data:`EXPERIMENTS` registry: each returns ``(headers,
 rows)`` ready for :func:`repro.utils.tables.format_table`; the benches
@@ -18,13 +25,11 @@ per-experiment index DESIGN.md refers to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.compression.decoder_cost import scheme_decoder_cost
-from repro.core.study import study_for
-from repro.fetch.atb import att_bytes, att_overhead_percent
-from repro.fetch.config import FetchConfig
-from repro.programs.suite import BENCHMARK_NAMES
+from repro import runtime
+from repro.programs.specs import BENCHMARK_NAMES, effective_scale
 from repro.runtime.scheduler import map_benchmarks
 from repro.utils.stats import mean, median
 
@@ -47,6 +52,8 @@ def fig5_compression_row(name: str, scale: Optional[int]) -> list:
     the smallest-size one, chosen from the six searched configurations —
     the paper's selection rule.
     """
+    from repro.core.study import study_for
+
     study = study_for(name, scale)
     by_decoder, by_size = study.best_stream_keys()
     return [
@@ -63,6 +70,10 @@ def fig5_compression_row(name: str, scale: Optional[int]) -> list:
 # ----------------------------------------------------------- Figure 7
 def fig7_att_row(name: str, scale: Optional[int]) -> list:
     """ATB characteristics and total code size with the ATT (Figure 7)."""
+    from repro.core.study import study_for
+    from repro.fetch.atb import att_bytes, att_overhead_percent
+    from repro.fetch.config import FetchConfig
+
     study = study_for(name, scale)
     full = study.compressed("full")
     geometry = FetchConfig.for_scheme("compressed").cache
@@ -82,6 +93,9 @@ def fig7_att_row(name: str, scale: Optional[int]) -> list:
 # ---------------------------------------------------------- Figure 10
 def fig10_decoder_row(name: str, scale: Optional[int]) -> list:
     """Huffman decoder complexity (transistors) per scheme (Figure 10)."""
+    from repro.compression.decoder_cost import scheme_decoder_cost
+    from repro.core.study import study_for
+
     study = study_for(name, scale)
     by_decoder, by_size = study.best_stream_keys()
     return [name] + [
@@ -102,6 +116,7 @@ def fig13_cache_row(name: str, scale: Optional[int]) -> list:
     14 run serves them); Ideal has no cache/predictor machinery to
     factor and stays on the study path.
     """
+    from repro.core.study import study_for
     from repro.core.sweep import expand_grid, run_sweep
 
     grid = expand_grid(("base", "compressed", "tailored"))
@@ -121,6 +136,8 @@ def fig13_cache_row(name: str, scale: Optional[int]) -> list:
 # ---------------------------------------------------------- Figure 14
 def fig14_busflip_row(name: str, scale: Optional[int]) -> list:
     """Memory-bus bit flips, normalized to Base = 100 (Figure 14)."""
+    from repro.core.study import study_for
+
     study = study_for(name, scale)
     base = study.fetch_metrics("base").bus_bit_flips
     tailored = study.fetch_metrics("tailored").bus_bit_flips
@@ -146,6 +163,7 @@ def adaptive_row(name: str, scale: Optional[int]) -> list:
     (columnar sweep, bit-identical to the reference engine), so the
     table shows what the hot set buys at the default hotness threshold.
     """
+    from repro.core.study import study_for
     from repro.core.sweep import expand_grid, run_sweep
 
     study = study_for(name, scale)
@@ -184,6 +202,7 @@ def static_row(name: str, scale: Optional[int]) -> list:
     from repro.analysis.cachebound import cycle_bounds
     from repro.analysis.freq import static_heat_profile
     from repro.compression.adaptive import heat_profile
+    from repro.core.study import study_for
     from repro.core.sweep import expand_grid, run_sweep
     from repro.utils.stats import spearman
 
@@ -215,15 +234,41 @@ def static_row(name: str, scale: Optional[int]) -> list:
 
 
 # ----------------------------------------------------------- registry
+def stored_row(
+    exp_id: str,
+    row: Callable[[str, Optional[int]], list],
+    name: str,
+    scale: Optional[int],
+) -> list:
+    """``row(name, scale)`` through the store's ``row`` stage.
+
+    The entry is keyed by the benchmark, its effective scale (the
+    suite default when ``scale`` is ``None``), ``exp_id`` and the
+    source fingerprint, so experiments never share a row and an edit
+    anywhere in ``repro`` recomputes it.  A hit loads no study; a miss
+    computes the row (reading or computing its studies' stages) and
+    stores it.  With the store off the row is computed directly.  The
+    row's own analysis, outside its nested stages, is the ``row``
+    stage's seconds.
+    """
+    return runtime.get_or_compute(
+        "row",
+        partial(row, name, scale),
+        benchmark=name,
+        scale=effective_scale(name, scale),
+        extra={"experiment": exp_id},
+    )
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One reproducible artifact of the paper's evaluation.
 
     ``row(name, scale)`` is a module-level function, so with ``jobs``
-    the runner ships one call per benchmark to a worker and the row
-    itself comes back.  Each of ``summaries`` is a label plus one
-    reducer per column after the first, applied to the benchmark rows
-    only.
+    the runner ships one :func:`stored_row` call per benchmark to a
+    worker, which computes and stores the row, and the row itself comes
+    back.  Each of ``summaries`` is a label plus one reducer per column
+    after the first, applied to the benchmark rows only, in the caller.
     """
 
     exp_id: str
@@ -243,7 +288,10 @@ class Experiment:
         """``(headers, rows)``: one row per benchmark (all of the suite
         when ``benchmarks`` is empty), in order, then the summary rows."""
         rows = map_benchmarks(
-            self.row, tuple(benchmarks or BENCHMARK_NAMES), scale, jobs=jobs
+            partial(stored_row, self.exp_id, self.row),
+            tuple(benchmarks or BENCHMARK_NAMES),
+            scale,
+            jobs=jobs,
         )
         columns = list(zip(*rows))[1:]
         for label, reducers in self.summaries:

@@ -47,7 +47,7 @@ from repro.fetch.config import (
     normalize_fetch_scheme,
 )
 from repro.fetch.engine import FetchMetrics, ideal_metrics, simulate_fetch
-from repro.programs.suite import SUITE, compile_benchmark
+from repro.programs.suite import SUITE, compile_benchmark, effective_scale
 from repro.runtime.config import gate_enabled, integer_setting
 
 if TYPE_CHECKING:
@@ -78,9 +78,7 @@ class ProgramStudy:
         Cache digests key on this, so ``study_for("go")`` and
         ``study_for("go", 3)`` share artifacts.
         """
-        if self.scale is not None:
-            return self.scale
-        return SUITE[self.name].default_scale
+        return effective_scale(self.name, self.scale)
 
     def _stage(self, stage: str, compute, **key):
         return runtime.get_or_compute(
@@ -132,9 +130,7 @@ class ProgramStudy:
 
     def verify_checksum(self) -> bool:
         """Does the emulated run match the pure-Python oracle?"""
-        spec = SUITE[self.name]
-        scale = self.scale if self.scale is not None else spec.default_scale
-        expected = spec.reference_checksum(scale)
+        expected = SUITE[self.name].reference_checksum(self.effective_scale)
         module = self.compiled.module
         address = module.globals["result"].address
         return self.run.machine.load_word(address) == expected

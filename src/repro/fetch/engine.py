@@ -18,17 +18,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.compression.schemes import CompressedImage
-from repro.fetch.atb import ATB, att_bytes
-from repro.fetch.banked_cache import BankedCache
-from repro.fetch.branch_predict import BlockMeta, GshareUnit
+from repro.fetch.atb import att_bytes
+from repro.fetch.branch_predict import BlockMeta
 from repro.fetch.config import (
     FetchConfig,
     block_families,
     image_organization,
     initiation_cycles,
 )
-from repro.fetch.l0buffer import L0Buffer
-from repro.power.busmodel import BusModel
 
 
 @dataclass
@@ -142,6 +139,12 @@ def simulate_fetch_reference(
     columnar sweep behind :func:`simulate_fetch` is an optimization of
     *this* function and is differentially tested against it.
     """
+    from repro.fetch.atb import ATB
+    from repro.fetch.banked_cache import BankedCache
+    from repro.fetch.branch_predict import GshareUnit
+    from repro.fetch.l0buffer import L0Buffer
+    from repro.power.busmodel import BusModel
+
     config = config or FetchConfig.for_scheme(
         image_organization(compressed.scheme_name)
     )

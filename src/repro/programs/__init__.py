@@ -26,22 +26,8 @@ tests.
 :mod:`repro.programs.kernels` adds the tight DSP loops used for the
 L0-buffer study (Section 4: "tight, frequently executed loops (like DSP
 kernels) fit into the buffer completely").
+
+This package imports nothing; import from the defining submodule.
+:mod:`repro.programs.specs` holds the benchmark table and loads no
+compiler module, and :mod:`repro.programs.suite` builds and compiles.
 """
-
-from repro.programs.suite import (
-    BENCHMARK_NAMES,
-    BenchmarkSpec,
-    SUITE,
-    build_benchmark,
-    compile_benchmark,
-    reference_checksum,
-)
-
-__all__ = [
-    "BENCHMARK_NAMES",
-    "BenchmarkSpec",
-    "SUITE",
-    "build_benchmark",
-    "compile_benchmark",
-    "reference_checksum",
-]

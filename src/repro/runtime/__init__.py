@@ -5,8 +5,8 @@ This package turns the per-process memoization of
 
 * :mod:`repro.runtime.store` — a disk-backed, content-addressed cache of
   study artifacts (compiled images, traces, compressed images, fetch
-  metrics) with atomic writes, corruption-tolerant reads, and an LRU
-  byte cap;
+  metrics) and experiment rows, with atomic writes, corruption-tolerant
+  reads, and an LRU byte cap;
 * :mod:`repro.runtime.fingerprint` — deterministic digests keyed on the
   benchmark, scale, scheme/config, and a source fingerprint of the whole
   ``repro`` package, so edits invalidate like a build system;
@@ -19,7 +19,7 @@ This package turns the per-process memoization of
   comes back to the caller.
 
 :func:`get_or_compute` is the seam :class:`repro.core.study.ProgramStudy`
-calls through: cache disabled (``REPRO_CACHE=0`` / ``--no-cache``) means
+and :func:`repro.core.experiments.stored_row` call through: cache disabled (``REPRO_CACHE=0`` / ``--no-cache``) means
 the compute callable runs directly, byte-identical to the historical
 path.  :func:`get_or_compute_many` is the same seam for a batch of one
 stage's artifacts computed by one call (``run_sweep``'s grid points).
@@ -97,10 +97,13 @@ def get_or_compute(
 ):
     """One artifact, through the store when enabled.
 
-    Looks the artifact up by its content address; on a miss (or with the
-    cache disabled) runs ``compute()`` and persists the result.  Either
-    way the stage's wall-time and hit/miss counters land in
-    :data:`REPORT` (see :func:`get_or_compute_many`).
+    ``stage`` is one of five: ``compile``, ``trace``, ``compress`` and
+    ``fetch`` (a study's artifacts) and ``row`` (one benchmark's
+    experiment row, keyed by ``extra={"experiment": id}``).  Looks the
+    artifact up by its content address; on a miss (or with the cache
+    disabled) runs ``compute()`` and persists the result.  Either way
+    the stage's wall-time and hit/miss counters land in :data:`REPORT`
+    (see :func:`get_or_compute_many`).
     """
     [value] = get_or_compute_many(
         stage,

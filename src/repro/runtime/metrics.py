@@ -29,8 +29,9 @@ _open_clocks: ContextVar[Tuple["StageClock", ...]] = ContextVar(
     "repro_stage_clocks", default=()
 )
 
-#: Stage presentation order in reports (pipeline order).
-STAGE_ORDER = ("compile", "trace", "compress", "fetch")
+#: Stage presentation order in reports (pipeline order; an experiment
+#: row is read from the other four).
+STAGE_ORDER = ("compile", "trace", "compress", "fetch", "row")
 
 
 @dataclass

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.fetch.config import fetch_image_key  # noqa: F401 - re-exported
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -35,3 +33,12 @@ class TaskSpec:
 def benchmark_task_id(benchmark: str, scale: Optional[int] = None) -> str:
     """The id of one benchmark's task: ``name@scale`` (``@d``: default)."""
     return f"{benchmark}@{'d' if scale is None else scale}"
+
+
+def fetch_image_key(scheme: str) -> str:
+    """The compressed image one fetch organization replays against:
+    :func:`repro.fetch.config.fetch_image_key`, whose module this one
+    loads only when called."""
+    from repro.fetch.config import fetch_image_key as image_key
+
+    return image_key(scheme)

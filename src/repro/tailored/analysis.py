@@ -18,6 +18,7 @@ field and group.  The resulting :class:`TailoredSpec` fixes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.compression.schemes import BlockWords, block_words
 from repro.errors import EncodingError
@@ -119,6 +120,52 @@ class TailoredSpec:
             if sel == selector:
                 return opcode
         raise EncodingError(f"selector {selector} maps to no opcode")
+
+    @cached_property
+    def decode_table(self) -> list:
+        """Per selector (``None`` where no opcode has it): the baseline
+        word holding only the opcode's (opt, opcode) prefix, the op's
+        body width, and ``(body_shift, mask, word_shift, fill)`` per
+        body field of non-zero tailored width.  A field is
+        ``body >> body_shift & mask`` in the tailored body and lands at
+        ``word_shift`` in the baseline word; ``fill`` is the baseline
+        field's bits above the tailored width (0 for unsigned fields),
+        set when the field's sign bit is.
+
+        Built on first use; not pickled (see :meth:`__getstate__`).
+        """
+        table: list = [None] * (1 << self.selector_width)
+        for opcode, selector in self.opcode_selector.items():
+            fmt = FORMATS[opcode.format_name]
+            used = [
+                fu
+                for fu in self.formats[opcode.format_name].fields
+                if fu.tailored_width
+            ]
+            body_shift = sum(fu.tailored_width for fu in used)
+            fields = []
+            for fu in used:
+                width = fu.tailored_width
+                body_shift -= width
+                mask = (1 << width) - 1
+                fill = fmt.field(fu.name).max_value ^ mask if fu.signed else 0
+                fields.append(
+                    (body_shift, mask, fmt.shift_of(fu.name), fill)
+                )
+            prefix = fmt.encode(
+                {"opt": opcode.optype.value, "opcode": opcode.code}
+            )
+            table[selector] = (
+                prefix,
+                self.formats[opcode.format_name].body_width,
+                tuple(fields),
+            )
+        return table
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("decode_table", None)
+        return state
 
     def describe(self) -> str:
         """Human-readable layout summary (README/examples)."""

@@ -26,7 +26,7 @@ from repro.compression.schemes import (
     CompressionScheme,
     pack_words,
 )
-from repro.errors import CompressionError
+from repro.errors import CompressionError, EncodingError
 from repro.isa.formats import (
     FORMATS,
     OPCODE_PREFIX_MASK,
@@ -120,39 +120,45 @@ class TailoredScheme(CompressionScheme):
             raise CompressionError(
                 "tailored decode requires a TailoredImage"
             )
-        spec = compressed.spec
-        reader = BitReader(compressed.block_bytes(block_id))
-        block = compressed.image.block(block_id)
-        return [
-            self._decode_op(spec, reader) for _ in range(block.op_count)
-        ]
+        return decode_ops(
+            compressed.spec,
+            BitReader(compressed.block_bytes(block_id)),
+            compressed.image.block(block_id).op_count,
+        )
 
-    def _decode_op(self, spec: TailoredSpec, reader: BitReader) -> int:
-        tail = reader.read(1)
-        spec_bit = reader.read(1) if spec.speculative_used else 0
-        selector = reader.read(spec.selector_width)
-        opcode = spec.opcode_for_selector(selector)
-        fmt = FORMATS[opcode.format_name]
-        values: dict[str, int] = {
-            "t": tail,
-            "s": spec_bit,
-            "opt": opcode.optype.value,
-            "opcode": opcode.code,
-        }
-        tf = spec.formats[opcode.format_name]
-        for fu in tf.fields:
-            width = fu.tailored_width
-            if width == 0:
-                values[fu.name] = 0
-                continue
-            raw = reader.read(width)
-            if fu.signed and raw & (1 << (width - 1)):
-                raw -= 1 << width
-            if fu.signed:
-                values[fu.name] = raw & 0xFFFFF  # back to 20-bit field
-            else:
-                values[fu.name] = raw
-        return fmt.encode(values)
+
+def decode_ops(spec: TailoredSpec, reader: BitReader, count: int) -> list[int]:
+    """The baseline words of ``count`` tailored ops read from ``reader``.
+
+    Each op is two reads, its header and its body, unpacked into the
+    baseline word through ``spec``'s :attr:`~TailoredSpec.decode_table`.
+    """
+    table = spec.decode_table
+    selector_width = spec.selector_width
+    selector_mask = (1 << selector_width) - 1
+    speculative_used = spec.speculative_used
+    header_width = spec.header_width
+    words = []
+    for _ in range(count):
+        header = reader.read(header_width)
+        selector = header & selector_mask
+        entry = table[selector] if selector < len(table) else None
+        if entry is None:
+            raise EncodingError(f"selector {selector} maps to no opcode")
+        prefix, body_width, fields = entry
+        flags = header >> selector_width
+        if speculative_used:
+            word = prefix | flags >> 1 << T_SHIFT | (flags & 1) << S_SHIFT
+        else:
+            word = prefix | flags << T_SHIFT
+        body = reader.read(body_width)
+        for body_shift, mask, shift, fill in fields:
+            value = body >> body_shift & mask
+            if fill and value > mask >> 1:
+                value |= fill
+            word |= value << shift
+        words.append(word)
+    return words
 
 
 def tailor_image(image: ProgramImage) -> TailoredImage:

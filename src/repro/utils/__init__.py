@@ -1,29 +1,4 @@
-"""Shared low-level utilities: bit streams, tables, statistics."""
+"""Shared low-level utilities: bit streams, tables, statistics.
 
-from repro.utils.bitstream import (
-    BitReader,
-    ReferenceBitWriter,
-    pack_block,
-)
-from repro.utils.stats import (
-    geometric_mean,
-    mean,
-    median,
-    percent,
-    ratio,
-    weighted_mean,
-)
-from repro.utils.tables import format_table
-
-__all__ = [
-    "BitReader",
-    "ReferenceBitWriter",
-    "format_table",
-    "pack_block",
-    "geometric_mean",
-    "mean",
-    "median",
-    "percent",
-    "ratio",
-    "weighted_mean",
-]
+This package imports nothing; import from the defining submodule.
+"""

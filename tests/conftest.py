@@ -11,7 +11,8 @@ import os
 
 import pytest
 
-from repro.compiler import ModuleBuilder, compile_module
+from repro.compiler.builder import ModuleBuilder
+from repro.compiler.pipeline import compile_module
 from repro.emulator import run_image
 
 

@@ -226,7 +226,7 @@ def test_every_block_decodes_under_its_tagged_scheme(
     """Hot blocks are pure tailored payloads; cold blocks are pure
     context-Huffman payloads — each decodes with only its tagged
     decoder, independently of the hybrid dispatch."""
-    from repro.tailored.encoding import TailoredScheme
+    from repro.tailored.encoding import decode_ops
     from repro.utils.bitstream import BitReader
 
     profile = heat_profile(tiny_trace, len(tiny_image))
@@ -235,16 +235,12 @@ def test_every_block_decodes_under_its_tagged_scheme(
     )
     tags = compressed.block_scheme_tags()
     assert HOT_TAG in tags and COLD_TAG in tags
-    tailored = TailoredScheme()
     decoders = [s.code.make_decoder() for s in compressed.streams]
     for block in tiny_image:
         expected = [op.encode() for op in block.ops]
         reader = BitReader(compressed.block_bytes(block.block_id))
         if tags[block.block_id] == HOT_TAG:
-            got = [
-                tailored._decode_op(compressed.spec, reader)
-                for _ in range(block.op_count)
-            ]
+            got = decode_ops(compressed.spec, reader, block.op_count)
         else:
             got = []
             ctx = BLOCK_START_CONTEXT

@@ -48,7 +48,7 @@ from repro.analysis.loops import (
     loops,
     natural_loop,
 )
-from repro.compiler import compile_module
+from repro.compiler.pipeline import compile_module
 from repro.errors import ConfigurationError
 from repro.fetch.config import CacheGeometry, FetchConfig
 

@@ -240,21 +240,36 @@ _NOT_IMPORTED_BY_WARM_STUDY = (
     "repro.analysis.verifier",
     "repro.analysis.dataflow",
     "repro.check.runner",
+    "repro.check.registry",
     "repro.core.experiments",
     "repro.fetch.sweep",
+    "repro.fetch.banked_cache",
+    "repro.fetch.l0buffer",
+    "repro.power",
+)
+
+#: Pipeline layers a warm ``run`` child, which reads one row per
+#: benchmark, must not load.
+_NOT_IMPORTED_BY_WARM_RUN = (
+    "repro.isa",
+    "repro.compiler",
+    "repro.emulator",
+    "repro.compression",
+    "repro.fetch",
+    "repro.analysis",
+    "repro.check.registry",
 )
 
 
-def test_warm_study_imports_only_what_it_runs(capsys, fresh_cache):
-    argv = ["study", "compress", "--scheme", "full", "--json"]
-    assert main(argv) == 0  # warms the store
-    capsys.readouterr()
+def _child_main(argv, report_key):
+    """Run ``main(argv)`` in a fresh interpreter against the current
+    store; its exit code, runtime report and loaded modules."""
     script = (
         "import contextlib, io, json, sys\n"
         "from repro.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         f"    code = main({argv!r})\n"
-        "report = json.loads(out.getvalue())['metrics']\n"
+        f"report = json.loads(out.getvalue())[{report_key!r}]\n"
         "print(json.dumps({'code': code, 'report': report,\n"
         "                  'modules': sorted(sys.modules)}))\n"
     )
@@ -265,18 +280,94 @@ def test_warm_study_imports_only_what_it_runs(capsys, fresh_cache):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    result = json.loads(child.stdout)
-    assert result["code"] == 0
-    assert result["report"]["totals"]["misses"] == 0
-    loaded = [
+    return json.loads(child.stdout)
+
+
+def _loaded(modules, packages):
+    return [
         module
-        for module in result["modules"]
+        for module in modules
         if any(
             module == name or module.startswith(name + ".")
-            for name in _NOT_IMPORTED_BY_WARM_STUDY
+            for name in packages
         )
     ]
-    assert loaded == []
+
+
+def test_warm_study_imports_only_what_it_runs(capsys, fresh_cache):
+    argv = ["study", "compress", "--scheme", "full", "--json"]
+    assert main(argv) == 0  # warms the store
+    capsys.readouterr()
+    result = _child_main(argv, "metrics")
+    assert result["code"] == 0
+    assert result["report"]["totals"]["misses"] == 0
+    assert _loaded(result["modules"], _NOT_IMPORTED_BY_WARM_STUDY) == []
+
+
+def test_warm_run_reads_one_row_and_loads_no_pipeline_layer(
+    capsys, fresh_cache
+):
+    argv = ["run", "fig7", "--benchmarks", "compress", "--scale", "2",
+            "--json"]
+    assert main(argv) == 0  # warms the store
+    capsys.readouterr()
+    result = _child_main(argv, "runtime")
+    assert result["code"] == 0
+    stages = result["report"]["stages"]
+    assert list(stages) == ["row"]
+    assert (stages["row"]["hits"], stages["row"]["misses"]) == (1, 0)
+    assert _loaded(result["modules"], _NOT_IMPORTED_BY_WARM_RUN) == []
+
+
+def _stage_counts(payload) -> dict:
+    return {
+        name: (stage["hits"], stage["misses"])
+        for name, stage in payload["runtime"]["stages"].items()
+    }
+
+
+def test_row_keys_keep_experiments_apart(capsys, fresh_cache):
+    """Rows are keyed by experiment: after ``run fig5`` a ``run fig7``
+    on the same benchmark computes its own row, from the compile and
+    compress entries fig5 stored."""
+    base = ["--benchmarks", "compress", "--scale", "2", "--json"]
+    assert main(["run", "fig5"] + base) == 0
+    capsys.readouterr()
+    clear_caches()
+    assert main(["run", "fig7"] + base) == 0
+    counts = _stage_counts(json.loads(capsys.readouterr().out))
+    assert counts["row"] == (0, 1)
+    assert counts["compile"] == (1, 0)
+    assert counts["compress"][0] >= 1 and counts["compress"][1] == 0
+
+
+def test_parallel_rows_are_stored_by_their_workers(capsys, fresh_cache):
+    """A cold ``--jobs 2`` run stores one row per benchmark from the
+    workers; the same run again reads those rows and nothing else."""
+    argv = ["run", "fig13", "--benchmarks", "compress", "go", "--scale",
+            "2", "--jobs", "2", "--json"]
+    assert main(argv) == 0
+    cold = json.loads(capsys.readouterr().out)
+    assert _stage_counts(cold)["row"] == (0, 2)
+    clear_caches()
+    assert main(argv) == 0
+    warm = json.loads(capsys.readouterr().out)
+    assert _stage_counts(warm) == {"row": (2, 0)}
+    assert warm["rows"] == cold["rows"]
+
+
+def test_row_analysis_is_a_recorded_stage(capsys, fresh_cache):
+    """The row's own analysis (static heat, Spearman, cycle bounds) is
+    charged to ``row``, and stage seconds stay exclusive."""
+    started = time.perf_counter()
+    assert main(
+        ["run", "static", "--benchmarks", "compress", "--scale", "2",
+         "--no-cache", "--json"]
+    ) == 0
+    wall = time.perf_counter() - started
+    stages = json.loads(capsys.readouterr().out)["runtime"]["stages"]
+    assert stages["row"]["seconds"] > 0
+    assert sum(stage["seconds"] for stage in stages.values()) <= wall
 
 
 def test_sigterm_drains_a_cold_parallel_run(tmp_path):

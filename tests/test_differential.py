@@ -10,7 +10,8 @@ emulator chain fails the property.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler import ModuleBuilder, compile_module
+from repro.compiler.builder import ModuleBuilder
+from repro.compiler.pipeline import compile_module
 from repro.emulator import run_image
 from repro.isa.opcodes import Opcode
 from repro.utils.arith import shift_amount, unsigned32, wrap32

@@ -52,7 +52,7 @@ def _op_soup_program(iterations: int):
     (via ``select``) and a call/ret pair.  It is the only program that
     runs ``fabs_``, and the only one running every FP family together
     with call/ret and ``select``."""
-    from repro.compiler import compile_module
+    from repro.compiler.pipeline import compile_module
     from repro.compiler.builder import ModuleBuilder
 
     mb = ModuleBuilder("opsoup")

@@ -3,8 +3,9 @@
 ``Format.encode`` ORs each field into the word from a precomputed layout,
 ``Operation.field_values`` walks a per-format operand table,
 ``Operation.encode`` packs from a per-opcode plan, the tailored ISA is
-built and encoded from the baseline words, ``StreamConfig.split``
-applies precomputed cuts and package–merge merges in C.  Each is
+built and encoded from the baseline words and decoded through a
+per-spec table, ``StreamConfig.split`` applies precomputed cuts and
+package–merge merges in C.  Each is
 compared here against the straightforward implementation it replaced,
 copied verbatim below as an oracle.
 """
@@ -53,7 +54,7 @@ from repro.tailored.analysis import (
     analyze_image,
 )
 from repro.tailored.encoding import TailoredImage, TailoredScheme
-from repro.utils.bitstream import ReferenceBitWriter, pack_block
+from repro.utils.bitstream import BitReader, ReferenceBitWriter, pack_block
 
 
 # ---------------------------------------------------------------- oracles
@@ -471,6 +472,59 @@ def test_word_driven_images_match_per_op_oracle(suite_studies, name, key):
     assert _dumps(_scheme(key, study).compress(image)) == expected
     shared = _scheme(key, study).with_words(study.op_words)
     assert _dumps(shared.compress(image)) == expected
+
+
+def oracle_decode_op(spec: TailoredSpec, reader: BitReader) -> int:
+    tail = reader.read(1)
+    spec_bit = reader.read(1) if spec.speculative_used else 0
+    selector = reader.read(spec.selector_width)
+    opcode = spec.opcode_for_selector(selector)
+    fmt = FORMATS[opcode.format_name]
+    values: dict[str, int] = {
+        "t": tail,
+        "s": spec_bit,
+        "opt": opcode.optype.value,
+        "opcode": opcode.code,
+    }
+    tf = spec.formats[opcode.format_name]
+    for fu in tf.fields:
+        width = fu.tailored_width
+        if width == 0:
+            values[fu.name] = 0
+            continue
+        raw = reader.read(width)
+        if fu.signed and raw & (1 << (width - 1)):
+            raw -= 1 << width
+        if fu.signed:
+            values[fu.name] = raw & 0xFFFFF  # back to 20-bit field
+        else:
+            values[fu.name] = raw
+    return fmt.encode(values)
+
+
+@pytest.mark.parametrize("key", IMAGE_ORACLES)
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_tailored_decode_matches_per_field_oracle(suite_studies, name, key):
+    """Every block of every tailored, ``hybrid`` and ``hybrid:static``
+    image decodes to the per-field oracle's words and to the baseline
+    words; the decode table leaves the spec's pickle unchanged."""
+    study = suite_studies[name]
+    compressed = study.compressed(key)
+    spec = compressed.spec
+    before = _dumps(spec)
+    hot = [
+        block_id
+        for block_id in range(len(compressed.image))
+        if key == "tailored" or compressed.block_tags[block_id] == HOT_TAG
+    ]
+    assert hot
+    for block_id in range(len(compressed.image)):
+        words = compressed.decode_block(block_id)
+        assert words == list(study.op_words[block_id])
+        if block_id in hot:
+            reader = BitReader(compressed.block_bytes(block_id))
+            assert words == [oracle_decode_op(spec, reader) for _ in words]
+    assert _dumps(spec) == before
 
 
 # ------------------------------------------------------ StreamConfig.split

@@ -9,10 +9,10 @@ optimizations toggled.
 
 import pytest
 
-from repro.compiler import compile_module
+from repro.compiler.pipeline import compile_module
 from repro.emulator import run_image
-from repro.programs import BENCHMARK_NAMES, SUITE
 from repro.programs.kernels import KERNELS
+from repro.programs.suite import BENCHMARK_NAMES, SUITE
 
 #: Small scales keep the whole matrix fast.
 SMALL_SCALE = {

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.compiler import ModuleBuilder, compile_module
+from repro.compiler.builder import ModuleBuilder
+from repro.compiler.pipeline import compile_module
 from repro.compiler.machine import MBlock, MInstr
 from repro.compiler.regalloc import (
     ALLOCATABLE,

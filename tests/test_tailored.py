@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.compiler import ModuleBuilder, compile_module
+from repro.compiler.builder import ModuleBuilder
+from repro.compiler.pipeline import compile_module
 from repro.compression.decoder_cost import scheme_decoder_cost
 from repro.errors import CompressionError
 from repro.isa.opcodes import FormatName, Opcode
