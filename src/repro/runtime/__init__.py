@@ -19,9 +19,9 @@ This package turns the per-process memoization of
   comes back to the caller.
 
 :func:`get_or_compute` is the seam :class:`repro.core.study.ProgramStudy`
-and :func:`repro.core.experiments.stored_row` call through: cache disabled (``REPRO_CACHE=0`` / ``--no-cache``) means
-the compute callable runs directly, byte-identical to the historical
-path.  :func:`get_or_compute_many` is the same seam for a batch of one
+and :func:`repro.core.experiments.stored_row` call through: cache
+disabled (``REPRO_CACHE=0`` / ``--no-cache``) means the compute
+callable runs directly, byte-identical to the historical path.  :func:`get_or_compute_many` is the same seam for a batch of one
 stage's artifacts computed by one call (``run_sweep``'s grid points).
 Cached payloads are pickles — the store trusts its own cache
 directory, nothing else.

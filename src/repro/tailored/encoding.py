@@ -141,10 +141,11 @@ def decode_ops(spec: TailoredSpec, reader: BitReader, count: int) -> list[int]:
     words = []
     for _ in range(count):
         header = reader.read(header_width)
-        selector = header & selector_mask
-        entry = table[selector] if selector < len(table) else None
+        entry = table[header & selector_mask]
         if entry is None:
-            raise EncodingError(f"selector {selector} maps to no opcode")
+            raise EncodingError(
+                f"selector {header & selector_mask} maps to no opcode"
+            )
         prefix, body_width, fields = entry
         flags = header >> selector_width
         if speculative_used:
