@@ -4,15 +4,15 @@ Each figure is a table with one row per benchmark plus summary rows.
 An :class:`Experiment` declares the table's headers, a module-level
 ``row(name, scale)`` that computes one benchmark's row, and its summary
 rows, each a label plus one reducer per column.  One generic
-:meth:`Experiment.runner` builds the benchmark rows (inline, or one task
-per benchmark under ``jobs``, each row coming back from its worker),
-keeps benchmark order and appends the summary rows.
+:meth:`Experiment.runner` builds the benchmark rows, keeps benchmark
+order and appends the summary rows.
 
-Each benchmark row is an artifact of its own: :func:`stored_row` sends
-it through the store's ``row`` stage, keyed by the experiment, so a warm
-run reads one small entry per benchmark and rebuilds nothing.  The row
-functions import the study, the fetch layer and the decoder cost model
-when called, so this module (and a warm ``repro run``) loads no pipeline
+Each benchmark row is a store artifact of its own (:func:`row_key`).
+The runner looks every row up first, so a warm run reads one small
+entry per benchmark and makes no task; each missing row is one
+:func:`stored_row` task, inline or in a worker.  The row functions
+import the study, the fetch layer and the decoder cost model when
+called, so this module (and a warm ``repro run``) loads no pipeline
 layer.
 
 ``figN_*_rows`` (and ``adaptive_rows``, ``static_rows``) are the
@@ -234,6 +234,12 @@ def static_row(name: str, scale: Optional[int]) -> list:
 
 
 # ----------------------------------------------------------- registry
+def row_key(exp_id: str, name: str, scale: Optional[int]) -> dict:
+    """The store address of one benchmark's ``exp_id`` row."""
+    scale = effective_scale(name, scale)
+    return dict(benchmark=name, scale=scale, extra={"experiment": exp_id})
+
+
 def stored_row(
     exp_id: str,
     row: Callable[[str, Optional[int]], list],
@@ -252,11 +258,7 @@ def stored_row(
     stage's seconds.
     """
     return runtime.get_or_compute(
-        "row",
-        partial(row, name, scale),
-        benchmark=name,
-        scale=effective_scale(name, scale),
-        extra={"experiment": exp_id},
+        "row", partial(row, name, scale), **row_key(exp_id, name, scale)
     )
 
 
@@ -265,7 +267,7 @@ class Experiment:
     """One reproducible artifact of the paper's evaluation.
 
     ``row(name, scale)`` is a module-level function, so with ``jobs``
-    the runner ships one :func:`stored_row` call per benchmark to a
+    the runner ships one :func:`stored_row` call per missing row to a
     worker, which computes and stores the row, and the row itself comes
     back.  Each of ``summaries`` is a label plus one reducer per column
     after the first, applied to the benchmark rows only, in the caller.
@@ -286,13 +288,20 @@ class Experiment:
         jobs: int = 1,
     ) -> Rows:
         """``(headers, rows)``: one row per benchmark (all of the suite
-        when ``benchmarks`` is empty), in order, then the summary rows."""
-        rows = map_benchmarks(
+        when ``benchmarks`` is empty), in order, then the summary rows.
+        Only the rows the store lacks become tasks."""
+        names = tuple(benchmarks or BENCHMARK_NAMES)
+        keys = [row_key(self.exp_id, name, scale) for name in names]
+        rows = runtime.lookup("row", keys)
+        missing = [i for i, row in enumerate(rows) if row is runtime.MISS]
+        computed = map_benchmarks(
             partial(stored_row, self.exp_id, self.row),
-            tuple(benchmarks or BENCHMARK_NAMES),
+            [names[i] for i in missing],
             scale,
             jobs=jobs,
         )
+        for index, row in zip(missing, computed):
+            rows[index] = row
         columns = list(zip(*rows))[1:]
         for label, reducers in self.summaries:
             rows.append(

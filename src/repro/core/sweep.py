@@ -15,13 +15,14 @@ wrapper the CLI, figure studies, and examples call:
   under :func:`~repro.core.study.fetch_key`, the one address
   :meth:`ProgramStudy.fetch_metrics` uses too, so sweeps warm the
   figure studies and vice versa; a fully warm sweep is pure store
-  reads.
+  reads and makes no task.
 * **Sharding** — with ``jobs > 1`` the configs the store lacks are
-  split into contiguous single-scheme chunks, each an independent task
-  whose worker runs the engine on its chunk and returns the metrics;
-  the parent stores each result once.  Contiguous chunks keep
-  cross-product neighbors (which share predictor or cache components)
-  in the same worker, preserving the engine's sharing.
+  split into contiguous single-scheme chunks, each one task calling
+  :func:`run_sweep` at ``jobs=1``: the worker computes, stores and
+  records its chunk and returns the metrics, and the parent's wait is
+  no stage's time.  Contiguous chunks keep cross-product neighbors
+  (which share predictor or cache components) in the same worker,
+  preserving the engine's sharing.
 """
 
 from __future__ import annotations
@@ -214,20 +215,11 @@ def _compute_batch(
     )
 
 
-def _study_batch(
-    benchmark: str, scale: Optional[int], configs: Sequence[FetchConfig]
-) -> List[FetchMetrics]:
-    """:func:`_compute_batch` on ``benchmark``'s study: one shard's task."""
-    from repro.core.study import study_for
-
-    return _compute_batch(study_for(benchmark, scale), configs)
-
-
 def _compute_sharded(
     study, configs: Sequence[FetchConfig], jobs: int
 ) -> List[FetchMetrics]:
-    """:func:`_compute_batch` over ``configs``, fanned out to ``jobs``
-    processes; each worker returns its chunk's metrics.
+    """``configs`` fanned out to ``jobs`` processes, one
+    :func:`run_sweep` task per chunk.
 
     Chunks are contiguous runs within each scheme group, at most
     ``jobs`` chunks per group, each an independent task.  With the store
@@ -240,7 +232,7 @@ def _compute_sharded(
     for index, config in enumerate(configs):
         scheme = normalize_fetch_scheme(config.scheme)
         by_scheme.setdefault(scheme, []).append(index)
-    if runtime.runtime_config().enabled:
+    if by_scheme and runtime.runtime_config().enabled:
         study.run
         for scheme in by_scheme:
             study.compressed(fetch_image_key(scheme))
@@ -255,10 +247,10 @@ def _compute_sharded(
                 TaskSpec(
                     f"{prefix}:{scheme}:{start // chunk_size}",
                     partial(
-                        _study_batch,
+                        run_sweep,
                         study.name,
-                        study.scale,
                         tuple(configs[i] for i in chunk),
+                        scale=study.scale,
                     ),
                 )
             )
@@ -281,10 +273,10 @@ def run_sweep(
     Each returned element is bit-identical to
     ``study.fetch_metrics(config.scheme, config)`` and stored under the
     same :func:`~repro.core.study.fetch_key`, but cold configs are
-    computed by one columnar engine call (one per chunk across ``jobs``
-    worker processes, when ``jobs > 1``) instead of one replay per
-    config.  Results are not memoized in-process: with the
-    store off every point is simulated on every call.  Predictor
+    computed by one columnar engine call instead of one replay per
+    config; with ``jobs > 1`` the configs the store lacks are sharded
+    (:func:`_compute_sharded`).  Results are not memoized in-process:
+    with the store off every point is simulated on every call.  Predictor
     outcomes are: the study's replay state keeps each one it computes,
     so a later sweep or fetch of the study skips that predictor pass.
     """
@@ -298,21 +290,21 @@ def run_sweep(
     first_of: Dict[str, int] = {}
     for index, token in enumerate(tokens):
         first_of.setdefault(token, index)
-    unique = list(first_of.values())
-    keys = [fetch_key(schemes[i], configs[i]) for i in unique]
-
-    def compute(missing: List[int]) -> List[FetchMetrics]:
-        batch = [configs[unique[i]] for i in missing]
-        if jobs > 1 and len(batch) > 1:
-            return _compute_sharded(study, batch, jobs)
-        return _compute_batch(study, batch)
-
-    values = runtime.get_or_compute_many(
-        "fetch",
-        compute,
-        keys,
-        benchmark=study.name,
-        scale=study.effective_scale,
-    )
+    first = list(first_of.values())
+    unique = [configs[i] for i in first]
+    address = {"benchmark": study.name, "scale": study.effective_scale}
+    keys = [dict(fetch_key(schemes[i], configs[i]), **address) for i in first]
+    if jobs <= 1:
+        values = runtime.get_or_compute_many(
+            "fetch",
+            lambda todo: _compute_batch(study, [unique[i] for i in todo]),
+            keys,
+        )
+    else:
+        values = runtime.lookup("fetch", keys)
+        missing = [i for i, hit in enumerate(values) if hit is runtime.MISS]
+        sharded = _compute_sharded(study, [unique[i] for i in missing], jobs)
+        for index, metrics in zip(missing, sharded):
+            values[index] = metrics
     by_token = dict(zip(first_of, values))
     return [by_token[token] for token in tokens]

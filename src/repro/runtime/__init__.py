@@ -19,10 +19,17 @@ This package turns the per-process memoization of
   comes back to the caller.
 
 :func:`get_or_compute` is the seam :class:`repro.core.study.ProgramStudy`
-and :func:`repro.core.experiments.stored_row` call through: cache
-disabled (``REPRO_CACHE=0`` / ``--no-cache``) means the compute
-callable runs directly, byte-identical to the historical path.  :func:`get_or_compute_many` is the same seam for a batch of one
-stage's artifacts computed by one call (``run_sweep``'s grid points).
+and :func:`repro.core.experiments.stored_row` call through.  With the
+cache disabled (``REPRO_CACHE=0`` / ``--no-cache``) the compute callable
+runs directly, byte-identical to the historical path.
+:func:`get_or_compute_many` is the same seam for a batch of one stage's
+artifacts computed by one call (``run_sweep``'s grid points); it is
+:func:`lookup` plus the clocked compute-and-store of the misses.
+
+``run`` and ``sweep`` fan out by one rule: the parent looks every
+artifact up, only the misses become tasks (the caller's own public
+call), and whichever process computes an artifact stores and records it.
+
 Cached payloads are pickles — the store trusts its own cache
 directory, nothing else.
 """
@@ -75,6 +82,7 @@ __all__ = [
     "fetch_config_token",
     "get_or_compute",
     "get_or_compute_many",
+    "lookup",
     "reset_default_store",
     "reset_fingerprint_cache",
     "reset_metrics",
@@ -84,6 +92,41 @@ __all__ = [
     "set_runtime_config",
     "source_fingerprint",
 ]
+
+
+def lookup(stage: str, keys: Sequence[dict]) -> List:
+    """Each artifact of ``keys`` from the store, or :data:`MISS` (all
+    of them with the cache disabled).  A key holds an artifact's
+    ``benchmark``, ``scale`` and optional ``scheme``/``extra``, so one
+    call can cover several benchmarks.  Only the hits are recorded,
+    each charged its own read: whoever computes a miss records it."""
+    with stage_clock() as clock:
+        return _lookup(stage, keys, clock)[0]
+
+
+def _lookup(stage: str, keys: Sequence[dict], clock):
+    """:func:`lookup` under ``clock``: the values, each key's digest
+    (``None`` with the cache disabled) and the hits' seconds."""
+    values = [MISS] * len(keys)
+    digests: List[Optional[str]] = [None] * len(keys)
+    hit_seconds = 0.0
+    if runtime_config().enabled:
+        store = default_store()
+        for index, key in enumerate(keys):
+            started = clock.seconds()
+            digest = digests[index] = artifact_digest(stage, **key)
+            value = store.get(digest)
+            if value is not MISS:
+                values[index] = value
+                seconds = clock.seconds() - started
+                hit_seconds += seconds
+                REPORT.record(
+                    stage,
+                    hit=True,
+                    seconds=seconds,
+                    bytes_read=store.size_of(digest),
+                )
+    return values, digests, hit_seconds
 
 
 def get_or_compute(
@@ -108,71 +151,37 @@ def get_or_compute(
     [value] = get_or_compute_many(
         stage,
         lambda missing: [compute()],
-        [{"scheme": scheme, "extra": extra}],
-        benchmark=benchmark,
-        scale=scale,
+        [dict(benchmark=benchmark, scale=scale, scheme=scheme, extra=extra)],
     )
     return value
 
 
-def get_or_compute_many(
-    stage: str,
-    compute,
-    keys: Sequence[dict],
-    *,
-    benchmark: str,
-    scale: int,
-) -> List:
+def get_or_compute_many(stage: str, compute, keys: Sequence[dict]) -> List:
     """Several artifacts of one stage, through the store when enabled.
 
-    ``keys`` holds each artifact's ``scheme``/``extra`` address parts.
-    ``compute(missing)`` receives the indices of the artifacts the store
-    lacks (all of them with the cache disabled) and returns their
-    values in that order: one call however many are missing.  Each
-    computed value is persisted with one ``put``.
-
-    Every artifact records one hit or miss in :data:`REPORT`.  Seconds
-    are exclusive of the stages nested inside ``compute``: a hit is
-    charged its own lookup, and the misses share the rest equally.
+    :func:`lookup` of ``keys``, then ``compute(missing)`` receives the
+    indices of the artifacts the store lacks (all of them with the
+    cache disabled) and returns their values in that order: one call
+    however many are missing.  Each computed value is persisted with
+    one ``put`` and recorded as a miss.  The misses share the call's
+    seconds less the hits' equally, exclusive of the stages nested
+    inside ``compute``.
     """
     with stage_clock() as clock:
-        values = [MISS] * len(keys)
-        digests: List[Optional[str]] = [None] * len(keys)
-        hit_seconds = 0.0
-        enabled = runtime_config().enabled
-        if enabled:
-            store = default_store()
-            for index, key in enumerate(keys):
-                started = clock.seconds()
-                digest = artifact_digest(
-                    stage, benchmark=benchmark, scale=scale, **key
-                )
-                digests[index] = digest
-                value = store.get(digest)
-                if value is not MISS:
-                    values[index] = value
-                    seconds = clock.seconds() - started
-                    hit_seconds += seconds
-                    REPORT.record(
-                        stage,
-                        hit=True,
-                        seconds=seconds,
-                        bytes_read=store.size_of(digest),
-                    )
+        values, digests, hit_seconds = _lookup(stage, keys, clock)
         missing = [i for i, value in enumerate(values) if value is MISS]
         if not missing:
             return values
         written = []
         for index, value in zip(missing, compute(missing)):
             values[index] = value
+            digest = digests[index]
             written.append(
-                store.put(digests[index], value) if enabled else 0
+                0 if digest is None else default_store().put(digest, value)
             )
         share = (clock.seconds() - hit_seconds) / len(missing)
-        for count in written:
-            REPORT.record(
-                stage, hit=False, seconds=share, bytes_written=count
-            )
+    for count in written:
+        REPORT.record(stage, hit=False, seconds=share, bytes_written=count)
     return values
 
 

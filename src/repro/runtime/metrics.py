@@ -7,10 +7,12 @@ with one coherent :class:`RuntimeReport`.  To see the stage activity of
 one piece of work, reset the metrics before it and read :data:`REPORT`
 after.
 
-Stage seconds are *exclusive*: :func:`stage_clock` subtracts the time
-of every stage nested inside a stage's compute (a fetch simulation that
-first emulates the trace charges the emulation to ``trace`` alone), so
-the stage seconds of one call sum to at most its wall time.
+The stage-seconds rule: seconds are exclusive within the process that
+spent them (:func:`stage_clock` subtracts every stage nested inside a
+stage's compute, so a fetch that first emulates charges the emulation
+to ``trace`` alone), and a report sums them over processes.  A pool
+wait belongs to no stage.  So the stage seconds sum to at most the wall
+time at ``--jobs 1``, and to at most ``jobs`` times it when pooled.
 """
 
 from __future__ import annotations

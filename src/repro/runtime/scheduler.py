@@ -2,15 +2,17 @@
 
 Each :class:`~repro.runtime.tasks.TaskSpec` is a task id plus a
 picklable zero-argument call, and the study behind the call pulls in
-every prerequisite itself, so tasks need no order between them.  With
-``jobs <= 1`` or at most one task they run inline (no worker start, no
-pool import, and the parent's in-memory studies warm too).  Otherwise a
-``ProcessPoolExecutor`` runs them with at most one task in flight per
-worker, so a failure leaves nothing queued behind it.  Either way each
-call's return value comes back in its :class:`TaskResult` (over the
-pipe from a worker, where pickling keeps floats exact), next to its
-timings and metric counters.  The artifact store is a cache the tasks
-may share, never the channel their results travel through.
+every prerequisite itself, so tasks need no order between them.
+Callers make tasks only of what :func:`repro.runtime.lookup` missed.
+With ``jobs <= 1`` or at most one task they run inline (no worker
+start, no pool import, and the parent's in-memory studies warm too).
+Otherwise a ``ProcessPoolExecutor`` runs them with at most one task in
+flight per worker, so a failure leaves nothing queued behind it.
+Either way each call's return value comes back in its
+:class:`TaskResult` (over the pipe from a worker, where pickling keeps
+floats exact), next to its metric counters.  A call stores and records
+what it computes: the store is a cache the tasks may share, never the
+channel their results travel through.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from time import perf_counter
 from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SchedulerError
@@ -36,7 +37,6 @@ class TaskResult:
     """Outcome of one task (small and picklable)."""
 
     task_id: str
-    seconds: float
     ok: bool = True
     error: Optional[str] = None
     #: The message of a :class:`ConfigurationError` the task raised.
@@ -69,7 +69,6 @@ def _run(task: TaskSpec) -> Tuple[TaskResult, Optional[Exception]]:
     :class:`ConfigurationError` (a bad invocation, not a broken task)
     also sends its message, so a parent can chain it as the cause.
     """
-    started = perf_counter()
     try:
         value = task.call()
     except Exception as exc:
@@ -77,15 +76,13 @@ def _run(task: TaskSpec) -> Tuple[TaskResult, Optional[Exception]]:
 
         return TaskResult(
             task.task_id,
-            perf_counter() - started,
             ok=False,
             error=traceback.format_exc(),
             configuration_error=(
                 str(exc) if isinstance(exc, ConfigurationError) else None
             ),
         ), exc
-    seconds = perf_counter() - started
-    return TaskResult(task.task_id, seconds, value=value), None
+    return TaskResult(task.task_id, value=value), None
 
 
 def _pool_run(task: TaskSpec) -> TaskResult:
@@ -110,10 +107,7 @@ def _fail(
 
 
 def execute_tasks(
-    tasks: Sequence[TaskSpec],
-    *,
-    jobs: int = 1,
-    config: Optional[RuntimeConfig] = None,
+    tasks: Sequence[TaskSpec], *, jobs: int = 1
 ) -> List[TaskResult]:
     """Run every task of ``tasks``; one :class:`TaskResult` each, in
     ``tasks`` order, its ``value`` what the task's call returned.
@@ -129,8 +123,6 @@ def execute_tasks(
     inline, and from a :class:`ConfigurationError` carrying a worker's
     message when the worker raised one.
     """
-    if config is None:
-        config = runtime_config()
     if jobs <= 1 or len(tasks) <= 1:
         results = []
         for task in tasks:
@@ -146,7 +138,7 @@ def execute_tasks(
     results: List[Optional[TaskResult]] = [None] * len(tasks)
     queue = enumerate(tasks)
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(config,)
+        workers, initializer=_worker_init, initargs=(runtime_config(),)
     ) as pool:
         try:
             in_flight = {
@@ -192,13 +184,8 @@ def map_benchmarks(
 ) -> list:
     """``call(name, scale)`` for each of ``benchmarks``, one task each
     (``call`` module-level, so it pickles); the values in order."""
-    results = execute_tasks(
-        [
-            TaskSpec(
-                benchmark_task_id(name, scale), partial(call, name, scale)
-            )
-            for name in benchmarks
-        ],
-        jobs=jobs,
-    )
-    return [result.value for result in results]
+    tasks = [
+        TaskSpec(benchmark_task_id(name, scale), partial(call, name, scale))
+        for name in benchmarks
+    ]
+    return [result.value for result in execute_tasks(tasks, jobs=jobs)]

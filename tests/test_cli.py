@@ -356,6 +356,48 @@ def test_parallel_rows_are_stored_by_their_workers(capsys, fresh_cache):
     assert warm["rows"] == cold["rows"]
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Any process pool started raises."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+_FIG13_PAIR = ["run", "fig13", "--benchmarks", "compress", "go", "--scale",
+               "2", "--json"]
+
+
+def test_warm_parallel_run_starts_no_pool(capsys, fresh_cache, no_pool):
+    """The runner looks every row up in the parent, so a warm ``--jobs
+    2`` run makes no task and starts no pool."""
+    assert main(_FIG13_PAIR + ["--jobs", "1"]) == 0
+    inline = json.loads(capsys.readouterr().out)
+    clear_caches()
+    assert main(_FIG13_PAIR + ["--jobs", "2"]) == 0
+    warm = json.loads(capsys.readouterr().out)
+    assert _stage_counts(warm) == {"row": (2, 0)}
+    assert warm["rows"] == inline["rows"]
+
+
+def test_partly_warm_parallel_run_computes_only_the_miss(
+    capsys, fresh_cache, no_pool
+):
+    """One stored row and one missing: the miss is the only task, and
+    a lone task runs inline."""
+    assert main(
+        ["run", "fig13", "--benchmarks", "compress", "--scale", "2"]
+    ) == 0
+    capsys.readouterr()
+    clear_caches()
+    assert main(_FIG13_PAIR + ["--jobs", "2"]) == 0
+    counts = _stage_counts(json.loads(capsys.readouterr().out))
+    assert counts["row"] == (1, 1)
+
+
 def test_row_analysis_is_a_recorded_stage(capsys, fresh_cache):
     """The row's own analysis (static heat, Spearman, cycle bounds) is
     charged to ``row``, and stage seconds stay exclusive."""

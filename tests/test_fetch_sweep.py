@@ -602,3 +602,35 @@ def test_sweep_misses_charge_the_engine_to_fetch(fresh_store, monkeypatch):
     fetch = REPORT.stage("fetch")
     assert fetch.misses == len(grid)
     assert fetch.seconds >= 0.2
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["store", "no-store"])
+def test_pooled_sweep_chunks_record_their_own_misses(
+    fresh_store, monkeypatch, enabled
+):
+    """Each chunk's task computes, stores and records its own fetch
+    misses; the parent records none, and holds no fetch clock open
+    around the pool."""
+    from repro.runtime import scheduler
+
+    grid = expand_grid(**DESIGN_GRID)
+    runtime.configure(enabled=False)
+    inline = run_sweep("compress", grid, scale=2)
+    clear_caches()
+    runtime.configure(enabled=enabled)
+    chunks, payloads = [], []
+    execute = scheduler.execute_tasks
+
+    def recording(tasks, **kwargs):
+        chunks.extend(len(task.call.args[-1]) for task in tasks)
+        return execute(tasks, **kwargs)
+
+    monkeypatch.setattr(scheduler, "execute_tasks", recording)
+    monkeypatch.setattr(REPORT, "merge_json", payloads.append)
+    reset_metrics()
+    assert run_sweep("compress", grid, scale=2, jobs=2) == inline
+    assert len(payloads) == len(chunks) > 1
+    assert REPORT.stage("fetch").misses == 0
+    misses = [payload["stages"]["fetch"]["misses"] for payload in payloads]
+    assert sorted(misses) == sorted(chunks)
+    assert sum(misses) == len(grid)
