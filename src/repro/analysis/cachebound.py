@@ -429,20 +429,21 @@ def cycle_bounds(
 BOUND_SCHEMES = CACHED_ORGANIZATIONS + ("hybrid:static",)
 
 
-def standard_bounds(study, counts: Sequence[int]):
+def standard_bounds(study):
     """Yield ``(scheme, compressed, report, simulated_cycles)`` for each
     :data:`BOUND_SCHEMES` entry on its standard scaled config.
 
-    One config is both simulated and bounded.  ``counts`` is the
-    study's trace heat profile.  ``analyze --bounds`` and the
-    ``static-cycle-bounds`` invariant both bracket these; the invariant
-    goes on to randomized geometries with ``compressed``.
+    One config is both simulated and bounded, over the study's
+    :attr:`~repro.core.study.ProgramStudy.trace_heat`.
+    ``analyze --bounds`` and the ``static-cycle-bounds`` invariant both
+    bracket these; the invariant goes on to randomized geometries with
+    ``compressed``.
     """
     for scheme in BOUND_SCHEMES:
         config = FetchConfig.for_scheme(scheme, scaled=True)
         compressed = study.compressed(fetch_image_key(scheme))
         simulated = study.fetch_metrics(scheme, config).cycles
-        report = cycle_bounds(compressed, counts, config)
+        report = cycle_bounds(compressed, study.trace_heat, config)
         yield scheme, compressed, report, simulated
 
 

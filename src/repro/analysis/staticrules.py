@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.analysis.dataflow import dominators, reachable
 from repro.analysis.freq import HEAT_QUANTUM, static_heat_profile
-from repro.analysis.imagecfg import interprocedural_cfg, return_continuations
+from repro.analysis.imagecfg import return_continuations
 from repro.analysis.loops import irreducible_edges, loops
 from repro.analysis.verifier import RuleContext, rule
 
@@ -37,7 +37,7 @@ def _loop_structure(ctx: RuleContext) -> None:
     image = ctx.image
     if not len(image):
         return
-    cfg = interprocedural_cfg(image)
+    cfg = ctx.icfg
     entry = image.entry_block
     doms = dominators(cfg, entry)
     for loop in loops(cfg, entry):
@@ -92,9 +92,8 @@ def _static_frequency(ctx: RuleContext) -> None:
             f"{len(image)} blocks"
         )
         return
-    cfg = interprocedural_cfg(image)
     entry = image.entry_block
-    live = set(dominators(cfg, entry))
+    live = set(dominators(ctx.icfg, entry))
     ctx.checked()
     if profile[entry] < HEAT_QUANTUM:
         ctx.error(
@@ -132,7 +131,7 @@ def _cache_bounds(ctx: RuleContext) -> None:
         scheme=image_organization(ctx.scheme or "compressed"),
         cache=ctx.geometry,
     )
-    live = reachable(interprocedural_cfg(image), image.entry_block)
+    live = reachable(ctx.icfg, image.entry_block)
     counts = [1 if b in live else 0 for b in range(len(image))]
     report = cycle_bounds(ctx.compressed, counts, config)
     for label, cls in (

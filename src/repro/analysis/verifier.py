@@ -40,7 +40,9 @@ from repro.analysis.diagnostics import (
     Severity,
     sorted_diagnostics,
 )
-from repro.analysis.imagecfg import function_entries, image_cfg
+from repro.analysis.imagecfg import (
+    function_entries, image_cfg, interprocedural_cfg,
+)
 from repro.analysis.dataflow import reachable
 from repro.errors import AnalysisError
 from repro.isa.image import BasicBlockImage, ProgramImage
@@ -95,7 +97,9 @@ def rule(name: str, *, kind: str, description: str) -> Callable:
 
 
 class RuleContext:
-    """Everything one rule run sees, plus its reporting channel."""
+    """Everything one run's rules see, plus their reporting channel:
+    :func:`_run_rules` points ``rule_name`` at each rule in turn, so
+    every derived graph is built at most once per run."""
 
     def __init__(
         self,
@@ -114,6 +118,7 @@ class RuleContext:
         self.geometry = geometry
         self._report = report
         self._cfg = None
+        self._icfg = None
         self._reachable = None
         self._entries = None
 
@@ -129,6 +134,13 @@ class RuleContext:
         if self._cfg is None:
             self._cfg = image_cfg(self.image)
         return self._cfg
+
+    @property
+    def icfg(self):
+        """The interprocedural CFG (:func:`interprocedural_cfg`)."""
+        if self._icfg is None:
+            self._icfg = interprocedural_cfg(self.image)
+        return self._icfg
 
     @property
     def reachable_blocks(self):
@@ -193,19 +205,20 @@ def _run_rules(
     geometry=None,
     names: Optional[Sequence[str]] = None,
 ) -> None:
+    ctx = RuleContext(
+        rule_name="",
+        program=program,
+        image=image,
+        report=report,
+        compressed=compressed,
+        geometry=geometry,
+    )
     for rule_obj in RULES.values():
         if rule_obj.kind != kind:
             continue
         if names is not None and rule_obj.name not in names:
             continue
-        ctx = RuleContext(
-            rule_name=rule_obj.name,
-            program=program,
-            image=image,
-            report=report,
-            compressed=compressed,
-            geometry=geometry,
-        )
+        ctx.rule_name = rule_obj.name
         try:
             rule_obj.func(ctx)
         except Exception:

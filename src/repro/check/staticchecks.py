@@ -41,12 +41,6 @@ _L0_POOL = (8, 32, 96)
 HEAT_RANK_FLOOR = 0.2
 
 
-def _trace_counts(study):
-    from repro.compression.adaptive import heat_profile
-
-    return heat_profile(study.run.block_trace, len(study.compiled.image))
-
-
 @invariant(
     "static-trace-edges",
     scope="static",
@@ -99,11 +93,8 @@ def _cycle_bounds(ctx: CheckContext, rec: Recorder) -> None:
     random_rounds = 1 if ctx.quick else 3
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
-        counts = _trace_counts(study)
         trace = study.run.block_trace
-        for scheme, compressed, report, cycles in standard_bounds(
-            study, counts
-        ):
+        for scheme, compressed, report, cycles in standard_bounds(study):
             subject = f"{benchmark}/{scheme}"
             rec.expect(
                 report.bracket(cycles),
@@ -133,7 +124,7 @@ def _cycle_bounds(ctx: CheckContext, rec: Recorder) -> None:
                     l0_capacity_ops=rng.choice(_L0_POOL),
                 )
                 simulated = simulate_fetch(compressed, trace, config)
-                report = cycle_bounds(compressed, counts, config)
+                report = cycle_bounds(compressed, study.trace_heat, config)
                 rec.expect(
                     report.bracket(simulated.cycles),
                     subject,
@@ -225,14 +216,11 @@ def _static_tags(ctx: CheckContext, rec: Recorder) -> None:
     ),
 )
 def _heat_rank(ctx: CheckContext, rec: Recorder) -> None:
-    from repro.analysis.freq import static_heat_profile
     from repro.utils.stats import spearman
 
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
-        static = static_heat_profile(study.compiled.image)
-        trace = _trace_counts(study)
-        rho = spearman(static, trace)
+        rho = spearman(study.static_heat, study.trace_heat)
         rec.expect(
             rho >= HEAT_RANK_FLOOR,
             benchmark,

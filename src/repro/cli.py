@@ -376,7 +376,6 @@ def _analyze_bounds(args) -> _Result:
     analyze-smoke job runs over all eight benchmarks.
     """
     from repro.analysis.cachebound import standard_bounds
-    from repro.compression.adaptive import heat_profile
     from repro.core.study import study_for
 
     progress = _progress(args, "bounds {} ...".format)
@@ -386,10 +385,7 @@ def _analyze_bounds(args) -> _Result:
         if progress is not None:
             progress(name)
         study = study_for(name, args.scale)
-        counts = heat_profile(
-            study.run.block_trace, len(study.compiled.image)
-        )
-        for scheme, _, report, cycles in standard_bounds(study, counts):
+        for scheme, _, report, cycles in standard_bounds(study):
             ok = report.bracket(cycles)
             cls = report.classification.cache
             rows.append([

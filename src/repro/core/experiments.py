@@ -200,8 +200,6 @@ def static_row(name: str, scale: Optional[int]) -> list:
     around the static hybrid's simulated cycles.
     """
     from repro.analysis.cachebound import cycle_bounds
-    from repro.analysis.freq import static_heat_profile
-    from repro.compression.adaptive import heat_profile
     from repro.core.study import study_for
     from repro.core.sweep import expand_grid, run_sweep
     from repro.utils.stats import spearman
@@ -215,10 +213,9 @@ def static_row(name: str, scale: Optional[int]) -> list:
     }
     trace_hybrid = by_scheme["hybrid"]
     static_hybrid = by_scheme["hybrid:static"]
-    counts = heat_profile(study.run.block_trace, len(study.compiled.image))
     # Bound the very config the sweep simulated.
     bounds = cycle_bounds(
-        study.compressed("hybrid:static"), counts, static_config
+        study.compressed("hybrid:static"), study.trace_heat, static_config
     )
     return [
         name,
@@ -227,7 +224,7 @@ def static_row(name: str, scale: Optional[int]) -> list:
         100.0
         * (static_hybrid.cycles - trace_hybrid.cycles)
         / max(1, trace_hybrid.cycles),
-        spearman(static_heat_profile(study.compiled.image), counts),
+        spearman(study.static_heat, study.trace_heat),
         bounds.lower,
         bounds.upper,
     ]

@@ -59,13 +59,14 @@ SCHEME_ORDER = ("byte", "stream", "stream_1", "full", "tailored")
 
 @dataclass
 class ProgramStudy:
-    """All artifacts for one (benchmark, scale) pair."""
+    """All artifacts for one (benchmark, scale) pair, and every fact
+    derived from them, each derived once and held here (the program
+    facts of the fetch replays on :attr:`replay`)."""
 
     name: str
     scale: Optional[int] = None
     _compiled: Optional[CompiledProgram] = None
     _run: Optional[RunResult] = None
-    _words: Optional[BlockWords] = None
     _images: dict = field(default_factory=dict)
     _fetch: dict = field(default_factory=dict)
     _replay: Optional["TraceReplay"] = None
@@ -136,7 +137,7 @@ class ProgramStudy:
         return self.run.machine.load_word(address) == expected
 
     # ------------------------------------------------------ compression
-    @property
+    @functools.cached_property
     def op_words(self) -> BlockWords:
         """The compiled image's baseline op words, encoded once.
 
@@ -144,22 +145,35 @@ class ProgramStudy:
         (:meth:`CompressionScheme.with_words`).  They are an immutable
         value held by the study, not a memo on the mutable image.
         """
-        if self._words is None:
-            self._words = block_words(self.compiled.image)
-        return self._words
+        return block_words(self.compiled.image)
+
+    @functools.cached_property
+    def trace_heat(self) -> tuple[int, ...]:
+        """Each block's fetch count, read off the :attr:`replay` state's
+        one count of the trace."""
+        counts = self.replay.counts
+        return tuple(counts[b] for b in range(len(self.compiled.image)))
+
+    @functools.cached_property
+    def static_heat(self) -> tuple[int, ...]:
+        """The compile-time estimate shaped like :attr:`trace_heat`; it
+        never touches the trace."""
+        from repro.analysis.freq import static_heat_profile
+
+        return static_heat_profile(self.compiled.image)
 
     def compressed(self, scheme_key: str) -> CompressedImage:
         """The program re-encoded under ``scheme_key`` (cached).
 
         Hybrid keys (``hybrid``, ``hybrid@T``) run the profile →
-        recompress stage: the scheme consumes this study's own fetch
-        trace as its heat profile.  The trace is a pure function of the
-        (benchmark, scale, source-fingerprint) triple the store digests
-        already key on, so the compressed artifact caches under the
-        normalized scheme key alone.  ``:static`` hybrid keys substitute
-        the compile-time heat estimate instead — the trace stage is
-        never touched, which the ``static-profile-zero-trace`` invariant
-        verifies via stage metrics.
+        recompress stage: the scheme consumes this study's
+        :attr:`trace_heat` as its heat profile.  The trace is a pure
+        function of the (benchmark, scale, source-fingerprint) triple
+        the store digests already key on, so the compressed artifact
+        caches under the normalized scheme key alone.  ``:static``
+        hybrid keys substitute :attr:`static_heat` instead — the trace
+        stage is never touched, which the ``static-profile-zero-trace``
+        invariant verifies via stage metrics.
 
         A store hit holds no program image (see :class:`CompressedImage`);
         it is bound to this study's compiled image, which the same
@@ -171,21 +185,11 @@ class ProgramStudy:
             def compute() -> CompressedImage:
                 scheme = _scheme_factory(scheme_key)
                 if parse_hybrid_key(scheme_key) is not None:
-                    if hybrid_profile_source(scheme_key) == "static":
-                        from repro.analysis.freq import static_heat_profile
-
-                        scheme.with_profile(
-                            static_heat_profile(self.compiled.image)
-                        )
-                    else:
-                        from repro.compression.adaptive import heat_profile
-
-                        scheme.with_profile(
-                            heat_profile(
-                                self.run.block_trace,
-                                len(self.compiled.image),
-                            )
-                        )
+                    scheme.with_profile(
+                        self.static_heat
+                        if hybrid_profile_source(scheme_key) == "static"
+                        else self.trace_heat
+                    )
                 scheme.with_words(self.op_words)
                 return scheme.compress(self.compiled.image)
 
@@ -220,10 +224,14 @@ class ProgramStudy:
     def replay(self) -> "TraceReplay":
         """The fetch engine's replay state for this study's trace.
 
-        Made on the first computed fetch or sweep, never on a store
-        hit.  It holds per-block counts and first positions, not
-        per-position lists, plus every predictor outcome computed so
-        far, which the study's later organizations and sweeps reuse.
+        Made on the first computed fetch, sweep or trace heat profile,
+        never on a store hit.  It holds per-block counts and first
+        positions, not per-position lists, plus the program facts and
+        every predictor outcome computed so far.  Every compressed image
+        of the study is bound to its one compiled image, which keys
+        those facts, so the study's organizations and sweeps derive its
+        block columns and delivered totals once and run each predictor
+        pass once.
         """
         if self._replay is None:
             from repro.fetch.sweep import TraceReplay

@@ -79,19 +79,18 @@ def ideal_metrics(
 ) -> FetchMetrics:
     """The paper's "Ideal": perfect cache and predictor, 1 MultiOp/cycle.
 
-    The totals are one term per distinct block of the trace, taken from
-    ``replay`` (a :class:`~repro.fetch.sweep.TraceReplay` of ``trace``)
-    when one is given, else from a fresh count of the trace.
+    The delivered totals are the program facts of ``replay`` (a
+    :class:`~repro.fetch.sweep.TraceReplay` of ``trace``) when one is
+    given, else of a fresh one, so a study's ideal reads the totals its
+    fetch replays derived.
     """
     from repro.fetch.sweep import _replay_of
 
-    image = compressed.image
+    program = _replay_of(trace, replay).program(compressed.image)
     metrics = FetchMetrics(scheme="ideal")
-    for block_id, count in _replay_of(trace, replay).counts.items():
-        block = image.block(block_id)
-        metrics.delivered_mops += block.mop_count * count
-        metrics.delivered_ops += block.op_count * count
-        metrics.blocks_fetched += count
+    metrics.delivered_mops = program.delivered_mops
+    metrics.delivered_ops = program.delivered_ops
+    metrics.blocks_fetched = len(trace)
     metrics.cycles = metrics.delivered_mops
     return metrics
 

@@ -9,14 +9,15 @@ is a one-point call of :func:`simulate_fetch_sweep`.
 
 * **Trace state** — a :class:`TraceReplay` holds what every replay of
   one trace shares: each block's occurrence count and first position
-  (one entry per distinct block, filled at C speed) and the predictor
-  components computed so far.  Every call builds its own unless handed
-  one; a :class:`~repro.core.study.ProgramStudy` hands over the one
-  it keeps for its trace, so its organizations and sweeps share them.
-* **Shared columns** — block kinds/targets/fallthroughs and MultiOp/op
+  (one entry per distinct block, filled at C speed), and per program
+  image its block columns, delivered totals and predictor components.
+  Every call builds its own unless handed one; a
+  :class:`~repro.core.study.ProgramStudy` hands over the one it keeps
+  for its trace, so its organizations and sweeps share them.
+* **Program facts** — block kinds/targets/fallthroughs and MultiOp/op
   counts come from :func:`block_meta_columns`, and the
-  delivered-ops/MultiOps/blocks totals of a trace follow from the
-  counts, once per image.
+  delivered-ops/MultiOps totals of the trace follow from the counts:
+  :meth:`TraceReplay.program` derives both once per program image.
 * **Predictor components** — the ATB and its resident predictor state
   never observe the cache, so their entire evolution depends only on
   ``(atb_entries, atb_ways, predictor, gshare_history_bits)``.  One
@@ -120,10 +121,12 @@ from repro.fetch.config import (
     penalty_rows,
 )
 from repro.fetch.engine import FetchMetrics
+from repro.isa.image import ProgramImage
 from repro.utils.arith import popcount
 
 __all__ = [
     "BlockCosts",
+    "ProgramFacts",
     "TraceReplay",
     "block_bus_beats",
     "block_costs",
@@ -288,7 +291,6 @@ def _predictor_component(
     kinds: Sequence[int],
     targets: Sequence[int],
     falls: Sequence[int],
-    nblocks: int,
     trace: Sequence[int],
     atb_entries: int,
     atb_ways: int,
@@ -311,7 +313,7 @@ def _predictor_component(
     num_atb_sets = atb_entries // atb_ways
     atb_mask = num_atb_sets - 1
     atb_sets: List[Dict[int, list]] = [{} for _ in range(num_atb_sets)]
-    atb_bucket_of = [atb_sets[bid & atb_mask] for bid in range(nblocks)]
+    atb_bucket_of = [atb_sets[bid & atb_mask] for bid in range(len(kinds))]
 
     use_gshare = predictor == "gshare"
     if use_gshare:
@@ -414,28 +416,53 @@ def _per_position(trace: Sequence[int], flags: Sequence[bool]) -> bytes:
     return bytes(map(bytes(flags).__getitem__, trace))
 
 
+class ProgramFacts(NamedTuple):
+    """One program image's :func:`block_meta_columns` and the ops and
+    MultiOps its trace delivers."""
+
+    kinds: List[int]
+    targets: List[int]
+    falls: List[int]
+    mop_counts: List[int]
+    op_counts: List[int]
+    delivered_mops: int
+    delivered_ops: int
+
+
 class TraceReplay:
     """What every fetch replay of one block trace shares.
 
     ``counts`` maps each block in the trace to its occurrence count and
     ``first_at`` to its first position, keys in order of first
     occurrence; both are filled at C speed on first use and hold one
-    entry per distinct block, never one per position.  ``predictions``
-    memoizes predictor components by ``(program token, ATB entries,
-    ATB ways, predictor, gshare bits)``, and ``program_tokens`` numbers
-    the distinct block-metadata columns the tokens stand for: the ATB
-    and predictor never observe the cache or the compressed payload,
-    so every organization of one program replays the same predictor
-    evolution.  A :class:`~repro.core.study.ProgramStudy` holds one for
-    its trace, so its organizations and sweeps run each predictor pass
-    once; the engine's other memos are keyed by ``id()`` and stay per
-    call, because an id may be reused once an image is freed.
+    entry per distinct block, never one per position.  ``programs``
+    maps each :class:`~repro.isa.image.ProgramImage` object to its
+    :class:`ProgramFacts`, and ``predictions`` memoizes predictor
+    components by ``(image, ATB entries, ATB ways, predictor, gshare
+    bits)``: the ATB and predictor never observe the cache or the
+    payload, so every organization of one program shares them.  A
+    :class:`~repro.core.study.ProgramStudy` holds one for its trace and
+    binds every compressed image to its one program image, so it
+    derives each program fact and runs each predictor pass once.
     """
 
     def __init__(self, trace: Sequence[int]) -> None:
         self.trace = trace
-        self.program_tokens: Dict[tuple, int] = {}
+        self.programs: Dict[ProgramImage, ProgramFacts] = {}
         self.predictions: Dict[tuple, tuple] = {}
+
+    def program(self, image: ProgramImage) -> ProgramFacts:
+        """``image``'s :class:`ProgramFacts` over this trace (memoized)."""
+        facts = self.programs.get(image)
+        if facts is None:
+            kinds, targets, falls, mops, ops = block_meta_columns(image)
+            counts = self.counts.items()
+            facts = self.programs[image] = ProgramFacts(
+                kinds, targets, falls, mops, ops,
+                sum(count * mops[block] for block, count in counts),
+                sum(count * ops[block] for block, count in counts),
+            )
+        return facts
 
     @cached_property
     def counts(self) -> Counter:
@@ -725,16 +752,14 @@ def _sweep_engine(
     """Shared body of the two public sweep entry points.
 
     ``image_for(scheme)`` resolves the :class:`CompressedImage` a config
-    of that scheme replays against.  Memo tables are keyed so that
-    anything derived from the compressed *payload* (spans, bus beats, L0
-    passes, cache components) is per-image while anything derived only
-    from the underlying *program* (block metadata, predictor
-    components, delivered-op totals) is shared across images of the
-    same program — a mixed-scheme grid pays for each distinct predictor
-    once.  The trace facts and the predictor components live on
-    ``replay``, so they also outlive the call; every ``id()``-keyed
-    memo stays per call, since an id may be reused once its image is
-    freed.
+    of that scheme replays against.  What derives from the underlying
+    *program* (block columns, delivered totals, predictor components)
+    lives on ``replay``, keyed by the program image, so a mixed-scheme
+    grid pays for each distinct predictor once and later calls handed
+    the same replay pay nothing.  What derives from the compressed
+    *payload* (spans, bus beats, L0 passes, cache components, joint
+    counts, ATT bytes) is memoized per call, keyed by the compressed
+    image.
     """
     rows = penalty_rows()
     results: List[FetchMetrics] = []
@@ -742,57 +767,27 @@ def _sweep_engine(
     blocks_fetched = len(trace)
 
     # ----------------------------------------------------- memo tables
-    meta_memo: Dict[int, tuple] = {}        # id(program image)
-    # Distinct ProgramImage objects with identical block metadata (the
-    # per-scheme images of one study round-trip the store as separate
-    # copies) share one predictor token, so mixed-scheme grids, and
-    # every call handed the same replay state, compute each predictor
-    # component once, not once per scheme.
-    pred_tokens = replay.program_tokens     # meta columns -> token
-    pred_comps = replay.predictions         # (program token, pred key)
+    pred_comps = replay.predictions         # (image, pred key)
     cache_comps: Dict[tuple, _CacheComponent] = {}
-    l0_memo: Dict[tuple, _L0Pass] = {}      # (id(image), family, L0)
-    span_memo: Dict[tuple, list] = {}       # (id(image), line, sets)
-    beats_memo: Dict[tuple, tuple] = {}     # (id(image), bus width)
-    att_memo: Dict[tuple, int] = {}         # (id(image), geo key)
+    l0_memo: Dict[tuple, _L0Pass] = {}      # (compressed, family, L0)
+    span_memo: Dict[tuple, list] = {}       # (compressed, line, sets)
+    beats_memo: Dict[tuple, tuple] = {}     # (compressed, bus width)
+    att_memo: Dict[tuple, int] = {}         # (compressed, geo key)
     joint_memo: Dict[tuple, tuple] = {}
 
     for config in configs:
         scheme = config.scheme
         org = organization(scheme)
         compressed = image_for(scheme)
-
         image = compressed.image
-        meta = meta_memo.get(id(image))
-        if meta is None:
-            kinds, targets, falls, mop_counts, op_counts = (
-                block_meta_columns(image)
-            )
-            delivered_mops = delivered_ops = 0
-            for block_id, count in replay.counts.items():
-                delivered_mops += count * mop_counts[block_id]
-                delivered_ops += count * op_counts[block_id]
-            columns = (tuple(kinds), tuple(targets), tuple(falls))
-            program_token = pred_tokens.setdefault(
-                columns, len(pred_tokens)
-            )
-            meta = (
-                kinds, targets, falls, mop_counts, op_counts,
-                delivered_mops, delivered_ops, len(image),
-                program_token,
-            )
-            meta_memo[id(image)] = meta
-        (
-            kinds, targets, falls, mop_counts, op_counts,
-            delivered_mops, delivered_ops, nblocks, program_token,
-        ) = meta
+        program = replay.program(image)
 
         has_buffer = org.l0
         geometry = config.cache
         geo_key = _geometry_key(geometry)
 
         pred_key = (
-            program_token,
+            image,
             config.atb_entries,
             config.atb_ways,
             config.predictor,
@@ -803,7 +798,7 @@ def _sweep_engine(
         pred = pred_comps.get(pred_key)
         if pred is None:
             pred = _predictor_component(
-                kinds, targets, falls, nblocks, trace,
+                program.kinds, program.targets, program.falls, trace,
                 config.atb_entries, config.atb_ways,
                 config.predictor, config.gshare_history_bits,
             )
@@ -812,7 +807,7 @@ def _sweep_engine(
 
         bus_width = config.bus_bytes
         cache_key = (
-            id(compressed),
+            compressed,
             geo_key,
             org.name,
             config.l0_capacity_ops if has_buffer else None,
@@ -820,15 +815,13 @@ def _sweep_engine(
         )
         comp = cache_comps.get(cache_key)
         if comp is None:
-            span_key = (
-                id(compressed), geometry.line_bytes, geometry.num_sets
-            )
+            span_key = (compressed, geometry.line_bytes, geometry.num_sets)
             span_pairs = span_memo.get(span_key)
             if span_pairs is None:
                 span_pairs = block_span_pairs(compressed, geometry)
                 span_memo[span_key] = span_pairs
 
-            beats_key = (id(compressed), bus_width)
+            beats_key = (compressed, bus_width)
             beats = beats_memo.get(beats_key)
             if beats is None:
                 beats = block_bus_beats(compressed, bus_width)
@@ -838,11 +831,12 @@ def _sweep_engine(
             costs = block_costs(compressed, config, span_pairs)
             l0 = _NO_L0
             if has_buffer:
-                l0_key = (id(compressed), org.name, config.l0_capacity_ops)
+                l0_key = (compressed, org.name, config.l0_capacity_ops)
                 l0 = l0_memo.get(l0_key)
                 if l0 is None:
                     l0 = _l0_pass(
-                        replay, costs, op_counts, config.l0_capacity_ops
+                        replay, costs, program.op_counts,
+                        config.l0_capacity_ops,
                     )
                     l0_memo[l0_key] = l0
             comp = _cache_component(
@@ -864,7 +858,7 @@ def _sweep_engine(
         pred_ok_misses, pred_ok_bufs = joint
         pred_ok_hits = pred_right - pred_ok_misses - pred_ok_bufs
 
-        att_key = (id(compressed), geo_key)
+        att_key = (compressed, geo_key)
         att = att_memo.get(att_key)
         if att is None:
             att = att_bytes(compressed, geometry)
@@ -879,8 +873,8 @@ def _sweep_engine(
             - rows.dm * pred_ok_misses
             + config.atb_miss_penalty * atb_misses
         )
-        metrics.delivered_ops = delivered_ops
-        metrics.delivered_mops = delivered_mops
+        metrics.delivered_ops = program.delivered_ops
+        metrics.delivered_mops = program.delivered_mops
         metrics.blocks_fetched = blocks_fetched
         metrics.cache_hits = comp.cache_hits
         metrics.cache_misses = comp.cache_misses
@@ -912,9 +906,9 @@ def simulate_fetch_sweep(
     Returns one :class:`~repro.fetch.engine.FetchMetrics` per entry of
     ``configs``, in order, each bit-identical to
     ``simulate_fetch_reference(compressed, trace, config)``.  ``replay``
-    is a :class:`TraceReplay` of this same ``trace`` whose predictor
-    outcomes the call reads and extends; without it the call builds
-    its own.
+    is a :class:`TraceReplay` of this same ``trace`` whose program
+    facts and predictor outcomes the call reads and extends; without
+    it the call builds its own.
     """
     return _sweep_engine(
         lambda scheme: compressed, _replay_of(trace, replay), configs
@@ -936,7 +930,7 @@ def simulate_fetch_sweep_multi(
     to concatenating per-scheme :func:`simulate_fetch_sweep` calls,
     except predictor components — which depend only on the underlying
     program — are shared across schemes whose images wrap the same
-    program.  ``replay`` is as for :func:`simulate_fetch_sweep`.
+    program image.  ``replay`` is as for :func:`simulate_fetch_sweep`.
     """
 
     def image_for(scheme: str) -> CompressedImage:

@@ -528,16 +528,16 @@ class TestCycleBounds:
 
     def test_standard_bounds_bound_the_simulated_config(self, study):
         """``analyze --bounds`` brackets the simulated cycles with bounds
-        of that same pressure-scaled config, not the literal one."""
+        of that same pressure-scaled config, not the literal one, over
+        the study's trace heat."""
         from repro.analysis.cachebound import standard_bounds
         from repro.compression.adaptive import heat_profile
 
         counts = heat_profile(
             study.run.block_trace, len(study.compiled.image)
         )
-        for scheme, compressed, report, cycles in standard_bounds(
-            study, counts
-        ):
+        assert study.trace_heat == counts
+        for scheme, compressed, report, cycles in standard_bounds(study):
             config = FetchConfig.for_scheme(scheme, scaled=True)
             assert cycles == study.fetch_metrics(scheme, config).cycles
             expected = cycle_bounds(compressed, counts, config)

@@ -14,7 +14,12 @@ import json
 
 import pytest
 
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.analysis.diagnostics import (
+    AnalysisReport,
+    Diagnostic,
+    Severity,
+    sorted_diagnostics,
+)
 from repro.analysis.verifier import (
     RULES,
     analyze_encoding,
@@ -64,6 +69,52 @@ def tiny_image(tiny_program):
 def call_image(call_program):
     prog, _ = call_program
     return prog.image
+
+
+# -------------------------------------------------------- derived graphs
+@pytest.fixture
+def counted_graphs(monkeypatch):
+    """Count the CFGs the verifier builds, by builder name."""
+    import repro.analysis.verifier as verifier
+
+    built = []
+
+    def counted(name):
+        builder = getattr(verifier, name)
+
+        def counting(image):
+            built.append(name)
+            return builder(image)
+
+        return counting
+
+    for name in ("image_cfg", "interprocedural_cfg"):
+        monkeypatch.setattr(verifier, name, counted(name))
+    return built
+
+
+def test_machine_rules_build_each_graph_once(compress_study, counted_graphs):
+    analyze_image(compress_study.compiled.image)
+    assert sorted(counted_graphs) == ["image_cfg", "interprocedural_cfg"]
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "bad"])
+def test_shared_graphs_report_what_each_rule_reports_alone(
+    compress_study, corrupt
+):
+    image = compress_study.compiled.image
+    if corrupt:
+        image = corrupt_branch_target(image)
+    together = analyze_image(image)
+    diagnostics, checked = [], {}
+    for rule_obj in RULES.values():
+        if rule_obj.kind == "machine":
+            alone = analyze_image(image, names=[rule_obj.name])
+            diagnostics += alone.diagnostics
+            checked.update(alone.checked)
+    assert together.diagnostics == sorted_diagnostics(diagnostics)
+    assert together.checked == checked
+    assert bool(together.diagnostics) == corrupt
 
 
 # ---------------------------------------------------------- clean images

@@ -412,6 +412,48 @@ def test_row_analysis_is_a_recorded_stage(capsys, fresh_cache):
     assert sum(stage["seconds"] for stage in stages.values()) <= wall
 
 
+def test_cold_static_run_derives_each_heat_profile_once(
+    capsys, fresh_cache, monkeypatch
+):
+    """The hybrid compress stages, the sweep, the Spearman column and
+    the cycle bounds of a benchmark read one trace count and one static
+    estimate, both held by its study."""
+    import functools
+
+    from repro.analysis import freq
+    from repro.compression import adaptive
+    from repro.fetch.sweep import TraceReplay
+
+    estimated, counted = [], []
+    estimate = freq.static_heat_profile
+    recount = adaptive.heat_profile
+    count = TraceReplay.counts.func
+
+    def counting_estimate(image):
+        estimated.append(image.name)
+        return estimate(image)
+
+    def counting_recount(trace, num_blocks):
+        counted.append(len(trace))
+        return recount(trace, num_blocks)
+
+    def counting_count(replay):
+        counted.append(len(replay.trace))
+        return count(replay)
+
+    counts = functools.cached_property(counting_count)
+    counts.__set_name__(TraceReplay, "counts")
+    monkeypatch.setattr(freq, "static_heat_profile", counting_estimate)
+    monkeypatch.setattr(adaptive, "heat_profile", counting_recount)
+    monkeypatch.setattr(TraceReplay, "counts", counts)
+    assert main(
+        ["run", "static", "--benchmarks", "compress", "go", "--scale", "2",
+         "--no-cache"]
+    ) == 0
+    assert len(estimated) == len(set(estimated)) == 2
+    assert len(counted) == len(set(counted)) == 2
+
+
 def test_sigterm_drains_a_cold_parallel_run(tmp_path):
     from repro.check.faults import _store_audit
 

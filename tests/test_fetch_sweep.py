@@ -537,6 +537,43 @@ def test_sweep_on_a_warmed_study_runs_no_predictor_pass(
     assert counted_predictor == []
 
 
+@pytest.fixture
+def counted_columns(monkeypatch):
+    """Count the engine's block-column builds, by image."""
+    import repro.fetch.sweep as sweep_module
+
+    calls = []
+    columns = sweep_module.block_meta_columns
+
+    def counting(image):
+        calls.append(image)
+        return columns(image)
+
+    monkeypatch.setattr(sweep_module, "block_meta_columns", counting)
+    return calls
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["store", "no-store"])
+def test_study_builds_its_block_columns_once(
+    fresh_store, counted_columns, enabled
+):
+    runtime.configure(enabled=enabled)
+    study = study_for("compress", 2)
+    found = {
+        scheme: study.fetch_metrics(scheme)
+        for scheme in SCHEMES + ("ideal",)
+    }
+    run_sweep("compress", expand_grid(**DESIGN_GRID), scale=2)
+    image = study.compiled.image
+    assert counted_columns == [image]
+    # Ideal reads the delivered totals every organization reports.
+    program = study.replay.program(image)
+    for metrics in found.values():
+        assert metrics.delivered_ops == program.delivered_ops
+        assert metrics.delivered_mops == program.delivered_mops
+    assert found["ideal"].cycles == program.delivered_mops
+
+
 def test_warm_store_fetch_builds_no_replay_state(fresh_store):
     study_for("compress", 2).fetch_metrics("base")
     clear_caches()
