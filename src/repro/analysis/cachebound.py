@@ -45,18 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import and_, or_
-from typing import (
-    Dict,
-    FrozenSet,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.analysis.dataflow import predecessors, reverse_postorder
-from repro.analysis.imagecfg import interprocedural_cfg
+from repro.analysis.graph import FlowGraph, ImageGraph
 from repro.errors import ConfigurationError
 from repro.fetch.config import (
     CACHED_ORGANIZATIONS,
@@ -130,33 +121,8 @@ def _line_accesses(
 
 
 # ------------------------------------------------------------------ solver
-class _Graph(NamedTuple):
-    """A CFG numbered in reverse postorder from its entry.
-
-    ``order[i]`` is the block of rank ``i`` (the entry has rank 0), and
-    ``preds[i]``/``succs[i]`` list the ranks of its reachable
-    predecessors and successors in the CFG's own list order.  One
-    numbering serves every structure solved over the same image.
-    """
-
-    order: List[int]
-    preds: List[List[int]]
-    succs: List[List[int]]
-
-
-def _graph(cfg: Dict[int, Sequence[int]], entry: int) -> _Graph:
-    order = reverse_postorder(cfg, entry)
-    rank = {node: index for index, node in enumerate(order)}
-    preds = predecessors(cfg)
-    return _Graph(
-        order,
-        [[rank[p] for p in preds[node] if p in rank] for node in order],
-        [[rank[s] for s in cfg[node]] for node in order],
-    )
-
-
 def _fixpoint(
-    graph: _Graph,
+    graph: FlowGraph,
     accesses: Sequence[Tuple[Access, ...]],
     skippable: Sequence[bool],
     ways: int,
@@ -171,7 +137,7 @@ def _fixpoint(
     fixpoint.  A block is re-queued whenever a predecessor's out-state
     changes, so the in-state of its last visit is final.
     """
-    order, preds, succs = graph
+    order, preds, succs = graph.order, graph.preds, graph.succs
     out: List[Optional[State]] = [None] * len(order)
     in_states: List[Optional[State]] = [None] * len(order)
     queued = [False] * len(order)
@@ -203,7 +169,7 @@ def _fixpoint(
 
 
 def _solve(
-    graph: _Graph,
+    graph: FlowGraph,
     accesses: Sequence[Tuple[Access, ...]],
     skippable: Sequence[bool],
     ways: int,
@@ -249,7 +215,7 @@ class FetchClassification:
 
 
 def _classify_structure(
-    graph: _Graph,
+    graph: FlowGraph,
     pairs_by_block: Sequence[Sequence[Tuple[int, int]]],
     skippable: Sequence[bool],
     ways: int,
@@ -279,10 +245,11 @@ def _classify(
     config: FetchConfig,
     span_pairs: Sequence[Sequence[Tuple[int, int]]],
     l0_possible: Sequence[bool],
+    graph: Optional[ImageGraph],
 ) -> FetchClassification:
-    image = compressed.image
-    graph = _graph(interprocedural_cfg(image), image.entry_block)
-    nblocks = len(image)
+    if graph is None:
+        graph = ImageGraph(compressed.image)
+    nblocks = len(compressed.image)
     atb_mask = config.atb_entries // config.atb_ways - 1
     return FetchClassification(
         cache=_classify_structure(
@@ -297,12 +264,16 @@ def _classify(
     )
 
 
-def classify_fetch(compressed, config: FetchConfig) -> FetchClassification:
+def classify_fetch(
+    compressed, config: FetchConfig, graph: Optional[ImageGraph] = None
+) -> FetchClassification:
     """Must/may classification of the I-cache and the ATB.
 
     Classification uses each block's *in*-state (the abstract cache
     before the block's own access), matching the simulator's
-    probe-then-install order.
+    probe-then-install order.  ``graph`` is the image's
+    :class:`~repro.analysis.graph.ImageGraph` when the caller holds one;
+    without it the graph is built from the image.
     """
     from repro.fetch.sweep import block_costs, block_span_pairs
 
@@ -312,6 +283,7 @@ def classify_fetch(compressed, config: FetchConfig) -> FetchClassification:
         config,
         span_pairs,
         block_costs(compressed, config, span_pairs).l0_fits,
+        graph,
     )
 
 
@@ -350,6 +322,7 @@ def cycle_bounds(
     compressed,
     counts: Sequence[int],
     config: FetchConfig,
+    graph: Optional[ImageGraph] = None,
 ) -> BoundsReport:
     """``lower <= cycles(any trace with these visit counts) <= upper``.
 
@@ -360,7 +333,8 @@ def cycle_bounds(
     weighted by the count.  The ATB contribution is additive: the upper
     bound charges every non-always-hit fetch, the lower bound the
     larger of guaranteed always-miss fetches and compulsory first
-    touches (one per distinct fetched block).
+    touches (one per distinct fetched block).  ``graph`` is as in
+    :func:`classify_fetch`.
     """
     from repro.fetch.sweep import block_costs, block_span_pairs
 
@@ -372,7 +346,7 @@ def cycle_bounds(
     span_pairs = block_span_pairs(compressed, config.cache)
     costs = block_costs(compressed, config, span_pairs)
     classification = _classify(
-        compressed, config, span_pairs, costs.l0_fits
+        compressed, config, span_pairs, costs.l0_fits, graph
     )
     cache_cls = classification.cache
     atb_cls = classification.atb
@@ -434,7 +408,8 @@ def standard_bounds(study):
     :data:`BOUND_SCHEMES` entry on its standard scaled config.
 
     One config is both simulated and bounded, over the study's
-    :attr:`~repro.core.study.ProgramStudy.trace_heat`.
+    :attr:`~repro.core.study.ProgramStudy.trace_heat` and its one
+    :attr:`~repro.core.study.ProgramStudy.analysis` graph.
     ``analyze --bounds`` and the ``static-cycle-bounds`` invariant both
     bracket these; the invariant goes on to randomized geometries with
     ``compressed``.
@@ -443,7 +418,9 @@ def standard_bounds(study):
         config = FetchConfig.for_scheme(scheme, scaled=True)
         compressed = study.compressed(fetch_image_key(scheme))
         simulated = study.fetch_metrics(scheme, config).cycles
-        report = cycle_bounds(compressed, study.trace_heat, config)
+        report = cycle_bounds(
+            compressed, study.trace_heat, config, study.analysis
+        )
         yield scheme, compressed, report, simulated
 
 

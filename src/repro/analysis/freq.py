@@ -19,18 +19,9 @@ store all work unchanged with zero trace runs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.analysis.dataflow import (
-    predecessors,
-    reachable,
-    reverse_postorder,
-)
-from repro.analysis.imagecfg import interprocedural_cfg
-from repro.analysis.loops import back_edges
-
-Cfg = Dict[int, Sequence[int]]
-Edge = Tuple[int, int]
+from repro.analysis.graph import Edge, FlowGraph, ImageGraph
 
 #: Probability mass a conditional's loop back edges share (Ball–Larus
 #: "loop branch heuristic": backward branches are usually taken).
@@ -50,16 +41,18 @@ FREQUENCY_CLAMP = 1e12
 HEAT_QUANTUM = 1_000_000
 
 
-def branch_probabilities(cfg: Cfg, entry: int) -> Dict[Edge, float]:
-    """``{(u, v): probability}`` for every edge among reachable blocks.
+def branch_probabilities(graph: FlowGraph) -> Dict[Edge, float]:
+    """``{(u, v): probability}`` for every edge among reachable nodes.
 
     Back edges at a branch split :data:`BACK_EDGE_MASS` between them,
     the remaining successors split the residue; a branch whose
     successors are all back edges (or none are) splits uniformly.
     Parallel edges cannot occur (successor lists are deduplicated).
+    :attr:`FlowGraph.probabilities` holds the result.
     """
-    live = reachable(cfg, entry)
-    backs = set(back_edges(cfg, entry))
+    cfg = graph.cfg
+    live = graph.reachable
+    backs = set(graph.back_edges)
     probs: Dict[Edge, float] = {}
     for u in sorted(live):
         succs = [v for v in cfg.get(u, ()) if v in live]
@@ -83,41 +76,37 @@ def branch_probabilities(cfg: Cfg, entry: int) -> Dict[Edge, float]:
 
 
 def block_frequencies(
-    cfg: Cfg,
-    entry: int,
-    probabilities: Optional[Dict[Edge, float]] = None,
+    graph: FlowGraph, probabilities: Dict[Edge, float]
 ) -> Dict[int, float]:
-    """Expected visit count per reachable block (entry normalized to 1).
+    """Expected visit count per reachable node (entry normalized to 1).
 
-    Gauss–Seidel in reverse postorder: within one sweep a block reads
+    Gauss–Seidel in reverse postorder: within one sweep a node reads
     the already-updated frequencies of its earlier predecessors, so a
     reducible loop nest converges geometrically.  Stops at
     :data:`EPSILON` stability or :data:`MAX_ITERATIONS`, clamping at
     :data:`FREQUENCY_CLAMP` so infinite loops stay finite.
+    :attr:`FlowGraph.frequencies` holds the result under the graph's
+    own :attr:`~FlowGraph.probabilities`.
 
-    Each reachable block's inflow row — ``(reverse-postorder index of
-    pred, probability)`` in predecessor-list order, for every reachable
+    Each reachable node's inflow row — ``(rank of pred, probability)``
+    over the graph's rank-indexed predecessor row, for every
     predecessor whose edge has a probability — is built once, and the
-    sweeps run over a flat list of frequencies.  A block's update adds
+    sweeps run over a flat list of frequencies.  A node's update adds
     its inflows to its base value (1.0 at the entry) one at a time in
     that order, then clamps, so every frequency is the same float the
     per-edge dictionary lookups produced.
     """
-    if probabilities is None:
-        probabilities = branch_probabilities(cfg, entry)
-    order = reverse_postorder(cfg, entry)
-    rank = {block: index for index, block in enumerate(order)}
-    preds = predecessors(cfg)
+    order = graph.order
     rows = []
-    for block in order:
+    for block, preds in zip(order, graph.preds):
         row = []
-        for pred in preds.get(block, ()):
-            prob = probabilities.get((pred, block))
-            if prob is not None and pred in rank:
-                row.append((rank[pred], prob))
-        rows.append((1.0 if block == entry else 0.0, row))
+        for pred in preds:
+            prob = probabilities.get((order[pred], block))
+            if prob is not None:
+                row.append((pred, prob))
+        rows.append((1.0 if block == graph.entry else 0.0, row))
     values = [0.0] * len(order)
-    values[rank[entry]] = 1.0
+    values[0] = 1.0  # the entry's rank
     for _ in range(MAX_ITERATIONS):
         delta = 0.0
         for index, (inflow, row) in enumerate(rows):
@@ -136,20 +125,23 @@ def block_frequencies(
     return dict(zip(order, values))
 
 
-def static_heat_profile(image) -> Tuple[int, ...]:
+def static_heat_profile(
+    image, graph: Optional[ImageGraph] = None
+) -> Tuple[int, ...]:
     """Per-block integer heat estimate, shaped like a trace profile.
 
-    Runs the frequency fixpoint over the interprocedural CFG (so
-    callee bodies inherit their call sites' heat) and quantizes each
-    frequency at :data:`HEAT_QUANTUM` per entry visit.  Unreachable
-    blocks get 0, exactly like blocks a trace never touched.
+    Quantizes the frequency fixpoint over the interprocedural CFG (so
+    callee bodies inherit their call sites' heat) at
+    :data:`HEAT_QUANTUM` per entry visit.  Unreachable blocks get 0,
+    exactly like blocks a trace never touched.  ``graph`` is the
+    image's :class:`~repro.analysis.graph.ImageGraph` when the caller
+    holds one (a study's :attr:`~repro.core.study.ProgramStudy.analysis`);
+    without it the graph is built from the image.
     """
-    cfg = interprocedural_cfg(image)
+    if graph is None:
+        graph = ImageGraph(image)
     profile = [0] * len(image)
-    if not profile:
-        return ()
-    freq = block_frequencies(cfg, image.entry_block)
-    for block_id, value in freq.items():
+    for block_id, value in graph.frequencies.items():
         profile[block_id] = int(round(value * HEAT_QUANTUM))
     return tuple(profile)
 

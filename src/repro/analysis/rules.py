@@ -48,7 +48,7 @@ def _block_assigns(
 def _assigned_before(ctx: RuleContext):
     """Per-block definitely-assigned-at-entry facts, plus reachability."""
     result = definitely_assigned(
-        ctx.cfg,
+        ctx.graph.successors,
         ctx.image.entry_block,
         _block_assigns(ctx.image),
         seed=ENTRY_FACTS,
@@ -133,6 +133,7 @@ def _block_structure(ctx: RuleContext) -> None:
 def _branch_target(ctx: RuleContext) -> None:
     image = ctx.image
     n = len(image)
+    entry_ids = set(ctx.graph.entries.values())
     for block in image:
         for op_index, op in enumerate(block.ops):
             if op.opcode not in (Opcode.BR, Opcode.CALL):
@@ -162,7 +163,7 @@ def _branch_target(ctx: RuleContext) -> None:
                 )
             elif (
                 op.opcode is Opcode.CALL
-                and target not in ctx.entry_ids
+                and target not in entry_ids
             ):
                 ctx.error(
                     f"CALL target {target} ({target_block.label!r}) "
@@ -263,7 +264,7 @@ def _vliw_hazard(ctx: RuleContext) -> None:
 def _reg_def_before_use(ctx: RuleContext) -> None:
     before = _assigned_before(ctx)
     for block in ctx.image:
-        if block.block_id not in ctx.reachable_blocks:
+        if block.block_id not in ctx.graph.reachable_without_returns:
             continue  # unreachable-block lint owns these
         defined = set(before[block.block_id])
         offset = 0
@@ -301,7 +302,7 @@ def _reg_def_before_use(ctx: RuleContext) -> None:
 def _predicate_guard(ctx: RuleContext) -> None:
     before = _assigned_before(ctx)
     for block in ctx.image:
-        if block.block_id not in ctx.reachable_blocks:
+        if block.block_id not in ctx.graph.reachable_without_returns:
             continue
         defined = set(before[block.block_id])
         offset = 0
@@ -336,7 +337,7 @@ def _predicate_guard(ctx: RuleContext) -> None:
 def _unreachable_block(ctx: RuleContext) -> None:
     for block in ctx.image:
         ctx.checked()
-        if block.block_id not in ctx.reachable_blocks:
+        if block.block_id not in ctx.graph.reachable_without_returns:
             ctx.warning(
                 "block is unreachable from the entry block "
                 f"{ctx.image.entry_block}",

@@ -21,10 +21,7 @@ randomized traces; these rules are the cheap per-image gate.
 
 from __future__ import annotations
 
-from repro.analysis.dataflow import dominators, reachable
 from repro.analysis.freq import HEAT_QUANTUM, static_heat_profile
-from repro.analysis.imagecfg import return_continuations
-from repro.analysis.loops import irreducible_edges, loops
 from repro.analysis.verifier import RuleContext, rule
 
 
@@ -35,12 +32,9 @@ from repro.analysis.verifier import RuleContext, rule
 )
 def _loop_structure(ctx: RuleContext) -> None:
     image = ctx.image
-    if not len(image):
-        return
-    cfg = ctx.icfg
-    entry = image.entry_block
-    doms = dominators(cfg, entry)
-    for loop in loops(cfg, entry):
+    graph = ctx.graph
+    doms = graph.dominators
+    for loop in graph.loops:
         ctx.checked()
         if loop.header not in loop.body:
             ctx.error(
@@ -62,10 +56,9 @@ def _loop_structure(ctx: RuleContext) -> None:
                 )
     # RET-continuation edges on recursive programs retreat without being
     # dominator back edges; that is recursion, not irreducible flow.
-    returns = return_continuations(image)
-    for tail, header in irreducible_edges(cfg, entry):
+    for tail, header in graph.irreducible_edges:
         ctx.checked()
-        if header in returns.get(tail, ()):
+        if header in graph.returns.get(tail, ()):
             continue
         ctx.warning(
             f"irreducible control flow: retreating edge {tail} -> "
@@ -82,9 +75,7 @@ def _loop_structure(ctx: RuleContext) -> None:
 )
 def _static_frequency(ctx: RuleContext) -> None:
     image = ctx.image
-    if not len(image):
-        return
-    profile = static_heat_profile(image)
+    profile = static_heat_profile(image, ctx.graph)
     ctx.checked()
     if len(profile) != len(image):
         ctx.error(
@@ -93,7 +84,7 @@ def _static_frequency(ctx: RuleContext) -> None:
         )
         return
     entry = image.entry_block
-    live = set(dominators(ctx.icfg, entry))
+    live = ctx.graph.reachable
     ctx.checked()
     if profile[entry] < HEAT_QUANTUM:
         ctx.error(
@@ -121,7 +112,7 @@ def _static_frequency(ctx: RuleContext) -> None:
     description="must/may classification consistent, bounds bracket sane",
 )
 def _cache_bounds(ctx: RuleContext) -> None:
-    if ctx.geometry is None or not len(ctx.image):
+    if ctx.geometry is None:
         return  # the baseline fetches untranslated: nothing to bound
     from repro.analysis.cachebound import cycle_bounds
     from repro.fetch.config import FetchConfig, image_organization
@@ -131,9 +122,9 @@ def _cache_bounds(ctx: RuleContext) -> None:
         scheme=image_organization(ctx.scheme or "compressed"),
         cache=ctx.geometry,
     )
-    live = reachable(ctx.icfg, image.entry_block)
+    live = ctx.graph.reachable
     counts = [1 if b in live else 0 for b in range(len(image))]
-    report = cycle_bounds(ctx.compressed, counts, config)
+    report = cycle_bounds(ctx.compressed, counts, config, ctx.graph)
     for label, cls in (
         ("cache", report.classification.cache),
         ("atb", report.classification.atb),

@@ -40,10 +40,7 @@ from repro.analysis.diagnostics import (
     Severity,
     sorted_diagnostics,
 )
-from repro.analysis.imagecfg import (
-    function_entries, image_cfg, interprocedural_cfg,
-)
-from repro.analysis.dataflow import reachable
+from repro.analysis.graph import ImageGraph
 from repro.errors import AnalysisError
 from repro.isa.image import BasicBlockImage, ProgramImage
 
@@ -98,8 +95,8 @@ def rule(name: str, *, kind: str, description: str) -> Callable:
 
 class RuleContext:
     """Everything one run's rules see, plus their reporting channel:
-    :func:`_run_rules` points ``rule_name`` at each rule in turn, so
-    every derived graph is built at most once per run."""
+    :func:`_run_rules` points ``rule_name`` at each rule in turn, and
+    every rule reads the one :attr:`graph` of the image."""
 
     def __init__(
         self,
@@ -110,6 +107,7 @@ class RuleContext:
         report: AnalysisReport,
         compressed=None,
         geometry=None,
+        graph: Optional[ImageGraph] = None,
     ) -> None:
         self.rule_name = rule_name
         self.program = program
@@ -117,10 +115,7 @@ class RuleContext:
         self.compressed = compressed
         self.geometry = geometry
         self._report = report
-        self._cfg = None
-        self._icfg = None
-        self._reachable = None
-        self._entries = None
+        self._graph = graph
 
     # -------------------------------------------------- derived graphs
     @property
@@ -130,34 +125,12 @@ class RuleContext:
         return self.compressed.scheme_name
 
     @property
-    def cfg(self):
-        if self._cfg is None:
-            self._cfg = image_cfg(self.image)
-        return self._cfg
-
-    @property
-    def icfg(self):
-        """The interprocedural CFG (:func:`interprocedural_cfg`)."""
-        if self._icfg is None:
-            self._icfg = interprocedural_cfg(self.image)
-        return self._icfg
-
-    @property
-    def reachable_blocks(self):
-        if self._reachable is None:
-            self._reachable = reachable(
-                self.cfg, self.image.entry_block
-            )
-        return self._reachable
-
-    @property
-    def entry_ids(self):
-        """Block ids that start a function (legal CALL targets)."""
-        if self._entries is None:
-            self._entries = frozenset(
-                function_entries(self.image).values()
-            )
-        return self._entries
+    def graph(self) -> ImageGraph:
+        """The image's :class:`~repro.analysis.graph.ImageGraph`: the
+        caller's, or built from the image on first use."""
+        if self._graph is None:
+            self._graph = ImageGraph(self.image)
+        return self._graph
 
     # --------------------------------------------------------- reporting
     def checked(self, count: int = 1) -> None:
@@ -204,6 +177,7 @@ def _run_rules(
     compressed=None,
     geometry=None,
     names: Optional[Sequence[str]] = None,
+    graph: Optional[ImageGraph] = None,
 ) -> None:
     ctx = RuleContext(
         rule_name="",
@@ -212,6 +186,7 @@ def _run_rules(
         report=report,
         compressed=compressed,
         geometry=geometry,
+        graph=graph,
     )
     for rule_obj in RULES.values():
         if rule_obj.kind != kind:
@@ -247,12 +222,22 @@ def analyze_image(
     *,
     program: Optional[str] = None,
     names: Optional[Sequence[str]] = None,
+    graph: Optional[ImageGraph] = None,
 ) -> AnalysisReport:
-    """Run the machine-code rules over one laid-out image."""
+    """Run the machine-code rules over one laid-out image.
+
+    ``graph`` is the image's :class:`~repro.analysis.graph.ImageGraph`
+    when the caller holds one; without it the rules build it once.
+    """
     name = program or image.name
     report = AnalysisReport(programs=[name])
     _run_rules(
-        "machine", program=name, image=image, report=report, names=names
+        "machine",
+        program=name,
+        image=image,
+        report=report,
+        names=names,
+        graph=graph,
     )
     report.diagnostics = sorted_diagnostics(report.diagnostics)
     return report
@@ -264,8 +249,10 @@ def analyze_encoding(
     geometry=None,
     program: Optional[str] = None,
     names: Optional[Sequence[str]] = None,
+    graph: Optional[ImageGraph] = None,
 ) -> AnalysisReport:
-    """Run the encoding-conformance rules over one compressed image."""
+    """Run the encoding-conformance rules over one compressed image
+    (``graph`` as in :func:`analyze_image`)."""
     image = compressed.image
     name = program or image.name
     report = AnalysisReport(programs=[name])
@@ -277,6 +264,7 @@ def analyze_encoding(
         compressed=compressed,
         geometry=geometry,
         names=names,
+        graph=graph,
     )
     report.diagnostics = sorted_diagnostics(report.diagnostics)
     return report
@@ -302,15 +290,16 @@ def analyze_program(
     """Statically verify one benchmark: image plus every scheme.
 
     Artifacts come from the shared :class:`ProgramStudy` (and therefore
-    the persistent cache); the rules execute nothing.  (Materializing a
-    *hybrid* image cold runs the study's emulator once for its heat
-    profile — the same trace every other stage shares.)
+    the persistent cache); the rules execute nothing, and every run
+    reads the study's one :attr:`~ProgramStudy.analysis` graph.
+    (Materializing a *hybrid* image cold runs the study's emulator once
+    for its heat profile — the same trace every other stage shares.)
     """
     from repro.core.study import study_for
 
     study = study_for(name, scale)
-    image = study.compiled.image
-    report = analyze_image(image, program=name)
+    graph = study.analysis
+    report = analyze_image(study.compiled.image, program=name, graph=graph)
     for scheme_key in schemes:
         compressed = study.compressed(scheme_key)
         report.merge(
@@ -318,6 +307,7 @@ def analyze_program(
                 compressed,
                 geometry=_geometry_for(scheme_key),
                 program=name,
+                graph=graph,
             )
         )
     report.diagnostics = sorted_diagnostics(report.diagnostics)
@@ -378,15 +368,18 @@ def corrupt_branch_target(image: ProgramImage) -> ProgramImage:
 
 # ----------------------------------------------------- the compile gate
 def enforce_image(
-    image: ProgramImage, *, program: Optional[str] = None
+    image: ProgramImage,
+    *,
+    program: Optional[str] = None,
+    graph: Optional[ImageGraph] = None,
 ) -> AnalysisReport:
     """Verify ``image`` and raise on error-severity findings.
 
     The ``REPRO_ANALYZE=1`` study gate calls this right after the
-    compile stage; warnings pass through silently (they are lint, and
-    the CLI is the place to read them).
+    compile stage, with the study's graph; warnings pass through
+    silently (they are lint, and the CLI is the place to read them).
     """
-    report = analyze_image(image, program=program)
+    report = analyze_image(image, program=program, graph=graph)
     errors = report.at_least(Severity.ERROR)
     if errors:
         listing = "\n".join("  " + d.render() for d in errors[:10])

@@ -722,13 +722,16 @@ def _static_verifier(ctx: CheckContext, rec: Recorder) -> None:
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
         image = study.compiled.image
-        report = analyze_image(image, program=benchmark)
+        report = analyze_image(
+            image, program=benchmark, graph=study.analysis
+        )
         for scheme in DEFAULT_SCHEMES:
             report.merge(
                 analyze_encoding(
                     study.compressed(scheme),
                     geometry=_geometry_for(scheme),
                     program=benchmark,
+                    graph=study.analysis,
                 )
             )
         rec.checked_one(report.total_checked)

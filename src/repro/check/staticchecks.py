@@ -49,12 +49,10 @@ HEAT_RANK_FLOOR = 0.2
     ),
 )
 def _trace_edges(ctx: CheckContext, rec: Recorder) -> None:
-    from repro.analysis.imagecfg import interprocedural_cfg
-
     for benchmark in ctx.benchmarks:
         study = ctx.study(benchmark)
         image = study.compiled.image
-        cfg = {u: set(vs) for u, vs in interprocedural_cfg(image).items()}
+        cfg = {u: set(vs) for u, vs in study.analysis.cfg.items()}
         trace = study.run.block_trace
         rec.expect(
             not trace or trace[0] == image.entry_block,
@@ -124,7 +122,9 @@ def _cycle_bounds(ctx: CheckContext, rec: Recorder) -> None:
                     l0_capacity_ops=rng.choice(_L0_POOL),
                 )
                 simulated = simulate_fetch(compressed, trace, config)
-                report = cycle_bounds(compressed, study.trace_heat, config)
+                report = cycle_bounds(
+                    compressed, study.trace_heat, config, study.analysis
+                )
                 rec.expect(
                     report.bracket(simulated.cycles),
                     subject,

@@ -215,7 +215,10 @@ def static_row(name: str, scale: Optional[int]) -> list:
     static_hybrid = by_scheme["hybrid:static"]
     # Bound the very config the sweep simulated.
     bounds = cycle_bounds(
-        study.compressed("hybrid:static"), study.trace_heat, static_config
+        study.compressed("hybrid:static"),
+        study.trace_heat,
+        static_config,
+        study.analysis,
     )
     return [
         name,

@@ -51,6 +51,7 @@ from repro.programs.suite import SUITE, compile_benchmark, effective_scale
 from repro.runtime.config import gate_enabled, integer_setting
 
 if TYPE_CHECKING:
+    from repro.analysis.graph import ImageGraph
     from repro.fetch.sweep import TraceReplay
 
 #: Scheme presentation order in reports (mirrors Figure 5's legend).
@@ -106,7 +107,9 @@ class ProgramStudy:
                 from repro.analysis.verifier import enforce_image
 
                 enforce_image(
-                    self._compiled.image, program=self.name
+                    self._compiled.image,
+                    program=self.name,
+                    graph=self.analysis,
                 )
         return self._compiled
 
@@ -155,12 +158,21 @@ class ProgramStudy:
         return tuple(counts[b] for b in range(len(self.compiled.image)))
 
     @functools.cached_property
+    def analysis(self) -> "ImageGraph":
+        """The compiled image's one control-flow graph; each graph
+        fact (loops, frequencies, the cache-bound numbering) is derived
+        on it once, on first use."""
+        from repro.analysis.graph import ImageGraph
+
+        return ImageGraph(self.compiled.image)
+
+    @functools.cached_property
     def static_heat(self) -> tuple[int, ...]:
-        """The compile-time estimate shaped like :attr:`trace_heat`; it
-        never touches the trace."""
+        """The compile-time estimate shaped like :attr:`trace_heat`,
+        read off :attr:`analysis`; it never touches the trace."""
         from repro.analysis.freq import static_heat_profile
 
-        return static_heat_profile(self.compiled.image)
+        return static_heat_profile(self.compiled.image, self.analysis)
 
     def compressed(self, scheme_key: str) -> CompressedImage:
         """The program re-encoded under ``scheme_key`` (cached).

@@ -129,3 +129,20 @@ def compress_study():
     study = ProgramStudy("compress", scale=3)
     assert study.verify_checksum()
     return study
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The name of each image an :class:`ImageGraph` is built for, in
+    build order; every graph fact is derived on one of these."""
+    from repro.analysis.graph import ImageGraph
+
+    built = []
+    build = ImageGraph.__init__
+
+    def counting(self, image):
+        built.append(image.name)
+        build(self, image)
+
+    monkeypatch.setattr(ImageGraph, "__init__", counting)
+    return built

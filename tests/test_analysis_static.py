@@ -2,7 +2,7 @@
 
 Three layers of evidence, mirroring the module structure:
 
-* **loops** — back-edge/natural-loop/depth detection against dominator
+* **loops** — back-edge/natural-loop detection against dominator
   facts on hand-built CFGs (self loops, nesting, the classic
   irreducible diamond) and Hypothesis-random digraphs;
 * **freq** — branch probabilities form distributions, the fixpoint
@@ -37,17 +37,9 @@ from repro.analysis.freq import (
     FREQUENCY_CLAMP,
     HEAT_QUANTUM,
     block_frequencies,
-    branch_probabilities,
     static_heat_profile,
 )
-from repro.analysis.imagecfg import interprocedural_cfg
-from repro.analysis.loops import (
-    back_edges,
-    irreducible_edges,
-    loop_depths,
-    loops,
-    natural_loop,
-)
+from repro.analysis.graph import FlowGraph, ImageGraph
 from repro.compiler.pipeline import compile_module
 from repro.errors import ConfigurationError
 from repro.fetch.config import CacheGeometry, FetchConfig
@@ -72,46 +64,41 @@ def digraphs(draw, max_nodes=7):
 # ----------------------------------------------------------------- loops
 class TestLoops:
     def test_simple_loop(self):
-        cfg = {0: [1], 1: [2], 2: [1, 3], 3: []}
-        assert back_edges(cfg, 0) == [(2, 1)]
-        assert natural_loop(cfg, 2, 1) == frozenset({1, 2})
-        found = loops(cfg, 0)
+        graph = FlowGraph({0: [1], 1: [2], 2: [1, 3], 3: []}, 0)
+        assert graph.back_edges == [(2, 1)]
+        assert graph.natural_loop(2, 1) == frozenset({1, 2})
+        found = graph.loops
         assert len(found) == 1
         assert found[0].header == 1
         assert found[0].body == frozenset({1, 2})
-        assert loop_depths(cfg, 0) == {0: 0, 1: 1, 2: 1, 3: 0}
 
     def test_self_loop(self):
-        cfg = {0: [1], 1: [1, 2], 2: []}
-        assert back_edges(cfg, 0) == [(1, 1)]
-        assert natural_loop(cfg, 1, 1) == frozenset({1})
-        assert loop_depths(cfg, 0)[1] == 1
-        assert irreducible_edges(cfg, 0) == []
+        graph = FlowGraph({0: [1], 1: [1, 2], 2: []}, 0)
+        assert graph.back_edges == [(1, 1)]
+        assert graph.natural_loop(1, 1) == frozenset({1})
+        assert [loop.body for loop in graph.loops] == [frozenset({1})]
+        assert graph.irreducible_edges == []
 
     def test_nested_loops_share_depth(self):
         # 1 is the outer header, 2 the inner; 3 only in the outer body.
-        cfg = {0: [1], 1: [2], 2: [2, 3], 3: [1, 4], 4: []}
-        headers = {loop.header for loop in loops(cfg, 0)}
-        assert headers == {1, 2}
-        depths = loop_depths(cfg, 0)
-        assert depths[2] == 2
-        assert depths[1] == depths[3] == 1
-        assert depths[0] == depths[4] == 0
+        graph = FlowGraph({0: [1], 1: [2], 2: [2, 3], 3: [1, 4], 4: []}, 0)
+        bodies = {loop.header: loop.body for loop in graph.loops}
+        assert bodies == {1: frozenset({1, 2, 3}), 2: frozenset({2})}
 
     def test_shared_header_bodies_merge(self):
         # Two back edges to one header: one natural loop, merged body.
-        cfg = {0: [1], 1: [2, 3], 2: [1], 3: [1, 4], 4: []}
-        found = loops(cfg, 0)
+        graph = FlowGraph({0: [1], 1: [2, 3], 2: [1], 3: [1, 4], 4: []}, 0)
+        found = graph.loops
         assert len(found) == 1
         assert found[0].body == frozenset({1, 2, 3})
 
     def test_irreducible_diamond(self):
         # Two entries into the 1<->2 cycle: neither dominates the
         # other, so neither retreating edge is a dominator back edge.
-        cfg = {0: [1, 2], 1: [2], 2: [1, 3], 3: []}
-        assert back_edges(cfg, 0) == []
-        assert loops(cfg, 0) == []
-        assert irreducible_edges(cfg, 0) != []
+        graph = FlowGraph({0: [1, 2], 1: [2], 2: [1, 3], 3: []}, 0)
+        assert graph.back_edges == []
+        assert graph.loops == []
+        assert graph.irreducible_edges != []
 
     @settings(max_examples=80, deadline=None)
     @given(digraphs())
@@ -120,7 +107,7 @@ class TestLoops:
         edges = {
             (u, v) for u in reachable(cfg, 0) for v in cfg[u]
         }
-        backs = back_edges(cfg, 0)
+        backs = FlowGraph(cfg, 0).back_edges
         assert set(backs) <= edges
         for tail, header in backs:
             assert header in doms[tail]
@@ -129,7 +116,7 @@ class TestLoops:
     @given(digraphs())
     def test_loop_bodies_are_wellformed(self, cfg):
         doms = dominators(cfg, 0)
-        for loop in loops(cfg, 0):
+        for loop in FlowGraph(cfg, 0).loops:
             assert loop.header in loop.body
             for member in loop.body:
                 # Reachable, and dominated by the loop header.
@@ -139,28 +126,21 @@ class TestLoops:
     @settings(max_examples=80, deadline=None)
     @given(digraphs())
     def test_irreducible_edges_disjoint_from_back_edges(self, cfg):
-        backs = set(back_edges(cfg, 0))
-        irreducible = set(irreducible_edges(cfg, 0))
+        graph = FlowGraph(cfg, 0)
+        backs = set(graph.back_edges)
+        irreducible = set(graph.irreducible_edges)
         assert not (backs & irreducible)
         # Both kinds of retreating edge target a node on the DFS stack,
         # i.e. every irreducible edge closes some cycle.
         edges = {(u, v) for u in reachable(cfg, 0) for v in cfg[u]}
         assert irreducible <= edges
 
-    @settings(max_examples=80, deadline=None)
-    @given(digraphs())
-    def test_depths_count_containing_bodies(self, cfg):
-        depths = loop_depths(cfg, 0)
-        bodies = [loop.body for loop in loops(cfg, 0)]
-        for node, depth in depths.items():
-            assert depth == sum(1 for body in bodies if node in body)
-
 
 # ------------------------------------------------------------- frequency
 class TestFrequencies:
     def test_probabilities_form_distributions(self):
         cfg = {0: [1, 2], 1: [3], 2: [3], 3: [0, 4], 4: []}
-        probs = branch_probabilities(cfg, 0)
+        probs = FlowGraph(cfg, 0).probabilities
         outgoing = {}
         for (u, _), p in probs.items():
             assert 0.0 < p <= 1.0
@@ -170,13 +150,13 @@ class TestFrequencies:
 
     def test_back_edges_get_the_mass(self):
         cfg = {0: [1], 1: [1, 2], 2: []}
-        probs = branch_probabilities(cfg, 0)
+        probs = FlowGraph(cfg, 0).probabilities
         assert math.isclose(probs[(1, 1)], BACK_EDGE_MASS)
         assert math.isclose(probs[(1, 2)], 1.0 - BACK_EDGE_MASS)
 
     def test_loop_frequency_hits_geometric_fixpoint(self):
         cfg = {0: [1], 1: [1, 2], 2: []}
-        freq = block_frequencies(cfg, 0)
+        freq = FlowGraph(cfg, 0).frequencies
         assert math.isclose(freq[0], 1.0)
         # f(1) = 1 + BACK_EDGE_MASS * f(1)  =>  1 / (1 - mass);
         # the iteration cap leaves a ~1e-5 geometric residual.
@@ -195,8 +175,9 @@ class TestFrequencies:
             4: [1, 5],
             5: [],
         }
-        probs = branch_probabilities(cfg, 0)
-        freq = block_frequencies(cfg, 0, probs)
+        graph = FlowGraph(cfg, 0)
+        probs = graph.probabilities
+        freq = block_frequencies(graph, probs)
         # Inner body at least as hot as the outer, outer hotter than
         # straight-line code.
         assert freq[2] >= freq[1] > freq[0]
@@ -214,7 +195,7 @@ class TestFrequencies:
     @settings(max_examples=60, deadline=None)
     @given(digraphs())
     def test_frequencies_finite_and_covering(self, cfg):
-        freq = block_frequencies(cfg, 0)
+        freq = FlowGraph(cfg, 0).frequencies
         keep = reachable(cfg, 0)
         assert set(freq) == set(keep)
         for value in freq.values():
@@ -234,8 +215,7 @@ class TestFrequencies:
         module, _ = build_call_module()
         image = compile_module(module).image
         profile = static_heat_profile(image)
-        cfg = interprocedural_cfg(image)
-        live = reachable(cfg, image.entry_block)
+        live = ImageGraph(image).reachable
         # Interprocedural edges make the callee (and the code *after*
         # the call sites) reachable: every live block gets heat.
         assert len(live) > 1
@@ -525,6 +505,17 @@ class TestCycleBounds:
             payload = report.to_json()
             assert payload["lower_cycles"] == report.lower
             assert payload["upper_cycles"] == report.upper
+
+    def test_bounds_derive_only_the_numbering(self, study):
+        """Bounding reads the graph's reverse-postorder numbering and
+        derives nothing else: no dominators, loops or probabilities."""
+        graph = ImageGraph(study.compiled.image)
+        walked = set(vars(graph))
+        config = FetchConfig.for_scheme("compressed")
+        cycle_bounds(
+            study.compressed("full"), study.trace_heat, config, graph
+        )
+        assert set(vars(graph)) - walked == {"order", "rank", "preds", "succs"}
 
     def test_standard_bounds_bound_the_simulated_config(self, study):
         """``analyze --bounds`` brackets the simulated cycles with bounds

@@ -24,6 +24,7 @@ from repro.analysis.verifier import (
     RULES,
     analyze_encoding,
     analyze_image,
+    analyze_program,
     analyze_suite,
     corrupt_branch_target,
     enforce_image,
@@ -72,30 +73,18 @@ def call_image(call_program):
 
 
 # -------------------------------------------------------- derived graphs
-@pytest.fixture
-def counted_graphs(monkeypatch):
-    """Count the CFGs the verifier builds, by builder name."""
-    import repro.analysis.verifier as verifier
+def test_analyze_program_builds_one_graph(graph_builds):
+    """The machine rules, every encoding run, each ``cache-bounds``
+    bound and the ``hybrid:static`` heat all read the study's graph."""
+    from repro.core.study import clear_caches
 
-    built = []
-
-    def counted(name):
-        builder = getattr(verifier, name)
-
-        def counting(image):
-            built.append(name)
-            return builder(image)
-
-        return counting
-
-    for name in ("image_cfg", "interprocedural_cfg"):
-        monkeypatch.setattr(verifier, name, counted(name))
-    return built
-
-
-def test_machine_rules_build_each_graph_once(compress_study, counted_graphs):
-    analyze_image(compress_study.compiled.image)
-    assert sorted(counted_graphs) == ["image_cfg", "interprocedural_cfg"]
+    clear_caches()
+    try:
+        report = analyze_program("compress", 2)
+    finally:
+        clear_caches()
+    assert graph_builds == ["compress"]
+    assert report.checked["cache-bounds"] > 0
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "bad"])
@@ -246,10 +235,10 @@ def test_branch_target_escaping_its_function(call_image):
 
 
 def test_call_target_must_be_a_function_entry(call_image):
-    from repro.analysis.imagecfg import function_entries
+    from repro.analysis.graph import ImageGraph
 
     image = copy.deepcopy(call_image)
-    entries = set(function_entries(image).values())
+    entries = set(ImageGraph(image).entries.values())
     call_op = next(
         op for b in image for op in b.ops if op.opcode is Opcode.CALL
     )
@@ -698,9 +687,12 @@ def test_gate_environment_parsing():
     assert "REPRO_ANALYZE" in problem
 
 
-def test_study_gate_verifies_after_compile(monkeypatch):
+def test_study_gate_verifies_after_compile(monkeypatch, graph_builds):
     from repro.core.study import ProgramStudy
 
     monkeypatch.setenv("REPRO_ANALYZE", "1")
     study = ProgramStudy("compress", scale=2)
     assert study.compiled.image.total_ops > 0  # gate passes silently
+    # The gate verified on the study's graph, which the heat reads too.
+    assert study.static_heat
+    assert graph_builds == ["compress"]

@@ -429,9 +429,9 @@ def test_cold_static_run_derives_each_heat_profile_once(
     recount = adaptive.heat_profile
     count = TraceReplay.counts.func
 
-    def counting_estimate(image):
+    def counting_estimate(image, *graph):
         estimated.append(image.name)
-        return estimate(image)
+        return estimate(image, *graph)
 
     def counting_recount(trace, num_blocks):
         counted.append(len(trace))
@@ -452,6 +452,18 @@ def test_cold_static_run_derives_each_heat_profile_once(
     ) == 0
     assert len(estimated) == len(set(estimated)) == 2
     assert len(counted) == len(set(counted)) == 2
+
+
+def test_cold_static_run_builds_one_graph_per_study(
+    capsys, fresh_cache, graph_builds
+):
+    """The static heat and the cycle bounds of a benchmark derive their
+    graph facts on its study's one :class:`ImageGraph`."""
+    assert main(
+        ["run", "static", "--benchmarks", "compress", "go", "--scale", "2",
+         "--no-cache"]
+    ) == 0
+    assert graph_builds == ["compress", "go"]
 
 
 def test_sigterm_drains_a_cold_parallel_run(tmp_path):

@@ -130,9 +130,9 @@ class TestEngineBasics:
         bounded = []
         real_bounds = cachebound.cycle_bounds
 
-        def spy_bounds(compressed, counts, config):
+        def spy_bounds(compressed, counts, config, *graph):
             bounded.append(config)
-            return real_bounds(compressed, counts, config)
+            return real_bounds(compressed, counts, config, *graph)
 
         monkeypatch.setattr(cachebound, "cycle_bounds", spy_bounds)
         trace = compress_study.run.block_trace

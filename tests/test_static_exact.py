@@ -1,21 +1,24 @@
 """Exactness oracles for the static-bounds fixpoints and their CFG.
 
 ``block_frequencies`` runs its Gauss–Seidel sweeps over inflow rows
-built once per call, and the cache-bound solver runs the must and the
-may problem on two worklists of one shared reverse-postorder
-numbering.  ``interprocedural_cfg`` builds the graph both walk in one
-pass over each block's ops.  Each is compared here against the
-implementation it replaced, copied verbatim below as an oracle:
-frequencies must be ``float.hex``-equal with equal keys in equal order,
-the solver's ``(in_must, in_may)`` states equal, and the CFGs equal
-with equal key and successor order.
+built from the graph's rank-indexed predecessor rows, and the
+cache-bound solver runs the must and the may problem on two worklists
+of the same reverse-postorder numbering.  ``ImageGraph`` builds the
+successors, the RET-continuation map, the function entries and the
+closed CFG in one walk over each block's ops, and ``FlowGraph`` finds
+natural loops and irreducible edges on its numbering.  Each is
+compared here against the implementation it replaced, copied verbatim
+below as an oracle: frequencies must be ``float.hex``-equal with equal
+keys in equal order, the solver's ``(in_must, in_may)`` states equal,
+the graphs equal with equal key and successor order, and the loops
+and edges equal.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import pytest
@@ -25,26 +28,24 @@ from repro.analysis.cachebound import (
     BOUND_SCHEMES,
     Access,
     State,
-    _graph,
     _join,
     _line_accesses,
     _solve,
     _transfer,
 )
-from repro.analysis.dataflow import predecessors, reverse_postorder
+from repro.analysis.dataflow import (
+    dominators,
+    predecessors,
+    reachable,
+    reverse_postorder,
+)
 from repro.analysis.freq import (
     EPSILON,
     FREQUENCY_CLAMP,
     MAX_ITERATIONS,
     block_frequencies,
-    branch_probabilities,
 )
-from repro.analysis.imagecfg import (
-    image_cfg,
-    interprocedural_cfg,
-    return_continuations,
-)
-from repro.analysis.loops import irreducible_edges
+from repro.analysis.graph import FlowGraph, ImageGraph
 from repro.analysis.verifier import corrupt_branch_target
 from repro.core.study import study_for
 from repro.fetch.config import FetchConfig, fetch_image_key
@@ -67,7 +68,7 @@ def oracle_block_frequencies(
     probabilities: Optional[Dict[Edge, float]] = None,
 ) -> Dict[int, float]:
     if probabilities is None:
-        probabilities = branch_probabilities(cfg, entry)
+        probabilities = FlowGraph(cfg, entry).probabilities
     order = reverse_postorder(cfg, entry)
     preds = predecessors(cfg)
     freq = {block: 0.0 for block in order}
@@ -132,6 +133,82 @@ def oracle_solve(
     return in_must, in_may
 
 
+def block_successors(
+    image: ProgramImage, block: BasicBlockImage
+) -> List[int]:
+    """Static successor block ids, in fetch-preference order.
+
+    Branch/call targets first, the fallthrough continuation last;
+    duplicates collapse (a conditional branch targeting its own
+    fallthrough contributes one edge).  Out-of-range targets are
+    dropped — the branch-target rule reports them; the graph stays
+    well-formed for the other analyses either way.
+    """
+    n = len(image)
+    succs: List[int] = []
+    for op in block.ops:
+        if op.target_block is None:
+            continue
+        if op.opcode in (Opcode.BR, Opcode.CALL):
+            target = op.target_block
+            if 0 <= target < n and target not in succs:
+                succs.append(target)
+    ft = block.fallthrough
+    if ft is not None and 0 <= ft < n and ft not in succs:
+        succs.append(ft)
+    return succs
+
+
+def image_cfg(image: ProgramImage) -> Dict[int, List[int]]:
+    """``{block_id: [successor block ids]}`` over the whole image."""
+    return {
+        block.block_id: block_successors(image, block) for block in image
+    }
+
+
+def return_continuations(image: ProgramImage) -> Dict[int, List[int]]:
+    """``{ret_block_id: [continuation block ids]}`` for every RET block.
+
+    A RET in function ``f`` may resume at the fallthrough continuation
+    of *any* call site whose target lies in ``f`` — the static
+    over-approximation of the return stack.  Used to close the image CFG
+    over procedure boundaries: a graph missing these edges under-counts
+    paths, which would make must/may cache facts unsound.
+    """
+    n = len(image)
+    # Function owning each possible callee-entry block.
+    owner = {block.block_id: block.function for block in image}
+    # function name -> continuation blocks of calls into it.
+    continuations: Dict[str, List[int]] = {}
+    for block in image:
+        for op in block.ops:
+            if op.opcode is not Opcode.CALL or op.target_block is None:
+                continue
+            target = op.target_block
+            ft = block.fallthrough
+            if not (0 <= target < n) or ft is None or not (0 <= ft < n):
+                continue
+            conts = continuations.setdefault(owner[target], [])
+            if ft not in conts:
+                conts.append(ft)
+    result: Dict[int, List[int]] = {}
+    for block in image:
+        if any(op.opcode is Opcode.RET for op in block.ops):
+            result[block.block_id] = list(
+                continuations.get(block.function, ())
+            )
+    return result
+
+
+def function_entries(image: ProgramImage) -> Dict[str, int]:
+    """First (entry) block id of each function, in layout order."""
+    entries: Dict[str, int] = {}
+    for block in image:
+        if block.function not in entries:
+            entries[block.function] = block.block_id
+    return entries
+
+
 def oracle_interprocedural_cfg(image: ProgramImage) -> Dict[int, List[int]]:
     cfg = image_cfg(image)
     for ret_block, conts in return_continuations(image).items():
@@ -140,6 +217,99 @@ def oracle_interprocedural_cfg(image: ProgramImage) -> Dict[int, List[int]]:
             if cont not in succs:
                 succs.append(cont)
     return cfg
+
+
+def back_edges(cfg: Cfg, entry: int) -> List[Edge]:
+    """Edges ``u -> v`` where ``v`` dominates ``u`` (loop back edges).
+
+    Only edges between reachable blocks qualify; the result is sorted
+    for determinism.
+    """
+    doms = dominators(cfg, entry)
+    edges: List[Edge] = []
+    for u, succs in cfg.items():
+        if u not in doms:
+            continue
+        for v in succs:
+            if v in doms.get(u, frozenset()):
+                edges.append((u, v))
+    edges.sort()
+    return edges
+
+
+def natural_loop(
+    cfg: Cfg, tail: int, header: int, *, entry: Optional[int] = None
+) -> FrozenSet[int]:
+    """Body of the natural loop of back edge ``tail -> header``.
+
+    The header plus every block that reaches ``tail`` without passing
+    through the header (standard backward walk over predecessors).
+    When ``entry`` is given, the walk stays inside the reachable
+    subgraph — an unreachable block with an edge into the loop must
+    not join the body (no execution ever runs it).
+    """
+    preds = predecessors(cfg)
+    live = reachable(cfg, entry) if entry is not None else None
+    body = {header, tail}
+    stack = [tail] if tail != header else []
+    while stack:
+        block = stack.pop()
+        for pred in preds.get(block, ()):
+            if pred in body:
+                continue
+            if live is not None and pred not in live:
+                continue
+            body.add(pred)
+            stack.append(pred)
+    return frozenset(body)
+
+
+def oracle_loops(cfg: Cfg, entry: int) -> List[Tuple[int, FrozenSet[int]]]:
+    """``loops.loops`` as ``(header, body)`` pairs."""
+    bodies: Dict[int, set] = {}
+    for tail, header in back_edges(cfg, entry):
+        bodies.setdefault(header, set()).update(
+            natural_loop(cfg, tail, header, entry=entry)
+        )
+    return [
+        (header, frozenset(body))
+        for header, body in sorted(bodies.items())
+    ]
+
+
+def irreducible_edges(cfg: Cfg, entry: int) -> List[Edge]:
+    """DFS retreating edges that are *not* dominator back edges.
+
+    A non-empty result means some cycle has multiple entries
+    (irreducible control flow): its blocks still appear in the
+    frequency fixpoint, but loop-nest depths around it are heuristic.
+    Deterministic: DFS visits successors in their stored order.
+    """
+    dom_backs = set(back_edges(cfg, entry))
+    retreating: List[Edge] = []
+    # Iterative DFS with colors: 0 unvisited, 1 on stack, 2 done.
+    color = {block: 0 for block in cfg}
+    if entry not in color:
+        return []
+    stack: List[Tuple[int, int]] = [(entry, 0)]
+    color[entry] = 1
+    while stack:
+        node, index = stack[-1]
+        succs = cfg.get(node, ())
+        if index < len(succs):
+            stack[-1] = (node, index + 1)
+            succ = succs[index]
+            state = color.get(succ)
+            if state == 0:
+                color[succ] = 1
+                stack.append((succ, 0))
+            elif state == 1 and (node, succ) not in dom_backs:
+                retreating.append((node, succ))
+        else:
+            color[node] = 2
+            stack.pop()
+    retreating.sort()
+    return retreating
 
 
 # ---------------------------------------------------------------- helpers
@@ -153,9 +323,12 @@ def hexed(frequencies: Dict[int, float]):
 
 def assert_frequencies_exact(cfg, entry, probabilities=None):
     expected = oracle_block_frequencies(cfg, entry, probabilities)
-    assert hexed(block_frequencies(cfg, entry, probabilities)) == hexed(
-        expected
-    )
+    graph = FlowGraph(cfg, entry)
+    if probabilities is None:
+        actual = graph.frequencies
+    else:
+        actual = block_frequencies(graph, probabilities)
+    assert hexed(actual) == hexed(expected)
     return expected
 
 
@@ -163,7 +336,7 @@ def assert_frequencies_exact(cfg, entry, probabilities=None):
 def suite_cfgs():
     return {
         name: (
-            interprocedural_cfg(study_for(name, 1).compiled.image),
+            ImageGraph(study_for(name, 1).compiled.image).cfg,
             study_for(name, 1).compiled.image.entry_block,
         )
         for name in BENCHMARK_NAMES
@@ -231,7 +404,7 @@ def test_loop_converging_early_stops_on_the_same_sweep():
 def test_unreachable_predecessors_are_skipped():
     # 3 is unreachable but feeds 1 and 2; its edge probabilities exist.
     cfg = {0: [1], 1: [2], 2: [1, 4], 3: [1, 2], 4: []}
-    probabilities = branch_probabilities(cfg, 0)
+    probabilities = dict(FlowGraph(cfg, 0).probabilities)
     probabilities.update({(3, 1): 0.5, (3, 2): 0.5})
     expected = assert_frequencies_exact(cfg, 0, probabilities)
     assert 3 not in expected
@@ -239,7 +412,7 @@ def test_unreachable_predecessors_are_skipped():
 
 def test_irreducible_loop():
     cfg = {0: [1, 2], 1: [2, 3], 2: [1, 3], 3: []}
-    assert irreducible_edges(cfg, 0)
+    assert FlowGraph(cfg, 0).irreducible_edges
     assert_frequencies_exact(cfg, 0)
 
 
@@ -266,7 +439,7 @@ def test_random_graphs_are_bit_identical(cfg, data):
 # ----------------------------------------------------------------- solver
 def assert_solve_exact(cfg, entry, accesses, skippable, ways):
     expected = oracle_solve(cfg, entry, accesses, skippable, ways)
-    assert _solve(_graph(cfg, entry), accesses, skippable, ways) == expected
+    assert _solve(FlowGraph(cfg, entry), accesses, skippable, ways) == expected
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -330,11 +503,38 @@ def test_random_graphs_solve_exactly(cfg, ways, data):
     assert_solve_exact(cfg, 0, _line_accesses(pairs), skippable, ways)
 
 
+# ------------------------------------------------------------------ loops
+def assert_loops_exact(cfg, entry):
+    graph = FlowGraph(cfg, entry)
+    assert graph.back_edges == back_edges(cfg, entry)
+    assert [(loop.header, loop.body) for loop in graph.loops] == (
+        oracle_loops(cfg, entry)
+    )
+    assert graph.irreducible_edges == irreducible_edges(cfg, entry)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_suite_loops_match_the_old_walks(suite_cfgs, name):
+    assert_loops_exact(*suite_cfgs[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=digraphs())
+def test_random_graph_loops_match_the_old_walks(cfg):
+    assert_loops_exact(cfg, 0)
+
+
 # -------------------------------------------------------------------- CFG
 def assert_cfg_exact(image):
-    cfg = interprocedural_cfg(image)
-    expected = oracle_interprocedural_cfg(image)
-    assert list(cfg.items()) == list(expected.items())
+    """The one walk against each moved oracle, in key and list order."""
+    graph = ImageGraph(image)
+    for actual, expected in (
+        (graph.successors, image_cfg(image)),
+        (graph.returns, return_continuations(image)),
+        (graph.entries, function_entries(image)),
+        (graph.cfg, oracle_interprocedural_cfg(image)),
+    ):
+        assert list(actual.items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
